@@ -131,8 +131,7 @@ sweep-smoke: build
 	$(GO) build -o /tmp/nucaserve ./cmd/nucaserve
 	rm -rf /tmp/nucasim-sweepsmoke
 	$(GO) run ./internal/tools/sweepsmoke -bin /tmp/nucaserve -state /tmp/nucasim-sweepsmoke
-	$(GO) run ./internal/tools/artifactcheck -servestore /tmp/nucasim-sweepsmoke \
-		-sweepstore /tmp/nucasim-sweepsmoke
+	$(GO) run ./internal/tools/artifactcheck -servestore /tmp/nucasim-sweepsmoke
 	@echo sweep-smoke ok
 
 # Crash-consistency smoke: SIGKILL the real server binary mid-job (no

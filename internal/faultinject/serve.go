@@ -28,8 +28,9 @@ const (
 	// run. Crash-point and checkpoint faults land here.
 	OutcomeRecovered ServeOutcome = "recovered"
 	// OutcomeQuarantined: integrity verification catches the damage, the
-	// job directory moves to quarantine/, serve.cache_quarantined is
-	// incremented, and a rerun produces the correct bytes.
+	// entry directory (job or sweep) moves to quarantine/,
+	// serve.cache_quarantined is incremented, and a rerun produces the
+	// correct bytes.
 	OutcomeQuarantined ServeOutcome = "quarantined"
 	// OutcomeFailed: the job transitions to StateFailed with a captured
 	// diagnostic (error string, panic stack); no partial artifacts are
@@ -88,6 +89,11 @@ func ServeMatrix() []ServeFault {
 			Name:        "missing-manifest",
 			Outcome:     OutcomeQuarantined,
 			Description: "manifest.json is deleted out from under a committed entry; an unverifiable entry is treated as corrupt, never served",
+		},
+		{
+			Name:        "bitflip-sweep-csv",
+			Outcome:     OutcomeQuarantined,
+			Description: "one bit of a committed sweep's table.csv flips on disk; the recovery scan's manifest check quarantines the sweep entry, re-persists its spec, and the sweep re-aggregates from its cached points",
 		},
 		{
 			Name:        "corrupt-checkpoint",

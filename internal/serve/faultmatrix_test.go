@@ -85,7 +85,7 @@ func (e *matrixEnv) store(t *testing.T, hook func(string) error) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetCommitHook(hook)
+	st.commitHook = hook
 	if err := st.PutSpec(e.hash, e.spec); err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +96,11 @@ func (e *matrixEnv) store(t *testing.T, hook func(string) error) *Store {
 // the simulated crash to fire.
 func (e *matrixEnv) commitCrashing(t *testing.T, st *Store, step string) {
 	t.Helper()
-	st.SetCommitHook(crashAfter(step))
+	st.commitHook = crashAfter(step)
 	if err := st.PutResult(e.hash, e.wantResult, e.wantCSV); !errors.Is(err, errSimulatedCrash) {
 		t.Fatalf("PutResult with crash at %q returned %v, want simulated crash", step, err)
 	}
-	st.SetCommitHook(nil)
+	st.commitHook = nil
 }
 
 // commitClean publishes the reference artifacts as a healthy process
@@ -143,7 +143,7 @@ func (e *matrixEnv) recoverAndVerify(t *testing.T, opts Options) *Server {
 	if !bytes.Equal(gotResult, e.wantResult) {
 		t.Errorf("recovered result.json differs from uninterrupted run (%d vs %d bytes)", len(gotResult), len(e.wantResult))
 	}
-	gotCSV, err := s.Store().ReadEpochCSV(e.hash)
+	gotCSV, err := s.Store().readVerified(jobKind, e.hash, "epoch.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +216,8 @@ func TestServeFaultMatrix(t *testing.T) {
 		"crash-after-epoch-csv": func(t *testing.T) {
 			env := newMatrixEnv(t, 102)
 			st := env.store(t, nil)
-			env.commitCrashing(t, st, "epoch_csv")
-			if _, err := os.Stat(st.ResultPath(env.hash)); !os.IsNotExist(err) {
+			env.commitCrashing(t, st, "epoch.csv")
+			if _, err := os.Stat(st.path(jobKind, env.hash, "result.json")); !os.IsNotExist(err) {
 				t.Fatal("crash point leaked a result.json commit marker")
 			}
 			env.recoverAndVerify(t, Options{})
@@ -225,8 +225,8 @@ func TestServeFaultMatrix(t *testing.T) {
 		"crash-after-manifest": func(t *testing.T) {
 			env := newMatrixEnv(t, 103)
 			st := env.store(t, nil)
-			env.commitCrashing(t, st, "manifest")
-			if _, err := os.Stat(st.ResultPath(env.hash)); !os.IsNotExist(err) {
+			env.commitCrashing(t, st, "manifest.json")
+			if _, err := os.Stat(st.path(jobKind, env.hash, "result.json")); !os.IsNotExist(err) {
 				t.Fatal("crash point leaked a result.json commit marker")
 			}
 			env.recoverAndVerify(t, Options{})
@@ -239,7 +239,7 @@ func TestServeFaultMatrix(t *testing.T) {
 			if err := os.WriteFile(st.CheckpointPath(env.hash), []byte("obsolete checkpoint"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			env.commitCrashing(t, st, "result")
+			env.commitCrashing(t, st, "result.json")
 			s := env.recoverAndVerify(t, Options{})
 			// The entry must have been served from cache (committed work is
 			// never redone) and the stale checkpoint garbage-collected.
@@ -255,7 +255,7 @@ func TestServeFaultMatrix(t *testing.T) {
 			env := newMatrixEnv(t, 105)
 			st := env.store(t, nil)
 			env.commitClean(t, st)
-			corruptFile(t, st.ResultPath(env.hash), flipBit)
+			corruptFile(t, st.path(jobKind, env.hash, "result.json"), flipBit)
 			s := env.recoverAndVerify(t, Options{})
 			if got := counter(s, "serve.cache_quarantined"); got != 1 {
 				t.Errorf("serve.cache_quarantined = %d, want 1", got)
@@ -268,7 +268,7 @@ func TestServeFaultMatrix(t *testing.T) {
 			env := newMatrixEnv(t, 106)
 			st := env.store(t, nil)
 			env.commitClean(t, st)
-			corruptFile(t, st.EpochCSVPath(env.hash), flipBit)
+			corruptFile(t, st.path(jobKind, env.hash, "epoch.csv"), flipBit)
 			s := env.recoverAndVerify(t, Options{})
 			if got := counter(s, "serve.cache_quarantined"); got != 1 {
 				t.Errorf("serve.cache_quarantined = %d, want 1", got)
@@ -278,7 +278,7 @@ func TestServeFaultMatrix(t *testing.T) {
 			env := newMatrixEnv(t, 107)
 			st := env.store(t, nil)
 			env.commitClean(t, st)
-			corruptFile(t, st.ResultPath(env.hash), func(b []byte) []byte { return b[:len(b)/2] })
+			corruptFile(t, st.path(jobKind, env.hash, "result.json"), func(b []byte) []byte { return b[:len(b)/2] })
 			// The torn artifact must be unreadable through the verified
 			// path — the reader gets a CorruptError, never the short bytes.
 			var corrupt *CorruptError
@@ -291,13 +291,18 @@ func TestServeFaultMatrix(t *testing.T) {
 			env := newMatrixEnv(t, 108)
 			st := env.store(t, nil)
 			env.commitClean(t, st)
-			if err := os.Remove(st.ManifestPath(env.hash)); err != nil {
+			if err := os.Remove(st.path(jobKind, env.hash, manifestFile)); err != nil {
 				t.Fatal(err)
 			}
 			s := env.recoverAndVerify(t, Options{})
 			if got := counter(s, "serve.cache_quarantined"); got != 1 {
 				t.Errorf("serve.cache_quarantined = %d, want 1", got)
 			}
+		},
+		"bitflip-sweep-csv": func(t *testing.T) {
+			spec := smallSweep(113)
+			spec.Axes.MeasureCycles = []uint64{30_000, 60_000}
+			recoverCorruptSweep(t, spec, flipBit)
 		},
 		"corrupt-checkpoint": func(t *testing.T) {
 			env := newMatrixEnv(t, 109)
@@ -338,7 +343,7 @@ func TestServeFaultMatrix(t *testing.T) {
 			if got.State != StateFailed || !strings.Contains(got.Error, "no space") {
 				t.Fatalf("ENOSPC job ended %q (error %q), want explicit failure", got.State, got.Error)
 			}
-			if _, err := os.Stat(s.Store().ResultPath(env.hash)); !os.IsNotExist(err) {
+			if _, err := os.Stat(s.Store().path(jobKind, env.hash, "result.json")); !os.IsNotExist(err) {
 				t.Fatal("a result.json is visible despite the failed commit")
 			}
 			// Disk "frees up": the same submission must now succeed with
@@ -450,7 +455,7 @@ func TestJobDeadline(t *testing.T) {
 	if s.Store().HasCheckpoint(st.ID) {
 		t.Error("deadline-failed job left a checkpoint behind")
 	}
-	if _, err := os.Stat(s.Store().SpecPath(st.ID)); !os.IsNotExist(err) {
+	if _, err := os.Stat(s.Store().path(jobKind, st.ID, specFile)); !os.IsNotExist(err) {
 		t.Error("deadline-failed job left its spec behind (would rerun forever on restart)")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"os"
 	"strconv"
 	"time"
 
@@ -140,26 +141,23 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job is "+string(st.State)+", result not available")
 		return
 	}
+	var name, contentType string
 	switch artifact := r.URL.Query().Get("artifact"); artifact {
 	case "", "result":
-		data, err := s.store.ReadResult(j.ID)
-		if err != nil {
-			s.failCorrupt(w, j, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
+		name, contentType = jobKind.marker, "application/json"
 	case "epochs":
-		data, err := s.store.ReadEpochCSV(j.ID)
-		if err != nil {
-			s.failCorrupt(w, j, err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/csv")
-		w.Write(data)
+		name, contentType = jobKind.data, "text/csv"
 	default:
 		writeError(w, http.StatusBadRequest, "unknown artifact "+strconv.Quote(artifact)+" (want result or epochs)")
+		return
 	}
+	data, err := s.store.readVerified(jobKind, j.ID, name)
+	if err != nil {
+		s.failCorrupt(w, j, err)
+		return
+	}
+	w.Header().Set("Content-Type", contentType)
+	w.Write(data)
 }
 
 // failCorrupt reports a failed artifact read. When the failure is an
@@ -195,7 +193,7 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if data, err := s.store.ReadSpans(j.ID); err == nil {
+	if data, err := os.ReadFile(s.store.spansPath(j.ID)); err == nil {
 		w.Write(data)
 		return
 	}

@@ -10,14 +10,14 @@ import (
 	"sort"
 )
 
-// manifest records the SHA-256 of every committed artifact in a job
-// directory, so a reader can prove the bytes it is about to serve are
-// the bytes the worker wrote. It is written after epoch.csv and before
-// result.json (the commit marker): a directory with a result but no
+// manifest records the SHA-256 of every committed artifact in a store
+// entry, so a reader can prove the bytes it is about to serve are the
+// bytes the worker wrote. It is written after the entry's data artifact
+// and before its commit marker: a directory with a marker but no
 // manifest — or with any artifact whose hash disagrees — is corrupt by
 // definition and is quarantined, never served.
 //
-// spans.json and checkpoint.bin are deliberately not covered:
+// A job's spans.json and checkpoint.bin are deliberately not covered:
 // spans.json is a best-effort wall-clock observation written after the
 // commit, and checkpoint.bin is transient state whose own gob decode is
 // its integrity check (a checkpoint that fails to decode is deleted and
@@ -34,9 +34,6 @@ const manifestVersion = 1
 
 // manifestFile is the on-disk name, alongside the artifacts it covers.
 const manifestFile = "manifest.json"
-
-// requiredArtifacts are the files every committed manifest must cover.
-var requiredArtifacts = []string{"spec.json", "epoch.csv", "result.json"}
 
 func artifactDigest(data []byte) string {
 	sum := sha256.Sum256(data)
@@ -62,12 +59,6 @@ type CorruptError struct {
 
 func (e *CorruptError) Error() string {
 	return fmt.Sprintf("serve: %s: artifact %s failed integrity check: %s", e.Hash, e.Artifact, e.Reason)
-}
-
-// verifyManifest checks every artifact the job's manifest covers
-// against its recorded hash.
-func (st *Store) verifyManifest(hash string) *CorruptError {
-	return verifyManifestDir(st.jobDir(hash), "job "+hash, requiredArtifacts)
 }
 
 // verifyManifestDir checks dir's artifacts against its manifest: the

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand/v2"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -121,7 +120,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.metrics.init()
-	store.OnQuarantine(func(hash, reason string) {
+	store.onQuarantine = func(hash, reason string) {
 		s.metrics.inc("serve.cache_quarantined")
 		log.Printf("serve: quarantined cache entry %s: %s", hash, reason)
 		// When the entry belongs to a known job, stamp the quarantine on
@@ -137,7 +136,7 @@ func New(opts Options) (*Server, error) {
 				j.mu.Unlock()
 			}
 		}()
-	})
+	}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -152,44 +151,22 @@ func New(opts Options) (*Server, error) {
 }
 
 // recover re-queues every job the previous process left unfinished.
-// The scan doubles as the store's integrity pass: committed entries are
-// verified against their manifests (corrupt ones are quarantined and —
-// when their spec survives — rerun from scratch), stale checkpoints
-// next to committed results are garbage-collected, and checkpoints that
-// no longer gob-decode are deleted so the job reruns instead of wedging
-// every restart on the same bad file. Jobs with a decodable checkpoint
-// resume mid-measurement; the rest rerun from scratch. Recovery may
-// exceed QueueDepth — the backlog is real work already accepted, not
-// new load.
+// The store's pending scan doubles as its integrity pass: committed
+// entries are verified against their manifests, and corrupt ones are
+// quarantined and — when their spec survives — rerun from scratch.
+// Stale checkpoints next to committed results (a crash after commit,
+// before checkpoint removal) are garbage-collected, and checkpoints
+// that no longer gob-decode are deleted so the job reruns instead of
+// wedging every restart on the same bad file. Jobs with a decodable
+// checkpoint resume mid-measurement; the rest rerun from scratch.
+// Recovery may exceed QueueDepth — the backlog is real work already
+// accepted, not new load.
 func (s *Server) recover() error {
-	hashes, err := s.store.JobDirs()
+	pending, err := s.store.pending(jobKind)
 	if err != nil {
 		return err
 	}
-	// Pass 1: integrity. CheckResult quarantines corrupt committed
-	// entries (moving their directory), so read the spec first — it is
-	// what lets the work rerun.
-	for _, hash := range hashes {
-		spec, specErr := os.ReadFile(s.store.SpecPath(hash))
-		if s.store.CheckResult(hash) != ResultCorrupt {
-			continue
-		}
-		if specErr != nil {
-			continue // quarantined with no salvageable spec; operator's call
-		}
-		if _, _, err := sim.ParseCanonicalSpec(spec); err != nil {
-			continue
-		}
-		// Re-persist the spec into a fresh job directory so the rerun is
-		// indistinguishable from a normal queued job.
-		if err := s.store.PutSpec(hash, spec); err != nil {
-			return fmt.Errorf("serve: re-queueing quarantined job %s: %w", hash, err)
-		}
-	}
-	// Pass 2: committed entries that verified clean may still carry a
-	// stale checkpoint (crash after commit, before checkpoint removal).
-	// Pass 3 (Pending) picks up everything uncommitted.
-	pending, err := s.store.Pending()
+	hashes, err := s.store.list(jobKind)
 	if err != nil {
 		return err
 	}
@@ -203,7 +180,7 @@ func (s *Server) recover() error {
 		if err != nil {
 			// Unreadable specs (schema drift, corruption) are dropped so
 			// one bad entry cannot wedge every restart.
-			s.store.Remove(hash)
+			s.store.remove(jobKind, hash)
 			continue
 		}
 		resumable := false
@@ -384,7 +361,7 @@ func (s *Server) Cancel(id string) (Status, bool) {
 		j.bumpLocked()
 		j.notifyLocked()
 		s.metrics.inc("serve.jobs_canceled")
-		s.store.Remove(id)
+		s.store.remove(jobKind, id)
 	case j.state == StateRunning:
 		j.cancelRequested = true
 		if j.cancel != nil {
@@ -554,7 +531,7 @@ func (s *Server) runJob(j *Job) {
 	case panicked != nil:
 		// Clean the store first, then announce: a client that observes the
 		// terminal state must never find half-removed on-disk state.
-		s.store.Remove(j.ID)
+		s.store.remove(jobKind, j.ID)
 		s.metrics.inc("serve.panics_recovered")
 		s.metrics.inc("serve.jobs_failed")
 		log.Printf("serve: job %s: worker panic recovered: %s", j.ID, panicked.value)
@@ -573,7 +550,7 @@ func (s *Server) runJob(j *Job) {
 			commitSpan.End()
 		}
 		if encErr != nil {
-			s.store.Remove(j.ID)
+			s.store.remove(jobKind, j.ID)
 			s.metrics.inc("serve.jobs_failed")
 			j.root.End()
 			j.setState(StateFailed, encErr.Error())
@@ -585,7 +562,7 @@ func (s *Server) runJob(j *Job) {
 		// result is already committed, and GET /v1/jobs/{id}/spans falls
 		// back to a live render.
 		j.root.End()
-		if spansErr := s.store.PutSpans(j.ID, j.spans.WriteTrace); spansErr != nil {
+		if spansErr := s.store.putSpans(j.ID, j.spans.WriteTrace); spansErr != nil {
 			s.metrics.inc("serve.span_artifact_failures")
 		}
 		s.metrics.inc("serve.jobs_completed")
@@ -597,14 +574,14 @@ func (s *Server) runJob(j *Job) {
 		j.mu.Unlock()
 		switch {
 		case wasCancel:
-			s.store.Remove(j.ID)
+			s.store.remove(jobKind, j.ID)
 			s.metrics.inc("serve.jobs_canceled")
 			j.setState(StateCanceled, "")
 		case ctx.Err() == context.DeadlineExceeded:
 			// The per-job deadline fired. This is an explicit failure, not
 			// a checkpoint: a job that cannot finish inside its budget
 			// must not be silently resumed into the same budget overrun.
-			s.store.Remove(j.ID)
+			s.store.remove(jobKind, j.ID)
 			s.metrics.inc("serve.jobs_deadline_exceeded")
 			s.metrics.inc("serve.jobs_failed")
 			j.setFailed(fmt.Sprintf("job exceeded its %s wall-clock deadline", s.opts.JobTimeout), "")
@@ -641,7 +618,7 @@ func (s *Server) runJob(j *Job) {
 				return
 			}
 		}
-		s.store.Remove(j.ID)
+		s.store.remove(jobKind, j.ID)
 		s.metrics.inc("serve.jobs_failed")
 		j.setState(StateFailed, err.Error())
 	}

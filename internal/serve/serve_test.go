@@ -245,7 +245,7 @@ func TestCancelMidRun(t *testing.T) {
 	}
 	waitFor(t, "job canceled", func() bool { return getStatus(t, ts, st.ID).State == StateCanceled })
 
-	if _, err := os.Stat(s.Store().SpecPath(st.ID)); !os.IsNotExist(err) {
+	if _, err := os.Stat(s.Store().path(jobKind, st.ID, specFile)); !os.IsNotExist(err) {
 		t.Errorf("canceled job's spec still on disk (err=%v)", err)
 	}
 	// The result endpoint now reports the state, not artifacts.

@@ -58,7 +58,7 @@ func TestJobSpansEndpoint(t *testing.T) {
 
 	// The endpoint served the committed artifact, which sits next to the
 	// other job files and is byte-identical to the HTTP response.
-	onDisk, err := os.ReadFile(s.Store().SpansPath(st.ID))
+	onDisk, err := os.ReadFile(s.Store().spansPath(st.ID))
 	if err != nil {
 		t.Fatalf("spans.json artifact missing: %v", err)
 	}

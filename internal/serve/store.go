@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,32 +13,33 @@ import (
 	"nucasim/internal/atomicio"
 )
 
-// Store is the content-addressed on-disk result cache. Every job owns
-// one directory named by its canonical-spec SHA-256:
+// Store is the content-addressed on-disk cache. Jobs and sweeps are two
+// kinds of one entry type, each a directory named by its content
+// address under the kind's subdirectory:
 //
-//	<dir>/jobs/<hash>/spec.json       canonical spec (the hash preimage)
-//	<dir>/jobs/<hash>/epoch.csv       epoch time-series artifact
-//	<dir>/jobs/<hash>/manifest.json   SHA-256 of every committed artifact
-//	<dir>/jobs/<hash>/result.json     normalized sim.Result (EncodeResult)
-//	<dir>/jobs/<hash>/spans.json      wall-clock span trace (Perfetto-loadable)
-//	<dir>/jobs/<hash>/checkpoint.bin  crash-safe mid-run state (transient)
-//	<dir>/quarantine/<hash>.<nanos>/  job dirs that failed integrity checks
+//	kind   directory          data artifact  commit marker  quarantine name
+//	job    <dir>/jobs/<hash>  epoch.csv      result.json    <hash>.<nanos>
+//	sweep  <dir>/sweeps/<id>  table.csv      table.json     sweep-<id>.<nanos>
 //
-// result.json is the commit marker (each file individually atomic via
-// internal/atomicio): a directory with a spec but no result is
-// unfinished work that a restarted server re-queues — resuming from
-// checkpoint.bin when one exists. Commit order is epoch.csv, then
-// manifest.json (recording the hash of every artifact including the
-// result about to land), then result.json — so a committed entry always
-// has a verifiable manifest, and every read path (cache-hit decisions
-// and artifact serving alike) checks the bytes against it. An entry
-// that fails verification is moved wholesale into quarantine/ — the
-// server serves stale-never-wrong bytes and reruns the job instead.
+// Every entry holds spec.json (the canonical spec, persisted at
+// submission so accepted work survives a restart), its data artifact,
+// manifest.json (SHA-256 of spec, data and marker) and the commit
+// marker. Commit order is data artifact, then manifest, then marker,
+// each file individually atomic via internal/atomicio — so a directory
+// without a marker is unfinished work a restarted server re-queues, and
+// a committed entry always has a verifiable manifest. Every read path
+// (cache-hit decisions and artifact serving alike) checks the bytes
+// against it; an entry that fails is moved wholesale into
+// <dir>/quarantine/ and its work reruns — stale, never wrong. The
+// recovery scan (pending) re-persists a quarantined entry's spec into a
+// fresh directory, so corrupt jobs and sweeps alike rerun after a
+// restart.
 //
-// spans.json is written after the commit and is deliberately NOT part
-// of the marker or the manifest — it records wall-clock observations,
-// not simulated results, so a job without one is still complete and
-// /v1/jobs/{id}/spans falls back to a live render.
+// Jobs carry two extras outside the manifest: checkpoint.bin, crash-safe
+// mid-run state dropped once the result commits, and spans.json, the
+// wall-clock span trace written after the commit — it records
+// observations, not simulated results, so a job without one is still
+// complete and /v1/jobs/{id}/spans falls back to a live render.
 type Store struct {
 	dir string
 
@@ -47,172 +49,284 @@ type Store struct {
 	// onQuarantine, when set, observes every successful quarantine move
 	// (the Server wires it to the serve.cache_quarantined counter and
 	// the process log).
-	onQuarantine func(hash, reason string)
-	// commitHook, when set, is called before each step of PutResult and
-	// may veto it — the crash-at-point seam the fault matrix uses to
-	// reproduce a process dying between artifact writes. Production
-	// servers never set it.
+	onQuarantine func(name, reason string)
+	// commitHook, when set, is called after each file a commit writes,
+	// with that file's name, and may veto the rest — the crash-at-point
+	// seam the fault matrix uses to reproduce a process dying between
+	// artifact writes. Production servers never set it.
 	commitHook func(step string) error
 }
 
+// entryKind describes one kind of store entry.
+type entryKind struct {
+	dir     string // subdirectory of the state dir
+	data    string // artifact committed before the manifest
+	marker  string // commit marker, written last
+	label   string // names the entry in CorruptError reports
+	qprefix string // quarantine directory name prefix
+}
+
+var (
+	jobKind   = entryKind{dir: "jobs", data: "epoch.csv", marker: "result.json", label: "job"}
+	sweepKind = entryKind{dir: "sweeps", data: "table.csv", marker: "table.json", label: "sweep", qprefix: "sweep-"}
+)
+
+const specFile = "spec.json"
+
 // NewStore opens (creating if needed) a store rooted at dir.
 func NewStore(dir string) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, jobKind.dir), 0o755); err != nil {
 		return nil, fmt.Errorf("serve: state dir: %w", err)
 	}
 	return &Store{dir: dir}, nil
 }
 
-// OnQuarantine registers the observer for quarantine moves.
-func (st *Store) OnQuarantine(f func(hash, reason string)) { st.onQuarantine = f }
+func (st *Store) entryDir(k entryKind, id string) string { return filepath.Join(st.dir, k.dir, id) }
 
-// SetCommitHook installs the crash-at-point test seam (nil clears it).
-func (st *Store) SetCommitHook(f func(step string) error) { st.commitHook = f }
-
-func (st *Store) jobDir(hash string) string { return filepath.Join(st.dir, "jobs", hash) }
-
-func (st *Store) artifactPath(hash, name string) string {
-	return filepath.Join(st.jobDir(hash), name)
+func (st *Store) path(k entryKind, id, name string) string {
+	return filepath.Join(st.entryDir(k, id), name)
 }
 
 // QuarantineDir is where entries that failed integrity verification are
-// moved (each as <hash>.<unix-nanos> so repeated corruption of the same
-// hash never collides).
+// moved (with a nanosecond suffix, so repeated corruption of the same
+// entry never collides).
 func (st *Store) QuarantineDir() string { return filepath.Join(st.dir, "quarantine") }
 
-// SpecPath, ResultPath, EpochCSVPath and CheckpointPath name the job's
-// artifact files; CheckpointPath is handed to sim.Config.CheckpointPath.
-func (st *Store) SpecPath(hash string) string     { return st.artifactPath(hash, "spec.json") }
-func (st *Store) ResultPath(hash string) string   { return st.artifactPath(hash, "result.json") }
-func (st *Store) EpochCSVPath(hash string) string { return st.artifactPath(hash, "epoch.csv") }
-func (st *Store) CheckpointPath(hash string) string {
-	return st.artifactPath(hash, "checkpoint.bin")
-}
-
-// ManifestPath names the job's integrity manifest.
-func (st *Store) ManifestPath(hash string) string { return st.artifactPath(hash, manifestFile) }
-
-// SpansPath names the job's wall-clock span-trace artifact.
-func (st *Store) SpansPath(hash string) string { return st.artifactPath(hash, "spans.json") }
-
-// PutSpans writes the job's span trace atomically. Called after
-// PutResult; spans.json never gates job completion.
-func (st *Store) PutSpans(hash string, render func(w io.Writer) error) error {
-	return atomicio.WriteFile(st.SpansPath(hash), render)
-}
-
-// ReadSpans returns the committed spans.json bytes.
-func (st *Store) ReadSpans(hash string) ([]byte, error) {
-	return os.ReadFile(st.SpansPath(hash))
-}
-
-// PutSpec persists the canonical spec bytes for hash, creating the job
-// directory. Called at submission so queued work survives a restart.
-func (st *Store) PutSpec(hash string, spec []byte) error {
-	if err := os.MkdirAll(st.jobDir(hash), 0o755); err != nil {
-		return err
-	}
-	return atomicio.WriteFile(st.SpecPath(hash), func(w io.Writer) error {
-		_, err := w.Write(spec)
+func writeBytes(path string, data []byte) error {
+	return atomicio.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
 	})
 }
 
-func (st *Store) commitStep(step string) error {
-	if st.commitHook == nil {
-		return nil
+// putSpec persists an entry's canonical spec, creating its directory.
+func (st *Store) putSpec(k entryKind, id string, spec []byte) error {
+	if err := os.MkdirAll(st.entryDir(k, id), 0o755); err != nil {
+		return err
 	}
-	return st.commitHook(step)
+	return writeBytes(st.path(k, id, specFile), spec)
 }
 
-// PutResult publishes the job's artifacts: the epoch CSV first, then
-// the integrity manifest covering every artifact, then result.json as
-// the commit marker; finally the now-obsolete checkpoint is dropped. A
-// crash between any two steps leaves either an uncommitted entry (no
-// result.json → the job reruns) or a committed, fully verifiable one —
-// never a committed entry the manifest cannot vouch for.
-func (st *Store) PutResult(hash string, result, epochCSV []byte) error {
-	if err := st.commitStep("begin"); err != nil {
-		return err
-	}
-	spec, err := os.ReadFile(st.SpecPath(hash))
+// commit publishes an entry: the data artifact, then the manifest
+// covering spec, data and marker, then the marker. A crash between any
+// two steps leaves either an uncommitted entry (no marker → the work
+// reruns) or a committed, fully verifiable one — never a committed
+// entry the manifest cannot vouch for.
+func (st *Store) commit(k entryKind, id string, data, marker []byte) error {
+	spec, err := os.ReadFile(st.path(k, id, specFile))
 	if err != nil {
-		return fmt.Errorf("serve: committing %s without a persisted spec: %w", hash, err)
+		return fmt.Errorf("serve: committing %s %s without a persisted spec: %w", k.label, id, err)
 	}
-	if err := atomicio.WriteFile(st.EpochCSVPath(hash), func(w io.Writer) error {
-		_, err := w.Write(epochCSV)
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := st.commitStep("epoch_csv"); err != nil {
-		return err
-	}
-	m := manifest{Version: manifestVersion, Artifacts: map[string]string{
-		"spec.json":   artifactDigest(spec),
-		"epoch.csv":   artifactDigest(epochCSV),
-		"result.json": artifactDigest(result),
-	}}
-	mbytes, err := encodeManifest(m)
+	mbytes, err := encodeManifest(manifest{Version: manifestVersion, Artifacts: map[string]string{
+		specFile: artifactDigest(spec),
+		k.data:   artifactDigest(data),
+		k.marker: artifactDigest(marker),
+	}})
 	if err != nil {
 		return err
 	}
-	if err := atomicio.WriteFile(st.ManifestPath(hash), func(w io.Writer) error {
-		_, err := w.Write(mbytes)
-		return err
-	}); err != nil {
-		return err
+	for _, f := range []struct {
+		name  string
+		bytes []byte
+	}{{k.data, data}, {manifestFile, mbytes}, {k.marker, marker}} {
+		if err := writeBytes(st.path(k, id, f.name), f.bytes); err != nil {
+			return err
+		}
+		if st.commitHook != nil {
+			if err := st.commitHook(f.name); err != nil {
+				return err
+			}
+		}
 	}
-	if err := st.commitStep("manifest"); err != nil {
-		return err
-	}
-	if err := atomicio.WriteFile(st.ResultPath(hash), func(w io.Writer) error {
-		_, err := w.Write(result)
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := st.commitStep("result"); err != nil {
-		return err
-	}
-	os.Remove(st.CheckpointPath(hash))
 	return nil
 }
 
-// ResultState classifies a hash's on-disk cache entry.
-type ResultState int
-
-const (
-	// ResultNone: no committed result (never run, or still in flight).
-	ResultNone ResultState = iota
-	// ResultOK: committed and every artifact verified against the manifest.
-	ResultOK
-	// ResultCorrupt: committed but verification failed; the entry has
-	// been moved to quarantine and must be recomputed.
-	ResultCorrupt
-)
-
-// CheckResult verifies hash's cache entry. A committed entry (result.json
-// present) is checked artifact-by-artifact against its manifest; any
-// violation quarantines the whole job directory before returning, so a
-// caller that sees ResultCorrupt knows the damaged bytes are already
-// out of serving reach.
-func (st *Store) CheckResult(hash string) ResultState {
-	if _, err := os.Stat(st.ResultPath(hash)); err != nil {
-		return ResultNone
-	}
-	if cerr := st.verifyManifest(hash); cerr != nil {
-		st.quarantine(hash, cerr.Artifact+": "+cerr.Reason)
-		return ResultCorrupt
-	}
-	return ResultOK
+// verify checks a committed entry against its manifest, read-only.
+func (st *Store) verify(k entryKind, id string) *CorruptError {
+	return verifyManifestDir(st.entryDir(k, id), k.label+" "+id, []string{specFile, k.data, k.marker})
 }
 
-// HasResult reports a committed, integrity-verified cache entry for
-// hash. Corrupt entries are quarantined as a side effect and read as
-// absent — the caller reruns the job rather than serving wrong bytes.
-func (st *Store) HasResult(hash string) bool {
-	return st.CheckResult(hash) == ResultOK
+// check verifies an entry for serving. An uncommitted entry (no marker)
+// returns the stat error — a plain cache miss, e.g. the entry is being
+// recomputed right now, not an integrity violation. A committed entry
+// that fails verification is quarantined before the *CorruptError
+// returns, so a caller that sees it knows the damaged bytes are already
+// out of serving reach.
+func (st *Store) check(k entryKind, id string) error {
+	if _, err := os.Stat(st.path(k, id, k.marker)); err != nil {
+		return err
+	}
+	if cerr := st.verify(k, id); cerr != nil {
+		st.quarantine(k, id, cerr.Artifact+": "+cerr.Reason)
+		return cerr
+	}
+	return nil
+}
+
+// readVerified checks the entry, then reads the requested artifact. The
+// check hashes the same file this returns, so a reader only receives
+// bytes a manifest vouched for (modulo a write racing between the two
+// reads — and the only writer of committed artifacts is the atomic
+// commit itself).
+func (st *Store) readVerified(k entryKind, id, name string) ([]byte, error) {
+	if err := st.check(k, id); err != nil {
+		return nil, err
+	}
+	return os.ReadFile(st.path(k, id, name))
+}
+
+// quarantine moves an entry's whole directory into quarantine/ and
+// records why. Idempotent under races: whichever caller wins the rename
+// reports the move; the loser finds the directory gone and stays quiet.
+func (st *Store) quarantine(k entryKind, id, reason string) {
+	st.qmu.Lock()
+	defer st.qmu.Unlock()
+	// Re-check the commit marker under the lock: a missing directory was
+	// already quarantined (or removed) by a racing reader, and a directory
+	// without a marker is unfinished work (a racing remove +
+	// resubmission), not corruption — moving it would steal an in-flight
+	// commit's directory out from under the writer.
+	if _, err := os.Stat(st.path(k, id, k.marker)); err != nil {
+		return
+	}
+	if err := os.MkdirAll(st.QuarantineDir(), 0o755); err != nil {
+		return
+	}
+	name := k.qprefix + id
+	dst := filepath.Join(st.QuarantineDir(), name+"."+strconv.FormatInt(time.Now().UnixNano(), 10))
+	if err := os.Rename(st.entryDir(k, id), dst); err != nil {
+		return
+	}
+	// Best effort: the reason travels with the evidence for the operator.
+	_ = writeBytes(filepath.Join(dst, "REASON"), []byte(reason+"\n"))
+	if st.onQuarantine != nil {
+		st.onQuarantine(name, reason)
+	}
+}
+
+// remove deletes everything stored for an entry (canceled or failed
+// work, so a restart does not resurrect it). It takes the quarantine
+// lock so a removal never interleaves with a quarantine move of the
+// same directory.
+func (st *Store) remove(k entryKind, id string) error {
+	st.qmu.Lock()
+	defer st.qmu.Unlock()
+	return os.RemoveAll(st.entryDir(k, id))
+}
+
+// list names every entry directory of kind k, committed or not;
+// quarantined entries live elsewhere and are never listed.
+func (st *Store) list(k entryKind) ([]string, error) {
+	entries, err := os.ReadDir(filepath.Join(st.dir, k.dir))
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]string, 0, len(entries))
+	for _, e := range entries {
+		if e.IsDir() {
+			ids = append(ids, e.Name())
+		}
+	}
+	return ids, nil
+}
+
+// pending is the recovery scan: it lists entries of kind k with a spec
+// but no committed marker — work that was queued, running, or
+// checkpointed when the previous process stopped — mapped to their
+// canonical spec bytes. It is also the startup integrity pass: each
+// committed entry is verified once, and one that fails is quarantined,
+// its spec (when still readable) re-persisted into a fresh directory,
+// and reported pending so the work reruns.
+func (st *Store) pending(k entryKind) (map[string][]byte, error) {
+	ids, err := st.list(k)
+	if err != nil {
+		return nil, err
+	}
+	pending := make(map[string][]byte)
+	for _, id := range ids {
+		// Read the spec before the check: quarantining moves the
+		// directory, and the spec is what lets the work rerun.
+		spec, specErr := os.ReadFile(st.path(k, id, specFile))
+		err := st.check(k, id)
+		if err == nil {
+			continue
+		}
+		if specErr != nil {
+			// A directory without a readable spec is junk (e.g. a crash
+			// between MkdirAll and the spec write); skip it.
+			continue
+		}
+		var cerr *CorruptError
+		if errors.As(err, &cerr) {
+			if err := st.putSpec(k, id, spec); err != nil {
+				return nil, fmt.Errorf("serve: re-queueing quarantined %s %s: %w", k.label, id, err)
+			}
+		}
+		pending[id] = spec
+	}
+	return pending, nil
+}
+
+// Fsck is the read-only integrity check behind artifactcheck
+// -servestore: it verifies every committed job and sweep entry against
+// its manifest without quarantining anything — the operator wants a
+// report, not a remediation. It returns how many entries it examined
+// and one error per entry that fails. Uncommitted entries verify clean:
+// they are pending work, not corruption.
+func (st *Store) Fsck() (int, []error) {
+	var n int
+	var errs []error
+	for _, k := range []entryKind{jobKind, sweepKind} {
+		ids, err := st.list(k)
+		if err != nil {
+			return n, append(errs, err)
+		}
+		for _, id := range ids {
+			n++
+			if _, err := os.Stat(st.path(k, id, k.marker)); err != nil {
+				continue
+			}
+			if cerr := st.verify(k, id); cerr != nil {
+				errs = append(errs, cerr)
+			}
+		}
+	}
+	return n, errs
+}
+
+// PutSpec persists a job's canonical spec bytes, creating its entry
+// directory. Called at submission so queued work survives a restart.
+func (st *Store) PutSpec(hash string, spec []byte) error { return st.putSpec(jobKind, hash, spec) }
+
+// PutResult commits a job's artifacts (epoch.csv, manifest, result.json
+// as the marker), then drops the now-obsolete checkpoint.
+func (st *Store) PutResult(hash string, result, epochCSV []byte) error {
+	if err := st.commit(jobKind, hash, epochCSV, result); err != nil {
+		return err
+	}
+	st.DropCheckpoint(hash)
+	return nil
+}
+
+// HasResult reports a committed, integrity-verified job entry. Corrupt
+// entries are quarantined as a side effect and read as absent — the
+// caller reruns the job rather than serving wrong bytes.
+func (st *Store) HasResult(hash string) bool { return st.check(jobKind, hash) == nil }
+
+// ReadResult returns the committed result.json bytes, verified against
+// the manifest. On corruption the entry is quarantined and a
+// *CorruptError returned.
+func (st *Store) ReadResult(hash string) ([]byte, error) {
+	return st.readVerified(jobKind, hash, jobKind.marker)
+}
+
+// CheckpointPath names a job's mid-run snapshot; it is handed to
+// sim.Config.CheckpointPath.
+func (st *Store) CheckpointPath(hash string) string {
+	return st.path(jobKind, hash, "checkpoint.bin")
 }
 
 // HasCheckpoint reports a resumable mid-run snapshot for hash.
@@ -225,137 +339,11 @@ func (st *Store) HasCheckpoint(hash string) bool {
 // undecodable — either way the job no longer resumes from it).
 func (st *Store) DropCheckpoint(hash string) { os.Remove(st.CheckpointPath(hash)) }
 
-// ReadResult returns the committed result.json bytes, verified against
-// the manifest. On corruption the entry is quarantined and a
-// *CorruptError returned.
-func (st *Store) ReadResult(hash string) ([]byte, error) {
-	return st.readVerified(hash, st.ResultPath(hash))
-}
+// spansPath names a job's wall-clock span-trace artifact.
+func (st *Store) spansPath(hash string) string { return st.path(jobKind, hash, "spans.json") }
 
-// ReadEpochCSV returns the committed epoch.csv bytes, verified against
-// the manifest like ReadResult.
-func (st *Store) ReadEpochCSV(hash string) ([]byte, error) {
-	return st.readVerified(hash, st.EpochCSVPath(hash))
-}
-
-// readVerified runs the full manifest verification, then re-reads the
-// requested artifact. The verify pass hashes the same file it returns,
-// so a reader can only receive bytes a manifest vouched for (modulo a
-// write racing between the two reads — and the only writer of committed
-// artifacts is the atomic commit itself).
-func (st *Store) readVerified(hash, path string) ([]byte, error) {
-	if _, err := os.Stat(st.ResultPath(hash)); err != nil {
-		// No commit marker: a plain cache miss (e.g. the entry is being
-		// recomputed right now), not an integrity violation.
-		return nil, err
-	}
-	if cerr := st.verifyManifest(hash); cerr != nil {
-		st.quarantine(hash, cerr.Artifact+": "+cerr.Reason)
-		return nil, cerr
-	}
-	return os.ReadFile(path)
-}
-
-// quarantine moves hash's whole job directory into quarantine/ and
-// records why. Idempotent under races: whichever caller wins the rename
-// reports the move; the loser finds the directory gone and stays quiet.
-func (st *Store) quarantine(hash, reason string) {
-	st.qmu.Lock()
-	defer st.qmu.Unlock()
-	if _, err := os.Stat(st.jobDir(hash)); err != nil {
-		return // already quarantined (or removed) by a racing reader
-	}
-	// Re-check the commit marker under the lock: a directory without
-	// result.json is unfinished work (a racing Remove + resubmission),
-	// not corruption — moving it would steal an in-flight commit's
-	// directory out from under the writer.
-	if _, err := os.Stat(st.ResultPath(hash)); err != nil {
-		return
-	}
-	if err := os.MkdirAll(st.QuarantineDir(), 0o755); err != nil {
-		return
-	}
-	dst := filepath.Join(st.QuarantineDir(), hash+"."+strconv.FormatInt(time.Now().UnixNano(), 10))
-	if err := os.Rename(st.jobDir(hash), dst); err != nil {
-		return
-	}
-	// Best effort: the reason travels with the evidence for the operator.
-	_ = atomicio.WriteFile(filepath.Join(dst, "REASON"), func(w io.Writer) error {
-		_, err := io.WriteString(w, reason+"\n")
-		return err
-	})
-	if st.onQuarantine != nil {
-		st.onQuarantine(hash, reason)
-	}
-}
-
-// Verify is the read-only integrity check: it reports whether hash's
-// committed entry matches its manifest without quarantining anything —
-// the building block for offline fsck tooling (artifactcheck
-// -servestore), where the operator wants a report, not a remediation.
-// Uncommitted entries (no result.json) verify clean: they are pending
-// work, not corruption.
-func (st *Store) Verify(hash string) error {
-	if _, err := os.Stat(st.ResultPath(hash)); err != nil {
-		return nil
-	}
-	if cerr := st.verifyManifest(hash); cerr != nil {
-		return cerr
-	}
-	return nil
-}
-
-// Remove deletes everything stored for hash (canceled or failed jobs,
-// so a restart does not resurrect them). It takes the quarantine lock
-// so a removal never interleaves with a quarantine move of the same
-// directory.
-func (st *Store) Remove(hash string) error {
-	st.qmu.Lock()
-	defer st.qmu.Unlock()
-	return os.RemoveAll(st.jobDir(hash))
-}
-
-// JobDirs lists every job hash currently present under jobs/ (committed
-// or not); quarantined entries live elsewhere and are never listed.
-func (st *Store) JobDirs() ([]string, error) {
-	entries, err := os.ReadDir(filepath.Join(st.dir, "jobs"))
-	if err != nil {
-		return nil, err
-	}
-	hashes := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() {
-			hashes = append(hashes, e.Name())
-		}
-	}
-	return hashes, nil
-}
-
-// Pending lists job hashes with a spec but no committed result — work
-// that was queued, running, or checkpointed when the previous process
-// stopped. The returned map holds each job's canonical spec bytes.
-// Committed entries that fail verification are quarantined here (this
-// is the recovery scan's integrity pass) and reported as pending when
-// their spec is still readable, so the work reruns.
-func (st *Store) Pending() (map[string][]byte, error) {
-	hashes, err := st.JobDirs()
-	if err != nil {
-		return nil, err
-	}
-	pending := make(map[string][]byte)
-	for _, hash := range hashes {
-		// Read the spec before the integrity check: quarantining moves
-		// the directory, and the spec is what lets the job rerun.
-		spec, specErr := os.ReadFile(st.SpecPath(hash))
-		if st.CheckResult(hash) == ResultOK {
-			continue
-		}
-		if specErr != nil {
-			// A directory without a readable spec is junk (e.g. a crash
-			// between MkdirAll and the spec write); skip it.
-			continue
-		}
-		pending[hash] = spec
-	}
-	return pending, nil
+// putSpans writes the job's span trace atomically. Called after
+// PutResult; spans.json never gates job completion.
+func (st *Store) putSpans(hash string, render func(w io.Writer) error) error {
+	return atomicio.WriteFile(st.spansPath(hash), render)
 }

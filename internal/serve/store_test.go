@@ -53,7 +53,7 @@ func TestStoreConcurrentReadRemove(t *testing.T) {
 	go func() { // verified CSV reads
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			data, err := st.ReadEpochCSV(hash)
+			data, err := st.readVerified(jobKind, hash, "epoch.csv")
 			if err == nil && !bytes.Equal(data, wantCSV) {
 				t.Errorf("ReadEpochCSV returned wrong bytes: %q", data)
 				return
@@ -69,7 +69,7 @@ func TestStoreConcurrentReadRemove(t *testing.T) {
 	go func() { // removal / re-commit churn
 		defer wg.Done()
 		for i := 0; i < iters/4; i++ {
-			if err := st.Remove(hash); err != nil {
+			if err := st.remove(jobKind, hash); err != nil {
 				t.Errorf("Remove: %v", err)
 				return
 			}
@@ -97,14 +97,14 @@ func TestStoreConcurrentQuarantine(t *testing.T) {
 	}
 	var moves int
 	var mu sync.Mutex
-	st.OnQuarantine(func(hash, reason string) {
+	st.onQuarantine = func(hash, reason string) {
 		mu.Lock()
 		moves++
 		mu.Unlock()
-	})
+	}
 	const hash = "deadbeef00000000000000000000000000000000000000000000000000000000"
 	putEntry(t, st, hash)
-	if err := os.WriteFile(st.ResultPath(hash), []byte("garbage"), 0o644); err != nil {
+	if err := os.WriteFile(st.path(jobKind, hash, "result.json"), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -136,7 +136,7 @@ func TestStoreConcurrentQuarantine(t *testing.T) {
 }
 
 // TestPendingSkipsQuarantineAndJunk covers the recovery scan's edge
-// cases: quarantined directories are invisible to Pending (they live
+// cases: quarantined directories are invisible to the scan (they live
 // outside jobs/), stray non-directory files under jobs/ are ignored,
 // and a spec-less directory (crash between MkdirAll and the spec
 // write) is skipped as junk rather than resurrected.
@@ -151,45 +151,43 @@ func TestPendingSkipsQuarantineAndJunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	putEntry(t, st, bad)
-	if err := os.WriteFile(st.EpochCSVPath(bad), []byte("tampered"), 0o644); err != nil {
+	if err := os.WriteFile(st.path(jobKind, bad, "epoch.csv"), []byte("tampered"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Stray file and spec-less dir under jobs/.
 	if err := os.WriteFile(filepath.Join(st.dir, "jobs", "stray.tmp"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(st.jobDir("000000000000000000000000000000000000000000000000000000000000dead"), 0o755); err != nil {
+	if err := os.MkdirAll(st.entryDir(jobKind, "000000000000000000000000000000000000000000000000000000000000dead"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 
-	// First scan: the corrupt entry is quarantined but still reported
-	// pending (its spec was salvaged first), the unfinished entry is
-	// pending, junk is skipped.
-	pending, err := st.Pending()
-	if err != nil {
-		t.Fatal(err)
+	// Both scans: the unfinished entry is pending and junk is skipped.
+	// The first scan quarantines the corrupt entry and re-persists its
+	// spec into a fresh directory, so it reruns; the second finds that
+	// fresh spec-only entry pending as ordinary unfinished work and
+	// never rescans the quarantined copy — quarantine is not a work
+	// queue.
+	for scan := 1; scan <= 2; scan++ {
+		pending, err := st.pending(jobKind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := pending[good]; !ok {
+			t.Errorf("scan %d: unfinished entry missing from pending", scan)
+		}
+		if _, ok := pending[bad]; !ok {
+			t.Errorf("scan %d: corrupt entry missing from pending (should rerun)", scan)
+		}
+		if len(pending) != 2 {
+			t.Errorf("scan %d: pending returned %d entries, want 2: %v", scan, len(pending), pending)
+		}
+		if entries, err := os.ReadDir(st.QuarantineDir()); err != nil || len(entries) != 1 {
+			t.Errorf("scan %d: quarantine holds %d entries (err %v), want 1", scan, len(entries), err)
+		}
 	}
-	if _, ok := pending[good]; !ok {
-		t.Error("unfinished entry missing from Pending")
-	}
-	if _, ok := pending[bad]; !ok {
-		t.Error("corrupt entry missing from Pending (should rerun)")
-	}
-	if len(pending) != 2 {
-		t.Errorf("Pending returned %d entries, want 2: %v", len(pending), pending)
-	}
-
-	// Second scan: the quarantined directory is gone from jobs/, so the
-	// corrupt hash no longer appears — quarantine is not a work queue.
-	pending, err = st.Pending()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := pending[bad]; ok {
-		t.Error("quarantined entry reappeared in Pending")
-	}
-	if len(pending) != 1 {
-		t.Errorf("second Pending returned %d entries, want 1", len(pending))
+	if _, err := os.Stat(st.path(jobKind, bad, "result.json")); !os.IsNotExist(err) {
+		t.Error("re-persisted entry carries a commit marker; want spec only")
 	}
 }
 

@@ -293,7 +293,7 @@ func TestSweepCancelMidFanout(t *testing.T) {
 			t.Errorf("point %q ended %s, want canceled", ps.Label, ps.State)
 		}
 	}
-	if _, err := os.Stat(s.Store().SweepSpecPath(st.ID)); !os.IsNotExist(err) {
+	if _, err := os.Stat(s.Store().path(sweepKind, st.ID, specFile)); !os.IsNotExist(err) {
 		t.Error("canceled sweep left its store entry behind (would rerun on restart)")
 	}
 	// The sweep's result is, correctly, not servable.
@@ -367,5 +367,53 @@ func TestSweepRecovery(t *testing.T) {
 	tableJSON := fetch(t, ts2.URL+"/v1/sweeps/"+st.ID+"/result", http.StatusOK)
 	if !bytes.Contains(tableJSON, []byte("mc-study")) {
 		t.Error("recovered sweep table lost its title")
+	}
+}
+
+// TestSweepCorruptTableRecovers: a committed sweep whose table.csv rots
+// on disk is quarantined by the next process's recovery scan, which
+// re-persists its spec so the sweep reruns — its points are cache hits,
+// so only the aggregate is recomputed — and ends done with the original
+// bytes.
+func TestSweepCorruptTableRecovers(t *testing.T) {
+	recoverCorruptSweep(t, smallSweep(29), flipBit)
+}
+
+// recoverCorruptSweep finishes spec's sweep, shuts the server down,
+// damages the committed table.csv, restarts over the same state
+// directory, and requires one quarantine and a rerun to done whose
+// served artifacts are byte-identical to the pre-corruption ones.
+func recoverCorruptSweep(t *testing.T, spec sweep.Spec, damage func([]byte) []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Options{StateDir: dir, Workers: 2})
+	st, resp := submitSweep(t, ts, spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	waitFor(t, "sweep done", func() bool { return getSweep(t, ts, st.ID).State == SweepDone })
+	wantTable := fetch(t, ts.URL+"/v1/sweeps/"+st.ID+"/result", http.StatusOK)
+	wantCSV := fetch(t, ts.URL+"/v1/sweeps/"+st.ID+"/result?artifact=csv", http.StatusOK)
+	ts.Close()
+	shutdown(t, s)
+	corruptFile(t, s.Store().path(sweepKind, st.ID, "table.csv"), damage)
+
+	s2, ts2 := newTestServer(t, Options{StateDir: dir, Workers: 2})
+	sw, ok := s2.Sweep(st.ID)
+	if !ok {
+		t.Fatal("restarted server does not know the corrupted sweep")
+	}
+	waitFor(t, "recovered sweep settled", func() bool { return s2.SweepStatus(sw).State != SweepPending })
+	if got := s2.SweepStatus(sw); got.State != SweepDone {
+		t.Fatalf("recovered sweep ended %q (%s), want done", got.State, got.Error)
+	}
+	if got := counter(s2, "serve.cache_quarantined"); got != 1 {
+		t.Errorf("serve.cache_quarantined = %d, want 1", got)
+	}
+	if got := fetch(t, ts2.URL+"/v1/sweeps/"+st.ID+"/result?artifact=csv", http.StatusOK); !bytes.Equal(got, wantCSV) {
+		t.Error("recovered table.csv differs from the pre-corruption bytes")
+	}
+	if got := fetch(t, ts2.URL+"/v1/sweeps/"+st.ID+"/result", http.StatusOK); !bytes.Equal(got, wantTable) {
+		t.Error("recovered table.json differs from the pre-corruption bytes")
 	}
 }

@@ -78,20 +78,17 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "sweep is "+string(state)+", result not available")
 		return
 	}
-	var data []byte
-	var err error
-	var contentType string
+	var name, contentType string
 	switch artifact := r.URL.Query().Get("artifact"); artifact {
 	case "", "table":
-		data, err = s.store.ReadSweepTable(sw.ID)
-		contentType = "application/json"
+		name, contentType = sweepKind.marker, "application/json"
 	case "csv":
-		data, err = s.store.ReadSweepCSV(sw.ID)
-		contentType = "text/csv"
+		name, contentType = sweepKind.data, "text/csv"
 	default:
 		writeError(w, http.StatusBadRequest, "unknown artifact "+strconv.Quote(artifact)+" (want table or csv)")
 		return
 	}
+	data, err := s.store.readVerified(sweepKind, sw.ID, name)
 	if err != nil {
 		var corrupt *CorruptError
 		if !errors.As(err, &corrupt) {

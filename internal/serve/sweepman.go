@@ -245,7 +245,7 @@ func (s *Server) SubmitSweep(spec sweep.Spec) (*Sweep, bool, error) {
 		// Failed and canceled sweeps released their on-disk state; an
 		// explicit resubmission is a request to try again.
 	}
-	if s.store.HasSweepResult(id) {
+	if s.store.check(sweepKind, id) == nil {
 		sw := &Sweep{ID: id, spec: spec, points: points,
 			state: SweepDone, cached: true, wait: make(chan struct{})}
 		s.sweeps[id] = sw
@@ -255,13 +255,13 @@ func (s *Server) SubmitSweep(spec sweep.Spec) (*Sweep, bool, error) {
 	if s.draining {
 		return nil, false, ErrDraining
 	}
-	if err := s.store.PutSweepSpec(id, canonical); err != nil {
+	if err := s.store.putSpec(sweepKind, id, canonical); err != nil {
 		return nil, false, fmt.Errorf("serve: persisting sweep spec: %w", err)
 	}
 	sw, err := s.attachSweepLocked(id, spec, points)
 	if err != nil {
 		delete(s.sweeps, id)
-		s.store.RemoveSweep(id)
+		s.store.remove(sweepKind, id)
 		return nil, false, err
 	}
 	s.metrics.inc("serve.sweeps_submitted")
@@ -408,11 +408,11 @@ func (s *Server) finalizeSweep(sw *Sweep) {
 	sw.mu.Unlock()
 	switch {
 	case failed > 0:
-		s.store.RemoveSweep(sw.ID)
+		s.store.remove(sweepKind, sw.ID)
 		s.metrics.inc("serve.sweeps_failed")
 		sw.setState(SweepFailed, fmt.Sprintf("%d of %d points failed", failed, len(sw.points)))
 	case canceled > 0 || wasCancel:
-		s.store.RemoveSweep(sw.ID)
+		s.store.remove(sweepKind, sw.ID)
 		s.metrics.inc("serve.sweeps_canceled")
 		sw.setState(SweepCanceled, "")
 	default:
@@ -432,7 +432,7 @@ func (s *Server) aggregateSweep(sw *Sweep) {
 			results[i], err = DecodeResult(data)
 		}
 		if err != nil {
-			s.store.RemoveSweep(sw.ID)
+			s.store.remove(sweepKind, sw.ID)
 			s.metrics.inc("serve.sweeps_failed")
 			sw.setState(SweepFailed, fmt.Sprintf("aggregating point %q: %v", p.Label, err))
 			return
@@ -446,10 +446,10 @@ func (s *Server) aggregateSweep(sw *Sweep) {
 		err = tbl.WriteCSV(&csv)
 	}
 	if err == nil {
-		err = s.store.PutSweepResult(sw.ID, tableJSON, csv.Bytes())
+		err = s.store.commit(sweepKind, sw.ID, csv.Bytes(), tableJSON)
 	}
 	if err != nil {
-		s.store.RemoveSweep(sw.ID)
+		s.store.remove(sweepKind, sw.ID)
 		s.metrics.inc("serve.sweeps_failed")
 		sw.setState(SweepFailed, "committing sweep artifacts: "+err.Error())
 		return
@@ -512,7 +512,7 @@ func (s *Server) CancelSweep(id string) (SweepStatus, bool) {
 // drift, a lowered point cap) are dropped with a log line rather than
 // wedging every restart.
 func (s *Server) recoverSweeps() error {
-	pending, err := s.store.PendingSweeps()
+	pending, err := s.store.pending(sweepKind)
 	if err != nil {
 		return err
 	}
@@ -527,7 +527,7 @@ func (s *Server) recoverSweeps() error {
 		}
 		if err != nil {
 			log.Printf("serve: dropping unrecoverable sweep %s: %v", id, err)
-			s.store.RemoveSweep(id)
+			s.store.remove(sweepKind, id)
 			continue
 		}
 		s.mu.Lock()
@@ -538,7 +538,7 @@ func (s *Server) recoverSweeps() error {
 		s.mu.Unlock()
 		if aerr != nil {
 			log.Printf("serve: dropping unrecoverable sweep %s: %v", id, aerr)
-			s.store.RemoveSweep(id)
+			s.store.remove(sweepKind, id)
 		}
 	}
 	return nil

@@ -9,9 +9,8 @@
 // adaptive simulation in replay-verify mode, cross-checking the
 // trace-reconstructed per-set cache state against the live cache at
 // every repartition epoch. With -servestore it fscks a nucaserve state
-// directory, verifying every committed cache entry against its
-// integrity manifest without touching anything; -sweepstore does the
-// same for the directory's committed sweep entries. Used by
+// directory, verifying every committed job and sweep entry against its
+// integrity manifest without touching anything. Used by
 // `make smoke` / `make ci`; exits non-zero with a diagnostic on any
 // violation.
 package main
@@ -43,8 +42,7 @@ func main() {
 	spansRequire := flag.String("spans-require", "", "comma-separated span names that must appear in -spans")
 	selfverify := flag.Bool("selfverify", false, "run a short adaptive simulation and cross-check replayed vs live cache state every epoch")
 	resumesmoke := flag.Bool("resumesmoke", false, "interrupt a pinned adaptive run mid-measurement, resume it from its checkpoint, and require results bit-identical to the uninterrupted run")
-	servestore := flag.String("servestore", "", "nucaserve state directory to fsck: verify every committed cache entry against its manifest (read-only)")
-	sweepstore := flag.String("sweepstore", "", "nucaserve state directory whose sweep entries to fsck: verify every committed sweep's aggregate artifacts against their manifest (read-only)")
+	servestore := flag.String("servestore", "", "nucaserve state directory to fsck: verify every committed job and sweep entry against its manifest (read-only)")
 	flag.Parse()
 
 	if *metrics != "" {
@@ -79,63 +77,26 @@ func main() {
 			fatal("servestore %s: %v", *servestore, err)
 		}
 	}
-	if *sweepstore != "" {
-		if err := checkSweepStore(*sweepstore); err != nil {
-			fatal("sweepstore %s: %v", *sweepstore, err)
-		}
-	}
 }
 
 // checkServeStore is the offline fsck for a nucaserve state directory:
-// every committed cache entry must verify against its manifest. It is
-// read-only — unlike the live server it reports corruption instead of
-// quarantining it, so an operator can inspect the evidence in place.
+// every committed job and sweep entry must verify against its manifest.
+// It is read-only — unlike the live server it reports corruption
+// instead of quarantining it, so an operator can inspect the evidence
+// in place.
 func checkServeStore(dir string) error {
 	store, err := serve.NewStore(dir)
 	if err != nil {
 		return err
 	}
-	hashes, err := store.JobDirs()
-	if err != nil {
-		return err
+	n, errs := store.Fsck()
+	for _, err := range errs {
+		fmt.Fprintf(os.Stderr, "artifactcheck: %v\n", err)
 	}
-	var bad int
-	for _, hash := range hashes {
-		if err := store.Verify(hash); err != nil {
-			fmt.Fprintf(os.Stderr, "artifactcheck: %v\n", err)
-			bad++
-		}
+	if len(errs) > 0 {
+		return fmt.Errorf("%d of %d entries fail integrity verification", len(errs), n)
 	}
-	if bad > 0 {
-		return fmt.Errorf("%d of %d entries fail integrity verification", bad, len(hashes))
-	}
-	fmt.Printf("artifactcheck: servestore ok — %d entries verified against their manifests\n", len(hashes))
-	return nil
-}
-
-// checkSweepStore is the sweep-entry analogue of checkServeStore:
-// every committed sweep under <dir>/sweeps must verify its spec, CSV,
-// and table artifacts against the sweep manifest. Read-only.
-func checkSweepStore(dir string) error {
-	store, err := serve.NewStore(dir)
-	if err != nil {
-		return err
-	}
-	ids, err := store.SweepDirs()
-	if err != nil {
-		return err
-	}
-	var bad int
-	for _, id := range ids {
-		if err := store.VerifySweep(id); err != nil {
-			fmt.Fprintf(os.Stderr, "artifactcheck: %v\n", err)
-			bad++
-		}
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d of %d sweep entries fail integrity verification", bad, len(ids))
-	}
-	fmt.Printf("artifactcheck: sweepstore ok — %d sweep entries verified against their manifests\n", len(ids))
+	fmt.Printf("artifactcheck: servestore ok — %d entries verified against their manifests\n", n)
 	return nil
 }
 

@@ -21,18 +21,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strings"
-	"syscall"
 	"time"
 
 	"nucasim/internal/serve"
 	"nucasim/internal/sim"
 	"nucasim/internal/telemetry"
+	"nucasim/internal/tools/smoke"
 )
 
 // The job must outlive the kill by a wide margin yet finish quickly on
@@ -54,7 +51,7 @@ func main() {
 
 	work, err := os.MkdirTemp("", "crashsmoke-*")
 	if err != nil {
-		fatal(err)
+		smoke.Fatal(err)
 	}
 	defer os.RemoveAll(work)
 	state := filepath.Join(work, "state")
@@ -62,25 +59,25 @@ func main() {
 	// Reference: an uninterrupted in-process run of the same spec.
 	cfg, mix, err := jobReq.Build()
 	if err != nil {
-		fatal(err)
+		smoke.Fatal(err)
 	}
 	hash, err := sim.SpecHash(cfg, mix)
 	if err != nil {
-		fatal(err)
+		smoke.Fatal(err)
 	}
 	cfg.Telemetry = &telemetry.Config{Run: hash}
 	want, err := serve.EncodeResult(sim.Run(cfg, mix))
 	if err != nil {
-		fatal(err)
+		smoke.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "crashsmoke: reference run done (job %s, %d bytes)\n", hash[:12], len(want))
 
 	// Round 1: start the victim, submit, wait for a checkpoint to land,
 	// then SIGKILL it mid-run.
-	base := startServer(*bin, state, filepath.Join(work, "addr1"))
+	base := smoke.Start(*bin, state, filepath.Join(work, "addr1"), "-checkpoint-every", "20000")
 	id := submitJob(base)
 	if id != hash {
-		fatal(fmt.Errorf("server content address %s != locally computed %s", id, hash))
+		smoke.Fatal(fmt.Errorf("server content address %s != locally computed %s", id, hash))
 	}
 	ckpt := filepath.Join(state, "jobs", hash, "checkpoint.bin")
 	waitUntil("a checkpoint exists", 60*time.Second, func() bool {
@@ -88,116 +85,70 @@ func main() {
 		return err == nil
 	})
 	if st := getStatus(base, id); st.State != "running" {
-		fatal(fmt.Errorf("job is %q at kill time, want running (job too short to crash mid-run?)", st.State))
+		smoke.Fatal(fmt.Errorf("job is %q at kill time, want running (job too short to crash mid-run?)", st.State))
 	}
-	if err := server.Process.Kill(); err != nil { // SIGKILL: no drain, no checkpoint-on-exit
-		fatal(err)
-	}
-	server.Wait()
+	smoke.Kill() // SIGKILL: no drain, no checkpoint-on-exit
 	fmt.Fprintln(os.Stderr, "crashsmoke: server killed with SIGKILL mid-job")
 
 	// Round 2: restart over the same state. Recovery must re-queue the
 	// job from its on-disk spec and resume from the checkpoint.
-	base = startServer(*bin, state, filepath.Join(work, "addr2"))
+	base = smoke.Start(*bin, state, filepath.Join(work, "addr2"), "-checkpoint-every", "20000")
 	waitUntil("job done after restart", 120*time.Second, func() bool {
 		st := getStatus(base, id)
 		switch st.State {
 		case "failed", "canceled":
-			fatal(fmt.Errorf("job ended %q (%s) after restart, want done", st.State, st.Error))
+			smoke.Fatal(fmt.Errorf("job ended %q (%s) after restart, want done", st.State, st.Error))
 		}
 		return st.State == "done"
 	})
 	if st := getStatus(base, id); !st.Resumed {
-		fatal(fmt.Errorf("job finished without resuming from its checkpoint (progress was thrown away)"))
+		smoke.Fatal(fmt.Errorf("job finished without resuming from its checkpoint (progress was thrown away)"))
 	}
-	got := get(base+"/v1/jobs/"+id+"/result", http.StatusOK)
+	got := smoke.Get(base+"/v1/jobs/"+id+"/result", http.StatusOK)
 	if !bytes.Equal(got, want) {
-		fatal(fmt.Errorf("post-crash result differs from uninterrupted reference (%d vs %d bytes)", len(got), len(want)))
+		smoke.Fatal(fmt.Errorf("post-crash result differs from uninterrupted reference (%d vs %d bytes)", len(got), len(want)))
 	}
-	get(base+"/v1/jobs/"+id+"/result?artifact=epochs", http.StatusOK)
-	stopServer()
+	smoke.Get(base+"/v1/jobs/"+id+"/result?artifact=epochs", http.StatusOK)
+	smoke.Stop()
 
 	// The state directory itself must verify: the entry passes its
 	// manifest check, the obsolete checkpoint is gone, and nothing was
 	// quarantined along the way.
 	store, err := serve.NewStore(state)
 	if err != nil {
-		fatal(err)
+		smoke.Fatal(err)
 	}
 	if !store.HasResult(hash) {
-		fatal(fmt.Errorf("committed entry fails integrity verification after crash recovery"))
+		smoke.Fatal(fmt.Errorf("committed entry fails integrity verification after crash recovery"))
 	}
 	if store.HasCheckpoint(hash) {
-		fatal(fmt.Errorf("stale checkpoint survived the commit"))
+		smoke.Fatal(fmt.Errorf("stale checkpoint survived the commit"))
 	}
 	if entries, err := os.ReadDir(store.QuarantineDir()); err == nil && len(entries) > 0 {
-		fatal(fmt.Errorf("%d entries were quarantined during a clean crash-recovery cycle", len(entries)))
+		smoke.Fatal(fmt.Errorf("%d entries were quarantined during a clean crash-recovery cycle", len(entries)))
 	}
 
 	fmt.Println("crashsmoke ok: SIGKILL mid-job, restart resumed from checkpoint, result byte-identical, store verifies")
 }
 
-var server *exec.Cmd
-
-// startServer launches the binary on an ephemeral port with an
-// aggressive checkpoint cadence and returns its base URL.
-func startServer(bin, state, addrFile string) string {
-	server = exec.Command(bin,
-		"-addr", "127.0.0.1:0", "-addr-file", addrFile,
-		"-state", state, "-drain", "30s",
-		"-checkpoint-every", "20000")
-	server.Stdout = os.Stderr
-	server.Stderr = os.Stderr
-	if err := server.Start(); err != nil {
-		fatal(err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if addr, err := os.ReadFile(addrFile); err == nil {
-			return "http://" + strings.TrimSpace(string(addr))
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	fatal(fmt.Errorf("server never wrote %s", addrFile))
-	return ""
-}
-
-// stopServer SIGTERMs the server and requires a clean exit.
-func stopServer() {
-	if err := server.Process.Signal(syscall.SIGTERM); err != nil {
-		fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- server.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			fatal(fmt.Errorf("server exited uncleanly after SIGTERM: %w", err))
-		}
-	case <-time.After(60 * time.Second):
-		server.Process.Kill()
-		fatal(fmt.Errorf("server did not exit within 60s of SIGTERM"))
-	}
-}
-
 func submitJob(base string) string {
 	body, err := json.Marshal(jobReq)
 	if err != nil {
-		fatal(err)
+		smoke.Fatal(err)
 	}
 	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
-		fatal(err)
+		smoke.Fatal(err)
 	}
 	defer resp.Body.Close()
 	var st struct {
 		ID string `json:"id"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		fatal(err)
+		smoke.Fatal(err)
 	}
 	if st.ID == "" {
-		fatal(fmt.Errorf("submit returned no job id (HTTP %d)", resp.StatusCode))
+		smoke.Fatal(fmt.Errorf("submit returned no job id (HTTP %d)", resp.StatusCode))
 	}
 	return st.ID
 }
@@ -210,8 +161,8 @@ type status struct {
 
 func getStatus(base, id string) status {
 	var st status
-	if err := json.Unmarshal(get(base+"/v1/jobs/"+id, http.StatusOK), &st); err != nil {
-		fatal(err)
+	if err := json.Unmarshal(smoke.Get(base+"/v1/jobs/"+id, http.StatusOK), &st); err != nil {
+		smoke.Fatal(err)
 	}
 	return st
 }
@@ -224,29 +175,5 @@ func waitUntil(what string, limit time.Duration, cond func() bool) {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	fatal(fmt.Errorf("timed out waiting for %s", what))
-}
-
-func get(url string, wantCode int) []byte {
-	resp, err := http.Get(url)
-	if err != nil {
-		fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fatal(err)
-	}
-	if resp.StatusCode != wantCode {
-		fatal(fmt.Errorf("GET %s: HTTP %d, want %d\n%s", url, resp.StatusCode, wantCode, body))
-	}
-	return body
-}
-
-func fatal(err error) {
-	if server != nil && server.Process != nil {
-		server.Process.Kill()
-	}
-	fmt.Fprintln(os.Stderr, "crashsmoke:", err)
-	os.Exit(1)
+	smoke.Fatal(fmt.Errorf("timed out waiting for %s", what))
 }

@@ -24,13 +24,12 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"nucasim/internal/telemetry"
+	"nucasim/internal/tools/smoke"
 )
 
 const jobSpec = `{
@@ -48,117 +47,77 @@ func main() {
 
 	work, err := os.MkdirTemp("", "servesmoke-*")
 	if err != nil {
-		fatal(err)
+		smoke.Fatal(err)
 	}
 	defer os.RemoveAll(work)
 	state := filepath.Join(work, "state")
 
 	// Round 1: cold cache. The job must actually run.
-	base := startServer(*bin, state, filepath.Join(work, "addr1"))
+	base := smoke.Start(*bin, state, filepath.Join(work, "addr1"))
 	id, status := submitJob(base)
 	if status != http.StatusAccepted {
-		fatal(fmt.Errorf("cold submit: HTTP %d, want 202", status))
+		smoke.Fatal(fmt.Errorf("cold submit: HTTP %d, want 202", status))
 	}
 	awaitState(base, id, "done")
-	first := get(base+"/v1/jobs/"+id+"/result", http.StatusOK)
+	first := smoke.Get(base+"/v1/jobs/"+id+"/result", http.StatusOK)
 	if !json.Valid(first) {
-		fatal(fmt.Errorf("result is not valid JSON"))
+		smoke.Fatal(fmt.Errorf("result is not valid JSON"))
 	}
-	if csv := get(base+"/v1/jobs/"+id+"/result?artifact=epochs", http.StatusOK); !strings.HasPrefix(string(csv), "eval,") {
-		fatal(fmt.Errorf("epoch artifact does not look like the epoch CSV"))
+	if csv := smoke.Get(base+"/v1/jobs/"+id+"/result?artifact=epochs", http.StatusOK); !strings.HasPrefix(string(csv), "eval,") {
+		smoke.Fatal(fmt.Errorf("epoch artifact does not look like the epoch CSV"))
 	}
 	// Round 1 is the only valid scrape point for the histogram checks:
 	// the round-2 process answers from the cache and never merges
 	// simulation histograms into its registry.
 	checkMetrics(base)
-	stopServer()
+	smoke.Stop()
 
 	// Round 2: warm cache, fresh process. The same submission must be
 	// answered from disk, byte-identical, and marked cached.
-	base = startServer(*bin, state, filepath.Join(work, "addr2"))
+	base = smoke.Start(*bin, state, filepath.Join(work, "addr2"))
 	id2, status := submitJob(base)
 	if status != http.StatusOK {
-		fatal(fmt.Errorf("warm submit: HTTP %d, want 200 (cache hit)", status))
+		smoke.Fatal(fmt.Errorf("warm submit: HTTP %d, want 200 (cache hit)", status))
 	}
 	if id2 != id {
-		fatal(fmt.Errorf("content address changed across restarts: %s vs %s", id, id2))
+		smoke.Fatal(fmt.Errorf("content address changed across restarts: %s vs %s", id, id2))
 	}
 	var st struct {
 		State  string `json:"state"`
 		Cached bool   `json:"cached"`
 	}
-	if err := json.Unmarshal(get(base+"/v1/jobs/"+id+"", http.StatusOK), &st); err != nil {
-		fatal(err)
+	if err := json.Unmarshal(smoke.Get(base+"/v1/jobs/"+id+"", http.StatusOK), &st); err != nil {
+		smoke.Fatal(err)
 	}
 	if st.State != "done" || !st.Cached {
-		fatal(fmt.Errorf("warm status = %+v, want done+cached", st))
+		smoke.Fatal(fmt.Errorf("warm status = %+v, want done+cached", st))
 	}
-	second := get(base+"/v1/jobs/"+id+"/result", http.StatusOK)
+	second := smoke.Get(base+"/v1/jobs/"+id+"/result", http.StatusOK)
 	if !bytes.Equal(first, second) {
-		fatal(fmt.Errorf("cached result differs from the originally computed one (%d vs %d bytes)", len(second), len(first)))
+		smoke.Fatal(fmt.Errorf("cached result differs from the originally computed one (%d vs %d bytes)", len(second), len(first)))
 	}
-	if metrics := get(base+"/metrics", http.StatusOK); !bytes.Contains(metrics, []byte("serve_cache_hits 1")) {
-		fatal(fmt.Errorf("/metrics does not report the cache hit:\n%s", metrics))
+	if metrics := smoke.Get(base+"/metrics", http.StatusOK); !bytes.Contains(metrics, []byte("serve_cache_hits 1")) {
+		smoke.Fatal(fmt.Errorf("/metrics does not report the cache hit:\n%s", metrics))
 	}
-	stopServer()
+	smoke.Stop()
 
 	fmt.Println("servesmoke ok: lifecycle, restart cache hit byte-identical, clean SIGTERM drains")
-}
-
-var server *exec.Cmd
-
-// startServer launches the binary on an ephemeral port and returns its
-// base URL once the address file appears.
-func startServer(bin, state, addrFile string) string {
-	server = exec.Command(bin, "-addr", "127.0.0.1:0", "-addr-file", addrFile, "-state", state, "-drain", "30s")
-	server.Stdout = os.Stderr
-	server.Stderr = os.Stderr
-	if err := server.Start(); err != nil {
-		fatal(err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if addr, err := os.ReadFile(addrFile); err == nil {
-			return "http://" + strings.TrimSpace(string(addr))
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	fatal(fmt.Errorf("server never wrote %s", addrFile))
-	return ""
-}
-
-// stopServer SIGTERMs the running server and requires a clean exit.
-func stopServer() {
-	if err := server.Process.Signal(syscall.SIGTERM); err != nil {
-		fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- server.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			fatal(fmt.Errorf("server exited uncleanly after SIGTERM: %w", err))
-		}
-	case <-time.After(60 * time.Second):
-		server.Process.Kill()
-		fatal(fmt.Errorf("server did not exit within 60s of SIGTERM"))
-	}
 }
 
 func submitJob(base string) (id string, code int) {
 	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(jobSpec))
 	if err != nil {
-		fatal(err)
+		smoke.Fatal(err)
 	}
 	defer resp.Body.Close()
 	var st struct {
 		ID string `json:"id"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		fatal(err)
+		smoke.Fatal(err)
 	}
 	if st.ID == "" {
-		fatal(fmt.Errorf("submit returned no job id (HTTP %d)", resp.StatusCode))
+		smoke.Fatal(fmt.Errorf("submit returned no job id (HTTP %d)", resp.StatusCode))
 	}
 	return st.ID, resp.StatusCode
 }
@@ -170,19 +129,19 @@ func awaitState(base, id, want string) {
 			State string `json:"state"`
 			Error string `json:"error"`
 		}
-		if err := json.Unmarshal(get(base+"/v1/jobs/"+id, http.StatusOK), &st); err != nil {
-			fatal(err)
+		if err := json.Unmarshal(smoke.Get(base+"/v1/jobs/"+id, http.StatusOK), &st); err != nil {
+			smoke.Fatal(err)
 		}
 		if st.State == want {
 			return
 		}
 		switch st.State {
 		case "failed", "canceled":
-			fatal(fmt.Errorf("job ended %q (%s), want %q", st.State, st.Error, want))
+			smoke.Fatal(fmt.Errorf("job ended %q (%s), want %q", st.State, st.Error, want))
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	fatal(fmt.Errorf("job never reached state %q", want))
+	smoke.Fatal(fmt.Errorf("job never reached state %q", want))
 }
 
 // checkMetrics scrapes /metrics after a completed job and asserts the
@@ -192,51 +151,27 @@ func awaitState(base, id, want string) {
 func checkMetrics(base string) {
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
-		fatal(err)
+		smoke.Fatal(err)
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		fatal(err)
+		smoke.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		fatal(fmt.Errorf("GET /metrics: HTTP %d, want 200", resp.StatusCode))
+		smoke.Fatal(fmt.Errorf("GET /metrics: HTTP %d, want 200", resp.StatusCode))
 	}
 	ct := resp.Header.Get("Content-Type")
 	if !strings.Contains(ct, "text/plain") || !strings.Contains(ct, "version=0.0.4") {
-		fatal(fmt.Errorf("/metrics Content-Type = %q, want text/plain; version=0.0.4", ct))
+		smoke.Fatal(fmt.Errorf("/metrics Content-Type = %q, want text/plain; version=0.0.4", ct))
 	}
 	if errs := telemetry.LintExposition(bytes.NewReader(body)); len(errs) > 0 {
 		for _, e := range errs {
 			fmt.Fprintln(os.Stderr, "servesmoke: lint:", e)
 		}
-		fatal(fmt.Errorf("/metrics fails exposition lint (%d problems)", len(errs)))
+		smoke.Fatal(fmt.Errorf("/metrics fails exposition lint (%d problems)", len(errs)))
 	}
 	if n := strings.Count(string(body), " histogram\n"); n < 3 {
-		fatal(fmt.Errorf("/metrics exposes %d histogram families, want >= 3:\n%s", n, body))
+		smoke.Fatal(fmt.Errorf("/metrics exposes %d histogram families, want >= 3:\n%s", n, body))
 	}
-}
-
-func get(url string, wantCode int) []byte {
-	resp, err := http.Get(url)
-	if err != nil {
-		fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fatal(err)
-	}
-	if resp.StatusCode != wantCode {
-		fatal(fmt.Errorf("GET %s: HTTP %d, want %d\n%s", url, resp.StatusCode, wantCode, body))
-	}
-	return body
-}
-
-func fatal(err error) {
-	if server != nil && server.Process != nil {
-		server.Process.Kill()
-	}
-	fmt.Fprintln(os.Stderr, "servesmoke:", err)
-	os.Exit(1)
 }
