@@ -104,34 +104,20 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		r, err := sim.ResumeContextTelemetry(ctx, *resume, func(c *telemetry.Config) bool {
-			if session.Spans == nil {
-				return false
-			}
-			c.Spans = session.Spans
-			c.SpanParent = session.Root.ID()
-			c.SampleRuntime = true
-			return true
-		})
-		if errors.Is(err, sim.ErrInterrupted) {
-			session.Close(false)
-			fmt.Fprintf(os.Stderr, "nucasim: interrupted again; checkpoint updated — continue with -resume %s\n", *resume)
-			os.Exit(3)
+		var r sim.Result
+		ck, err := sim.ReadCheckpoint(*resume)
+		if err == nil {
+			r, err = sim.ResumeFromCheckpoint(ctx, ck, func(c *telemetry.Config) bool {
+				if session.Spans == nil {
+					return false
+				}
+				c.Spans = session.Spans
+				c.SpanParent = session.Root.ID()
+				c.SampleRuntime = true
+				return true
+			})
 		}
-		if err != nil {
-			session.Close(false)
-			fmt.Fprintln(os.Stderr, "nucasim:", err)
-			os.Exit(1)
-		}
-		if err := writeEpochCSV(r, common, session); err != nil {
-			session.Close(false)
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := session.Close(true); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		finish(r, err, *resume, common, session)
 		summarize(r, common)
 		return
 	}
@@ -202,36 +188,7 @@ func main() {
 	}
 
 	r, err := sim.RunContext(ctx, cfg, mix)
-	if err != nil {
-		// The trace is incomplete; never publish it under the real name.
-		session.Close(false)
-		if errors.Is(err, sim.ErrInterrupted) {
-			if *checkpoint != "" {
-				fmt.Fprintf(os.Stderr, "nucasim: interrupted; state checkpointed — continue with -resume %s\n", *checkpoint)
-			} else {
-				fmt.Fprintln(os.Stderr, "nucasim: interrupted (no -checkpoint given, state lost)")
-			}
-			os.Exit(3)
-		}
-		fmt.Fprintln(os.Stderr, "nucasim:", err)
-		os.Exit(1)
-	}
-
-	// The epoch CSV is written before the session closes so its
-	// artifact-write span lands in the -span-out trace.
-	if err := writeEpochCSV(r, common, session); err != nil {
-		session.Close(false)
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	// Publish the trace before any verification exits: the run itself
-	// completed, so the artifact is whole and should survive.
-	if err := session.Close(true); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
+	finish(r, err, *checkpoint, common, session)
 	if *replayVerify {
 		if r.ReplayVerifyError != "" {
 			fmt.Fprintf(os.Stderr, "nucasim: replay self-verify FAILED: %s\n", r.ReplayVerifyError)
@@ -241,6 +198,39 @@ func main() {
 	}
 
 	summarize(r, common)
+}
+
+// finish publishes a completed run's artifacts — or, for a failed or
+// interrupted run, discards them and exits (3 when ckPath holds a
+// checkpoint to continue from, 1 otherwise).
+func finish(r sim.Result, err error, ckPath string, common *cliflags.Flags, session *cliflags.Session) {
+	if err != nil {
+		// The trace is incomplete; never publish it under the real name.
+		session.Close(false)
+		if errors.Is(err, sim.ErrInterrupted) {
+			if ckPath != "" {
+				fmt.Fprintf(os.Stderr, "nucasim: interrupted; state checkpointed — continue with -resume %s\n", ckPath)
+			} else {
+				fmt.Fprintln(os.Stderr, "nucasim: interrupted (no -checkpoint given, state lost)")
+			}
+			os.Exit(3)
+		}
+		fmt.Fprintln(os.Stderr, "nucasim:", err)
+		os.Exit(1)
+	}
+	// The epoch CSV is written before the session closes so its
+	// artifact-write span lands in the -span-out trace.
+	if err := writeEpochCSV(r, common, session); err != nil {
+		session.Close(false)
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	// Publish the trace before any verification exits: the run itself
+	// completed, so the artifact is whole and should survive.
+	if err := session.Close(true); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }
 
 // writeEpochCSV publishes the -metrics-out epoch time-series (a no-op

@@ -98,7 +98,12 @@ func ServeMatrix() []ServeFault {
 		{
 			Name:        "corrupt-checkpoint",
 			Outcome:     OutcomeRecovered,
-			Description: "checkpoint.bin fails gob decode at recovery; the checkpoint is deleted and the job reruns from scratch instead of wedging",
+			Description: "checkpoint.bin fails gob decode when the worker continues the job after a restart; the checkpoint is deleted and the job reruns from scratch instead of wedging",
+		},
+		{
+			Name:        "corrupt-fork-checkpoint",
+			Outcome:     OutcomeRecovered,
+			Description: "a sweep point's fork checkpoint.bin, written by its group's shared warmup, is garbage when the worker reads it; the checkpoint is deleted and the point reruns cold once, byte-identical (serve.sweep_fork_fallbacks)",
 		},
 		{
 			Name:        "enospc-result-commit",

@@ -319,6 +319,43 @@ func TestServeFaultMatrix(t *testing.T) {
 				t.Errorf("serve.checkpoints_discarded = %d, want 1", got)
 			}
 		},
+		"corrupt-fork-checkpoint": func(t *testing.T) {
+			spec := smallSweep(114)
+			spec.Axes.MeasureCycles = []uint64{30_000, 60_000}
+			s, _ := newTestServer(t, Options{Workers: 1})
+			// Rot the first point's fork checkpoint after the warmup task
+			// wrote it, just before the worker reads it (a failed write
+			// shows up as a missing fallback below).
+			var rotted string
+			s.testHookRun = func(j *Job) {
+				if rotted == "" && s.Store().HasCheckpoint(j.ID) {
+					rotted = j.ID
+					os.WriteFile(s.Store().CheckpointPath(j.ID), []byte("not a gob checkpoint"), 0o644)
+				}
+			}
+			sw, _, err := s.SubmitSweep(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "sweep settled", func() bool { return s.SweepStatus(sw).State != SweepPending })
+			if got := s.SweepStatus(sw); got.State != SweepDone {
+				t.Fatalf("sweep ended %q (%s), want done", got.State, got.Error)
+			}
+			j, _ := s.Job(rotted)
+			if got := s.Status(j); got.Retries != 1 || got.Forked || got.Resumed {
+				t.Errorf("rotted point: %+v, want one cold retry", got)
+			}
+			if got := counter(s, "serve.sweep_fork_fallbacks"); got != 1 {
+				t.Errorf("serve.sweep_fork_fallbacks = %d, want 1", got)
+			}
+			if got := counter(s, "serve.checkpoints_discarded"); got != 1 {
+				t.Errorf("serve.checkpoints_discarded = %d, want 1", got)
+			}
+			if got := counter(s, "serve.sweep_points_forked"); got != 1 {
+				t.Errorf("serve.sweep_points_forked = %d, want 1 (the healthy point)", got)
+			}
+			requirePointsMatchCold(t, s, spec)
+		},
 		"enospc-result-commit": func(t *testing.T) {
 			env := newMatrixEnv(t, 110)
 			atomicio.SetFailpoint(func(op atomicio.Op, path string) error {

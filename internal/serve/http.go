@@ -90,26 +90,38 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j, created, err := s.Submit(req)
 	if err != nil {
-		var reqErr *RequestError
-		var full *QueueFullError
-		switch {
-		case errors.As(err, &reqErr):
-			writeError(w, http.StatusBadRequest, reqErr.Error())
-		case errors.As(err, &full):
-			w.Header().Set("Retry-After", strconv.Itoa(full.RetryAfter))
-			writeError(w, http.StatusTooManyRequests, full.Error())
-		case errors.Is(err, ErrDraining):
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
+		writeSubmitError(w, err)
 		return
 	}
-	code := http.StatusOK // duplicate submission or cache hit
-	if created {
-		code = http.StatusAccepted
+	writeJSON(w, submitCode(created), s.Status(j))
+}
+
+// writeSubmitError maps a job or sweep submission error to its HTTP
+// status: 400 for a bad request, 429 + Retry-After for a full queue,
+// 503 while draining, 500 otherwise.
+func writeSubmitError(w http.ResponseWriter, err error) {
+	var reqErr *RequestError
+	var full *QueueFullError
+	switch {
+	case errors.As(err, &reqErr):
+		writeError(w, http.StatusBadRequest, reqErr.Error())
+	case errors.As(err, &full):
+		w.Header().Set("Retry-After", strconv.Itoa(full.RetryAfter))
+		writeError(w, http.StatusTooManyRequests, full.Error())
+	case errors.Is(err, ErrDraining):
+		writeError(w, http.StatusServiceUnavailable, err.Error())
+	default:
+		writeError(w, http.StatusInternalServerError, err.Error())
 	}
-	writeJSON(w, code, s.Status(j))
+}
+
+// submitCode is 202 for a submission that created work, 200 for a
+// duplicate or cache hit.
+func submitCode(created bool) int {
+	if created {
+		return http.StatusAccepted
+	}
+	return http.StatusOK
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -153,7 +165,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	data, err := s.store.readVerified(jobKind, j.ID, name)
 	if err != nil {
-		s.failCorrupt(w, j, err)
+		failCorrupt(w, err, func(reason string) { j.setState(StateFailed, reason) })
 		return
 	}
 	w.Header().Set("Content-Type", contentType)
@@ -162,23 +174,17 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // failCorrupt reports a failed artifact read. When the failure is an
 // integrity violation the store has already quarantined the entry, so
-// the done job record is downgraded to StateFailed — the client gets a
-// 410 with the diagnostic, and a resubmission of the same spec reruns
-// the job instead of deduping onto the poisoned record. Stale, never
+// downgrade turns the done job or sweep record into a failed one — the
+// client gets a 410 with the diagnostic, and a resubmission of the same
+// spec reruns instead of deduping onto the poisoned record. Stale, never
 // wrong: under no path do unverified bytes leave the server.
-func (s *Server) failCorrupt(w http.ResponseWriter, j *Job, err error) {
+func failCorrupt(w http.ResponseWriter, err error, downgrade func(reason string)) {
 	var corrupt *CorruptError
 	if !errors.As(err, &corrupt) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	j.mu.Lock()
-	if j.state == StateDone {
-		j.state = StateFailed
-		j.err = corrupt.Error()
-		j.bumpLocked()
-	}
-	j.mu.Unlock()
+	downgrade(corrupt.Error())
 	writeError(w, http.StatusGone, corrupt.Error())
 }
 
@@ -220,18 +226,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	flusher, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-
 	var lastEval uint64
 	var lastStatus string
-	// Re-check periodically even without a bump, so a dropped client is
-	// noticed (the write fails) rather than parked forever.
-	tick := time.NewTicker(time.Second)
-	defer tick.Stop()
-	for {
+	streamNDJSON(w, r, time.Second, func(enc *json.Encoder) (<-chan struct{}, bool, error) {
 		j.mu.Lock()
 		epochs := j.epochs.Since(lastEval)
 		wait := j.wait
@@ -244,24 +241,45 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if line, _ := json.Marshal(st); string(line) != lastStatus {
 			lastStatus = string(line)
 			if err := enc.Encode(event{Type: "status", Status: &st}); err != nil {
-				return
+				return nil, false, err
 			}
 		}
 		for i := range epochs {
 			lastEval = epochs[i].Eval
 			if err := enc.Encode(event{Type: "epoch", Epoch: &epochs[i]}); err != nil {
-				return
+				return nil, false, err
 			}
+		}
+		return wait, terminal, nil
+	})
+}
+
+// streamNDJSON serves an NDJSON stream: emit writes whatever is new
+// since its last call and returns the channel that closes on the next
+// change, and whether the stream is finished. The loop also re-polls
+// every tick without a change, so a dropped client is noticed (the
+// write fails) rather than parked forever.
+func streamNDJSON(w http.ResponseWriter, r *http.Request, tick time.Duration, emit func(enc *json.Encoder) (wait <-chan struct{}, done bool, err error)) {
+	flusher, _ := w.(http.Flusher)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(w)
+	ticker := time.NewTicker(tick)
+	defer ticker.Stop()
+	for {
+		wait, done, err := emit(enc)
+		if err != nil {
+			return
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if terminal {
+		if done {
 			return
 		}
 		select {
 		case <-wait:
-		case <-tick.C:
+		case <-ticker.C:
 		case <-r.Context().Done():
 			return
 		}

@@ -132,18 +132,11 @@ type Job struct {
 	stack    string // captured goroutine stack when a worker panic failed the job
 	retries  int    // from-scratch reruns after transient failures (bad checkpoint)
 	cached   bool   // served straight from the result cache, no run
-	resumed  bool   // continued from a checkpoint after a server restart
-	forked   bool   // measurement window forked from a shared warmup checkpoint
+	resumed  bool   // continued from a checkpoint in the store (restart resume or fork)
+	forked   bool   // that checkpoint is its sweep group's shared warmup
 	progress telemetry.Progress
 	epochs   *telemetry.Ring // samples observed live via the OnEpoch hook
 	wait     chan struct{}   // closed+replaced on every update (broadcast)
-
-	// forkFrom, when non-nil, is an encoded warmup checkpoint
-	// (sim.Checkpoint.Encode) shared by every member of the job's sweep
-	// warmup group: the worker decodes a private copy and resumes the
-	// measurement window from it instead of re-running warmup. Cleared
-	// when a fork attempt falls back to a cold rerun.
-	forkFrom []byte
 
 	// subscribers observe the job reaching a resolved state — done,
 	// failed or canceled, NOT checkpointed/interrupted (those continue
@@ -241,6 +234,19 @@ func (j *Job) onProgress(p telemetry.Progress) {
 	j.mu.Unlock()
 }
 
+// wireTelemetry equips c with the job's live observability: its run
+// label, the epoch and progress hooks feeding its stream, its span
+// recorder nesting simulation phases under parent, and per-epoch
+// runtime-metrics sampling.
+func (j *Job) wireTelemetry(c *telemetry.Config, parent telemetry.SpanID) {
+	c.Run = j.ID
+	c.OnEpoch = j.onEpoch
+	c.OnProgress = j.onProgress
+	c.Spans = j.spans
+	c.SpanParent = parent
+	c.SampleRuntime = true
+}
+
 // setState transitions the job and wakes streamers.
 func (j *Job) setState(s JobState, errMsg string) {
 	j.mu.Lock()
@@ -254,27 +260,6 @@ func (j *Job) setState(s JobState, errMsg string) {
 	j.mu.Unlock()
 }
 
-// setFailed is setState(StateFailed, ...) plus the captured stack (empty
-// for non-panic failures).
-func (j *Job) setFailed(errMsg, stack string) {
-	j.mu.Lock()
-	j.state = StateFailed
-	j.err = errMsg
-	j.stack = stack
-	j.cancel = nil
-	j.bumpLocked()
-	j.notifyLocked()
-	j.mu.Unlock()
-}
-
-// retryBudgetLeft reports whether the job may still be retried from
-// scratch after a transient failure.
-func (j *Job) retryBudgetLeft() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.retries == 0
-}
-
 // Status is the wire shape of GET /v1/jobs/{id} and of "status" events
 // on the NDJSON stream.
 type Status struct {
@@ -283,13 +268,13 @@ type Status struct {
 	// TraceID correlates everything observable about the job — NDJSON
 	// progress events, pprof "job" labels, and the spans.json wall-clock
 	// trace — and equals the job ID (the canonical-spec hash).
-	TraceID       string             `json:"trace_id"`
-	QueuePosition int                `json:"queue_position,omitempty"` // jobs ahead; only while queued
+	TraceID       string `json:"trace_id"`
+	QueuePosition int    `json:"queue_position,omitempty"` // jobs ahead; only while queued
 	// QueueDepthAtSubmit is the FIFO depth (including this job) when it
 	// was accepted — how congested the server was at submission.
-	QueueDepthAtSubmit int                `json:"queue_depth_at_submit,omitempty"`
-	Cached             bool               `json:"cached,omitempty"`
-	Resumed            bool               `json:"resumed,omitempty"`
+	QueueDepthAtSubmit int  `json:"queue_depth_at_submit,omitempty"`
+	Cached             bool `json:"cached,omitempty"`
+	Resumed            bool `json:"resumed,omitempty"`
 	// Forked marks a sweep point whose measurement window resumed from
 	// its warmup group's shared checkpoint instead of re-running warmup.
 	Forked bool   `json:"forked,omitempty"`
@@ -299,11 +284,11 @@ type Status struct {
 	Stack string `json:"stack,omitempty"`
 	// Retries counts from-scratch reruns after transient failures (e.g.
 	// an undecodable checkpoint that was deleted).
-	Retries int `json:"retries,omitempty"`
-	Progress           telemetry.Progress `json:"progress,omitempty"`
-	EpochsSeen         int                `json:"epochs_seen"` // live epoch samples observed so far
-	Scheme             string             `json:"scheme"`
-	Apps               []string           `json:"apps"`
+	Retries    int                `json:"retries,omitempty"`
+	Progress   telemetry.Progress `json:"progress,omitempty"`
+	EpochsSeen int                `json:"epochs_seen"` // live epoch samples observed so far
+	Scheme     string             `json:"scheme"`
+	Apps       []string           `json:"apps"`
 }
 
 // status snapshots the job; queuePos is computed by the server (-1 when

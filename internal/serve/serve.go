@@ -155,12 +155,11 @@ func New(opts Options) (*Server, error) {
 // entries are verified against their manifests, and corrupt ones are
 // quarantined and — when their spec survives — rerun from scratch.
 // Stale checkpoints next to committed results (a crash after commit,
-// before checkpoint removal) are garbage-collected, and checkpoints
-// that no longer gob-decode are deleted so the job reruns instead of
-// wedging every restart on the same bad file. Jobs with a decodable
-// checkpoint resume mid-measurement; the rest rerun from scratch.
-// Recovery may exceed QueueDepth — the backlog is real work already
-// accepted, not new load.
+// before checkpoint removal) are garbage-collected. Checkpoints of
+// pending jobs are left for the worker, which continues every job that
+// has one (and falls back to a from-scratch rerun if it no longer
+// reads back). Recovery may exceed QueueDepth — the backlog is real
+// work already accepted, not new load.
 func (s *Server) recover() error {
 	pending, err := s.store.pending(jobKind)
 	if err != nil {
@@ -183,30 +182,12 @@ func (s *Server) recover() error {
 			s.store.remove(jobKind, hash)
 			continue
 		}
-		resumable := false
-		if s.store.HasCheckpoint(hash) {
-			// Validate now: a checkpoint that fails gob decode would fail
-			// every resume attempt. Deleting it downgrades the job to a
-			// from-scratch rerun, which always makes progress.
-			if _, err := sim.ReadCheckpoint(s.store.CheckpointPath(hash)); err != nil {
-				log.Printf("serve: job %s: discarding undecodable checkpoint: %v", hash, err)
-				s.store.DropCheckpoint(hash)
-				s.metrics.inc("serve.checkpoints_discarded")
-			} else {
-				resumable = true
-			}
-		}
 		j := newJob(hash, cfg, mix)
-		j.resumed = resumable
 		// Workers have not started, but quarantine observers may already
 		// be reading s.jobs from their own goroutines — take the lock.
 		s.mu.Lock()
 		s.jobs[hash] = j
-		s.queue = append(s.queue, j)
-		j.queueDepthAtSubmit = len(s.queue)
-		if len(s.queue) > s.queueHigh {
-			s.queueHigh = len(s.queue)
-		}
+		s.enqueueLocked(j)
 		s.mu.Unlock()
 	}
 	return nil
@@ -231,29 +212,12 @@ func (s *Server) Submit(req JobRequest) (*Job, bool, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j, ok := s.jobs[hash]; ok {
-		j.mu.Lock()
-		done := j.state == StateFailed || j.state == StateCanceled
-		j.mu.Unlock()
-		if !done {
+	if j, cached := s.existingLocked(hash, cfg, mix); j != nil {
+		if cached {
+			s.metrics.inc("serve.cache_hits")
+		} else {
 			s.metrics.inc("serve.jobs_deduped")
-			return j, false, nil
 		}
-		// Failed and canceled jobs released their on-disk state; an
-		// explicit resubmission is a request to try again, not a dedup —
-		// fall through and enqueue a fresh attempt under the same hash.
-	}
-	if s.store.HasResult(hash) {
-		// Cache hit from a previous process lifetime, integrity-verified
-		// against the entry's manifest (a corrupt entry was just
-		// quarantined and reads as a miss, so the job reruns below):
-		// materialize a completed job record around the stored artifacts.
-		j := newJob(hash, cfg, mix)
-		j.state = StateDone
-		j.cached = true
-		j.endSpans() // never queued or run; the lifecycle spans are empty
-		s.jobs[hash] = j
-		s.metrics.inc("serve.cache_hits")
 		return j, false, nil
 	}
 	if s.draining {
@@ -268,14 +232,53 @@ func (s *Server) Submit(req JobRequest) (*Job, bool, error) {
 	}
 	j := newJob(hash, cfg, mix)
 	s.jobs[hash] = j
-	s.queue = append(s.queue, j)
-	j.queueDepthAtSubmit = len(s.queue)
-	if len(s.queue) > s.queueHigh {
-		s.queueHigh = len(s.queue)
-	}
+	s.enqueueLocked(j)
 	s.metrics.inc("serve.jobs_submitted")
 	s.cond.Signal()
 	return j, true, nil
+}
+
+// existingLocked resolves a spec against work the server already has: a
+// live job under the same hash (anything but failed or canceled — those
+// released their on-disk state, and a resubmission is a request to try
+// again), or a committed, integrity-verified store entry, materialized
+// as a done job around the stored artifacts (a corrupt entry was just
+// quarantined and reads as a miss). It returns nil when the spec needs
+// a fresh run, and cached when the job came from the store. Caller
+// holds s.mu.
+func (s *Server) existingLocked(hash string, cfg sim.Config, mix []workload.AppParams) (j *Job, cached bool) {
+	if j, ok := s.jobs[hash]; ok {
+		j.mu.Lock()
+		dead := j.state == StateFailed || j.state == StateCanceled
+		j.mu.Unlock()
+		if !dead {
+			return j, false
+		}
+	}
+	if !s.store.HasResult(hash) {
+		return nil, false
+	}
+	j = newJob(hash, cfg, mix)
+	j.state = StateDone
+	j.cached = true
+	j.endSpans() // never queued or run; the lifecycle spans are empty
+	s.jobs[hash] = j
+	return j, true
+}
+
+// enqueueLocked appends item to the FIFO and raises the high-water mark;
+// a job also records the depth it was accepted at. Caller holds s.mu
+// (and not the job's own lock).
+func (s *Server) enqueueLocked(item workItem) {
+	s.queue = append(s.queue, item)
+	if j, ok := item.(*Job); ok {
+		j.mu.Lock()
+		j.queueDepthAtSubmit = len(s.queue)
+		j.mu.Unlock()
+	}
+	if len(s.queue) > s.queueHigh {
+		s.queueHigh = len(s.queue)
+	}
 }
 
 // retryAfterLocked estimates (in whole seconds) when queue space is
@@ -314,22 +317,6 @@ func (s *Server) Status(j *Job) Status {
 	}
 	s.mu.Unlock()
 	return j.status(pos)
-}
-
-// Jobs snapshots every known job's status, newest state first not
-// guaranteed — callers sort if they care.
-func (s *Server) Jobs() []Status {
-	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
-	out := make([]Status, len(jobs))
-	for i, j := range jobs {
-		out[i] = s.Status(j)
-	}
-	return out
 }
 
 // Cancel stops a job: queued jobs are removed from the FIFO, running
@@ -413,77 +400,92 @@ type panicInfo struct {
 	stack string
 }
 
-// runIsolated executes the job's simulation with panic isolation: a
-// panicking engine (or a corrupt checkpoint that explodes mid-restore)
-// fails one job with a captured stack instead of killing the process
-// and every other job with it.
-func (s *Server) runIsolated(ctx context.Context, j *Job, parent telemetry.SpanID, resume bool, fork []byte, res *sim.Result, err *error) (panicked *panicInfo) {
+// isolate runs f with panic isolation: a panicking engine (or a corrupt
+// checkpoint that explodes mid-restore) costs one work item, reported
+// with its captured stack, instead of killing the process and every
+// other job with it.
+func isolate(f func()) (panicked *panicInfo) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = &panicInfo{value: fmt.Sprint(r), stack: string(debug.Stack())}
 		}
 	}()
-	// attach re-wires the process-local observability a checkpoint cannot
-	// carry: the job's live epoch/progress streams and span recorder. The
-	// run label becomes the job's own (a fork's checkpoint carries its
-	// warmup group's label), matching what jobConfig gives a cold run.
-	attach := func(c *telemetry.Config) bool {
-		c.Run = j.ID
-		c.OnEpoch = j.onEpoch
-		c.OnProgress = j.onProgress
-		c.Spans = j.spans
-		c.SpanParent = parent
-		c.SampleRuntime = true
-		return true
-	}
+	f()
+	return nil
+}
+
+// simulate runs the job's simulation. A job with a checkpoint in the
+// store — a drain or periodic checkpoint from an earlier attempt, or the
+// fork its sweep's warmup task wrote — continues from it instead of
+// running cold; continued reports that it tried.
+func (s *Server) simulate(ctx context.Context, j *Job, parent telemetry.SpanID) (res sim.Result, continued bool, err error) {
 	telemetry.WithJob(ctx, j.ID, func(ctx context.Context) {
 		if s.testHookRun != nil {
 			s.testHookRun(j)
 		}
-		switch {
-		case resume:
-			s.metrics.inc("serve.jobs_resumed")
-			*res, *err = sim.ResumeContextTelemetry(ctx, s.store.CheckpointPath(j.ID), attach)
-		case fork != nil:
-			// Sweep warmup fork: decode a private copy of the group's shared
-			// warmup checkpoint and run only this point's measurement window
-			// from it. Everything but the measurement length is pinned by the
-			// checkpoint's warmup hash; crash safety (periodic checkpointing
-			// into the store) attaches exactly as a cold run would get it.
-			var ck *sim.Checkpoint
-			if ck, *err = sim.DecodeCheckpoint(fork); *err != nil {
-				return
-			}
-			ck.Cfg.MeasureCycles = j.cfg.MeasureCycles
-			ck.Cfg.CheckpointPath = s.store.CheckpointPath(j.ID)
-			ck.Cfg.CheckpointEvery = s.opts.CheckpointEvery
-			s.metrics.inc("serve.sweep_points_forked")
-			*res, *err = sim.ResumeFromCheckpoint(ctx, ck, attach)
-		default:
-			*res, *err = sim.RunContext(ctx, s.jobConfig(j, parent), j.mix)
+		if continued = s.store.HasCheckpoint(j.ID); !continued {
+			res, err = sim.RunContext(ctx, s.jobConfig(j, parent), j.mix)
+			return
 		}
+		var ck *sim.Checkpoint
+		if ck, err = sim.ReadCheckpoint(s.store.CheckpointPath(j.ID)); err != nil {
+			return
+		}
+		// A checkpoint at the warmup/measure boundary is a sweep fork: it
+		// carries the point's measurement window, checkpoint path and
+		// cadence, written by the warmup task. Anything later is an
+		// interrupted run's own state.
+		fork := ck.Measured == 0
+		j.mu.Lock()
+		j.resumed, j.forked = true, fork
+		j.mu.Unlock()
+		s.metrics.inc("serve.jobs_resumed")
+		if fork {
+			s.metrics.inc("serve.sweep_points_forked")
+		}
+		// The checkpoint keeps its telemetry parameters; the live wiring
+		// is re-attached, and the run label becomes the job's own (a
+		// fork's checkpoint carries its warmup group's label).
+		res, err = sim.ResumeFromCheckpoint(ctx, ck, func(c *telemetry.Config) bool {
+			j.wireTelemetry(c, parent)
+			return true
+		})
 	})
-	return nil
+	return res, continued, err
 }
 
-// requeueFromScratch puts a job whose failure is classed transient
-// (e.g. its checkpoint stopped decoding) back on the FIFO for a clean
-// from-scratch attempt. At most one retry per job: a second failure is
-// reported, not retried — the simulator is deterministic, so repeated
-// failure means the problem is not transient.
-func (s *Server) requeueFromScratch(j *Job) {
+// requeueFromScratch drops the checkpoint of a job whose continued run
+// failed for a reason other than an interrupt or a panic (the file no
+// longer decodes or restores — an infrastructure fault, not a property
+// of the spec) and puts the job back on the FIFO for a clean run. At
+// most one retry per job: it reports false, changing nothing, for a job
+// that already had its retry — the simulator is deterministic, so
+// repeated failure means the problem is not transient.
+func (s *Server) requeueFromScratch(j *Job, cause error) bool {
 	j.mu.Lock()
+	if j.retries > 0 {
+		j.mu.Unlock()
+		return false
+	}
+	fork := j.forked
 	j.state = StateQueued
-	j.resumed = false
+	j.resumed, j.forked = false, false
 	j.retries++
 	j.cancel = nil
 	j.bumpLocked()
 	j.mu.Unlock()
+	log.Printf("serve: job %s: checkpoint unusable (%v), rerunning from scratch", j.ID, cause)
+	s.store.DropCheckpoint(j.ID)
+	s.metrics.inc("serve.checkpoints_discarded")
+	if fork {
+		s.metrics.inc("serve.sweep_fork_fallbacks")
+	}
 	s.metrics.inc("serve.jobs_retried")
 	s.mu.Lock()
-	s.queue = append(s.queue, j)
+	s.enqueueLocked(j)
 	s.cond.Signal()
 	s.mu.Unlock()
+	return true
 }
 
 // runJob executes one job end to end and publishes its outcome. The
@@ -509,9 +511,6 @@ func (s *Server) runJob(j *Job) {
 	}
 	j.state = StateRunning
 	j.cancel = cancel
-	resume := j.resumed
-	fork := j.forkFrom
-	j.forked = fork != nil
 	j.queueWait.End()
 	j.bumpLocked()
 	j.mu.Unlock()
@@ -521,8 +520,9 @@ func (s *Server) runJob(j *Job) {
 
 	runSpan := j.spans.StartSpan("serve.run", j.root.ID())
 	var res sim.Result
+	var continued bool
 	var err error
-	panicked := s.runIsolated(ctx, j, runSpan.ID(), resume, fork, &res, &err)
+	panicked := isolate(func() { res, continued, err = s.simulate(ctx, j, runSpan.ID()) })
 	runSpan.End()
 
 	s.metrics.observe("serve.job_run_us", uint64(time.Since(runStart).Microseconds()))
@@ -536,7 +536,10 @@ func (s *Server) runJob(j *Job) {
 		s.metrics.inc("serve.jobs_failed")
 		log.Printf("serve: job %s: worker panic recovered: %s", j.ID, panicked.value)
 		j.root.End()
-		j.setFailed("panic: "+panicked.value, panicked.stack)
+		j.mu.Lock()
+		j.stack = panicked.stack
+		j.mu.Unlock()
+		j.setState(StateFailed, "panic: "+panicked.value)
 		return
 	case err == nil:
 		s.metrics.merge(res.Histograms)
@@ -584,7 +587,7 @@ func (s *Server) runJob(j *Job) {
 			s.store.remove(jobKind, j.ID)
 			s.metrics.inc("serve.jobs_deadline_exceeded")
 			s.metrics.inc("serve.jobs_failed")
-			j.setFailed(fmt.Sprintf("job exceeded its %s wall-clock deadline", s.opts.JobTimeout), "")
+			j.setState(StateFailed, fmt.Sprintf("job exceeded its %s wall-clock deadline", s.opts.JobTimeout))
 		case s.store.HasCheckpoint(j.ID):
 			s.metrics.inc("serve.jobs_checkpointed")
 			j.setState(StateCheckpointed, "")
@@ -593,30 +596,8 @@ func (s *Server) runJob(j *Job) {
 			j.setState(StateInterrupted, "")
 		}
 	default:
-		// A fork whose shared warmup checkpoint no longer decodes or
-		// resumes is a transient infrastructure failure, not a property of
-		// the point's spec: drop the fork input and rerun cold (once).
-		if fork != nil && j.retryBudgetLeft() {
-			log.Printf("serve: job %s: warmup fork unusable (%v), rerunning cold", j.ID, err)
-			j.mu.Lock()
-			j.forkFrom = nil
-			j.forked = false
-			j.mu.Unlock()
-			s.metrics.inc("serve.sweep_fork_fallbacks")
-			s.requeueFromScratch(j)
+		if continued && s.requeueFromScratch(j, err) {
 			return
-		}
-		// A resume attempt whose checkpoint no longer reads back is a
-		// transient failure: the spec is intact, so delete the bad
-		// checkpoint and rerun from scratch (once).
-		if resume && j.retryBudgetLeft() {
-			if _, ckErr := sim.ReadCheckpoint(s.store.CheckpointPath(j.ID)); ckErr != nil {
-				log.Printf("serve: job %s: checkpoint unusable (%v), rerunning from scratch", j.ID, ckErr)
-				s.store.DropCheckpoint(j.ID)
-				s.metrics.inc("serve.checkpoints_discarded")
-				s.requeueFromScratch(j)
-				return
-			}
 		}
 		s.store.remove(jobKind, j.ID)
 		s.metrics.inc("serve.jobs_failed")
@@ -626,23 +607,15 @@ func (s *Server) runJob(j *Job) {
 }
 
 // jobConfig equips the job's semantic config with the server's live
-// observability (epoch + progress hooks feeding the job's stream, the
-// job's span recorder nesting simulation phases under the serve.run
-// span, per-epoch runtime-metrics sampling) and, for schemes that
-// support it, crash-safe checkpointing into the store. None of these
-// additions changes what the run computes, so the artifacts stay
-// byte-identical to a direct sim.Run of the bare spec with default
-// telemetry (EncodeResult strips the wall-clock-derived fields).
+// observability (wireTelemetry) and, for schemes that support it,
+// crash-safe checkpointing into the store. None of these additions
+// changes what the run computes, so the artifacts stay byte-identical
+// to a direct sim.Run of the bare spec with default telemetry
+// (EncodeResult strips the wall-clock-derived fields).
 func (s *Server) jobConfig(j *Job, parent telemetry.SpanID) sim.Config {
 	cfg := j.cfg
-	cfg.Telemetry = &telemetry.Config{
-		Run:           j.ID,
-		OnEpoch:       j.onEpoch,
-		OnProgress:    j.onProgress,
-		Spans:         j.spans,
-		SpanParent:    parent,
-		SampleRuntime: true,
-	}
+	cfg.Telemetry = &telemetry.Config{}
+	j.wireTelemetry(cfg.Telemetry, parent)
 	if cfg.Scheme == sim.SchemeAdaptive {
 		cfg.CheckpointPath = s.store.CheckpointPath(j.ID)
 		cfg.CheckpointEvery = s.opts.CheckpointEvery
@@ -704,7 +677,7 @@ drain:
 		j.mu.Unlock()
 	}
 	for t := range s.warmups {
-		t.interrupt()
+		t.cancel()
 	}
 	s.mu.Unlock()
 
@@ -744,13 +717,4 @@ type QueueFullError struct{ RetryAfter int }
 
 func (e *QueueFullError) Error() string {
 	return fmt.Sprintf("serve: queue full, retry after %ds", e.RetryAfter)
-}
-
-// workloadNames is a tiny helper for logs and tests.
-func workloadNames(mix []workload.AppParams) []string {
-	out := make([]string, len(mix))
-	for i, p := range mix {
-		out[i] = p.Name
-	}
-	return out
 }

@@ -38,11 +38,6 @@ func submitSweep(t *testing.T, ts *httptest.Server, spec sweep.Spec) (SweepStatu
 	if err != nil {
 		t.Fatal(err)
 	}
-	return postSweep(t, ts, body)
-}
-
-func postSweep(t *testing.T, ts *httptest.Server, body []byte) (SweepStatus, *http.Response) {
-	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -367,6 +362,101 @@ func TestSweepRecovery(t *testing.T) {
 	tableJSON := fetch(t, ts2.URL+"/v1/sweeps/"+st.ID+"/result", http.StatusOK)
 	if !bytes.Contains(tableJSON, []byte("mc-study")) {
 		t.Error("recovered sweep table lost its title")
+	}
+}
+
+// TestSweepForkSurvivesRestart: fork checkpoints live in the store, so
+// a sweep shut down mid-fan-out continues every point from a checkpoint
+// after a restart — the running point from its drain checkpoint, the
+// queued ones from their forks — without re-running the shared warmup,
+// and every result still byte-matches a cold run.
+func TestSweepForkSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Options{StateDir: dir, Workers: 1, DrainTimeout: time.Millisecond})
+	spec := smallSweep(31)
+	spec.Axes.MeasureCycles = []uint64{800_000, 850_000, 900_000}
+	st, resp := submitSweep(t, ts, spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	waitFor(t, "first fork running", func() bool {
+		if counter(s, "serve.sweep_warmups_run") != 1 {
+			return false
+		}
+		for _, ps := range getSweep(t, ts, st.ID).PointJobs {
+			if ps.State == StateRunning {
+				return true
+			}
+		}
+		return false
+	})
+	ts.Close()
+	shutdown(t, s)
+
+	s2, ts2 := newTestServer(t, Options{StateDir: dir, Workers: 1})
+	waitFor(t, "recovered sweep done", func() bool { return getSweep(t, ts2, st.ID).State == SweepDone })
+	if got := counter(s2, "serve.jobs_resumed"); got != 3 {
+		t.Errorf("serve.jobs_resumed = %d after restart, want 3 (every point continues from a checkpoint)", got)
+	}
+	if got := counter(s2, "serve.sweep_warmups_run"); got != 0 {
+		t.Errorf("serve.sweep_warmups_run = %d after restart, want 0", got)
+	}
+	requirePointsMatchCold(t, s2, spec)
+}
+
+// requirePointsMatchCold requires every point's committed result.json
+// to be byte-identical to a cold sim.Run encoding of the same spec.
+func requirePointsMatchCold(t *testing.T, s *Server, spec sweep.Spec) {
+	t.Helper()
+	points, err := sweep.Expand(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range points {
+		got, err := s.Store().ReadResult(p.SpecHash)
+		if err != nil {
+			t.Fatalf("point %q: %v", p.Label, err)
+		}
+		cfg := p.Cfg
+		cfg.Telemetry = &telemetry.Config{Run: p.SpecHash}
+		want, err := EncodeResult(sim.Run(cfg, p.Mix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("point %q: result.json differs from a cold sim.Run encoding", p.Label)
+		}
+	}
+}
+
+// TestCorruptReadAnswers410: artifacts that rot while the server runs
+// are caught at read time for jobs and sweeps alike — 410, the done
+// record downgraded to failed — and a resubmission reruns the sweep to
+// the original bytes.
+func TestCorruptReadAnswers410(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2})
+	spec := smallSweep(37)
+	spec.Axes.MeasureCycles = []uint64{30_000, 60_000}
+	st, _ := submitSweep(t, ts, spec)
+	waitFor(t, "sweep done", func() bool { return getSweep(t, ts, st.ID).State == SweepDone })
+	csvURL := ts.URL + "/v1/sweeps/" + st.ID + "/result?artifact=csv"
+	wantCSV := fetch(t, csvURL, http.StatusOK)
+	point := st.PointJobs[0].JobID
+
+	corruptFile(t, s.Store().path(jobKind, point, "result.json"), flipBit)
+	fetch(t, ts.URL+"/v1/jobs/"+point+"/result", http.StatusGone)
+	corruptFile(t, s.Store().path(sweepKind, st.ID, "table.csv"), flipBit)
+	fetch(t, csvURL, http.StatusGone)
+	if js, ss := getStatus(t, ts, point).State, getSweep(t, ts, st.ID).State; js != StateFailed || ss != SweepFailed {
+		t.Errorf("after corrupt reads the job is %q and the sweep %q, want both failed", js, ss)
+	}
+
+	if _, resp := submitSweep(t, ts, spec); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resubmit after corruption: HTTP %d, want 202", resp.StatusCode)
+	}
+	waitFor(t, "rerun sweep done", func() bool { return getSweep(t, ts, st.ID).State == SweepDone })
+	if got := fetch(t, csvURL, http.StatusOK); !bytes.Equal(got, wantCSV) {
+		t.Error("rerun table.csv differs from the pre-corruption bytes")
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 	"strconv"
 	"time"
@@ -20,22 +19,10 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	sw, created, err := s.SubmitSweep(spec)
 	if err != nil {
-		var reqErr *RequestError
-		switch {
-		case errors.As(err, &reqErr):
-			writeError(w, http.StatusBadRequest, reqErr.Error())
-		case errors.Is(err, ErrDraining):
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
+		writeSubmitError(w, err)
 		return
 	}
-	code := http.StatusOK // duplicate submission or cache hit
-	if created {
-		code = http.StatusAccepted
-	}
-	writeJSON(w, code, s.SweepStatus(sw))
+	writeJSON(w, submitCode(created), s.SweepStatus(sw))
 }
 
 func (s *Server) handleSweepList(w http.ResponseWriter, _ *http.Request) {
@@ -63,8 +50,7 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 // handleSweepResult serves the committed aggregate artifacts:
 // ?artifact=table (default) → table.json, ?artifact=csv → table.csv.
 // 409 until the sweep is done; integrity violations quarantine the
-// entry and answer 410, and the sweep record is downgraded so a
-// resubmission reruns instead of deduping onto the poisoned state.
+// entry and answer 410 through the same downgrade as job artifacts.
 func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 	sw, ok := s.Sweep(r.PathValue("id"))
 	if !ok {
@@ -90,19 +76,7 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 	}
 	data, err := s.store.readVerified(sweepKind, sw.ID, name)
 	if err != nil {
-		var corrupt *CorruptError
-		if !errors.As(err, &corrupt) {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		sw.mu.Lock()
-		if sw.state == SweepDone {
-			sw.state = SweepFailed
-			sw.err = corrupt.Error()
-			sw.bumpLocked()
-		}
-		sw.mu.Unlock()
-		writeError(w, http.StatusGone, corrupt.Error())
+		failCorrupt(w, err, func(reason string) { sw.setState(SweepFailed, reason) })
 		return
 	}
 	w.Header().Set("Content-Type", contentType)
@@ -112,23 +86,16 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 // handleSweepEvents streams the sweep's lifecycle as NDJSON — one
 // "sweep" status line whenever anything about the sweep changes (point
 // states included) — until the sweep settles or the client disconnects.
+// Point-job state changes bump the job, not the sweep, so the stream
+// also re-checks on a short tick.
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	sw, ok := s.Sweep(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown sweep")
 		return
 	}
-	flusher, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-
 	var lastStatus string
-	// Re-check periodically even without a bump: point-job state changes
-	// bump the job, not the sweep, and a dropped client must be noticed.
-	tick := time.NewTicker(250 * time.Millisecond)
-	defer tick.Stop()
-	for {
+	streamNDJSON(w, r, 250*time.Millisecond, func(enc *json.Encoder) (<-chan struct{}, bool, error) {
 		sw.mu.Lock()
 		wait := sw.wait
 		sw.mu.Unlock()
@@ -137,22 +104,11 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 		if line, _ := json.Marshal(st); string(line) != lastStatus {
 			lastStatus = string(line)
 			if err := enc.Encode(sweepEvent{Type: "sweep", Sweep: &st}); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
+				return nil, false, err
 			}
 		}
-		if st.State != SweepPending {
-			return
-		}
-		select {
-		case <-wait:
-		case <-tick.C:
-		case <-r.Context().Done():
-			return
-		}
-	}
+		return wait, st.State != SweepPending, nil
+	})
 }
 
 // sweepEvent is one NDJSON line on the sweep /events stream.

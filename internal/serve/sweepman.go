@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"runtime/debug"
 	"sync"
 
 	"nucasim/internal/sim"
@@ -82,26 +81,20 @@ func (sw *Sweep) setState(state SweepState, errMsg string) {
 }
 
 // warmupTask is the pool work item for one fork group's shared warmup:
-// run the group's warmup once (sim.WarmupCheckpoint), encode the
-// checkpoint, hand every still-live member its fork input, and only
-// then enqueue the members — so a group's measurement windows fan out
-// from one warmup instead of each paying for its own.
+// run the group's warmup once (sim.WarmupCheckpoint), store the
+// checkpoint as every still-queued member's own checkpoint.bin, and
+// only then enqueue the members — so a group's measurement windows fan
+// out from one warmup instead of each paying for its own, and each
+// member continues like any checkpointed job, across a restart too.
 type warmupTask struct {
 	sw      *Sweep
 	hash    string // the group's warmup hash
 	members []*Job
 	ctx     context.Context
-	cancel  context.CancelFunc
+	// cancel interrupts the warmup mid-run (shutdown drain or sweep
+	// cancellation); the warmup loop notices at the next segment boundary.
+	cancel context.CancelFunc
 }
-
-func newWarmupTask(sw *Sweep, hash string, members []*Job) *warmupTask {
-	ctx, cancel := context.WithCancel(context.Background())
-	return &warmupTask{sw: sw, hash: hash, members: members, ctx: ctx, cancel: cancel}
-}
-
-// interrupt cancels the warmup mid-run (shutdown drain or sweep
-// cancellation); the warmup loop notices at the next segment boundary.
-func (t *warmupTask) interrupt() { t.cancel() }
 
 func (t *warmupTask) execute(s *Server) {
 	s.mu.Lock()
@@ -127,7 +120,16 @@ func (t *warmupTask) execute(s *Server) {
 		return
 	}
 
-	data, panicked, err := s.runWarmup(t.ctx, t.hash, live[0])
+	// Telemetry runs live (adaptive repartitions in the timed warmup are
+	// checkpointed state) under the group's label and without hooks: the
+	// warmup belongs to every member, and each reattaches its own at resume.
+	var ck *sim.Checkpoint
+	var err error
+	panicked := isolate(func() {
+		cfg := live[0].cfg
+		cfg.Telemetry = &telemetry.Config{Run: "warmup-" + t.hash[:12]}
+		ck, err = sim.WarmupCheckpoint(t.ctx, cfg, live[0].mix)
+	})
 	switch {
 	case panicked != nil:
 		// A panicking warmup would panic the members' cold runs at the
@@ -136,69 +138,49 @@ func (t *warmupTask) execute(s *Server) {
 		// per-point outcome. Fall through to cold scheduling.
 		log.Printf("serve: sweep %s: warmup %.12s panicked (%s), rerunning members cold", t.sw.ID, t.hash, panicked.value)
 		s.metrics.inc("serve.sweep_warmup_failures")
-		s.enqueueJobs(live)
 	case err != nil && t.ctx.Err() != nil:
 		// Interrupted: shutdown leaves the members' persisted specs for
 		// the next process to recover; a sweep cancellation is about to
 		// cancel the members itself. Either way, do not reschedule.
 		log.Printf("serve: sweep %s: warmup %.12s interrupted", t.sw.ID, t.hash)
+		return
 	case err != nil:
 		log.Printf("serve: sweep %s: warmup %.12s failed (%v), rerunning members cold", t.sw.ID, t.hash, err)
 		s.metrics.inc("serve.sweep_warmup_failures")
-		s.enqueueJobs(live)
 	default:
 		s.metrics.inc("serve.sweep_warmups_run")
-		for _, j := range live {
-			j.mu.Lock()
-			j.forkFrom = data
-			j.mu.Unlock()
-		}
-		s.enqueueJobs(live)
+		s.writeForks(ck, live)
 	}
-}
-
-// runWarmup executes the group's shared warmup with panic isolation and
-// returns the encoded checkpoint. Telemetry runs live — the adaptive
-// engine repartitions inside the timed warmup window and that state is
-// part of what a cold run would checkpoint — but carries the group's
-// warmup-hash label and no process-local hooks: the warmup belongs to
-// every member at once, and hooks are reattached per fork at resume.
-func (s *Server) runWarmup(ctx context.Context, hash string, j *Job) (data []byte, panicked *panicInfo, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = &panicInfo{value: fmt.Sprint(r), stack: string(debug.Stack())}
-		}
-	}()
-	cfg := j.cfg
-	cfg.Telemetry = &telemetry.Config{Run: "warmup-" + shortHash(hash)}
-	ck, err := sim.WarmupCheckpoint(ctx, cfg, j.mix)
-	if err != nil {
-		return nil, nil, err
-	}
-	data, err = ck.Encode()
-	return data, nil, err
-}
-
-func shortHash(h string) string {
-	if len(h) > 12 {
-		return h[:12]
-	}
-	return h
-}
-
-// enqueueJobs appends jobs to the FIFO. Sweep points bypass QueueDepth
-// (MaxSweepPoints is their admission control, applied at expansion).
-func (s *Server) enqueueJobs(jobs []*Job) {
 	s.mu.Lock()
-	for _, j := range jobs {
-		s.queue = append(s.queue, j)
-		j.queueDepthAtSubmit = len(s.queue)
-		if len(s.queue) > s.queueHigh {
-			s.queueHigh = len(s.queue)
-		}
+	for _, j := range live {
+		s.enqueueLocked(j)
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
+}
+
+// writeForks stores the warmup checkpoint as each still-queued member's
+// checkpoint.bin, carrying that member's measurement window, checkpoint
+// path and cadence — everything else is pinned by the warmup hash. Each
+// write holds the member's lock after re-checking its state, so a
+// concurrent cancel either lands first (nothing is written) or removes
+// the entry, checkpoint included, after it. A member whose write fails
+// runs cold.
+func (s *Server) writeForks(ck *sim.Checkpoint, members []*Job) {
+	for _, j := range members {
+		j.mu.Lock()
+		if j.state == StateQueued {
+			ck.Cfg.MeasureCycles = j.cfg.MeasureCycles
+			ck.Cfg.CheckpointPath = s.store.CheckpointPath(j.ID)
+			ck.Cfg.CheckpointEvery = s.opts.CheckpointEvery
+			if err := sim.WriteCheckpoint(ck.Cfg.CheckpointPath, ck); err != nil {
+				log.Printf("serve: job %s: writing fork checkpoint: %v (running cold)", j.ID, err)
+			} else {
+				j.forked = true
+			}
+		}
+		j.mu.Unlock()
+	}
 }
 
 // maxSweepPoints resolves the configured expansion cap.
@@ -284,27 +266,16 @@ func (s *Server) attachSweepLocked(id string, spec sweep.Spec, points []sweep.Po
 	}
 	s.sweeps[id] = sw
 	for i, p := range points {
-		if j, ok := s.jobs[p.SpecHash]; ok {
-			j.mu.Lock()
-			dead := j.state == StateFailed || j.state == StateCanceled
-			j.mu.Unlock()
-			if !dead {
-				// In flight (or done) under the same content address: the
-				// sweep adopts the existing job rather than re-running it.
-				sw.jobs[i] = j
-				s.metrics.inc("serve.sweep_points_deduped")
-				continue
-			}
-		}
-		if s.store.HasResult(p.SpecHash) {
-			j := newJob(p.SpecHash, p.Cfg, p.Mix)
-			j.state = StateDone
-			j.cached = true
-			j.endSpans()
-			s.jobs[p.SpecHash] = j
+		// In flight (or done) under the same content address: the sweep
+		// adopts the existing job rather than re-running it.
+		if j, cached := s.existingLocked(p.SpecHash, p.Cfg, p.Mix); j != nil {
 			sw.jobs[i] = j
-			sw.cachedPoints++
-			s.metrics.inc("serve.sweep_points_cached")
+			if cached {
+				sw.cachedPoints++
+				s.metrics.inc("serve.sweep_points_cached")
+			} else {
+				s.metrics.inc("serve.sweep_points_deduped")
+			}
 			continue
 		}
 		pspec, err := sim.CanonicalSpec(p.Cfg, p.Mix)
@@ -322,8 +293,8 @@ func (s *Server) attachSweepLocked(id string, spec sweep.Spec, points []sweep.Po
 
 	// Schedule the points this sweep created. Fork groups with at least
 	// two live members share one warmup task; their member jobs stay out
-	// of the FIFO until the task hands them their fork input. Everything
-	// else — baseline schemes, singleton groups — enqueues cold.
+	// of the FIFO until the task has written their fork checkpoints.
+	// Everything else — baseline schemes, singleton groups — enqueues cold.
 	for _, g := range sweep.Plan(points) {
 		var members []*Job
 		for _, pi := range g.Points {
@@ -335,21 +306,15 @@ func (s *Server) attachSweepLocked(id string, spec sweep.Spec, points []sweep.Po
 			continue
 		}
 		if g.Fork && len(members) >= 2 {
-			t := newWarmupTask(sw, g.WarmupHash, members)
+			ctx, cancel := context.WithCancel(context.Background())
+			t := &warmupTask{sw: sw, hash: g.WarmupHash, members: members, ctx: ctx, cancel: cancel}
 			sw.tasks = append(sw.tasks, t)
 			sw.warmupGroups++
 			sw.forkedPoints += len(members)
-			s.queue = append(s.queue, t)
-			if len(s.queue) > s.queueHigh {
-				s.queueHigh = len(s.queue)
-			}
+			s.enqueueLocked(t)
 		} else {
 			for _, j := range members {
-				s.queue = append(s.queue, j)
-				j.queueDepthAtSubmit = len(s.queue)
-				if len(s.queue) > s.queueHigh {
-					s.queueHigh = len(s.queue)
-				}
+				s.enqueueLocked(j)
 			}
 		}
 	}
@@ -495,7 +460,7 @@ func (s *Server) CancelSweep(id string) (SweepStatus, bool) {
 	sw.bumpLocked()
 	sw.mu.Unlock()
 	for _, t := range tasks {
-		t.interrupt()
+		t.cancel()
 	}
 	for _, jid := range cancels {
 		s.Cancel(jid)

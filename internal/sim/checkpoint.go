@@ -23,7 +23,8 @@ import (
 // ErrInterrupted is returned by RunContext when the run stops before the
 // measurement window completes — context cancellation or Config.StopAfter.
 // If Config.CheckpointPath was set, a checkpoint holding the interrupted
-// state has been written and the run can be continued with ResumeContext.
+// state has been written and the run can be continued with
+// ReadCheckpoint + ResumeFromCheckpoint.
 var ErrInterrupted = errors.New("sim: run interrupted")
 
 const (
@@ -192,17 +193,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// Clone returns a deep copy of the checkpoint via a gob round trip, so
-// several forked runs can each restore (and mutate machine state from)
-// their own copy without sharing a single slice between goroutines.
-func (ck *Checkpoint) Clone() (*Checkpoint, error) {
-	data, err := ck.Encode()
-	if err != nil {
-		return nil, err
-	}
-	return DecodeCheckpoint(data)
-}
-
 func (ck *Checkpoint) validate() error {
 	if ck.Version != checkpointVersion {
 		return fmt.Errorf("sim: checkpoint has version %d, this build reads %d", ck.Version, checkpointVersion)
@@ -281,28 +271,35 @@ func (g *invariantGuard) final(m *Machine) error {
 // path is configured); a completed run returns the same Result the
 // plain Run would.
 func RunContext(ctx context.Context, cfg Config, mix []workload.AppParams) (Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	m, guard, start, err := warmedMachine(ctx, cfg.withDefaults(), mix)
+	if err != nil {
 		return Result{}, err
+	}
+	return m.measure(ctx, mix, m.snap(), 0, start, guard)
+}
+
+// warmedMachine validates cfg, builds its machine with the invariant
+// checker armed, and runs the warmup — everything RunContext and
+// WarmupCheckpoint share before the measurement window. start is when
+// the warmup began, the origin of the run's wall-clock throughput.
+func warmedMachine(ctx context.Context, cfg Config, mix []workload.AppParams) (m *Machine, guard *invariantGuard, start time.Time, err error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, start, err
 	}
 	if len(mix) != cfg.Cores {
-		return Result{}, fmt.Errorf("sim: mix has %d apps for %d cores", len(mix), cfg.Cores)
+		return nil, nil, start, fmt.Errorf("sim: mix has %d apps for %d cores", len(mix), cfg.Cores)
 	}
-	m := NewMachine(cfg, mix)
-	guard := m.armInvariantChecks()
-	start := time.Now()
-
-	if err := m.warmup(ctx); err != nil {
+	m = NewMachine(cfg, mix)
+	guard = m.armInvariantChecks()
+	start = time.Now()
+	if err = m.warmup(ctx); err == nil {
+		err = guard.err
+	}
+	if err != nil {
 		m.spanRoot.End()
-		return Result{}, err
+		return nil, nil, start, err
 	}
-	if guard.err != nil {
-		m.spanRoot.End()
-		return Result{}, guard.err
-	}
-
-	before := m.snap()
-	return m.measure(ctx, mix, before, 0, start, guard)
+	return m, guard, start, nil
 }
 
 // warmup runs the functional fast-forward and the timed warmup window in
@@ -358,51 +355,27 @@ func (m *Machine) warmup(ctx context.Context) (err error) {
 	return err
 }
 
-// ResumeContext continues a checkpointed run to completion and returns
-// the Result the uninterrupted run would have produced (bit-identical
-// partition limits, counters and epoch series; only wall-clock
-// throughput differs). The checkpoint's own StopAfter is cleared — the
-// interrupt that produced it is not re-armed — while its CheckpointPath
-// stays live, so a resumed run keeps checkpointing. The original trace
-// writer cannot be reattached; a resumed run keeps its epoch ring and
-// counters but emits no event trace.
-func ResumeContext(ctx context.Context, path string) (Result, error) {
-	return ResumeContextTelemetry(ctx, path, nil)
-}
-
-// ResumeContextTelemetry is ResumeContext with live observability
-// reattached: a checkpoint carries the telemetry parameters (run label,
-// ring capacity, sampling) but not the process-local wiring — writers
-// and hooks — so attach, when non-nil, receives the reconstructed
-// telemetry configuration before the machine is built and may install
-// OnEpoch/OnProgress hooks or a fresh TraceWriter. attach is called even
-// when the checkpointed run had no telemetry (with a zero-value config
-// whose adoption it signals by returning true); the job server uses
-// this to keep streaming progress across a restart.
-func ResumeContextTelemetry(ctx context.Context, path string, attach func(c *telemetry.Config) (enable bool)) (Result, error) {
-	ck, err := ReadCheckpoint(path)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := ResumeFromCheckpoint(ctx, ck, attach)
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: resuming %s: %w", path, err)
-	}
-	return res, nil
-}
-
-// ResumeFromCheckpoint continues an in-memory checkpoint to completion —
-// the path-free core of ResumeContextTelemetry, and the fork primitive
-// behind sweep warmup sharing: capture one checkpoint at the
-// warmup/measure boundary (WarmupCheckpoint), Clone it per sweep point,
-// override each clone's Cfg.MeasureCycles (and, for crash safety, its
-// Cfg.CheckpointPath), and resume every clone independently. Only
-// measurement-window and non-semantic fields may differ from the
-// capturing run: the checkpoint's stamped WarmupHash is re-derived from
-// ck.Cfg and a mismatch is rejected, so state can never be continued
-// under a configuration whose warmup it does not represent. The caller
-// must not reuse ck afterwards (restored machines may alias its slices);
-// fork from fresh Clones instead.
+// ResumeFromCheckpoint continues a checkpoint (ReadCheckpoint for a
+// file, DecodeCheckpoint for bytes) to completion and returns the Result
+// the uninterrupted run would have produced: bit-identical limits,
+// counters and epoch series; only wall-clock throughput differs. The
+// checkpoint's StopAfter is cleared, while its CheckpointPath stays live
+// so a resumed run keeps checkpointing. A checkpoint carries telemetry
+// parameters (run label, ring capacity, sampling) but not process-local
+// wiring: attach, when non-nil, receives the reconstructed telemetry
+// config before the machine is built and may install hooks, spans or a
+// fresh TraceWriter (without one, no event trace is emitted); it is
+// called even when the run had no telemetry, with a zero-value config
+// whose adoption it signals by returning true.
+//
+// It is also the fork primitive behind sweep warmup sharing: capture
+// one checkpoint at the warmup/measure boundary (WarmupCheckpoint),
+// decode a private copy per sweep point, override its Cfg.MeasureCycles
+// (and, for crash safety, its Cfg.CheckpointPath), and resume each copy
+// independently. The checkpoint's stamped WarmupHash is re-derived from
+// ck.Cfg and a mismatch is rejected, so state is never continued under a
+// configuration whose warmup it does not represent. The caller must not
+// reuse ck afterwards (restored machines may alias its slices).
 func ResumeFromCheckpoint(ctx context.Context, ck *Checkpoint, attach func(c *telemetry.Config) (enable bool)) (Result, error) {
 	if err := ck.validate(); err != nil {
 		return Result{}, err
@@ -456,32 +429,19 @@ func ResumeFromCheckpoint(ctx context.Context, ck *Checkpoint, attach func(c *te
 // checkpoint is bit-identical to running the same configuration cold,
 // which the fork-equivalence suite proves; the point is that one warmup
 // can seed arbitrarily many measurement windows (ResumeFromCheckpoint on
-// Clones with different MeasureCycles), so a sweep whose points share
+// decoded copies with different MeasureCycles), so a sweep whose points share
 // warmup-relevant configuration pays for warmup exactly once. Adaptive
 // scheme only: the baseline organizations have no snapshot support.
 func WarmupCheckpoint(ctx context.Context, cfg Config, mix []workload.AppParams) (*Checkpoint, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Scheme != SchemeAdaptive {
 		return nil, fmt.Errorf("sim: warmup checkpointing supports only the adaptive scheme, not %s", cfg.Scheme)
 	}
-	if len(mix) != cfg.Cores {
-		return nil, fmt.Errorf("sim: mix has %d apps for %d cores", len(mix), cfg.Cores)
-	}
-	m := NewMachine(cfg, mix)
-	guard := m.armInvariantChecks()
-	if err := m.warmup(ctx); err != nil {
-		m.spanRoot.End()
+	m, _, _, err := warmedMachine(ctx, cfg, mix)
+	if err != nil {
 		return nil, err
 	}
-	if guard.err != nil {
-		m.spanRoot.End()
-		return nil, guard.err
-	}
-	before := m.snap()
-	ck := m.captureCheckpoint(before, 0, mix)
+	ck := m.captureCheckpoint(m.snap(), 0, mix)
 	m.spanRoot.End()
 	return ck, nil
 }

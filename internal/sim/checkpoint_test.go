@@ -54,7 +54,11 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		t.Fatalf("no checkpoint written: %v", err)
 	}
 
-	got, err := ResumeContext(context.Background(), path)
+	ck, err := ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ResumeFromCheckpoint(context.Background(), ck, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,11 @@ func TestResumeFromCheckpointRejectsWarmupMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seedFork, err := ck.Clone()
+	data, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedFork, err := DecodeCheckpoint(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +154,7 @@ func TestResumeFromCheckpointRejectsWarmupMismatch(t *testing.T) {
 		t.Fatalf("seed change accepted across a fork: %v", err)
 	}
 
-	shortFork, err := ck.Clone()
+	shortFork, err := DecodeCheckpoint(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,25 +182,33 @@ func TestWarmupCheckpointRejectsNonAdaptive(t *testing.T) {
 }
 
 // TestCheckpointCloneIsolation pins the concurrency contract behind
-// Clone: mutating a clone (or the machine restored from it) must not
-// reach back into the original checkpoint's state.
+// forking: each fork decodes its own copy of the encoded warmup
+// checkpoint, and mutating one copy (or the machine restored from it)
+// must reach neither the original nor a sibling fork.
 func TestCheckpointCloneIsolation(t *testing.T) {
 	mix := mixOf(t, "ammp", "gzip")
 	ck, err := WarmupCheckpoint(context.Background(), ckConfig(), mix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := ck.Clone()
+	data, err := ck.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.Cfg.MeasureCycles = 1
-	cl.BeforeInstr[0]++
-	cl.Mix[0].Name = "mutated"
-	if ck.Cfg.MeasureCycles == 1 || ck.Mix[0].Name == "mutated" {
-		t.Fatal("clone shares memory with the original checkpoint")
+	a, errA := DecodeCheckpoint(data)
+	b, errB := DecodeCheckpoint(data)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
 	}
-	if cl.BeforeInstr[0] != ck.BeforeInstr[0]+1 {
-		t.Fatal("clone baseline not independent")
+	a.Cfg.MeasureCycles = 1
+	a.BeforeInstr[0]++
+	a.Mix[0].Name = "mutated"
+	for _, other := range []*Checkpoint{ck, b} {
+		if other.Cfg.MeasureCycles == 1 || other.Mix[0].Name == "mutated" {
+			t.Fatal("a decoded fork shares memory with another copy")
+		}
+		if a.BeforeInstr[0] != other.BeforeInstr[0]+1 {
+			t.Fatal("a decoded fork's baseline is not independent")
+		}
 	}
 }

@@ -107,7 +107,8 @@ type Config struct {
 	// CheckpointPath, when non-empty, makes RunContext write a crash-safe
 	// snapshot of the whole machine (atomically, temp-file+rename) to this
 	// path every CheckpointEvery measured cycles and when the run is
-	// interrupted, so the run can be continued with ResumeContext.
+	// interrupted, so the run can be continued with ReadCheckpoint +
+	// ResumeFromCheckpoint.
 	// Adaptive scheme only; incompatible with ReplayVerify (the verifier's
 	// trace-fed state machine cannot be checkpointed).
 	CheckpointPath string

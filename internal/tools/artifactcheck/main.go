@@ -338,7 +338,11 @@ func checkResumeSmoke() error {
 	if _, err := sim.RunContext(context.Background(), cfg, mix); !errors.Is(err, sim.ErrInterrupted) {
 		return fmt.Errorf("interrupted run returned %v, want ErrInterrupted", err)
 	}
-	got, err := sim.ResumeContext(context.Background(), path)
+	ck, err := sim.ReadCheckpoint(path)
+	if err != nil {
+		return fmt.Errorf("resume: %w", err)
+	}
+	got, err := sim.ResumeFromCheckpoint(context.Background(), ck, nil)
 	if err != nil {
 		return fmt.Errorf("resume: %w", err)
 	}

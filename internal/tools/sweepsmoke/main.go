@@ -10,8 +10,9 @@
 //     committed result.json is byte-identical to a cold in-process
 //     sim.Run of the same canonical spec.
 //
-// It also checks the aggregated table artifacts (one row per point, in
-// both JSON and CSV forms) and leaves the state directory behind when
+// It also checks that no fork checkpoint (jobs/*/checkpoint.bin)
+// outlives its point's commit, checks the aggregated table artifacts
+// (one row per point, in both JSON and CSV forms), and leaves the state directory behind when
 // -state is given, so `make sweep-smoke` can fsck it with
 // artifactcheck -servestore.
 //
@@ -25,6 +26,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -110,6 +112,11 @@ func main() {
 	requireCounter(metrics, "serve_sweep_points_forked", 8)
 	requireCounter(metrics, "serve_sweep_fork_fallbacks", 0)
 	requireCounter(metrics, "serve_sweep_warmup_failures", 0)
+
+	// Each point's fork checkpoint is dropped once its result commits.
+	if leaked, _ := filepath.Glob(filepath.Join(*state, "jobs", "*", "checkpoint.bin")); len(leaked) > 0 {
+		smoke.Fatal(fmt.Errorf("%d checkpoint.bin files left after the sweep completed: %v", len(leaked), leaked))
+	}
 
 	// Guarantee 2: forking is invisible — every point's served artifact
 	// is byte-identical to a cold end-to-end run of the same spec.
