@@ -38,7 +38,9 @@ bench: build
 
 # One-shot benchmark smoke for CI: both adaptive access paths must stay
 # allocation-free (the flat-arena engine's guarantee), and the fully
-# instrumented path must cost no more than 2x the bare one.
+# instrumented path must cost no more than 2x the bare one. The two
+# hottest per-cycle layers, a core step and a dependency-distance draw,
+# must stay allocation-free too.
 bench-smoke: build
 	$(GO) test -run '^$$' -bench 'BenchmarkAdaptiveAccess(Telemetry)?$$' -benchmem \
 		-benchtime=200000x -count=3 . | tee /tmp/nucasim-bench-smoke.txt
@@ -47,6 +49,14 @@ bench-smoke: build
 		-require BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry \
 		-assert-zero-allocs BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry \
 		-max-ratio BenchmarkAdaptiveAccessTelemetry/BenchmarkAdaptiveAccess=2.0
+	$(GO) test -run '^$$' -bench 'BenchmarkCoreStep$$' -benchmem \
+		-benchtime=200000x -count=3 ./internal/cpu/ | tee /tmp/nucasim-bench-smoke-layers.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkGeometricSource$$' -benchmem \
+		-benchtime=2000000x -count=3 ./internal/rng/ | tee -a /tmp/nucasim-bench-smoke-layers.txt
+	$(GO) run ./internal/tools/benchjson -in /tmp/nucasim-bench-smoke-layers.txt \
+		-out /tmp/nucasim-bench-smoke-layers.json \
+		-require BenchmarkCoreStep,BenchmarkGeometricSource \
+		-assert-zero-allocs BenchmarkCoreStep,BenchmarkGeometricSource
 	@echo bench-smoke ok
 
 # Smoke-test the observability pipeline end to end: a short adaptive run
@@ -94,6 +104,7 @@ golden: build
 golden-check: build
 	rm -rf /tmp/nucasim-golden /tmp/nucasim-sweepsmoke
 	rm -f /tmp/nucasim-bench-sweep.txt
+	rm -f /tmp/nucasim-bench-smoke-layers.txt /tmp/nucasim-bench-smoke-layers.json
 	$(GO) run ./internal/tools/golden -out /tmp/nucasim-golden
 	diff -u testdata/golden/epoch.csv /tmp/nucasim-golden/epoch.csv
 	diff -u testdata/golden/limits.json /tmp/nucasim-golden/limits.json
@@ -197,3 +208,4 @@ clean:
 	rm -f /tmp/nucasim-span-smoke.jsonl /tmp/nucasim-span-bench.txt /tmp/nucasim-span-bench.json
 	rm -rf /tmp/nucasim-golden /tmp/nucasim-sweepsmoke
 	rm -f /tmp/nucasim-bench-sweep.txt
+	rm -f /tmp/nucasim-bench-smoke-layers.txt /tmp/nucasim-bench-smoke-layers.json

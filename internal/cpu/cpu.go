@@ -166,6 +166,11 @@ type Core struct {
 	// its length is the MSHR occupancy.
 	mshr []uint64
 
+	// wakeAt is the earliest cycle the issue scan can find work: 0 forces
+	// a scan. Dispatch and Restore clear it; it is derived state and not
+	// part of State.
+	wakeAt uint64
+
 	nextSeq uint64
 	stats   Stats
 }
@@ -242,8 +247,11 @@ func (c *Core) commit(now uint64) {
 	}
 }
 
-// producerReady returns the cycle the producer of seq's operand completes,
-// or 0 if it has no producer / the producer is long gone.
+// producerReady returns the completion cycle of the instruction with
+// sequence number dep: 0 when there is no producer (dep == 0), notIssued
+// while the producer waits in the RUU, and its readyAt once it has issued.
+// A committed producer keeps its slot (it completed at or before now) until
+// a later dispatch reuses it.
 func (c *Core) producerReady(dep uint64) uint64 {
 	if dep == 0 {
 		return 0
@@ -251,12 +259,13 @@ func (c *Core) producerReady(dep uint64) uint64 {
 	return c.readyBySeq[dep%uint64(len(c.readyBySeq))]
 }
 
+// issue runs the issue stage. A pass that issues nothing also records in
+// wakeAt the earliest cycle at which any RUU entry could issue; until then,
+// and unless dispatch adds an entry, every pass would issue nothing and
+// leave scanAbs where it is, so the scan is skipped (DESIGN.md §5).
 func (c *Core) issue(now uint64) {
-	intALU, fpALU := c.cfg.IntALUs, c.cfg.FPALUs
-	intMul, fpMul := c.cfg.IntMuls, c.cfg.FPMuls
-	memPorts := c.cfg.MemPorts
-	issued := 0
-	// Retire completed MSHR entries.
+	// Retire completed MSHR entries. This runs every cycle, skipped scan
+	// or not, so the MSHR slice always matches a full pass.
 	keep := c.mshr[:0]
 	for _, t := range c.mshr {
 		if t > now {
@@ -264,6 +273,18 @@ func (c *Core) issue(now uint64) {
 		}
 	}
 	c.mshr = keep
+	if now < c.wakeAt {
+		return
+	}
+
+	intALU, fpALU := c.cfg.IntALUs, c.cfg.FPALUs
+	intMul, fpMul := c.cfg.IntMuls, c.cfg.FPMuls
+	memPorts := c.cfg.MemPorts
+	issued := 0
+	// wake is the earliest cycle a stuck entry could issue. An entry
+	// whose producer has not issued contributes nothing: its producer is
+	// an older unissued entry of this same scan and bounds it.
+	wake := uint64(notIssued)
 
 	start := c.scanAbs
 	if start < c.head {
@@ -284,68 +305,69 @@ func (c *Core) issue(now uint64) {
 		if e.issued {
 			continue
 		}
-		stuck := func() {
+		// at is the cycle from which a stuck entry could issue; 0 means
+		// it issues now.
+		at := max(c.producerReady(e.depA), c.producerReady(e.depB))
+		if at <= now {
+			at = 0
+			switch e.cls {
+			case workload.IntALU, workload.Branch:
+				if intALU == 0 {
+					at = now + 1
+					break
+				}
+				intALU--
+				e.readyAt = now + uint64(c.cfg.IntALULat)
+			case workload.IntMul:
+				if intMul == 0 {
+					at = now + 1
+					break
+				}
+				intMul--
+				e.readyAt = now + uint64(c.cfg.IntMulLat)
+			case workload.FPALU:
+				if fpALU == 0 {
+					at = now + 1
+					break
+				}
+				fpALU--
+				e.readyAt = now + uint64(c.cfg.FPALULat)
+			case workload.FPMul:
+				if fpMul == 0 {
+					at = now + 1
+					break
+				}
+				fpMul--
+				e.readyAt = now + uint64(c.cfg.FPMulLat)
+			case workload.Load, workload.Store:
+				if memPorts == 0 {
+					at = now + 1
+					break
+				}
+				if len(c.mshr) >= c.cfg.MSHRs {
+					at = c.firstMSHRDone()
+					break
+				}
+				memPorts--
+				if e.cls == workload.Load {
+					e.readyAt = c.port.ReadData(e.addr, now)
+					if e.readyAt > now+missThreshold {
+						c.mshr = append(c.mshr, e.readyAt)
+					}
+				} else {
+					// Write-buffer approximation: traffic charged
+					// now, completion at L1 write latency.
+					c.port.WriteData(e.addr, now)
+					e.readyAt = now + 3
+				}
+			}
+		}
+		if at != 0 {
 			if newScan == c.tail {
 				newScan = pos
 			}
-		}
-		if a := c.producerReady(e.depA); a > now {
-			stuck()
+			wake = min(wake, at)
 			continue
-		}
-		if b := c.producerReady(e.depB); b > now {
-			stuck()
-			continue
-		}
-		switch e.cls {
-		case workload.IntALU, workload.Branch:
-			if intALU == 0 {
-				stuck()
-				continue
-			}
-			intALU--
-			e.readyAt = now + uint64(c.cfg.IntALULat)
-		case workload.IntMul:
-			if intMul == 0 {
-				stuck()
-				continue
-			}
-			intMul--
-			e.readyAt = now + uint64(c.cfg.IntMulLat)
-		case workload.FPALU:
-			if fpALU == 0 {
-				stuck()
-				continue
-			}
-			fpALU--
-			e.readyAt = now + uint64(c.cfg.FPALULat)
-		case workload.FPMul:
-			if fpMul == 0 {
-				stuck()
-				continue
-			}
-			fpMul--
-			e.readyAt = now + uint64(c.cfg.FPMulLat)
-		case workload.Load:
-			if memPorts == 0 || len(c.mshr) >= c.cfg.MSHRs {
-				stuck()
-				continue
-			}
-			memPorts--
-			e.readyAt = c.port.ReadData(e.addr, now)
-			if e.readyAt > now+missThreshold {
-				c.mshr = append(c.mshr, e.readyAt)
-			}
-		case workload.Store:
-			if memPorts == 0 || len(c.mshr) >= c.cfg.MSHRs {
-				stuck()
-				continue
-			}
-			memPorts--
-			// Write-buffer approximation: traffic charged now,
-			// completion at L1 write latency.
-			c.port.WriteData(e.addr, now)
-			e.readyAt = now + 3
 		}
 		e.issued = true
 		c.readyBySeq[e.seq%uint64(len(c.readyBySeq))] = e.readyAt
@@ -358,6 +380,22 @@ func (c *Core) issue(now uint64) {
 		}
 	}
 	c.scanAbs = newScan
+	if issued > 0 {
+		// Issuing changes producer times and resources, and a width-
+		// limited pass left entries unscanned: look again next cycle.
+		wake = now + 1
+	}
+	c.wakeAt = wake
+}
+
+// firstMSHRDone returns the earliest completion among in-flight misses:
+// the cycle a full MSHR file frees a slot.
+func (c *Core) firstMSHRDone() uint64 {
+	first := uint64(notIssued)
+	for _, t := range c.mshr {
+		first = min(first, t)
+	}
+	return first
 }
 
 // missThreshold is the latency above which a load counts as an L2-or-worse
@@ -402,6 +440,7 @@ func (c *Core) dispatch(now uint64) {
 		c.readyBySeq[seq%uint64(len(c.readyBySeq))] = notIssued
 		c.ruu[c.tail%uint64(c.cfg.RUUSize)] = e
 		c.tail++
+		c.wakeAt = 0
 		if isMem {
 			c.lsqLen++
 			if ins.Class == workload.Load {

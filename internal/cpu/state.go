@@ -114,5 +114,6 @@ func (c *Core) Restore(s State) error {
 	c.mshr = append(c.mshr[:0], s.MSHR...)
 	c.nextSeq = s.NextSeq
 	c.stats = s.Stats
+	c.wakeAt = 0
 	return nil
 }

@@ -114,20 +114,81 @@ func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Geometric returns a sample from a geometric distribution with mean m
-// (number of trials until first success, minimum 1). Used for dependency
-// distances and burst lengths. Hot paths that draw with a fixed mean
-// should use a GeometricSource instead, which hoists the constant log.
-func (r *Rand) Geometric(m float64) int {
-	if m <= 1 {
-		return 1
-	}
-	return r.geometricWithDenom(math.Log(1 - 1/m))
+// GeometricSource samples a geometric distribution with a fixed mean m
+// (number of trials until first success, minimum 1) by inverse transform:
+// one 53-bit draw k gives ceil(log(1-k/2^53) / log(1-1/m)). The result is
+// a step function of k, so the source tabulates the draws at which it
+// steps and answers most draws with a table walk instead of a math.Log.
+// Every draw is identical to evaluating the formula, and each Next
+// consumes exactly one Uint64, as Float64 does.
+type GeometricSource struct {
+	r     *Rand
+	denom float64 // log(1 - 1/m)
+	unit  bool    // m <= 1: every sample is 1 and no draw is consumed
+
+	// thr[i] is the smallest draw whose sample exceeds i+1. The table
+	// stops before the last start bucket; draws past its end use the
+	// formula.
+	thr []uint64
+	// start[b] is the sample of the first draw in bucket b (the top
+	// geoBucketBits of the draw), where the table walk begins.
+	start [1 << geoBucketBits]uint16
 }
 
-func (r *Rand) geometricWithDenom(logOneMinusP float64) int {
-	// Inverse transform sampling.
-	u := r.Float64()
+const (
+	geoBucketBits = 10
+	geoDrawBits   = 53
+	geoBucketLow  = geoDrawBits - geoBucketBits
+	// geoTableEnd is the first draw of the last bucket. That bucket
+	// holds the distribution's long log-compressed tail (probability
+	// 2^-10); its draws use the formula.
+	geoTableEnd = 1<<geoDrawBits - 1<<geoBucketLow
+	// geoMaxThresholds caps the table for very large means.
+	geoMaxThresholds = 4096
+)
+
+// NewGeometricSource builds a sampler over r with mean m.
+func NewGeometricSource(r *Rand, m float64) GeometricSource {
+	if m <= 1 {
+		return GeometricSource{r: r, unit: true}
+	}
+	g := GeometricSource{r: r, denom: math.Log(1 - 1/m)}
+	g.thr = geometricThresholds(g.denom)
+	n := 1
+	for b := range g.start {
+		k := uint64(b) << geoBucketLow
+		for n <= len(g.thr) && k >= g.thr[n-1] {
+			n++
+		}
+		g.start[b] = uint16(n)
+	}
+	return g
+}
+
+// Next draws the next sample (minimum 1).
+func (g *GeometricSource) Next() int {
+	if g.unit {
+		return 1
+	}
+	return g.sample(g.r.Uint64() >> (64 - geoDrawBits))
+}
+
+// sample maps the 53-bit draw k to its geometric sample.
+func (g *GeometricSource) sample(k uint64) int {
+	n := int(g.start[k>>geoBucketLow])
+	for n <= len(g.thr) && k >= g.thr[n-1] {
+		n++
+	}
+	if n > len(g.thr) {
+		return geometricAt(k, g.denom)
+	}
+	return n
+}
+
+// geometricAt is the inverse transform of the 53-bit draw k, exactly as
+// a Float64 draw u = k/2^53 would evaluate it.
+func geometricAt(k uint64, logOneMinusP float64) int {
+	u := float64(k) / (1 << geoDrawBits)
 	if u == 0 {
 		u = math.SmallestNonzeroFloat64
 	}
@@ -138,28 +199,62 @@ func (r *Rand) geometricWithDenom(logOneMinusP float64) int {
 	return n
 }
 
-// GeometricSource samples a geometric distribution with a fixed mean,
-// precomputing the constant denominator of the inverse transform.
-type GeometricSource struct {
-	r     *Rand
-	denom float64
-	unit  bool
-}
-
-// NewGeometricSource builds a sampler over r with mean m.
-func NewGeometricSource(r *Rand, m float64) GeometricSource {
-	if m <= 1 {
-		return GeometricSource{r: r, unit: true}
+// geometricThresholds returns, for j = 1, 2, ..., the smallest draw whose
+// sample exceeds j, stopping at geoTableEnd or geoMaxThresholds. Each
+// threshold is located with geometricAt itself, so the table agrees with
+// the formula at every threshold: a closed-form first guess, a doubling
+// bracket around it, then bisection. The table walk is exact because
+// the sample is non-decreasing in k: 1-k/2^53 is exact and decreasing,
+// and math.Log, the division by a negative constant and Ceil preserve
+// order.
+func geometricThresholds(denom float64) []uint64 {
+	at := func(k uint64) int { return geometricAt(k, denom) }
+	top := at(geoTableEnd - 1)
+	thr := make([]uint64, 0, min(max(top-1, 0), geoMaxThresholds))
+	// Invariant: at(lo) <= j, and at(geoTableEnd-1) = top > j.
+	lo := uint64(0)
+	for j := 1; j < top && len(thr) < geoMaxThresholds; j++ {
+		hi := uint64(geoTableEnd - 1)
+		// The sample exceeds j once 1-u < exp(j*denom).
+		guess := uint64(-math.Expm1(float64(j)*denom)*(1<<geoDrawBits)) + 1
+		if guess > lo && guess < hi {
+			step := uint64(1)
+			if at(guess) > j {
+				hi = guess
+				for step < hi-lo {
+					c := hi - step
+					if at(c) <= j {
+						lo = c
+						break
+					}
+					hi = c
+					step *= 2
+				}
+			} else {
+				lo = guess
+				for step < hi-lo {
+					c := lo + step
+					if at(c) > j {
+						hi = c
+						break
+					}
+					lo = c
+					step *= 2
+				}
+			}
+		}
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if at(mid) > j {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		thr = append(thr, hi)
+		lo = hi - 1
 	}
-	return GeometricSource{r: r, denom: math.Log(1 - 1/m)}
-}
-
-// Next draws the next sample (minimum 1).
-func (g GeometricSource) Next() int {
-	if g.unit {
-		return 1
-	}
-	return g.r.geometricWithDenom(g.denom)
+	return thr
 }
 
 // Zipf samples from a bounded Zipf-like distribution over [0, n) with
@@ -195,22 +290,5 @@ func (r *Rand) Perm(dst []int) {
 	for i := len(dst) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		dst[i], dst[j] = dst[j], dst[i]
-	}
-}
-
-// PickN writes n distinct values drawn uniformly from [0, m) into dst[:n]
-// using a partial Fisher-Yates over a scratch slice. Panics if n > m.
-func (r *Rand) PickN(dst []int, n, m int) {
-	if n > m {
-		panic("rng: PickN with n > m")
-	}
-	scratch := make([]int, m)
-	for i := range scratch {
-		scratch[i] = i
-	}
-	for i := 0; i < n; i++ {
-		j := i + r.Intn(m-i)
-		scratch[i], scratch[j] = scratch[j], scratch[i]
-		dst[i] = scratch[i]
 	}
 }

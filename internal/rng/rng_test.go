@@ -117,27 +117,28 @@ func TestBoolEdges(t *testing.T) {
 }
 
 func TestGeometricMean(t *testing.T) {
-	r := New(9)
+	g := NewGeometricSource(New(9), 4)
 	const trials = 50000
 	sum := 0
 	for i := 0; i < trials; i++ {
-		v := r.Geometric(4)
+		v := g.Next()
 		if v < 1 {
-			t.Fatalf("Geometric returned %d < 1", v)
+			t.Fatalf("GeometricSource returned %d < 1", v)
 		}
 		sum += v
 	}
 	mean := float64(sum) / trials
 	if mean < 3.6 || mean > 4.4 {
-		t.Fatalf("Geometric(4) sample mean %.2f, want ~4", mean)
+		t.Fatalf("GeometricSource(4) sample mean %.2f, want ~4", mean)
 	}
 }
 
 func TestGeometricDegenerate(t *testing.T) {
 	r := New(9)
+	g := NewGeometricSource(r, 0.5)
 	for i := 0; i < 100; i++ {
-		if v := r.Geometric(0.5); v != 1 {
-			t.Fatalf("Geometric(m<=1) = %d, want 1", v)
+		if v := g.Next(); v != 1 {
+			t.Fatalf("GeometricSource(m<=1) = %d, want 1", v)
 		}
 	}
 }
@@ -179,36 +180,6 @@ func TestPermIsPermutation(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestPickNDistinct(t *testing.T) {
-	r := New(19)
-	f := func(nRaw, mRaw uint8) bool {
-		m := int(mRaw%40) + 1
-		n := int(nRaw) % (m + 1)
-		dst := make([]int, n)
-		r.PickN(dst, n, m)
-		seen := map[int]bool{}
-		for _, v := range dst {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPickNPanicsWhenTooMany(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PickN(n>m) should panic")
-		}
-	}()
-	New(1).PickN(make([]int, 5), 5, 3)
 }
 
 func BenchmarkUint64(b *testing.B) {
