@@ -380,15 +380,6 @@ func BenchmarkSharedAccess(b *testing.B) {
 	}
 }
 
-func BenchmarkFunctionalWarmup(b *testing.B) {
-	p, _ := workload.ByName("ammp")
-	mix := []workload.AppParams{p, p, p, p}
-	for i := 0; i < b.N; i++ {
-		m := sim.NewMachine(sim.Config{Scheme: sim.SchemeAdaptive, Seed: 1}, mix)
-		m.WarmFunctional(100_000)
-	}
-}
-
 // BenchmarkSpanStartEnd measures the enabled wall-clock span hot path:
 // one StartSpan/SetDetail/End round trip into the preallocated flight
 // recorder. The value handle and fixed ring keep this allocation-free.

@@ -203,6 +203,10 @@ func (c *Core) Stats() Stats { return c.stats }
 // timed window measures steady-state behaviour. The caller should
 // interleave cores in small chunks (shared structures see interleaved
 // streams) and reset the memory channel afterwards.
+//
+// It touches only this core's own state (generator, predictor) and its
+// port, so cores may warm concurrently when their ports keep the shared
+// last level out of the way (hierarchy.Port.Defer).
 func (c *Core) WarmFunctional(n uint64) {
 	var ins workload.Instr
 	for i := uint64(0); i < n; i++ {

@@ -14,6 +14,7 @@ package hierarchy
 
 import (
 	"fmt"
+	"math"
 
 	"nucasim/internal/cache"
 	"nucasim/internal/llc"
@@ -132,9 +133,101 @@ func (h *Hierarchy) Port(core int) *Port {
 
 // Port is one core's access path. Methods return absolute completion
 // cycles; see cpu.Port.
+//
+// A port touches only its own core's TLBs and L1/L2 caches until an
+// access leaves L2. The last-level organization never reads or
+// invalidates those upper levels, so the calls a port makes into it
+// depend on the core's own reference stream alone. That is the
+// concurrency contract functional warmup relies on: while a port defers
+// into an LLCLog (Defer), its core's accesses may run on their own
+// goroutine, concurrently with other cores' ports and with Replay of
+// earlier logs, and the organization still sees the serial call order.
 type Port struct {
 	h    *Hierarchy
 	core int
+	log  *LLCLog // non-nil while deferring
+}
+
+// Defer routes the port's last-level calls into log instead of the
+// organization, until Defer(nil). While deferring, an access that
+// reaches the LLC returns math.MaxUint64: its completion cycle is known
+// only once Hierarchy.Replay issues the call. Loads still reach the
+// load-latency histogram, through the log.
+func (p *Port) Defer(log *LLCLog) {
+	if log != nil {
+		log.core = p.core
+	}
+	p.log = log
+}
+
+// pending is the completion cycle a deferring port returns for an access
+// that reached the last level.
+const pending = math.MaxUint64
+
+// llcOp is the kind of one deferred last-level call.
+type llcOp uint8
+
+const (
+	opAccess    llcOp = iota // Access(core, addr, false, now)
+	opLoad                   // opAccess for a data load: replay observes ready-from
+	opWriteback              // WritebackFromL2(core, addr, now)
+)
+
+type llcCall struct {
+	addr memaddr.Addr
+	now  uint64
+	pen  uint32 // opLoad: TLB penalty, so the load was issued at now-pen
+	op   llcOp
+}
+
+// LLCLog is one core's deferred last-level traffic: the organization
+// calls its port made, in order, and the latencies of loads that never
+// left L2 (a histogram is a plain sum, so Replay can merge it in any
+// order). The zero value is an empty log; Replay empties it for reuse.
+type LLCLog struct {
+	core  int
+	calls []llcCall
+	hits  telemetry.Histogram
+}
+
+func (l *LLCLog) add(op llcOp, addr memaddr.Addr, now uint64) {
+	l.calls = append(l.calls, llcCall{addr: addr, now: now, op: op})
+}
+
+// observeLoad settles a data load issued at from: a load that missed in
+// L2 (done == pending, its Access the log's last) is observed by Replay.
+func (l *LLCLog) observeLoad(done, from uint64) {
+	if done != pending {
+		l.hits.Observe(done - from)
+		return
+	}
+	for i := len(l.calls) - 1; ; i-- {
+		if c := &l.calls[i]; c.op == opAccess {
+			c.op, c.pen = opLoad, uint32(c.now-from)
+			return
+		}
+	}
+}
+
+// Replay issues a log's calls into the organization in the order its
+// port made them, completes its load-latency observations, and empties
+// it for reuse. The organization sees exactly what a direct port would
+// have shown it.
+func (h *Hierarchy) Replay(l *LLCLog) {
+	for _, c := range l.calls {
+		switch c.op {
+		case opAccess:
+			h.org.Access(l.core, c.addr, false, c.now)
+		case opLoad:
+			ready, _ := h.org.Access(l.core, c.addr, false, c.now)
+			h.loadHist.Observe(ready - (c.now - uint64(c.pen)))
+		case opWriteback:
+			h.org.WritebackFromL2(l.core, c.addr, c.now)
+		}
+	}
+	h.loadHist.Merge(&l.hits)
+	l.calls = l.calls[:0]
+	l.hits.Reset()
 }
 
 // access runs the generic L1→L2→LLC path for the data or instruction
@@ -153,10 +246,24 @@ func (p *Port) access(l1, l2 *cache.Cache, l1Lat int, addr memaddr.Addr, write b
 	}
 	// L2 miss: the LLC organization resolves it (hit or memory) with
 	// latencies measured from the L3 access start.
-	ready, _ := h.org.Access(p.core, addr, false, now)
+	ready := uint64(pending)
+	if p.log != nil {
+		p.log.add(opAccess, addr, now)
+	} else {
+		ready, _ = h.org.Access(p.core, addr, false, now)
+	}
 	p.fillL2(l2, bn, now)
 	p.fillL1(l1, l2, bn, write, now)
 	return ready
+}
+
+// writeback hands a dirty victim that left L2 to the organization.
+func (p *Port) writeback(addr memaddr.Addr, now uint64) {
+	if p.log != nil {
+		p.log.add(opWriteback, addr, now)
+		return
+	}
+	p.h.org.WritebackFromL2(p.core, addr, now)
 }
 
 // fillL1 installs into L1, sinking a dirty victim into L2.
@@ -166,7 +273,7 @@ func (p *Port) fillL1(l1, l2 *cache.Cache, bn memaddr.BlockNum, write bool, now 
 		if !l2.MarkDirtyBlock(victimAddr.BlockNum()) {
 			// Victim not in L2 (evicted earlier): push it down to the
 			// LLC organization.
-			p.h.org.WritebackFromL2(p.core, victimAddr, now)
+			p.writeback(victimAddr, now)
 		}
 	}
 }
@@ -175,7 +282,7 @@ func (p *Port) fillL1(l1, l2 *cache.Cache, bn memaddr.BlockNum, write bool, now 
 func (p *Port) fillL2(l2 *cache.Cache, bn memaddr.BlockNum, now uint64) {
 	victim, victimAddr := l2.InstallBlock(bn, false, p.core)
 	if victim.Valid && victim.Dirty {
-		p.h.org.WritebackFromL2(p.core, victimAddr, now)
+		p.writeback(victimAddr, now)
 	}
 }
 
@@ -187,6 +294,10 @@ func (h *Hierarchy) SetLoadLatencyHistogram(hist *telemetry.Histogram) { h.loadH
 func (p *Port) ReadData(addr memaddr.Addr, now uint64) uint64 {
 	pen := uint64(p.h.dtlbs[p.core].Access(addr))
 	done := p.access(p.h.l1d[p.core], p.h.l2d[p.core], p.h.cfg.L1DLat, addr, false, now+pen)
+	if p.log != nil {
+		p.log.observeLoad(done, now)
+		return done
+	}
 	p.h.loadHist.Observe(done - now)
 	return done
 }

@@ -6,6 +6,8 @@ import (
 	"nucasim/internal/dram"
 	"nucasim/internal/llc"
 	"nucasim/internal/memaddr"
+	"nucasim/internal/rng"
+	"nucasim/internal/telemetry"
 )
 
 func newH(t *testing.T) (*Hierarchy, *dram.Memory) {
@@ -165,5 +167,169 @@ func TestL2MissUsesLLCLatency(t *testing.T) {
 	ready := p.ReadData(a, 100_000)
 	if ready != 100_014 {
 		t.Fatalf("LLC hit ready at %d, want 100014 (14-cycle private L3)", ready)
+	}
+}
+
+// llcCallRec is one call a recordingOrg saw.
+type llcCallRec struct {
+	writeback bool
+	core      int
+	addr      memaddr.Addr
+	write     bool
+	now       uint64
+}
+
+// recordingOrg is a last-level organization that logs every call and
+// answers with a latency derived from the address, so a reordered or
+// misattributed call changes both the log and the load histogram.
+type recordingOrg struct {
+	calls []llcCallRec
+}
+
+func (o *recordingOrg) Name() string { return "recording" }
+
+func (o *recordingOrg) Access(core int, a memaddr.Addr, write bool, now uint64) (uint64, bool) {
+	o.calls = append(o.calls, llcCallRec{core: core, addr: a, write: write, now: now})
+	return now + 14 + uint64(a.BlockNum())%300, false
+}
+
+func (o *recordingOrg) WritebackFromL2(core int, a memaddr.Addr, now uint64) {
+	o.calls = append(o.calls, llcCallRec{writeback: true, core: core, addr: a, now: now})
+}
+
+func (o *recordingOrg) CoreStats(int) llc.AccessStats { return llc.AccessStats{} }
+func (o *recordingOrg) TotalStats() llc.AccessStats   { return llc.AccessStats{} }
+func (o *recordingOrg) Reset()                        { o.calls = nil }
+
+// TestDeferredPortReplaysDirectCallSequence drives the same random
+// two-core stream through direct ports and through deferring ports whose
+// logs are replayed batch by batch: the organization must see the
+// identical (core, addr, write, now) sequence, every access that stayed
+// above the LLC must return the same cycle, and the load-latency
+// histogram must come out identical.
+func TestDeferredPortReplaysDirectCallSequence(t *testing.T) {
+	const cores = 2
+	type op struct {
+		kind int // 0 read, 1 write, 2 fetch
+		addr memaddr.Addr
+		now  uint64
+	}
+	r := rng.New(3)
+	var batches [][]op // batch i runs on core i%cores
+	now := uint64(0)
+	for b := 0; b < 400; b++ {
+		core := b % cores
+		batch := make([]op, 1+r.Intn(60))
+		for i := range batch {
+			now += uint64(r.Intn(40))
+			// 1 MB per core: four times L2D, so L2 misses and dirty L2
+			// victims are common.
+			a := memaddr.Addr(r.Uint64n(1<<20) &^ 7).WithSpace(core)
+			batch[i] = op{kind: r.Intn(3), addr: a, now: now}
+		}
+		batches = append(batches, batch)
+	}
+	run := func(p *Port, o op) uint64 {
+		switch o.kind {
+		case 0:
+			return p.ReadData(o.addr, o.now)
+		case 1:
+			return p.WriteData(o.addr, o.now)
+		}
+		return p.FetchInstr(o.addr, o.now)
+	}
+
+	directOrg := &recordingOrg{}
+	direct := New(Config{Cores: cores}, directOrg)
+	var directHist telemetry.Histogram
+	direct.SetLoadLatencyHistogram(&directHist)
+	deferredOrg := &recordingOrg{}
+	deferred := New(Config{Cores: cores}, deferredOrg)
+	var deferredHist telemetry.Histogram
+	deferred.SetLoadLatencyHistogram(&deferredHist)
+	var dPorts, fPorts [cores]*Port
+	for c := range dPorts {
+		dPorts[c], fPorts[c] = direct.Port(c), deferred.Port(c)
+	}
+
+	var log LLCLog
+	llcBound := 0
+	for b, batch := range batches {
+		core := b % cores
+		fPorts[core].Defer(&log)
+		want := make([]uint64, len(batch))
+		for i, o := range batch {
+			want[i] = run(dPorts[core], o)
+		}
+		for i, o := range batch {
+			got := run(fPorts[core], o)
+			if got == pending {
+				llcBound++
+				continue
+			}
+			if got != want[i] {
+				t.Fatalf("batch %d op %d: deferred port returned %d, direct %d", b, i, got, want[i])
+			}
+		}
+		fPorts[core].Defer(nil)
+		deferred.Replay(&log)
+		if len(log.calls) != 0 || log.hits != (telemetry.Histogram{}) {
+			t.Fatalf("batch %d: Replay left the log non-empty", b)
+		}
+	}
+	if llcBound == 0 {
+		t.Fatal("no access reached the LLC; the stream does not exercise deferral")
+	}
+	if len(deferredOrg.calls) != len(directOrg.calls) {
+		t.Fatalf("deferred replay made %d LLC calls, direct ports %d", len(deferredOrg.calls), len(directOrg.calls))
+	}
+	writebacks := 0
+	for i, c := range directOrg.calls {
+		if deferredOrg.calls[i] != c {
+			t.Fatalf("LLC call %d: deferred %+v, direct %+v", i, deferredOrg.calls[i], c)
+		}
+		if c.writeback {
+			writebacks++
+		}
+	}
+	if writebacks == 0 {
+		t.Fatal("no writeback reached the LLC; the stream does not exercise victim deferral")
+	}
+	if deferredHist != directHist {
+		t.Fatalf("load-latency histogram differs:\ndeferred %+v\ndirect   %+v", deferredHist.SnapshotView(), directHist.SnapshotView())
+	}
+	for c := 0; c < cores; c++ {
+		if deferred.Stats(c) != direct.Stats(c) {
+			t.Fatalf("core %d upper-hierarchy stats differ", c)
+		}
+	}
+}
+
+// BenchmarkPortDeferred measures a data load through a deferring port,
+// with the log replayed into a private LLC every 1024 loads and reused.
+// CI asserts 0 allocs/op: a reused log keeps its capacity.
+func BenchmarkPortDeferred(b *testing.B) {
+	mem := dram.New(dram.PrivateConfig())
+	h := New(Config{Cores: 1}, llc.NewPrivate(1, mem, llc.DefaultLatencies()))
+	h.SetLoadLatencyHistogram(new(telemetry.Histogram))
+	p := h.Port(0)
+	r := rng.New(1)
+	addrs := make([]memaddr.Addr, 4096)
+	for i := range addrs {
+		addrs[i] = addr(0, r.Uint64n(1<<21))
+	}
+	var log LLCLog
+	p.Defer(&log)
+	for i := range addrs {
+		p.ReadData(addrs[i], 0)
+	}
+	h.Replay(&log)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.ReadData(addrs[i%len(addrs)], 0)
+		if i%1024 == 1023 {
+			h.Replay(&log)
+		}
 	}
 }

@@ -31,9 +31,7 @@ const (
 	checkpointVersion = 1
 
 	// warmSegment is the functional-warmup granularity between context
-	// checks. It must stay a multiple of the 2000-instruction per-core
-	// interleave chunk inside WarmFunctional so that segmented warmup
-	// replays the exact instruction interleaving of a single call.
+	// checks.
 	warmSegment = 200_000
 
 	// measureChunk is the timed-cycle granularity between context checks.
@@ -41,6 +39,11 @@ const (
 	// change simulation state; they only bound cancellation latency.
 	measureChunk = 4096
 )
+
+// Segmented warmup replays the exact instruction interleaving of a single
+// WarmFunctional call only if every segment is whole chunks: this fails
+// to compile (constant overflows uint) otherwise.
+const _ uint = -(warmSegment % warmChunk)
 
 // Checkpoint is the complete serialized state of an interrupted run:
 // configuration, workload mix, every core (including its instruction

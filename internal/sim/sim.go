@@ -16,6 +16,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -233,6 +235,10 @@ type Machine struct {
 	Telemetry *telemetry.Telemetry // nil unless Cfg.Telemetry was set
 	Verifier  *replay.Verifier     // nil unless Cfg.ReplayVerify (adaptive)
 
+	// ports are the cores' hierarchy ports, which functional warmup
+	// switches into deferral.
+	ports []*hierarchy.Port
+
 	// spanRoot is the run's "sim.run" wall-clock span (inert unless
 	// Cfg.Telemetry.Spans was set); every phase span nests under it.
 	spanRoot telemetry.Span
@@ -348,7 +354,8 @@ func NewMachine(cfg Config, mix []workload.AppParams) *Machine {
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		gen := workload.NewGenerator(mix[i], i, r.Fork(uint64(i)+1))
-		m.Cores = append(m.Cores, cpu.New(i, cfg.CPU, gen, h.Port(i), bpred.New(bpred.Config{})))
+		m.ports = append(m.ports, h.Port(i))
+		m.Cores = append(m.Cores, cpu.New(i, cfg.CPU, gen, m.ports[i], bpred.New(bpred.Config{})))
 	}
 	return m
 }
@@ -415,21 +422,117 @@ func (m *Machine) WarmFunctional(n uint64) {
 	m.Memory.Reset()
 }
 
+// warmChunk is the per-core interleave of functional warmup: every core
+// runs this many instructions before the next core's turn, so shared
+// structures (the LLC organization, its partitioning controller) see the
+// mixed stream.
+const warmChunk = 2000
+
+// warmDepth is how many chunks a warmup worker may run ahead of replay:
+// two logs per core let a core fill its next log while the previous one
+// is replayed.
+const warmDepth = 2
+
+// llcLogs recycles warmup logs across segments and machines, so their
+// grown capacity is paid for once per process rather than per run.
+var llcLogs = sync.Pool{New: func() any { return new(hierarchy.LLCLog) }}
+
+// warmLane is one core's side of a pipelined warmup segment.
+type warmLane struct {
+	free chan *hierarchy.LLCLog // replayed logs the worker may refill
+	full chan *hierarchy.LLCLog // filled logs, in chunk order
+	// panicked is what the worker recovered before closing full.
+	panicked *workerPanic
+}
+
+// workerPanic carries a warmup worker's panic, with the worker's stack
+// (which re-raising on another goroutine would lose), to the goroutine
+// that re-raises it.
+type workerPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *workerPanic) Error() string {
+	return fmt.Sprintf("%v\n\nwarmup worker goroutine:\n%s", p.value, p.stack)
+}
+
 // warmFunctionalSegment is WarmFunctional without the trailing memory
 // reset, so RunContext can warm in cancellable segments and still replay
 // the exact operation sequence of a single WarmFunctional call (the
 // channel's congestion state must persist across segment boundaries or
 // latency statistics accumulated during warmup change).
+//
+// It runs as a pipeline. A core's functional warmup reads no LLC state
+// (see hierarchy.Port), so each core runs its chunks on its own worker
+// goroutine through a deferring port, and this goroutine replays the
+// logged LLC calls of chunk k in core order 0…N−1, exactly the order of
+// running the cores' chunks one after another. Everything on the LLC
+// side (repartitioning, telemetry, the replay verifier, invariant checks,
+// DRAM) stays on this goroutine. Workers inherit its pprof labels. A
+// worker's panic is re-raised here; every worker has exited when this
+// returns or panics.
 func (m *Machine) warmFunctionalSegment(n uint64) {
-	const chunk = 2000
-	for done := uint64(0); done < n; done += chunk {
-		step := chunk
-		if n-done < chunk {
-			step = int(n - done)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	lanes := make([]warmLane, len(m.Cores))
+	defer func() {
+		close(stop)
+		wg.Wait()
+		for i := range lanes {
+			for len(lanes[i].free) > 0 {
+				llcLogs.Put(<-lanes[i].free)
+			}
 		}
-		for _, c := range m.Cores {
-			c.WarmFunctional(uint64(step))
+	}()
+	for i := range lanes {
+		l := &lanes[i]
+		// Both channels hold every log of the lane, so a send never
+		// blocks.
+		l.free = make(chan *hierarchy.LLCLog, warmDepth)
+		l.full = make(chan *hierarchy.LLCLog, warmDepth)
+		for range warmDepth {
+			l.free <- llcLogs.Get().(*hierarchy.LLCLog)
 		}
+		wg.Add(1)
+		go warmWorker(m.Cores[i], m.ports[i], l, n, stop, &wg)
+	}
+	for done := uint64(0); done < n; done += warmChunk {
+		for i := range lanes {
+			l := &lanes[i]
+			log, ok := <-l.full
+			if !ok {
+				panic(l.panicked)
+			}
+			m.Hierarchy.Replay(log)
+			l.free <- log
+		}
+	}
+}
+
+// warmWorker runs core's n warmup instructions in warmChunk chunks, each
+// into a log taken from lane.free and handed over on lane.full, until
+// done or stop closes. It closes lane.full when it exits, after recording
+// any panic in lane.panicked.
+func warmWorker(c *cpu.Core, port *hierarchy.Port, lane *warmLane, n uint64, stop <-chan struct{}, wg *sync.WaitGroup) {
+	defer wg.Done()
+	defer close(lane.full)
+	defer func() {
+		if r := recover(); r != nil {
+			lane.panicked = &workerPanic{value: r, stack: debug.Stack()}
+		}
+	}()
+	defer port.Defer(nil)
+	for done := uint64(0); done < n; done += warmChunk {
+		var log *hierarchy.LLCLog
+		select {
+		case <-stop:
+			return
+		case log = <-lane.free:
+		}
+		port.Defer(log)
+		c.WarmFunctional(min(warmChunk, n-done))
+		lane.full <- log
 	}
 }
 

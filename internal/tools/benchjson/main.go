@@ -20,6 +20,10 @@
 // the two named benchmarks exceeds the limit — the telemetry-tax gate
 // (instrumented access path ≤ 2× bare). Measured ratios are recorded in
 // the JSON output either way.
+//
+// The GOMAXPROCS suffix of a benchmark name ("-4") is dropped, unless the
+// input holds the benchmark at several GOMAXPROCS values (a -cpu list):
+// then each value keeps its own record, named "<name>/cpu=<N>".
 package main
 
 import (
@@ -60,8 +64,11 @@ type Record struct {
 	Ratios map[string]float64 `json:"ratios,omitempty"`
 }
 
-// accum collects the per-run samples of one benchmark name.
+// accum collects the per-run samples of one benchmark name at one
+// GOMAXPROCS value.
 type accum struct {
+	name    string
+	procs   int
 	runs    int
 	iters   uint64
 	sums    map[string]float64 // unit → summed value
@@ -181,15 +188,16 @@ func parse(r io.Reader) (Record, error) {
 		if len(fields) < 3 {
 			continue
 		}
-		name := stripProcSuffix(fields[0])
+		name, procs := splitProcSuffix(fields[0])
 		iters, err := strconv.ParseUint(fields[1], 10, 64)
 		if err != nil {
 			continue // e.g. "BenchmarkX    --- FAIL"
 		}
-		a := accums[name]
+		key := fmt.Sprintf("%s\x00%d", name, procs)
+		a := accums[key]
 		if a == nil {
-			a = &accum{sums: map[string]float64{}, ordinal: len(accums)}
-			accums[name] = a
+			a = &accum{name: name, procs: procs, sums: map[string]float64{}, ordinal: len(accums)}
+			accums[key] = a
 		}
 		a.runs++
 		a.iters += iters
@@ -209,14 +217,19 @@ func parse(r io.Reader) (Record, error) {
 		return rec, err
 	}
 
-	names := make([]string, 0, len(accums))
-	for n := range accums {
-		names = append(names, n)
+	ordered := make([]*accum, 0, len(accums))
+	procsOf := map[string]int{} // name → number of GOMAXPROCS values seen
+	for _, a := range accums {
+		ordered = append(ordered, a)
+		procsOf[a.name]++
 	}
-	sort.Slice(names, func(i, j int) bool { return accums[names[i]].ordinal < accums[names[j]].ordinal })
-	for _, n := range names {
-		a := accums[n]
-		b := Benchmark{Name: n, Runs: a.runs, Iterations: a.iters}
+	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ordinal < ordered[j].ordinal })
+	for _, a := range ordered {
+		name := a.name
+		if procsOf[name] > 1 {
+			name = fmt.Sprintf("%s/cpu=%d", name, a.procs)
+		}
+		b := Benchmark{Name: name, Runs: a.runs, Iterations: a.iters}
 		for unit, sum := range a.sums {
 			mean := sum / float64(a.runs)
 			switch unit {
@@ -284,14 +297,14 @@ func checkRatio(bs []Benchmark, spec string) (key string, ratio float64, err err
 	return key, ratio, nil
 }
 
-// stripProcSuffix removes the -GOMAXPROCS suffix go test appends.
-func stripProcSuffix(name string) string {
+// splitProcSuffix splits off the -GOMAXPROCS suffix go test appends (none means 1).
+func splitProcSuffix(name string) (string, int) {
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			return name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], n
 		}
 	}
-	return name
+	return name, 1
 }
 
 // matchName matches a benchmark against a name prefix: exact, or the
