@@ -23,30 +23,35 @@ race:
 
 # Benchmark the core engine paths (the adaptive access path with and
 # without telemetry, the end-to-end Table 1 run, the wall-clock span
-# hot path enabled/disabled, and functional warmup at one and two CPUs). The text output is benchstat-compatible;
+# hot path enabled/disabled, functional warmup at one and two CPUs, and
+# the timed loop over three mixes). The text output is benchstat-compatible;
 # benchjson folds the same stream into the machine-readable
 # BENCH_core.json benchmark record, asserting the access and span paths
 # stay allocation-free and the telemetry tax stays <= 2x.
 bench: build
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmFunctional$$' -benchmem -cpu 1,2 \
 		-count=5 ./internal/sim/ | tee /tmp/nucasim-bench.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkTimedCycles$$' -benchmem \
+		-count=5 ./internal/sim/ | tee -a /tmp/nucasim-bench.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkAdaptiveAccess|BenchmarkTable1$$|BenchmarkSpanStartEnd' \
 		-benchmem -count=5 . | tee -a /tmp/nucasim-bench.txt
 	$(GO) run ./internal/tools/benchjson -in /tmp/nucasim-bench.txt -out BENCH_core.json \
-		-require BenchmarkWarmFunctional/cpu=1,BenchmarkWarmFunctional/cpu=2,BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry,BenchmarkTable1,BenchmarkSpanStartEnd,BenchmarkSpanStartEndDisabled \
-		-assert-zero-allocs BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry,BenchmarkSpanStartEnd,BenchmarkSpanStartEndDisabled \
+		-require BenchmarkWarmFunctional/cpu=1,BenchmarkWarmFunctional/cpu=2,BenchmarkTimedCycles/table1,BenchmarkTimedCycles/memory,BenchmarkTimedCycles/compute,BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry,BenchmarkTable1,BenchmarkSpanStartEnd,BenchmarkSpanStartEndDisabled \
+		-assert-zero-allocs BenchmarkTimedCycles,BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry,BenchmarkSpanStartEnd,BenchmarkSpanStartEndDisabled \
 		-max-ratio BenchmarkAdaptiveAccessTelemetry/BenchmarkAdaptiveAccess=2.0
 	@echo "bench record written to BENCH_core.json"
 
 # One-shot benchmark smoke for CI: both adaptive access paths must stay
 # allocation-free (the flat-arena engine's guarantee), and the fully
-# instrumented path must cost no more than 2x the bare one. The two
-# hottest per-cycle layers, a core step and a dependency-distance draw,
-# must stay allocation-free too, and so must a data access through a
-# deferring port (functional warmup's per-core path).
+# instrumented path must cost no more than 2x the bare one. Each run of
+# that pair lasts about 0.1 s, long enough for the mean over -count to
+# settle. The two hottest per-cycle layers, a core step and a
+# dependency-distance draw, must stay allocation-free too, and so must
+# the timed loop over each mix and a data access through a deferring
+# port (functional warmup's per-core path).
 bench-smoke: build
 	$(GO) test -run '^$$' -bench 'BenchmarkAdaptiveAccess(Telemetry)?$$' -benchmem \
-		-benchtime=200000x -count=3 . | tee /tmp/nucasim-bench-smoke.txt
+		-benchtime=5000000x -count=3 . | tee /tmp/nucasim-bench-smoke.txt
 	$(GO) run ./internal/tools/benchjson -in /tmp/nucasim-bench-smoke.txt \
 		-out /tmp/nucasim-bench-smoke.json \
 		-require BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry \
@@ -54,14 +59,16 @@ bench-smoke: build
 		-max-ratio BenchmarkAdaptiveAccessTelemetry/BenchmarkAdaptiveAccess=2.0
 	$(GO) test -run '^$$' -bench 'BenchmarkCoreStep$$' -benchmem \
 		-benchtime=200000x -count=3 ./internal/cpu/ | tee /tmp/nucasim-bench-smoke-layers.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkTimedCycles$$' -benchmem \
+		-benchtime=3x -count=3 ./internal/sim/ | tee -a /tmp/nucasim-bench-smoke-layers.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkGeometricSource$$' -benchmem \
 		-benchtime=2000000x -count=3 ./internal/rng/ | tee -a /tmp/nucasim-bench-smoke-layers.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkPortDeferred$$' -benchmem \
 		-benchtime=200000x -count=3 ./internal/hierarchy/ | tee -a /tmp/nucasim-bench-smoke-layers.txt
 	$(GO) run ./internal/tools/benchjson -in /tmp/nucasim-bench-smoke-layers.txt \
 		-out /tmp/nucasim-bench-smoke-layers.json \
-		-require BenchmarkCoreStep,BenchmarkGeometricSource,BenchmarkPortDeferred \
-		-assert-zero-allocs BenchmarkCoreStep,BenchmarkGeometricSource,BenchmarkPortDeferred
+		-require BenchmarkCoreStep,BenchmarkTimedCycles/table1,BenchmarkTimedCycles/memory,BenchmarkTimedCycles/compute,BenchmarkGeometricSource,BenchmarkPortDeferred \
+		-assert-zero-allocs BenchmarkCoreStep,BenchmarkTimedCycles,BenchmarkGeometricSource,BenchmarkPortDeferred
 	@echo bench-smoke ok
 
 # Smoke-test the observability pipeline end to end: a short adaptive run

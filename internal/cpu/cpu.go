@@ -7,9 +7,13 @@
 // overlap — the memory-level parallelism that determines how much a cache
 // miss actually costs).
 //
-// The model runs in lockstep with its siblings: the simulator calls
-// Step(now) once per core per cycle so that contention in the shared
-// last-level cache and memory channel is interleaved faithfully.
+// Step(now) advances one cycle and is exact when called for every cycle.
+// Between events most cycles only count stalls, so a driver may instead
+// jump a core to NextEvent with SkipTo and Step only there: the core's
+// state and every port call come out the same. The simulator does this
+// for each core and steps the cores due at a cycle in core order, so
+// contention in the shared last-level cache and memory channel is
+// interleaved exactly as a cycle-by-cycle loop would interleave it.
 //
 // Approximations (standard for trace-driven OoO models, documented in
 // DESIGN.md): mispredicted branches stall dispatch until the branch
@@ -117,6 +121,10 @@ func (s Stats) MispredictRate() float64 {
 
 const notIssued = math.MaxUint64
 
+// readyRing is the number of readyBySeq slots. It is a constant power of
+// two, so finding a producer's slot is a mask, not a division.
+const readyRing = 4096
+
 // ruuEntry is one in-flight instruction.
 type ruuEntry struct {
 	cls     workload.Class
@@ -137,14 +145,24 @@ type Core struct {
 	bp   *bpred.Predictor
 
 	// RUU ring buffer. head/tail are absolute instruction positions
-	// (index = pos % RUUSize); scanAbs is the issue-scan frontier:
-	// every entry before it is already issued, so the per-cycle scan
-	// skips the (often long) issued prefix.
+	// (index = pos % RUUSize). scanAbs is where a scan of the RUU for
+	// unissued entries would start: every entry before it is issued.
+	// Issue walks the waiting list instead, but keeps scanAbs exact,
+	// since it is part of State.
 	ruu     []ruuEntry
 	head    uint64
 	tail    uint64
 	scanAbs uint64
 	lsqLen  int
+	// headSlot and tailSlot are head and tail modulo RUUSize, advanced
+	// with them so the hot paths index the ring without a division.
+	// Derived state, set by Restore.
+	headSlot, tailSlot uint64
+
+	// waiting holds the positions of the unissued RUU entries in age
+	// order, so issue visits only those. Dispatch appends, issue
+	// compacts, Restore rebuilds it; it is derived state, not State.
+	waiting []uint64
 
 	fetchQ         []workload.Instr
 	fetchReady     uint64 // cycle at which the I-side can deliver again
@@ -160,7 +178,7 @@ type Core struct {
 	// readyBySeq records the completion cycle of each instruction once
 	// it issues (slots are marked pending at dispatch). Producers older
 	// than the RUU window have committed and are always ready.
-	readyBySeq []uint64
+	readyBySeq *[readyRing]uint64
 
 	// mshr holds the completion times of in-flight long-latency loads;
 	// its length is the MSHR occupancy.
@@ -186,8 +204,10 @@ func New(id int, cfg Config, gen *workload.Generator, port Port, bp *bpred.Predi
 		port:       port,
 		bp:         bp,
 		ruu:        make([]ruuEntry, cfg.RUUSize),
+		waiting:    make([]uint64, 0, cfg.RUUSize),
+		readyBySeq: new([readyRing]uint64),
 		fetchQ:     make([]workload.Instr, 0, cfg.FetchQueue),
-		readyBySeq: make([]uint64, 4096),
+		mshr:       make([]uint64, 0, cfg.MSHRs),
 		nextSeq:    1, // seq 0 means "no producer"
 	}
 }
@@ -237,9 +257,59 @@ func (c *Core) Step(now uint64) {
 	c.fetch(now)
 }
 
+// NextEvent returns the earliest cycle, not before now, at which Step
+// would do more than count stalls and retire MSHRs: the issued commit
+// head completes, the issue stage wakes, a dispatch hold lifts over a
+// non-empty fetch queue, or the I-side delivers into a queue with room.
+// It returns now when dispatch can move an entry. The answer may be
+// early, never late: every cycle before it is one SkipTo can account.
+func (c *Core) NextEvent(now uint64) uint64 {
+	next := c.wakeAt
+	if c.head < c.tail {
+		if e := &c.ruu[c.headSlot]; e.issued {
+			next = min(next, e.readyAt)
+		}
+	}
+	if len(c.fetchQ) < c.cfg.FetchQueue {
+		next = min(next, c.fetchReady)
+	}
+	if len(c.fetchQ) > 0 && !c.pendingHoldSet {
+		if now < c.dispatchHold {
+			next = min(next, c.dispatchHold)
+		} else if !c.dispatchBlocked(c.fetchQ[0].Class) {
+			return now
+		}
+	}
+	return max(next, now)
+}
+
+// SkipTo accounts for the cycles from up to (not including) to as Step
+// would, provided none of them is an event (to <= NextEvent(from)): it
+// adds their Cycles, FetchStalls and DispatchStalls in closed form and
+// retires the MSHRs that complete by to-1.
+func (c *Core) SkipTo(from, to uint64) {
+	if to <= from {
+		return
+	}
+	n := to - from
+	c.stats.Cycles += n
+	if c.fetchReady > from {
+		c.stats.FetchStalls += min(c.fetchReady, to) - from
+	}
+	// Nothing dispatches in the window, so a non-empty fetch queue
+	// stalls on every cycle: behind the hold, then behind the full RUU
+	// or LSQ. An empty one stalls only while the hold lasts.
+	if c.pendingHoldSet || len(c.fetchQ) > 0 {
+		c.stats.DispatchStalls += n
+	} else if c.dispatchHold > from {
+		c.stats.DispatchStalls += min(c.dispatchHold, to) - from
+	}
+	c.retireMSHRs(to - 1)
+}
+
 func (c *Core) commit(now uint64) {
 	for n := 0; n < c.cfg.Width && c.head < c.tail; n++ {
-		e := &c.ruu[c.head%uint64(c.cfg.RUUSize)]
+		e := &c.ruu[c.headSlot]
 		if !e.issued || e.readyAt > now {
 			return
 		}
@@ -247,6 +317,7 @@ func (c *Core) commit(now uint64) {
 			c.lsqLen--
 		}
 		c.head++
+		c.headSlot = c.nextSlot(c.headSlot)
 		c.stats.Instructions++
 	}
 }
@@ -263,13 +334,8 @@ func (c *Core) producerReady(dep uint64) uint64 {
 	return c.readyBySeq[dep%uint64(len(c.readyBySeq))]
 }
 
-// issue runs the issue stage. A pass that issues nothing also records in
-// wakeAt the earliest cycle at which any RUU entry could issue; until then,
-// and unless dispatch adds an entry, every pass would issue nothing and
-// leave scanAbs where it is, so the scan is skipped (DESIGN.md §5).
-func (c *Core) issue(now uint64) {
-	// Retire completed MSHR entries. This runs every cycle, skipped scan
-	// or not, so the MSHR slice always matches a full pass.
+// retireMSHRs drops the misses that complete by cycle now.
+func (c *Core) retireMSHRs(now uint64) {
 	keep := c.mshr[:0]
 	for _, t := range c.mshr {
 		if t > now {
@@ -277,6 +343,18 @@ func (c *Core) issue(now uint64) {
 		}
 	}
 	c.mshr = keep
+}
+
+// issue runs the issue stage over the waiting list: the unissued entries
+// oldest first, which is the order a scan of the RUU from scanAbs would
+// meet them in. A pass that issues nothing also records in wakeAt the
+// earliest cycle at which any entry could issue; until then, and unless
+// dispatch adds an entry, every pass would issue nothing and leave
+// scanAbs where it is, so the pass is skipped (DESIGN.md §5).
+func (c *Core) issue(now uint64) {
+	// Retire completed MSHR entries. This runs every cycle, skipped pass
+	// or not, so the MSHR slice always matches a full pass.
+	c.retireMSHRs(now)
 	if now < c.wakeAt {
 		return
 	}
@@ -287,28 +365,25 @@ func (c *Core) issue(now uint64) {
 	issued := 0
 	// wake is the earliest cycle a stuck entry could issue. An entry
 	// whose producer has not issued contributes nothing: its producer is
-	// an older unissued entry of this same scan and bounds it.
+	// an older unissued entry of this same pass and bounds it.
 	wake := uint64(notIssued)
 
-	start := c.scanAbs
-	if start < c.head {
-		start = c.head
-	}
-	// newScan becomes the first position that is (or may be) unissued
-	// after this cycle's pass.
+	// newScan becomes the scan frontier after this pass: the first stuck
+	// position, else the one after the Width-th issue, else tail.
 	newScan := c.tail
+	// Every waiting position lies in [head, head+size), so its slot is
+	// an offset from the head's slot, wrapped once.
 	size := uint64(c.cfg.RUUSize)
-	for pos := start; pos < c.tail; pos++ {
-		if issued == c.cfg.Width {
-			if pos < newScan {
-				newScan = pos
-			}
-			break
+	w := c.waiting
+	kept := 0
+	i := 0
+	for ; i < len(w) && issued < c.cfg.Width; i++ {
+		pos := w[i]
+		slot := c.headSlot + (pos - c.head)
+		if slot >= size {
+			slot -= size
 		}
-		e := &c.ruu[pos%size]
-		if e.issued {
-			continue
-		}
+		e := &c.ruu[slot]
 		// at is the cycle from which a stuck entry could issue; 0 means
 		// it issues now.
 		at := max(c.producerReady(e.depA), c.producerReady(e.depB))
@@ -367,15 +442,20 @@ func (c *Core) issue(now uint64) {
 			}
 		}
 		if at != 0 {
-			if newScan == c.tail {
+			if kept == 0 {
 				newScan = pos
 			}
+			w[kept] = pos
+			kept++
 			wake = min(wake, at)
 			continue
 		}
 		e.issued = true
 		c.readyBySeq[e.seq%uint64(len(c.readyBySeq))] = e.readyAt
 		issued++
+		if issued == c.cfg.Width && kept == 0 && pos+1 < c.tail {
+			newScan = pos + 1
+		}
 		// A resolving mispredicted branch releases dispatch after the
 		// refill penalty.
 		if c.pendingHoldSet && e.seq == c.pendingHoldSeq {
@@ -383,10 +463,13 @@ func (c *Core) issue(now uint64) {
 			c.pendingHoldSet = false
 		}
 	}
+	if kept < i {
+		c.waiting = w[:kept+copy(w[kept:], w[i:])]
+	}
 	c.scanAbs = newScan
 	if issued > 0 {
 		// Issuing changes producer times and resources, and a width-
-		// limited pass left entries unscanned: look again next cycle.
+		// limited pass left entries unvisited: look again next cycle.
 		wake = now + 1
 	}
 	c.wakeAt = wake
@@ -406,23 +489,40 @@ func (c *Core) firstMSHRDone() uint64 {
 // miss and occupies an MSHR (Table 1: L2 hits complete within 9 cycles).
 const missThreshold = 12
 
+// nextSlot returns the RUU slot after slot.
+func (c *Core) nextSlot(slot uint64) uint64 {
+	if slot++; slot == uint64(c.cfg.RUUSize) {
+		return 0
+	}
+	return slot
+}
+
+// dispatchBlocked reports whether an instruction of class cls, the
+// oldest fetched, cannot enter the machine for want of an RUU or LSQ
+// slot.
+func (c *Core) dispatchBlocked(cls workload.Class) bool {
+	if c.tail-c.head == uint64(c.cfg.RUUSize) {
+		return true
+	}
+	return (cls == workload.Load || cls == workload.Store) && c.lsqLen == c.cfg.LSQSize
+}
+
 func (c *Core) dispatch(now uint64) {
 	if now < c.dispatchHold || c.pendingHoldSet {
 		c.stats.DispatchStalls++
 		return
 	}
-	for n := 0; n < c.cfg.Width && len(c.fetchQ) > 0; n++ {
-		if c.tail-c.head == uint64(c.cfg.RUUSize) {
+	// n counts the fetched instructions taken; the queue drops them in
+	// one move after the loop.
+	n := 0
+	for n < c.cfg.Width && n < len(c.fetchQ) {
+		ins := &c.fetchQ[n]
+		if c.dispatchBlocked(ins.Class) {
 			c.stats.DispatchStalls++
-			return
+			break
 		}
-		ins := c.fetchQ[0]
+		n++
 		isMem := ins.Class == workload.Load || ins.Class == workload.Store
-		if isMem && c.lsqLen == c.cfg.LSQSize {
-			c.stats.DispatchStalls++
-			return
-		}
-		c.fetchQ = c.fetchQ[:copy(c.fetchQ, c.fetchQ[1:])]
 		seq := c.nextSeq
 		c.nextSeq++
 		e := ruuEntry{
@@ -442,8 +542,10 @@ func (c *Core) dispatch(now uint64) {
 		// Mark the slot in readyBySeq as pending so dependents never
 		// see a stale completion from a previous lap of the ring.
 		c.readyBySeq[seq%uint64(len(c.readyBySeq))] = notIssued
-		c.ruu[c.tail%uint64(c.cfg.RUUSize)] = e
+		c.ruu[c.tailSlot] = e
+		c.waiting = append(c.waiting, c.tail)
 		c.tail++
+		c.tailSlot = c.nextSlot(c.tailSlot)
 		c.wakeAt = 0
 		if isMem {
 			c.lsqLen++
@@ -461,9 +563,12 @@ func (c *Core) dispatch(now uint64) {
 				// the pipeline plus the refill penalty.
 				c.pendingHoldSeq = seq
 				c.pendingHoldSet = true
-				return
+				break
 			}
 		}
+	}
+	if n > 0 {
+		c.fetchQ = c.fetchQ[:copy(c.fetchQ, c.fetchQ[n:])]
 	}
 }
 

@@ -61,7 +61,7 @@ func (c *Core) Snapshot() State {
 		DispatchHold:   c.dispatchHold,
 		PendingHoldSeq: c.pendingHoldSeq,
 		PendingHoldSet: c.pendingHoldSet,
-		ReadyBySeq:     append([]uint64(nil), c.readyBySeq...),
+		ReadyBySeq:     append([]uint64(nil), c.readyBySeq[:]...),
 		MSHR:           append([]uint64(nil), c.mshr...),
 		NextSeq:        c.nextSeq,
 		Stats:          c.stats,
@@ -88,6 +88,18 @@ func (c *Core) Restore(s State) error {
 	if len(s.FetchQ) > c.cfg.FetchQueue {
 		return fmt.Errorf("cpu: state fetch queue holds %d > %d entries", len(s.FetchQ), c.cfg.FetchQueue)
 	}
+	if s.Head > s.Tail || s.Tail-s.Head > uint64(len(c.ruu)) {
+		return fmt.Errorf("cpu: state RUU window [%d, %d) does not fit %d slots", s.Head, s.Tail, len(c.ruu))
+	}
+	if s.ScanAbs > s.Tail {
+		return fmt.Errorf("cpu: state scan frontier %d is past the RUU tail %d", s.ScanAbs, s.Tail)
+	}
+	if s.LSQLen < 0 || s.LSQLen > c.cfg.LSQSize {
+		return fmt.Errorf("cpu: state LSQ holds %d entries, outside [0, %d]", s.LSQLen, c.cfg.LSQSize)
+	}
+	if len(s.MSHR) > c.cfg.MSHRs {
+		return fmt.Errorf("cpu: state holds %d > %d outstanding misses", len(s.MSHR), c.cfg.MSHRs)
+	}
 	if err := c.gen.Restore(s.Gen); err != nil {
 		return err
 	}
@@ -102,6 +114,8 @@ func (c *Core) Restore(s State) error {
 	}
 	c.head = s.Head
 	c.tail = s.Tail
+	c.headSlot = s.Head % uint64(len(c.ruu))
+	c.tailSlot = s.Tail % uint64(len(c.ruu))
 	c.scanAbs = s.ScanAbs
 	c.lsqLen = s.LSQLen
 	c.fetchQ = append(c.fetchQ[:0], s.FetchQ...)
@@ -110,10 +124,16 @@ func (c *Core) Restore(s State) error {
 	c.dispatchHold = s.DispatchHold
 	c.pendingHoldSeq = s.PendingHoldSeq
 	c.pendingHoldSet = s.PendingHoldSet
-	copy(c.readyBySeq, s.ReadyBySeq)
+	copy(c.readyBySeq[:], s.ReadyBySeq)
 	c.mshr = append(c.mshr[:0], s.MSHR...)
 	c.nextSeq = s.NextSeq
 	c.stats = s.Stats
 	c.wakeAt = 0
+	c.waiting = c.waiting[:0]
+	for pos := max(s.ScanAbs, s.Head); pos < s.Tail; pos++ {
+		if !c.ruu[pos%uint64(len(c.ruu))].issued {
+			c.waiting = append(c.waiting, pos)
+		}
+	}
 	return nil
 }

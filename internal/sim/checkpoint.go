@@ -35,7 +35,8 @@ const (
 	warmSegment = 200_000
 
 	// measureChunk is the timed-cycle granularity between context checks.
-	// Machine.Run is a plain cycle loop, so chunk boundaries cannot
+	// Machine.Run catches every core up to the end of its call and its
+	// result equals a cycle-by-cycle loop's, so chunk boundaries cannot
 	// change simulation state; they only bound cancellation latency.
 	measureChunk = 4096
 )

@@ -3,7 +3,12 @@
 // hierarchies (internal/hierarchy), one of the last-level cache
 // organizations the paper compares (private, shared, 4× private,
 // cooperative "random replacement", or the adaptive scheme), and the
-// shared memory channel, then runs them in cycle lockstep.
+// shared memory channel, then runs them on one simulated clock. Each core
+// jumps to its next event (cpu.Core.NextEvent) and the cores due at a
+// cycle step in core order, which is exactly what stepping every core on
+// every cycle would do: cores meet only through port calls, which happen
+// at events, and nothing below the ports ticks per cycle. Core Stats and
+// State are exact between Machine.Run calls, not inside one.
 //
 // A run consists of a warmup phase (caches and predictors fill; the paper
 // fast-forwards 0.5-1.5 G instructions) followed by a measurement window
@@ -16,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -244,6 +250,9 @@ type Machine struct {
 	spanRoot telemetry.Span
 
 	now uint64
+	// at[i] is the cycle up to which Run has advanced core i, and due[i]
+	// that core's next event. Both live here so Run allocates nothing.
+	at, due []uint64
 }
 
 // startSpan opens a phase span under the run's root. Inert (one branch,
@@ -309,7 +318,8 @@ func NewMachine(cfg Config, mix []workload.AppParams) *Machine {
 	}
 	h := hierarchy.New(hcfg, org)
 
-	m := &Machine{Cfg: cfg, Hierarchy: h, Memory: mem, Org: org, Adaptive: adaptive}
+	m := &Machine{Cfg: cfg, Hierarchy: h, Memory: mem, Org: org, Adaptive: adaptive,
+		at: make([]uint64, cfg.Cores), due: make([]uint64, cfg.Cores)}
 	tcfg := cfg.Telemetry
 	if cfg.ReplayVerify && adaptive != nil {
 		// Self-verify needs a lossless trace feeding the replay state
@@ -383,14 +393,38 @@ var cyclesSimulated atomic.Uint64
 // cycles executed so far.
 func CyclesSimulated() uint64 { return cyclesSimulated.Load() }
 
-// Run advances all cores in lockstep for the given number of cycles.
+// Run advances the machine by the given number of cycles. Each pass finds
+// the earliest next event over the cores and steps, in core order, only
+// the cores due then; the cycles a core sleeps through are accounted in
+// closed form (cpu.Core.SkipTo). Every core is caught up to the end
+// before Run returns, so the machine is exact wherever a caller can
+// observe it, and the result is that of stepping every core on every
+// cycle.
 func (m *Machine) Run(cycles uint64) {
 	end := m.now + cycles
-	for ; m.now < end; m.now++ {
-		for _, c := range m.Cores {
-			c.Step(m.now)
-		}
+	t := uint64(math.MaxUint64)
+	for i, c := range m.Cores {
+		m.at[i] = m.now
+		m.due[i] = c.NextEvent(m.now)
+		t = min(t, m.due[i])
 	}
+	for t < end {
+		next := uint64(math.MaxUint64)
+		for i, c := range m.Cores {
+			if m.due[i] == t {
+				c.SkipTo(m.at[i], t)
+				c.Step(t)
+				m.at[i] = t + 1
+				m.due[i] = c.NextEvent(t + 1)
+			}
+			next = min(next, m.due[i])
+		}
+		t = next
+	}
+	for i, c := range m.Cores {
+		c.SkipTo(m.at[i], end)
+	}
+	m.now = end
 	cyclesSimulated.Add(cycles)
 }
 

@@ -27,8 +27,9 @@ func warmSerialReference(m *Machine, n uint64) {
 	}
 }
 
-// warmOutcome is everything functional warmup can change.
-type warmOutcome struct {
+// machineOutcome is everything functional warmup or timed cycles can
+// change.
+type machineOutcome struct {
 	hier       []hierarchy.Stats
 	llcCores   []llc.AccessStats
 	llcTotal   llc.AccessStats
@@ -49,18 +50,31 @@ func warmOracleMix(t *testing.T, cores int) []workload.AppParams {
 
 // warmOnce builds a machine for cfg, warms it by n instructions per core
 // with warm, and captures the outcome.
-func warmOnce(t *testing.T, cfg Config, n uint64, warm func(*Machine, uint64)) warmOutcome {
+func warmOnce(t *testing.T, cfg Config, n uint64, warm func(*Machine, uint64)) machineOutcome {
 	t.Helper()
 	var trace bytes.Buffer
+	mix := warmOracleMix(t, cfg.Cores)
+	m := newTracedMachine(cfg, mix, &trace)
+	warm(m, n)
+	return captureOutcome(t, m, mix, &trace)
+}
+
+// newTracedMachine builds a machine for cfg whose event trace, when
+// telemetry is on, goes to trace.
+func newTracedMachine(cfg Config, mix []workload.AppParams, trace *bytes.Buffer) *Machine {
 	if cfg.Telemetry != nil {
 		tc := *cfg.Telemetry
-		tc.TraceWriter = &trace
+		tc.TraceWriter = trace
 		cfg.Telemetry = &tc
 	}
-	mix := warmOracleMix(t, cfg.Cores)
-	m := NewMachine(cfg, mix)
-	warm(m, n)
-	var o warmOutcome
+	return NewMachine(cfg, mix)
+}
+
+// captureOutcome captures m's outcome; trace is the buffer its event
+// trace streams to, which the capture drains.
+func captureOutcome(t *testing.T, m *Machine, mix []workload.AppParams, trace *bytes.Buffer) machineOutcome {
+	t.Helper()
+	var o machineOutcome
 	for i, c := range m.Cores {
 		o.hier = append(o.hier, m.Hierarchy.Stats(i))
 		o.llcCores = append(o.llcCores, m.Org.CoreStats(i))
@@ -83,7 +97,8 @@ func warmOnce(t *testing.T, cfg Config, n uint64, warm func(*Machine, uint64)) w
 	}
 	if m.Telemetry != nil {
 		m.Telemetry.Trace.Flush()
-		o.trace = trace.Bytes()
+		o.trace = bytes.Clone(trace.Bytes())
+		trace.Reset()
 	}
 	if m.Verifier != nil {
 		o.verified, o.verifyErr = m.Verifier.EpochsVerified(), m.Verifier.Err()
@@ -91,7 +106,7 @@ func warmOnce(t *testing.T, cfg Config, n uint64, warm func(*Machine, uint64)) w
 	return o
 }
 
-func compareWarmOutcomes(t *testing.T, got, want warmOutcome) {
+func compareOutcomes(t *testing.T, got, want machineOutcome) {
 	t.Helper()
 	for _, f := range []struct {
 		name      string
@@ -108,7 +123,7 @@ func compareWarmOutcomes(t *testing.T, got, want warmOutcome) {
 		{"verifier error", got.verifyErr, want.verifyErr},
 	} {
 		if !reflect.DeepEqual(f.got, f.want) {
-			t.Fatalf("%s differ:\npipelined %+v\nserial    %+v", f.name, f.got, f.want)
+			t.Fatalf("%s differ:\n got %+v\nwant %+v", f.name, f.got, f.want)
 		}
 	}
 	if !bytes.Equal(got.trace, want.trace) {
@@ -151,7 +166,7 @@ func TestWarmPipelineMatchesSerial(t *testing.T) {
 						t.Run(name, func(t *testing.T) {
 							want := warmOnce(t, cfg, n, warmSerialReference)
 							got := warmOnce(t, cfg, n, (*Machine).warmFunctionalSegment)
-							compareWarmOutcomes(t, got, want)
+							compareOutcomes(t, got, want)
 						})
 					}
 				}
@@ -170,7 +185,7 @@ func TestWarmPipelineMatchesSerialReplayVerify(t *testing.T) {
 	n := warmOracleLong()
 	want := warmOnce(t, cfg, n, warmSerialReference)
 	got := warmOnce(t, cfg, n, (*Machine).warmFunctionalSegment)
-	compareWarmOutcomes(t, got, want)
+	compareOutcomes(t, got, want)
 	if got.verifyErr != nil || got.verified == 0 {
 		t.Fatalf("verifier checked %d epochs, error %v; want some and none", got.verified, got.verifyErr)
 	}
