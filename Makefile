@@ -219,5 +219,7 @@ clean:
 	rm -f /tmp/nucasim-spans.json /tmp/nucasim-span-smoke.txt /tmp/nucasim-span-smoke.csv
 	rm -f /tmp/nucasim-span-smoke.jsonl /tmp/nucasim-span-bench.txt /tmp/nucasim-span-bench.json
 	rm -rf /tmp/nucasim-golden /tmp/nucasim-sweepsmoke
-	rm -f /tmp/nucasim-bench-sweep.txt
+	rm -f /tmp/nucasim-bench.txt /tmp/nucasim-bench-serve.txt /tmp/nucasim-bench-sweep.txt
+	rm -f /tmp/nucasim-bench-smoke.txt /tmp/nucasim-bench-smoke.json
 	rm -f /tmp/nucasim-bench-smoke-layers.txt /tmp/nucasim-bench-smoke-layers.json
+	rm -f /tmp/nucasim-invariants.txt /tmp/nucaserve

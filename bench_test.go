@@ -380,11 +380,16 @@ func BenchmarkSharedAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkSpanStartEnd measures the enabled wall-clock span hot path:
-// one StartSpan/SetDetail/End round trip into the preallocated flight
-// recorder. The value handle and fixed ring keep this allocation-free.
+// BenchmarkSpanStartEnd measures the enabled wall-clock span hot path
+// in its steady state: one StartSpan/SetDetail/End round trip into a
+// flight recorder already filled to capacity, so each End overwrites the
+// oldest record. The value handle and the full ring keep this
+// allocation-free.
 func BenchmarkSpanStartEnd(b *testing.B) {
 	rec := telemetry.NewSpanRecorder(telemetry.SpanConfig{})
+	for rec.Len() < telemetry.DefaultSpanCapacity {
+		rec.StartSpan("bench.fill", 0).End()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,8 +8,10 @@
 //	nucaserve -state /var/lib/nucaserve -addr :8080
 //
 // Endpoints: POST /v1/jobs, GET /v1/jobs/{id}, GET /v1/jobs/{id}/events
-// (NDJSON), GET /v1/jobs/{id}/result[?artifact=epochs],
-// GET /v1/jobs/{id}/spans (Perfetto-loadable wall-clock span trace),
+// (NDJSON; live epochs while the job runs, the final status once it is
+// done), GET /v1/jobs/{id}/result[?artifact=epochs],
+// GET /v1/jobs/{id}/spans (Perfetto-loadable wall-clock span trace; a
+// done job's is its committed spans.json),
 // DELETE /v1/jobs/{id}, POST /v1/sweeps (parameter sweeps: the grid
 // expands server-side, points dedupe against the result cache, and
 // points sharing a warmup hash fork one warmup checkpoint),

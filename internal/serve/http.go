@@ -20,11 +20,12 @@ const maxRequestBody = 1 << 20
 //	POST   /v1/jobs             submit a job (202 queued, 200 cached/duplicate,
 //	                            400 invalid, 429 queue full, 503 draining)
 //	GET    /v1/jobs/{id}        status + queue position
-//	GET    /v1/jobs/{id}/events NDJSON stream of status/progress/epoch events
+//	GET    /v1/jobs/{id}/events NDJSON stream of status/progress/epoch events;
+//	                            a done job sends its final status only
 //	GET    /v1/jobs/{id}/result cached result.json (?artifact=epochs → epoch.csv)
-//	GET    /v1/jobs/{id}/spans  wall-clock span trace (Perfetto-loadable JSON);
-//	                            the committed artifact when the job is done, a
-//	                            live render of completed spans otherwise
+//	GET    /v1/jobs/{id}/spans  wall-clock span trace (Perfetto-loadable JSON):
+//	                            a live render until the job is done, then
+//	                            spans.json (404 when that artifact is absent)
 //	DELETE /v1/jobs/{id}        cancel (queued or running)
 //	POST   /v1/sweeps           submit a parameter sweep (202 accepted,
 //	                            200 cached/duplicate, 400 malformed spec or
@@ -188,22 +189,30 @@ func failCorrupt(w http.ResponseWriter, err error, downgrade func(reason string)
 	writeError(w, http.StatusGone, corrupt.Error())
 }
 
-// handleSpans serves the job's wall-clock span trace: the committed
-// spans.json artifact when one exists, otherwise a live render of every
-// span completed so far (queued, running, and failed jobs included —
-// flight-recorder semantics).
+// handleSpans serves the job's wall-clock span trace: a render of every
+// span completed so far while the job holds its recorder (queued,
+// running, failed and canceled jobs — flight-recorder semantics), and
+// the committed spans.json artifact once it is done.
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job")
 		return
 	}
+	j.mu.Lock()
+	rec := j.spans
+	j.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
-	if data, err := os.ReadFile(s.store.spansPath(j.ID)); err == nil {
-		w.Write(data)
+	if rec != nil {
+		rec.WriteTrace(w)
 		return
 	}
-	j.spans.WriteTrace(w)
+	data, err := os.ReadFile(s.store.spansPath(j.ID))
+	if err != nil {
+		writeError(w, http.StatusNotFound, "no span trace for this job")
+		return
+	}
+	w.Write(data)
 }
 
 // event is one NDJSON line on the /events stream. Exactly one of the
@@ -218,19 +227,24 @@ type event struct {
 
 // handleEvents streams the job's lifecycle as NDJSON until it reaches a
 // terminal state or the client disconnects. Epoch samples are drained
-// incrementally from the job's ring via Since(lastEval); status lines
-// are re-sent whenever state or progress changes.
+// incrementally via Since(lastEval) from the ring the job held when the
+// stream attached, so a stream attached before completion sees every
+// epoch; a done job holds none (its epochs are /result?artifact=epochs).
+// Status lines are re-sent whenever state or progress changes.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job")
 		return
 	}
+	j.mu.Lock()
+	ring := j.epochs
+	j.mu.Unlock()
 	var lastEval uint64
 	var lastStatus string
 	streamNDJSON(w, r, time.Second, func(enc *json.Encoder) (<-chan struct{}, bool, error) {
 		j.mu.Lock()
-		epochs := j.epochs.Since(lastEval)
+		epochs := ring.Since(lastEval)
 		wait := j.wait
 		terminal := j.state.terminal()
 		j.mu.Unlock()

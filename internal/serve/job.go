@@ -113,11 +113,13 @@ type Job struct {
 	// measures from here to the moment a worker picks the job up.
 	enqueued time.Time
 
-	// spans is the job's own wall-clock flight recorder; root covers the
+	// spans is the job's wall-clock flight recorder; root covers the
 	// whole lifecycle ("job") and queueWait the time spent in the FIFO.
 	// The worker nests serve.run / serve.encode / serve.cache_commit and
-	// every simulation phase beneath root; the finished tree is published
-	// as the spans.json artifact and served by GET /v1/jobs/{id}/spans.
+	// every simulation phase beneath root, publishes the finished tree as
+	// the spans.json artifact, and clears all three under mu as the job
+	// turns done; a cache-loaded job never has them. Handlers read spans
+	// under mu.
 	spans     *telemetry.SpanRecorder
 	root      telemetry.Span
 	queueWait telemetry.Span
@@ -135,7 +137,8 @@ type Job struct {
 	resumed  bool   // continued from a checkpoint in the store (restart resume or fork)
 	forked   bool   // that checkpoint is its sweep group's shared warmup
 	progress telemetry.Progress
-	epochs   *telemetry.Ring // samples observed live via the OnEpoch hook
+	epochs   *telemetry.Ring // live OnEpoch samples; nil once done (see epoch.csv)
+	nEpochs  int             // samples observed via the OnEpoch hook
 	wait     chan struct{}   // closed+replaced on every update (broadcast)
 
 	// subscribers observe the job reaching a resolved state — done,
@@ -162,14 +165,6 @@ func newJob(id string, cfg sim.Config, mix []workload.AppParams) *Job {
 	j.root = j.spans.StartSpan("job", 0)
 	j.queueWait = j.spans.StartSpan("queue.wait", j.root.ID())
 	return j
-}
-
-// endSpans closes the lifecycle spans for jobs that never reach a worker
-// (cache hits, queue-time cancellations); the worker path ends them
-// itself at the right phase boundaries.
-func (j *Job) endSpans() {
-	j.queueWait.End()
-	j.root.End()
 }
 
 // bumpLocked wakes every streamer blocked on the job. Callers hold mu.
@@ -221,6 +216,7 @@ func (j *Job) notifyLocked() {
 func (j *Job) onEpoch(s telemetry.EpochSample) {
 	j.mu.Lock()
 	j.epochs.Append(s)
+	j.nEpochs++
 	j.bumpLocked()
 	j.mu.Unlock()
 }
@@ -247,13 +243,17 @@ func (j *Job) wireTelemetry(c *telemetry.Config, parent telemetry.SpanID) {
 	c.SampleRuntime = true
 }
 
-// setState transitions the job and wakes streamers.
+// setState transitions the job and wakes streamers. A job turning done
+// has committed its artifacts, so it drops its recorder and epoch ring.
 func (j *Job) setState(s JobState, errMsg string) {
 	j.mu.Lock()
 	j.state = s
 	j.err = errMsg
 	if s.terminal() {
 		j.cancel = nil
+	}
+	if s == StateDone {
+		j.spans, j.root, j.queueWait, j.epochs = nil, telemetry.Span{}, telemetry.Span{}, nil
 	}
 	j.bumpLocked()
 	j.notifyLocked()
@@ -286,7 +286,7 @@ type Status struct {
 	// an undecodable checkpoint that was deleted).
 	Retries    int                `json:"retries,omitempty"`
 	Progress   telemetry.Progress `json:"progress,omitempty"`
-	EpochsSeen int                `json:"epochs_seen"` // live epoch samples observed so far
+	EpochsSeen int                `json:"epochs_seen"` // epoch samples observed live by this process
 	Scheme     string             `json:"scheme"`
 	Apps       []string           `json:"apps"`
 }
@@ -308,7 +308,7 @@ func (j *Job) status(queuePos int) Status {
 		Stack:              j.stack,
 		Retries:            j.retries,
 		Progress:           j.progress,
-		EpochsSeen:         j.epochs.Len(),
+		EpochsSeen:         j.nEpochs,
 		Scheme:             string(j.cfg.Scheme),
 	}
 	for _, p := range j.mix {

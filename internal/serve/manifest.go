@@ -19,7 +19,8 @@ import (
 //
 // A job's spans.json and checkpoint.bin are deliberately not covered:
 // spans.json is a best-effort wall-clock observation written after the
-// commit, and checkpoint.bin is transient state whose own gob decode is
+// commit (a done job without one answers /spans with 404, never with a
+// render of a recorder it no longer holds), and checkpoint.bin is transient state whose own gob decode is
 // its integrity check (a checkpoint that fails to decode is deleted and
 // the job reruns from scratch).
 type manifest struct {

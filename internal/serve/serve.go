@@ -123,19 +123,6 @@ func New(opts Options) (*Server, error) {
 	store.onQuarantine = func(hash, reason string) {
 		s.metrics.inc("serve.cache_quarantined")
 		log.Printf("serve: quarantined cache entry %s: %s", hash, reason)
-		// When the entry belongs to a known job, stamp the quarantine on
-		// its wall-clock flight recorder too (GET /v1/jobs/{id}/spans),
-		// so the trace shows why a "done" job suddenly reran. Async:
-		// quarantine can fire under s.mu (e.g. the HasResult probe in
-		// Submit), and s.Job needs that same lock.
-		go func() {
-			if j, ok := s.Job(hash); ok {
-				j.spans.Event("cache.quarantined", j.root.ID())
-				j.mu.Lock()
-				j.bumpLocked() // wake /events watchers: state is about to change
-				j.mu.Unlock()
-			}
-		}()
 	}
 	if err := s.recover(); err != nil {
 		return nil, err
@@ -258,10 +245,9 @@ func (s *Server) existingLocked(hash string, cfg sim.Config, mix []workload.AppP
 	if !s.store.HasResult(hash) {
 		return nil, false
 	}
-	j = newJob(hash, cfg, mix)
-	j.state = StateDone
-	j.cached = true
-	j.endSpans() // never queued or run; the lifecycle spans are empty
+	// Answered from the store: every artifact, span trace included, is on
+	// disk, so the record carries no recorder and no epoch ring.
+	j = &Job{ID: hash, cfg: cfg, mix: mix, state: StateDone, cached: true, wait: make(chan struct{})}
 	s.jobs[hash] = j
 	return j, true
 }
@@ -344,7 +330,8 @@ func (s *Server) Cancel(id string) (Status, bool) {
 		}
 		j.state = StateCanceled
 		j.cancelRequested = true
-		j.endSpans()
+		j.queueWait.End()
+		j.root.End()
 		j.bumpLocked()
 		j.notifyLocked()
 		s.metrics.inc("serve.jobs_canceled")
@@ -504,8 +491,7 @@ func (s *Server) runJob(j *Job) {
 	}
 	defer cancel()
 	j.mu.Lock()
-	if j.state != StateQueued { // canceled between dequeue and here
-		j.endSpans()
+	if j.state != StateQueued { // canceled between dequeue and here; Cancel ended the spans
 		j.mu.Unlock()
 		return
 	}
@@ -560,10 +546,10 @@ func (s *Server) runJob(j *Job) {
 			return
 		}
 		// Close the lifecycle and publish the span tree next to the other
-		// artifacts before announcing Done, so a client that sees the
-		// terminal state can count on spans.json existing. Best-effort: the
-		// result is already committed, and GET /v1/jobs/{id}/spans falls
-		// back to a live render.
+		// artifacts before announcing Done, which drops the recorder: a
+		// client that sees the terminal state finds spans.json on disk.
+		// Best-effort: the result is already committed, and without the
+		// file GET /v1/jobs/{id}/spans answers 404.
 		j.root.End()
 		if spansErr := s.store.putSpans(j.ID, j.spans.WriteTrace); spansErr != nil {
 			s.metrics.inc("serve.span_artifact_failures")

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -127,7 +126,12 @@ func fetch(t *testing.T, url string, wantCode int) []byte {
 // serves the result from cache without simulating anything.
 func TestLifecycleAndCacheIdentity(t *testing.T) {
 	dir := t.TempDir()
-	_, ts := newTestServer(t, Options{StateDir: dir, Workers: 2})
+	s, ts := newTestServer(t, Options{StateDir: dir, Workers: 1})
+	release := gateRuns(t, s)
+	// Hold the only worker on another job, so this one is still queued
+	// when its submission answers and when its event stream attaches.
+	blocker, _ := submit(t, ts, smallJob(2))
+	waitFor(t, "worker held", func() bool { return getStatus(t, ts, blocker.ID).State == StateRunning })
 
 	req := smallJob(1)
 	st, resp := submit(t, ts, req)
@@ -138,45 +142,26 @@ func TestLifecycleAndCacheIdentity(t *testing.T) {
 		t.Fatalf("submit status = %+v", st)
 	}
 
-	// Follow the event stream to completion, counting what it carries.
-	eresp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eresp.Body.Close()
-	if got := eresp.Header.Get("Content-Type"); got != "application/x-ndjson" {
-		t.Fatalf("events Content-Type = %q", got)
-	}
-	var statusEvents, epochEvents int
+	// Attach to the event stream before the job runs, then follow it to
+	// completion, counting what it carries.
+	events, _ := openEvents(t, ts, st.ID)
+	release()
+	statuses, epochs := readEvents(t, events, 0)
+	statusEvents := 1 + len(statuses)
 	var final Status
-	sc := bufio.NewScanner(eresp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		switch ev.Type {
-		case "status":
-			statusEvents++
-			final = *ev.Status
-		case "epoch":
-			epochEvents++
-			if ev.Epoch.Eval == 0 {
-				t.Fatal("epoch event with zero Eval")
-			}
-		default:
-			t.Fatalf("unknown event type %q", ev.Type)
-		}
+	if len(statuses) > 0 {
+		final = statuses[len(statuses)-1]
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	for _, e := range epochs {
+		if e.Eval == 0 {
+			t.Fatal("epoch event with zero Eval")
+		}
 	}
 	if final.State != StateDone {
 		t.Fatalf("stream ended in state %q (error %q)", final.State, final.Error)
 	}
-	if statusEvents < 2 || epochEvents < 1 {
-		t.Fatalf("stream carried %d status and %d epoch events; want ≥2 and ≥1", statusEvents, epochEvents)
+	if statusEvents < 2 || len(epochs) < 1 {
+		t.Fatalf("stream carried %d status and %d epoch events; want ≥2 and ≥1", statusEvents, len(epochs))
 	}
 
 	gotResult := fetch(t, ts.URL+"/v1/jobs/"+st.ID+"/result", http.StatusOK)

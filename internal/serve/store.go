@@ -39,7 +39,7 @@ import (
 // mid-run state dropped once the result commits, and spans.json, the
 // wall-clock span trace written after the commit — it records
 // observations, not simulated results, so a job without one is still
-// complete and /v1/jobs/{id}/spans falls back to a live render.
+// complete, and /v1/jobs/{id}/spans answers 404 for it.
 type Store struct {
 	dir string
 

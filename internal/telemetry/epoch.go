@@ -66,37 +66,22 @@ func (s EpochSample) MissRate(c int) float64 {
 	return float64(s.EpochMisses[c]) / float64(s.EpochAccesses[c])
 }
 
-// Ring is a bounded buffer of epoch samples: appends are O(1) and never
-// grow past the capacity fixed at construction; the oldest samples are
-// dropped (and counted) instead. A nil *Ring ignores appends.
-type Ring struct {
-	buf     []EpochSample
-	start   int // index of the oldest sample
-	n       int // samples currently held
-	dropped uint64
-}
+// Ring is a bounded buffer of epoch samples: appends are O(1), memory
+// grows only with the samples held, and past the capacity fixed at
+// construction the oldest samples are dropped (and counted) instead. A
+// nil *Ring ignores appends.
+type Ring struct{ ring[EpochSample] }
 
 // NewRing builds a ring holding at most capacity samples.
 func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		capacity = DefaultEpochCapacity
-	}
-	return &Ring{buf: make([]EpochSample, capacity)}
+	return &Ring{newRing[EpochSample](capacity, DefaultEpochCapacity)}
 }
 
 // Append stores s, evicting the oldest sample if the ring is full.
 func (r *Ring) Append(s EpochSample) {
-	if r == nil {
-		return
+	if r != nil {
+		r.push(s)
 	}
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = s
-		r.n++
-		return
-	}
-	r.buf[r.start] = s
-	r.start = (r.start + 1) % len(r.buf)
-	r.dropped++
 }
 
 // Len returns the number of samples held.
@@ -104,7 +89,7 @@ func (r *Ring) Len() int {
 	if r == nil {
 		return 0
 	}
-	return r.n
+	return len(r.buf)
 }
 
 // Cap returns the fixed capacity.
@@ -112,7 +97,7 @@ func (r *Ring) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.buf)
+	return r.max
 }
 
 // Dropped returns how many samples were evicted to stay within capacity.
@@ -130,32 +115,18 @@ func (r *Ring) Dropped() uint64 {
 // evicted before the consumer caught up are gone — compare the first
 // returned Eval against eval+1 to detect the gap.
 func (r *Ring) Since(eval uint64) []EpochSample {
-	if r == nil || r.n == 0 {
+	if r == nil {
 		return nil
 	}
-	first := sort.Search(r.n, func(i int) bool {
-		return r.buf[(r.start+i)%len(r.buf)].Eval > eval
-	})
-	if first == r.n {
-		return nil
-	}
-	out := make([]EpochSample, r.n-first)
-	for i := range out {
-		out[i] = r.buf[(r.start+first+i)%len(r.buf)]
-	}
-	return out
+	return r.from(sort.Search(len(r.buf), func(i int) bool { return r.at(i).Eval > eval }))
 }
 
 // Samples returns the held samples oldest-first, as a fresh slice.
 func (r *Ring) Samples() []EpochSample {
-	if r == nil || r.n == 0 {
+	if r == nil {
 		return nil
 	}
-	out := make([]EpochSample, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
-	}
-	return out
+	return r.from(0)
 }
 
 // WriteEpochCSV renders samples as CSV, one row per repartitioning

@@ -115,9 +115,7 @@ func histQuantile(h *metrics.Float64Histogram, q float64) float64 {
 // epoch. Single-writer (the simulation goroutine), like the epoch ring;
 // Samples() is for end-of-run collection.
 type RuntimeRing struct {
-	buf     []RuntimeSample
-	start   int
-	n       int
+	ring[RuntimeSample]
 	scratch []metrics.Sample
 }
 
@@ -127,11 +125,8 @@ const DefaultRuntimeCapacity = 1024
 // NewRuntimeRing builds a ring holding up to capacity samples
 // (DefaultRuntimeCapacity if capacity <= 0).
 func NewRuntimeRing(capacity int) *RuntimeRing {
-	if capacity <= 0 {
-		capacity = DefaultRuntimeCapacity
-	}
 	return &RuntimeRing{
-		buf:     make([]RuntimeSample, 0, capacity),
+		ring:    newRing[RuntimeSample](capacity, DefaultRuntimeCapacity),
 		scratch: newRuntimeSampleBuf(),
 	}
 }
@@ -144,12 +139,7 @@ func (r *RuntimeRing) Sample(eval uint64) {
 	}
 	s := readRuntime(r.scratch)
 	s.Eval = eval
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, s)
-		return
-	}
-	r.buf[r.start] = s
-	r.start = (r.start + 1) % len(r.buf)
+	r.push(s)
 }
 
 // Len returns the number of samples held.
@@ -162,11 +152,8 @@ func (r *RuntimeRing) Len() int {
 
 // Samples returns a copy of the held samples, oldest first.
 func (r *RuntimeRing) Samples() []RuntimeSample {
-	if r == nil || len(r.buf) == 0 {
+	if r == nil {
 		return nil
 	}
-	out := make([]RuntimeSample, 0, len(r.buf))
-	out = append(out, r.buf[r.start:]...)
-	out = append(out, r.buf[:r.start]...)
-	return out
+	return r.from(0)
 }

@@ -68,19 +68,12 @@ type SpanRecorder struct {
 	epoch  time.Time
 	nextID atomic.Uint64
 
-	mu      sync.Mutex
-	buf     []SpanRecord
-	start   int // ring start index
-	n       int // live records
-	dropped uint64
+	mu   sync.Mutex
+	done ring[SpanRecord] // completed records, guarded by mu
 }
 
 // NewSpanRecorder builds a recorder whose epoch is "now".
 func NewSpanRecorder(cfg SpanConfig) *SpanRecorder {
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = DefaultSpanCapacity
-	}
 	process := cfg.Process
 	if process == "" {
 		process = "nucasim"
@@ -88,7 +81,7 @@ func NewSpanRecorder(cfg SpanConfig) *SpanRecorder {
 	return &SpanRecorder{
 		Process: process,
 		epoch:   time.Now(),
-		buf:     make([]SpanRecord, capacity),
+		done:    newRing[SpanRecord](cfg.Capacity, DefaultSpanCapacity),
 	}
 }
 
@@ -163,14 +156,7 @@ func (s Span) End() {
 	}
 	r := s.rec
 	r.mu.Lock()
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = rec
-		r.n++
-	} else {
-		r.buf[r.start] = rec
-		r.start = (r.start + 1) % len(r.buf)
-		r.dropped++
-	}
+	r.done.push(rec)
 	r.mu.Unlock()
 }
 
@@ -181,7 +167,7 @@ func (r *SpanRecorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return len(r.done.buf)
 }
 
 // Dropped returns how many completed records the bounded ring has
@@ -192,7 +178,7 @@ func (r *SpanRecorder) Dropped() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
+	return r.done.dropped
 }
 
 // Records returns a copy of the completed records, oldest first.
@@ -202,15 +188,7 @@ func (r *SpanRecorder) Records() []SpanRecord {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.recordsLocked()
-}
-
-func (r *SpanRecorder) recordsLocked() []SpanRecord {
-	out := make([]SpanRecord, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
-	}
-	return out
+	return r.done.from(0)
 }
 
 // traceEvent is one Chrome trace-event object. The exported trace uses
@@ -250,8 +228,8 @@ func (r *SpanRecorder) WriteTrace(w io.Writer) error {
 	)
 	if r != nil {
 		r.mu.Lock()
-		recs = r.recordsLocked()
-		dropped = r.dropped
+		recs = r.done.from(0)
+		dropped = r.done.dropped
 		r.mu.Unlock()
 		process = r.Process
 	}

@@ -17,8 +17,8 @@ func (r *Ring) Snapshot() RingState {
 	return RingState{Samples: r.Samples(), Dropped: r.dropped}
 }
 
-// Restore loads a snapshot into the ring. The ring's capacity is fixed
-// at construction, so the snapshot must fit.
+// Restore loads a snapshot into the ring, replacing its contents. The
+// ring's capacity is fixed at construction, so the snapshot must fit.
 func (r *Ring) Restore(s RingState) error {
 	if r == nil {
 		if len(s.Samples) == 0 {
@@ -26,16 +26,10 @@ func (r *Ring) Restore(s RingState) error {
 		}
 		return fmt.Errorf("telemetry: cannot restore %d samples into a nil ring", len(s.Samples))
 	}
-	if len(s.Samples) > len(r.buf) {
-		return fmt.Errorf("telemetry: state holds %d samples, ring capacity %d", len(s.Samples), len(r.buf))
+	if len(s.Samples) > r.max {
+		return fmt.Errorf("telemetry: state holds %d samples, ring capacity %d", len(s.Samples), r.max)
 	}
-	r.start = 0
-	r.n = len(s.Samples)
-	copy(r.buf, s.Samples)
-	for i := r.n; i < len(r.buf); i++ {
-		r.buf[i] = EpochSample{}
-	}
-	r.dropped = s.Dropped
+	r.reset(s.Samples, s.Dropped)
 	return nil
 }
 

@@ -27,7 +27,8 @@ type Config struct {
 
 	// EpochCapacity bounds the epoch ring buffer (default 8192 samples,
 	// ≈16 M LLC misses of history at the paper's 2000-miss period).
-	// Older samples are dropped, never reallocated.
+	// The ring grows with the samples it holds up to this bound; past
+	// it, the oldest samples are dropped and counted.
 	EpochCapacity int
 
 	// TraceWriter receives JSON Lines events; nil disables the trace.

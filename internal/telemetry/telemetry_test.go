@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -21,22 +23,92 @@ func sample(eval uint64) EpochSample {
 	}
 }
 
-func TestRingBounds(t *testing.T) {
-	r := NewRing(4)
-	for i := uint64(1); i <= 10; i++ {
-		r.Append(sample(i))
+// evals lists the Eval of each sample, in order.
+func evals(ss []EpochSample) []uint64 {
+	out := make([]uint64, len(ss))
+	for i, s := range ss {
+		out[i] = s.Eval
 	}
-	if r.Len() != 4 || r.Cap() != 4 {
-		t.Fatalf("len=%d cap=%d, want 4/4", r.Len(), r.Cap())
+	return out
+}
+
+// wantEvals checks that got holds exactly the evals lo..hi in order.
+func wantEvals(t *testing.T, what string, got []EpochSample, lo, hi uint64) {
+	t.Helper()
+	var want []uint64
+	for e := lo; e <= hi; e++ {
+		want = append(want, e)
 	}
-	if r.Dropped() != 6 {
-		t.Fatalf("dropped=%d, want 6", r.Dropped())
-	}
-	got := r.Samples()
-	for i, s := range got {
-		if want := uint64(7 + i); s.Eval != want {
-			t.Fatalf("sample %d has eval %d, want %d", i, s.Eval, want)
+	if e := evals(got); !slices.Equal(e, want) {
+		if len(e) > 8 {
+			e = append(e[:4:4], e[len(e)-4:]...) // head and tail only
 		}
+		t.Fatalf("%s: %d samples, evals %v, want %d..%d", what, len(got), e, lo, hi)
+	}
+}
+
+func TestRingBounds(t *testing.T) {
+	for _, capacity := range []int{1, 3, 4096} {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
+			r := NewRing(capacity)
+			c := uint64(capacity)
+
+			// Fill: everything is held, nothing dropped.
+			for i := uint64(1); i <= c; i++ {
+				r.Append(sample(i))
+			}
+			if r.Len() != capacity || r.Cap() != capacity || r.Dropped() != 0 {
+				t.Fatalf("full: len=%d cap=%d dropped=%d, want %d/%d/0", r.Len(), r.Cap(), r.Dropped(), capacity, capacity)
+			}
+			wantEvals(t, "full", r.Samples(), 1, c)
+
+			// Wrap: 2*capacity+1 more appends evict the oldest, counted.
+			last := 3*c + 1
+			for i := c + 1; i <= last; i++ {
+				r.Append(sample(i))
+			}
+			if r.Len() != capacity || r.Cap() != capacity {
+				t.Fatalf("wrapped: len=%d cap=%d, want %d/%d", r.Len(), r.Cap(), capacity, capacity)
+			}
+			if want := last - c; r.Dropped() != want {
+				t.Fatalf("dropped=%d, want %d", r.Dropped(), want)
+			}
+			first := last - c + 1
+			wantEvals(t, "wrapped", r.Samples(), first, last)
+
+			// Since across the wrap: evicted evals are gone, the held tail
+			// comes back oldest-first from any cursor.
+			wantEvals(t, "Since(0)", r.Since(0), first, last)
+			wantEvals(t, "Since(first-1)", r.Since(first-1), first, last)
+			wantEvals(t, "Since(last-1)", r.Since(last-1), last, last)
+			if got := r.Since(last); got != nil {
+				t.Fatalf("Since(last) = %v, want nil", evals(got))
+			}
+
+			// Snapshot → Restore into a fresh ring is lossless, and both
+			// rings keep wrapping identically afterwards.
+			snap := r.Snapshot()
+			fresh := NewRing(capacity)
+			if err := fresh.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			if fresh.Len() != r.Len() || fresh.Dropped() != r.Dropped() {
+				t.Fatalf("restored len=%d dropped=%d, want %d/%d", fresh.Len(), fresh.Dropped(), r.Len(), r.Dropped())
+			}
+			wantEvals(t, "restored", fresh.Samples(), first, last)
+			r.Append(sample(last + 1))
+			fresh.Append(sample(last + 1))
+			wantEvals(t, "restored+1", fresh.Samples(), first+1, last+1)
+			if fresh.Dropped() != r.Dropped() {
+				t.Fatalf("restored ring dropped %d after one more append, original %d", fresh.Dropped(), r.Dropped())
+			}
+
+			// A snapshot larger than the capacity does not fit.
+			over := RingState{Samples: make([]EpochSample, capacity+1)}
+			if err := NewRing(capacity).Restore(over); err == nil {
+				t.Fatalf("restoring %d samples into capacity %d succeeded", capacity+1, capacity)
+			}
+		})
 	}
 }
 
