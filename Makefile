@@ -1,11 +1,11 @@
 # nucasim build/verify entry points. `make ci` is what the GitHub
-# workflow runs: vet, build, race-enabled tests, a smoke run that checks
-# the telemetry artifacts actually parse, the replay self-verify
-# cross-check, and a diff against the pinned golden baseline.
+# workflow runs: a gofmt check, vet, build, race-enabled tests, a smoke
+# run that checks the telemetry artifacts actually parse, the replay
+# self-verify cross-check, and a diff against the pinned golden baseline.
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-serve bench-sweep smoke span-smoke serve-smoke sweep-smoke crash-smoke replay-verify golden golden-check fault-coverage resume-smoke fuzz-smoke staticcheck govulncheck ci clean
+.PHONY: all build vet test race bench bench-smoke bench-serve bench-sweep smoke span-smoke serve-smoke sweep-smoke crash-smoke replay-verify golden golden-check fault-coverage resume-smoke fuzz-smoke fmt-check staticcheck govulncheck ci clean
 
 all: build
 
@@ -14,6 +14,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file must be gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -187,12 +191,14 @@ bench-sweep: build
 	@echo "bench record written to BENCH_sweep.json"
 
 # Short fuzz pass over the external-input parsers (JSONL trace, binary
-# address trace). Seed corpora live under */testdata/fuzz/.
+# address trace, canonical job spec) and the sweep spec expander.
+# Seed corpora live under */testdata/fuzz/ and in the fuzz targets.
 fuzz-smoke: build
 	$(GO) test -run=^$$ -fuzz=FuzzReadEvents -fuzztime=10s ./internal/replay/
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzParseCanonicalSpec -fuzztime=10s ./internal/sim/
+	$(GO) test -run=^$$ -fuzz=FuzzExpand -fuzztime=10s ./internal/sweep/
 
 # Static analysis and vulnerability scanning. Both tools are optional at
 # the Makefile level — environments without them (hermetic containers)
@@ -212,7 +218,7 @@ govulncheck:
 		echo "govulncheck not installed; skipping (CI installs it)"; \
 	fi
 
-ci: vet staticcheck build race smoke span-smoke serve-smoke sweep-smoke crash-smoke replay-verify golden-check fault-coverage bench-smoke resume-smoke fuzz-smoke govulncheck
+ci: fmt-check vet staticcheck build race smoke span-smoke serve-smoke sweep-smoke crash-smoke replay-verify golden-check fault-coverage bench-smoke resume-smoke fuzz-smoke govulncheck
 
 clean:
 	rm -f /tmp/nucasim-smoke.csv /tmp/nucasim-smoke.jsonl /tmp/nucasim-smoke.txt

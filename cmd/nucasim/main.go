@@ -45,6 +45,7 @@ import (
 	"syscall"
 
 	"nucasim/internal/sim"
+	"nucasim/internal/sweep"
 	"nucasim/internal/telemetry"
 	"nucasim/internal/tools/cliflags"
 	"nucasim/internal/workload"
@@ -52,7 +53,7 @@ import (
 
 func main() {
 	scheme := flag.String("scheme", "adaptive", "llc organization: private|shared|private4x|coop|adaptive")
-	apps := flag.String("apps", "ammp,swim,lucas,gzip", "comma-separated application names (one per core, ≥2)")
+	apps := flag.String("apps", "ammp,swim,lucas,gzip", "comma-separated application names (one per core, ≥2; see -list)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	warmup := flag.Uint64("warmup-instrs", 1_000_000, "functional warmup instructions per core")
 	cycles := flag.Uint64("cycles", 1_000_000, "measured cycles")
@@ -122,31 +123,24 @@ func main() {
 		return
 	}
 
-	var mix []workload.AppParams
-	for _, name := range strings.Split(*apps, ",") {
-		p, ok := workload.ByName(strings.TrimSpace(name))
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown application %q (use -list)\n", name)
-			os.Exit(2)
-		}
-		mix = append(mix, p)
-	}
-	if len(mix) < 2 {
-		fmt.Fprintf(os.Stderr, "need at least 2 applications (one per core), got %d\n", len(mix))
-		os.Exit(2)
-	}
-
-	cfg := sim.Config{
-		Cores:              len(mix),
-		Scheme:             sim.Scheme(*scheme),
+	req := sweep.Base{
+		Scheme:             *scheme,
 		Seed:               *seed,
 		WarmupInstructions: *warmup,
 		MeasureCycles:      *cycles,
 		L3BytesPerCore:     *l3,
 		Scaled:             *scaled,
 	}
+	for _, name := range strings.Split(*apps, ",") {
+		req.Apps = append(req.Apps, strings.TrimSpace(name))
+	}
 	if *sample {
-		cfg.ShadowSampleShift = 4
+		req.ShadowSampleShift = 4
+	}
+	cfg, mix, err := req.Build()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nucasim:", err)
+		os.Exit(2)
 	}
 
 	// Telemetry is on whenever the scheme has something to observe (the

@@ -111,10 +111,10 @@ func TestInjectLimitsRejectsIllegal(t *testing.T) {
 	a := newAdaptive(t)
 	before := a.MaxBlocks()
 	for _, bad := range [][]int{
-		{3, 3, 3},          // wrong core count
-		{0, 4, 4, 4},       // below the 1-block floor
-		{14, 1, 1, 1},      // above the upper bound assoc·cores−(cores−1)=13
-		{4, 4, 4, 4},       // sum 16 breaks conservation of 12
+		{3, 3, 3},     // wrong core count
+		{0, 4, 4, 4},  // below the 1-block floor
+		{14, 1, 1, 1}, // above the upper bound assoc·cores−(cores−1)=13
+		{4, 4, 4, 4},  // sum 16 breaks conservation of 12
 	} {
 		if err := a.InjectLimits(bad); err == nil {
 			t.Errorf("InjectLimits(%v) accepted an illegal assignment", bad)

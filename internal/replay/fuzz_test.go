@@ -17,9 +17,9 @@ func FuzzReadEvents(f *testing.F) {
 	f.Add(`{"type":"fill","run":"golden","cycle":17,"core":0,"owner":0,"set":5,"tag":18,"depth":0,"home":0}`)
 	f.Add(`{"type":"demote","cycle":90,"core":1,"owner":1,"set":5,"tag":18,"depth":3,"home":2,"over_limit":true}`)
 	f.Add(`{"type":"evict","cycle":120,"core":2,"owner":1,"set":5,"tag":18,"depth":7,"dirty":true}`)
-	f.Add("{\"type\":\"hit\"")          // truncated line
-	f.Add("")                           // empty stream
-	f.Add("\n\n  \nnot json at all\n")  // garbage line
+	f.Add("{\"type\":\"hit\"")                                   // truncated line
+	f.Add("")                                                    // empty stream
+	f.Add("\n\n  \nnot json at all\n")                           // garbage line
 	f.Add(`{"type":"fill","set":2147483647,"core":0,"owner":0}`) // absurd set index
 	f.Add(`{"type":"fill","set":-5,"core":-1,"owner":99}`)       // out-of-range indices
 

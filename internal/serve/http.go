@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -11,8 +12,8 @@ import (
 	"nucasim/internal/telemetry"
 )
 
-// maxRequestBody bounds POST /v1/jobs payloads; job specs are a few
-// hundred bytes, so 1 MiB is generous.
+// maxRequestBody bounds POST /v1/jobs and /v1/sweeps payloads; specs
+// are a few hundred bytes, so 1 MiB is generous.
 const maxRequestBody = 1 << 20
 
 // Handler returns the service's HTTP API:
@@ -81,11 +82,23 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
+// decodeBody decodes a submit body of at most maxRequestBody bytes into
+// v: exactly one JSON value, no unknown fields, nothing after it.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req JobRequest
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
 		return
 	}

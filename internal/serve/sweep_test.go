@@ -243,6 +243,41 @@ func TestSweepRejectsMalformedSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsTrailingData: a submit body is exactly one JSON
+// value. Input after it is a 400 on both endpoints, never a silently
+// ignored suffix; a trailing newline (what json.Encoder writes) is fine.
+func TestSubmitRejectsTrailingData(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	job, _ := json.Marshal(smallJob(1))
+	spec, _ := json.Marshal(smallSweep(1))
+	for _, ep := range []struct {
+		path string
+		body []byte
+	}{{"/v1/jobs", job}, {"/v1/sweeps", spec}} {
+		for _, tail := range []string{" trailing-garbage", `{"x":1}`} {
+			resp, err := http.Post(ts.URL+ep.path, "application/json", strings.NewReader(string(ep.body)+tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("POST %s with %q appended: HTTP %d, want 400", ep.path, tail, resp.StatusCode)
+			}
+		}
+	}
+	if n := counter(s, "serve.jobs_submitted") + counter(s, "serve.sweeps_submitted"); n != 0 {
+		t.Fatalf("bodies with trailing data were accepted: %d submissions", n)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(job)+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("POST /v1/jobs with a trailing newline: HTTP %d, want 202", resp.StatusCode)
+	}
+}
+
 // TestSweepCancelMidFanout: DELETE while the fan-out is in flight
 // cancels the pending points, settles the sweep as canceled, and
 // releases its on-disk entry so a restart cannot resurrect it.

@@ -11,9 +11,7 @@ import (
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec sweep.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeBody(w, r, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid sweep spec: "+err.Error())
 		return
 	}

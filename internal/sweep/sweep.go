@@ -27,10 +27,11 @@ import (
 // the caller does not set its own limit (nucaserve's -max-sweep-points).
 const DefaultMaxPoints = 1024
 
-// Base is the sweep's anchor configuration: the semantic subset of
-// sim.Config plus the application mix by name, field-for-field the
-// wire shape of a single POST /v1/jobs submission. Zero fields take the
-// simulator's Table 1 defaults. Every axis overrides one Base field.
+// Base is the one run request: the semantic subset of sim.Config plus
+// the application mix by name. It is the body of POST /v1/jobs
+// (serve.JobRequest is an alias), a sweep's anchor configuration (every
+// axis overrides one Base field) and what cmd/nucasim fills from its
+// flags. Zero fields take the simulator's Table 1 defaults.
 type Base struct {
 	Scheme             string   `json:"scheme,omitempty"` // default "adaptive"
 	Apps               []string `json:"apps,omitempty"`   // one per core, ≥2
@@ -44,6 +45,45 @@ type Base struct {
 	RepartitionPeriod  int      `json:"repartition_period,omitempty"`
 	DisableProtection  bool     `json:"disable_protection,omitempty"`
 	DisableAdaptation  bool     `json:"disable_adaptation,omitempty"`
+}
+
+// Build resolves the request into a validated simulator configuration
+// and application mix; it is the only place a request becomes a run.
+// Errors are user errors (HTTP 400 material).
+func (b Base) Build() (sim.Config, []workload.AppParams, error) {
+	if len(b.Apps) < 2 {
+		return sim.Config{}, nil, fmt.Errorf("need at least 2 apps (one per core), got %d", len(b.Apps))
+	}
+	mix := make([]workload.AppParams, 0, len(b.Apps))
+	for _, name := range b.Apps {
+		p, ok := workload.ByName(name)
+		if !ok {
+			return sim.Config{}, nil, fmt.Errorf("unknown application %q", name)
+		}
+		mix = append(mix, p)
+	}
+	scheme := sim.Scheme(b.Scheme)
+	if scheme == "" {
+		scheme = sim.SchemeAdaptive
+	}
+	cfg := sim.Config{
+		Cores:              len(mix),
+		Scheme:             scheme,
+		Seed:               b.Seed,
+		WarmupInstructions: b.WarmupInstructions,
+		WarmupCycles:       b.WarmupCycles,
+		MeasureCycles:      b.MeasureCycles,
+		L3BytesPerCore:     b.L3BytesPerCore,
+		Scaled:             b.Scaled,
+		ShadowSampleShift:  b.ShadowSampleShift,
+		RepartitionPeriod:  b.RepartitionPeriod,
+		DisableProtection:  b.DisableProtection,
+		DisableAdaptation:  b.DisableAdaptation,
+	}
+	if err := cfg.Validate(); err != nil {
+		return sim.Config{}, nil, err
+	}
+	return cfg, mix, nil
 }
 
 // Axes are the swept dimensions. A nil axis means "use the Base value";
@@ -175,50 +215,22 @@ func Expand(spec Spec, maxPoints int) ([]Point, error) {
 		return nil, err
 	}
 
-	grid := len(mixes.values) * len(schemes.values) * len(seeds.values) *
-		len(caps.values) * len(periods.values) * len(windows.values)
-	if grid > maxPoints {
-		return nil, specErrorf("sweep: grid has %d points, cap is %d", grid, maxPoints)
+	// Counted in float64: six axes cut from a 1 MiB body can overflow
+	// an int product and slip past the cap.
+	grid := float64(len(mixes.values)) * float64(len(schemes.values)) * float64(len(seeds.values)) *
+		float64(len(caps.values)) * float64(len(periods.values)) * float64(len(windows.values))
+	if grid > float64(maxPoints) {
+		return nil, specErrorf("sweep: grid has %.0f points, cap is %d", grid, maxPoints)
 	}
 
-	points := make([]Point, 0, grid)
-	seen := make(map[string]string, grid) // spec hash → label of first owner
+	points := make([]Point, 0, int(grid))
+	seen := make(map[string]string, int(grid)) // spec hash → label of first owner
 	for _, mix := range mixes.values {
 		for _, scheme := range schemes.values {
 			for _, seed := range seeds.values {
 				for _, capacity := range caps.values {
 					for _, period := range periods.values {
 						for _, window := range windows.values {
-							apps := mix
-							if len(apps) < 2 {
-								return nil, specErrorf("sweep: need at least 2 apps per point (one per core), got %d", len(apps))
-							}
-							params := make([]workload.AppParams, 0, len(apps))
-							for _, name := range apps {
-								p, ok := workload.ByName(name)
-								if !ok {
-									return nil, specErrorf("sweep: unknown application %q", name)
-								}
-								params = append(params, p)
-							}
-							sch := scheme
-							if sch == "" {
-								sch = string(sim.SchemeAdaptive)
-							}
-							cfg := sim.Config{
-								Cores:              len(params),
-								Scheme:             sim.Scheme(sch),
-								Seed:               seed,
-								WarmupInstructions: spec.Base.WarmupInstructions,
-								WarmupCycles:       spec.Base.WarmupCycles,
-								MeasureCycles:      window,
-								L3BytesPerCore:     capacity,
-								Scaled:             spec.Base.Scaled,
-								ShadowSampleShift:  spec.Base.ShadowSampleShift,
-								RepartitionPeriod:  period,
-								DisableProtection:  spec.Base.DisableProtection,
-								DisableAdaptation:  spec.Base.DisableAdaptation,
-							}
 							var labelParts []string
 							add := func(on bool, s string) {
 								if on {
@@ -236,6 +248,13 @@ func Expand(spec Spec, maxPoints int) ([]Point, error) {
 								label = "base"
 							}
 
+							b := spec.Base
+							b.Apps, b.Scheme, b.Seed = mix, scheme, seed
+							b.L3BytesPerCore, b.RepartitionPeriod, b.MeasureCycles = capacity, period, window
+							cfg, params, err := b.Build()
+							if err != nil {
+								return nil, specErrorf("sweep: point %q: %v", label, err)
+							}
 							specHash, err := sim.SpecHash(cfg, params)
 							if err != nil {
 								return nil, specErrorf("sweep: point %q: %v", label, err)
@@ -252,7 +271,7 @@ func Expand(spec Spec, maxPoints int) ([]Point, error) {
 								Index:      len(points),
 								Cfg:        cfg,
 								Mix:        params,
-								Apps:       append([]string(nil), apps...),
+								Apps:       append([]string(nil), mix...),
 								Label:      label,
 								SpecHash:   specHash,
 								WarmupHash: warmHash,

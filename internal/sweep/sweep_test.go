@@ -74,13 +74,24 @@ func TestExpandGrid(t *testing.T) {
 	}
 }
 
-func TestExpandRejectsMalformedSpecs(t *testing.T) {
-	cases := []struct {
-		name string
-		spec Spec
-		max  int
-		want string
-	}{
+// malformedSpec is one spec Expand must reject with a *SpecError whose
+// message contains want; FuzzExpand seeds from the same table.
+type malformedSpec struct {
+	name string
+	spec Spec
+	max  int
+	want string
+}
+
+func malformedSpecs() []malformedSpec {
+	// Six axes of 2^11 values: 2^66 points, which wraps an int product
+	// to 0.
+	const n = 1 << 11
+	huge := Axes{
+		Mix: make([][]string, n), Scheme: make([]string, n), Seed: make([]uint64, n),
+		L3BytesPerCore: make([]int, n), RepartitionPeriod: make([]int, n), MeasureCycles: make([]uint64, n),
+	}
+	return []malformedSpec{
 		{"empty mix axis", Spec{Base: smallBase(), Axes: Axes{Mix: [][]string{}}}, 0, "axis \"mix\" is empty"},
 		{"empty seed axis", Spec{Base: smallBase(), Axes: Axes{Seed: []uint64{}}}, 0, "axis \"seed\" is empty"},
 		{"no apps anywhere", Spec{}, 0, "at least 2 apps"},
@@ -90,8 +101,12 @@ func TestExpandRejectsMalformedSpecs(t *testing.T) {
 		{"over cap", Spec{Base: smallBase(), Axes: Axes{Seed: []uint64{1, 2, 3, 4}}}, 3, "grid has 4 points, cap is 3"},
 		{"bad geometry", Spec{Base: Base{Apps: []string{"ammp", "gzip"}, L3BytesPerCore: 100_000}}, 0, "not divisible"},
 		{"unknown scheme", Spec{Base: smallBase(), Axes: Axes{Scheme: []string{"l4-victim"}}}, 0, "unknown scheme"},
+		{"overflowing grid", Spec{Base: smallBase(), Axes: huge}, 0, "points, cap is 1024"},
 	}
-	for _, tc := range cases {
+}
+
+func TestExpandRejectsMalformedSpecs(t *testing.T) {
+	for _, tc := range malformedSpecs() {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Expand(tc.spec, tc.max)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -111,6 +126,66 @@ func asSpecError(err error, target **SpecError) bool {
 		*target = se
 	}
 	return ok
+}
+
+// TestBuildMapsEveryField pins Build as the one mapping from a request
+// to a sim.Config: a non-zero value in any Base field but Apps must set
+// the Config field of the same name, and only that field. A knob added
+// to Base but not to Build fails here.
+func TestBuildMapsEveryField(t *testing.T) {
+	// Probe values where Validate rejects the per-kind default below.
+	probes := map[string]any{
+		"Scheme":            "shared",
+		"L3BytesPerCore":    1 << 19,
+		"ShadowSampleShift": uint(4),
+	}
+	base := Base{Apps: []string{"ammp", "gzip"}}
+	ref, _, err := base.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refV := reflect.ValueOf(ref)
+	cfgT, baseT := refV.Type(), reflect.TypeOf(base)
+	for i := range baseT.NumField() {
+		b := base
+		f := reflect.ValueOf(&b).Elem().Field(i)
+		name := baseT.Field(i).Name
+		if name == "Apps" {
+			continue
+		}
+		if v, ok := probes[name]; ok {
+			f.Set(reflect.ValueOf(v))
+		} else {
+			switch f.Kind() {
+			case reflect.Bool:
+				f.SetBool(true)
+			case reflect.Int:
+				f.SetInt(3)
+			case reflect.Uint, reflect.Uint64:
+				f.SetUint(3)
+			default:
+				t.Fatalf("Base.%s: no probe value for kind %s", name, f.Kind())
+			}
+		}
+		cfg, _, err := b.Build()
+		if err != nil {
+			t.Fatalf("Base.%s = %v: %v", name, f, err)
+		}
+		if _, ok := cfgT.FieldByName(name); !ok {
+			t.Errorf("Base.%s has no sim.Config field of the same name", name)
+		}
+		got := reflect.ValueOf(cfg)
+		for j := range cfgT.NumField() {
+			cf := cfgT.Field(j)
+			if cf.Name == name {
+				if !cf.Type.ConvertibleTo(f.Type()) || got.Field(j).Convert(f.Type()).Interface() != f.Interface() {
+					t.Errorf("Base.%s = %v built Config.%s = %v", name, f, name, got.Field(j))
+				}
+			} else if !reflect.DeepEqual(got.Field(j).Interface(), refV.Field(j).Interface()) {
+				t.Errorf("Base.%s = %v also changed Config.%s: %v -> %v", name, f, cf.Name, refV.Field(j), got.Field(j))
+			}
+		}
+	}
 }
 
 func TestPlanGroups(t *testing.T) {

@@ -13,6 +13,8 @@
 //     afterwards — every committed artifact matches its manifest and
 //     nothing was quarantined.
 //
+// Usage:
+//
 //	crashsmoke -bin /tmp/nucaserve
 package main
 

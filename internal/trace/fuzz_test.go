@@ -32,10 +32,10 @@ func FuzzReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
-	f.Add([]byte(Magic))                         // header only, zero records
-	f.Add([]byte("NUCATRC0\x00\x00"))            // wrong version byte
-	f.Add([]byte{})                              // empty stream
-	f.Add(append([]byte(Magic), 0x02, 0x80))     // truncated varint
+	f.Add([]byte(Magic))                                                                                 // header only, zero records
+	f.Add([]byte("NUCATRC0\x00\x00"))                                                                    // wrong version byte
+	f.Add([]byte{})                                                                                      // empty stream
+	f.Add(append([]byte(Magic), 0x02, 0x80))                                                             // truncated varint
 	f.Add(append([]byte(Magic), 0x02, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)) // varint overflow
 
 	f.Fuzz(func(t *testing.T, data []byte) {
