@@ -124,6 +124,7 @@ golden-check: build
 	$(GO) run ./internal/tools/golden -out /tmp/nucasim-golden
 	diff -u testdata/golden/epoch.csv /tmp/nucasim-golden/epoch.csv
 	diff -u testdata/golden/limits.json /tmp/nucasim-golden/limits.json
+	diff -u testdata/golden/schemes.json /tmp/nucasim-golden/schemes.json
 	@echo golden ok
 
 # Detector coverage: corrupt live cache state every way core/faults.go

@@ -1,7 +1,9 @@
 // Command golden generates the pinned-seed regression baseline under
-// testdata/golden/: the adaptive scheme's epoch time-series CSV and a
-// JSON summary of the run's deterministic outcomes (final partition
-// limits, evaluation/transfer counts, LLC totals). The simulator is
+// testdata/golden/: the adaptive scheme's epoch time-series CSV, a JSON
+// summary of the run's deterministic outcomes (final partition limits,
+// evaluation/transfer counts, LLC totals), and the same summary for
+// every baseline organization on the same seed and mix (schemes.json).
+// The simulator is
 // fully deterministic for a fixed seed and mix — TestTraceDeterministic
 // pins that property — so any diff against these files is a behaviour
 // change that must be either fixed or deliberately re-baselined with
@@ -58,7 +60,7 @@ type summary struct {
 }
 
 func main() {
-	out := flag.String("out", "testdata/golden", "directory to write epoch.csv and limits.json into")
+	out := flag.String("out", "testdata/golden", "directory to write epoch.csv, limits.json and schemes.json into")
 	flag.Parse()
 
 	var mix []workload.AppParams
@@ -93,7 +95,30 @@ func main() {
 		fatal("write %s: %v", csvPath, err)
 	}
 
-	s := summary{
+	s := summarize(r)
+	s.ReplayEpochs = r.ReplayEpochsVerified
+	jsonPath := filepath.Join(*out, "limits.json")
+	writeJSON(jsonPath, s)
+
+	// The baselines have no partitioning state and no replay verifier:
+	// their summaries pin the LLC and memory outcomes only.
+	var baselines []summary
+	for _, scheme := range []sim.Scheme{sim.SchemePrivate, sim.SchemeShared, sim.SchemePrivate4x, sim.SchemeCoop} {
+		baselines = append(baselines, summarize(sim.Run(sim.Config{
+			Scheme: scheme, Seed: goldenSeed,
+			WarmupInstructions: goldenWarmup, MeasureCycles: goldenCycles,
+		}, mix)))
+	}
+	schemesPath := filepath.Join(*out, "schemes.json")
+	writeJSON(schemesPath, baselines)
+
+	fmt.Printf("golden: wrote %s (%d epochs), %s (limits %v, %d/%d transfers) and %s (%d schemes)\n",
+		csvPath, len(r.Epochs), jsonPath, s.PartitionLimits, s.Transfers, s.Evaluations, schemesPath, len(baselines))
+}
+
+// summarize keeps the deterministic fields of one run.
+func summarize(r sim.Result) summary {
+	return summary{
 		Version: goldenVersion,
 		Scheme:  string(r.Scheme), Mix: r.Mix, Seed: goldenSeed,
 		WarmupInstrs: goldenWarmup, MeasureCycles: goldenCycles,
@@ -101,22 +126,21 @@ func main() {
 		PartitionLimits: r.PartitionLimits,
 		LLC:             r.LLCTotal,
 		MemoryReads:     r.Memory.Reads, MemoryWritebacks: r.Memory.Writebacks,
-		ReplayEpochs: r.ReplayEpochsVerified,
 	}
-	jsonPath := filepath.Join(*out, "limits.json")
-	data, err := json.MarshalIndent(s, "", "  ")
+}
+
+// writeJSON writes v as indented JSON, atomically.
+func writeJSON(path string, v any) {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		fatal("%v", err)
 	}
-	if err := atomicio.WriteFile(jsonPath, func(w io.Writer) error {
+	if err := atomicio.WriteFile(path, func(w io.Writer) error {
 		_, werr := w.Write(append(data, '\n'))
 		return werr
 	}); err != nil {
-		fatal("%v", err)
+		fatal("write %s: %v", path, err)
 	}
-
-	fmt.Printf("golden: wrote %s (%d epochs) and %s (limits %v, %d/%d transfers)\n",
-		csvPath, len(r.Epochs), jsonPath, s.PartitionLimits, s.Transfers, s.Evaluations)
 }
 
 func fatal(format string, args ...any) {
