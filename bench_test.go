@@ -368,7 +368,7 @@ func BenchmarkAdaptiveAccessTelemetry(b *testing.B) {
 
 func BenchmarkSharedAccess(b *testing.B) {
 	mem := dram.New(dram.SharedConfig())
-	s := llc.NewShared(4, mem, llc.DefaultLatencies())
+	s := llc.NewSharedSized(4, mem, 4<<20, 16, llc.DefaultLatencies().SharedHit)
 	r := rng.New(1)
 	addrs := make([]memaddr.Addr, 4096)
 	for i := range addrs {

@@ -150,11 +150,9 @@ func buildSpec(path, kind, apps string, seed, warmup, cycles uint64) (sweep.Spec
 		if err != nil {
 			return sweep.Spec{}, "", err
 		}
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		var spec sweep.Spec
-		if err := dec.Decode(&spec); err != nil {
-			return sweep.Spec{}, "", fmt.Errorf("sweep: parsing %s: %w", path, err)
+		spec, err := sweep.ParseSpec(data)
+		if err != nil {
+			return sweep.Spec{}, "", fmt.Errorf("%s: %w", path, err)
 		}
 		return spec, "", nil
 	}

@@ -167,34 +167,6 @@ func (c *Cache) InstallBlock(bn memaddr.BlockNum, dirty bool, owner int) (victim
 	return victim, victimAddr
 }
 
-// InstallAtLRU fills a block in LRU position rather than MRU. Chang & Sohi
-// style spill receivers are NOT this — spilled blocks arrive as MRU — but
-// the primitive is needed for experiments with insertion policies.
-func (c *Cache) InstallAtLRU(a memaddr.Addr, dirty bool, owner int) (victim Block, victimAddr memaddr.Addr) {
-	setIdx := c.Geom.Set(a)
-	s := &c.sets[setIdx]
-	tag := c.Geom.Tag(a)
-	for i := range s.blocks {
-		if s.blocks[i].Valid && s.blocks[i].Tag == tag {
-			s.blocks[i].Dirty = s.blocks[i].Dirty || dirty
-			return Block{}, 0
-		}
-	}
-	newBlk := Block{Tag: tag, Valid: true, Dirty: dirty, Owner: owner}
-	if len(s.blocks) < c.Geom.Ways {
-		s.blocks = append(s.blocks, newBlk)
-		return Block{}, 0
-	}
-	victim = s.blocks[len(s.blocks)-1]
-	victimAddr = c.Geom.AddrFor(victim.Tag, setIdx)
-	s.blocks[len(s.blocks)-1] = newBlk
-	c.Stats.Evictions++
-	if victim.Dirty {
-		c.Stats.Writebacks++
-	}
-	return victim, victimAddr
-}
-
 // MarkDirty sets the dirty bit of the block for address a, if present,
 // without touching LRU order or statistics. Used for writebacks arriving
 // from an upper level, which are not demand references.

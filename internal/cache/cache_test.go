@@ -124,22 +124,6 @@ func TestInstallExistingRefreshes(t *testing.T) {
 	}
 }
 
-func TestInstallAtLRU(t *testing.T) {
-	c := tiny()
-	a, b, d := addrFor(1, 0), addrFor(2, 0), addrFor(3, 0)
-	c.Install(a, false, 0)
-	c.Install(b, false, 0) // b MRU, a LRU
-	victim, _ := c.InstallAtLRU(d, false, 0)
-	if c.Geom.AddrFor(victim.Tag, 0).Block() != a.Block() {
-		t.Fatal("InstallAtLRU should evict current LRU")
-	}
-	// d is now LRU: next fill evicts it.
-	victim, _ = c.Install(addrFor(4, 0), false, 0)
-	if c.Geom.AddrFor(victim.Tag, 0).Block() != d.Block() {
-		t.Fatal("block placed at LRU should be next victim")
-	}
-}
-
 func TestInvalidate(t *testing.T) {
 	c := tiny()
 	a := addrFor(1, 0)

@@ -44,7 +44,7 @@
 // entries share a single 64-byte line. The cold coreCnt (4 bytes) holds
 // the incrementally maintained occupancy index (blocks owned, blocks
 // physically homed) that Algorithm 1, the home rebalancer, and the epoch
-// observer read instead of rescanning the set; RecountSet re-derives it
+// observer read instead of rescanning the set; RecountSetInto re-derives it
 // from the lists so checkers can prove the two views never diverge
 // (invariant I9).
 //
@@ -1197,14 +1197,6 @@ type SetDump struct {
 	SharedOwners []int
 }
 
-// DumpSet captures global set idx for a replay cross-check, allocating a
-// fresh dump. Loops should use DumpSetInto with a reused scratch dump.
-func (a *Adaptive) DumpSet(idx int) SetDump {
-	var d SetDump
-	a.DumpSetInto(idx, &d)
-	return d
-}
-
 // DumpSetInto fills d with the content of global set idx, reusing d's
 // slices when they have capacity — the per-epoch verifier sweep does not
 // allocate once the scratch dump has grown to the set shape.
@@ -1280,18 +1272,11 @@ func (a *Adaptive) InspectSetInto(idx int, occ *OccupancyOfSet) {
 	occ.SharedBlocks = int(a.setHdrs[idx].sharedLen)
 }
 
-// RecountSet re-derives the occupancy of global set idx by walking the
-// block lists, ignoring the incremental counters. Comparing it against
-// InspectSet is invariant I9: the incremental index must equal a full
-// recount. Walks are bounded by the arena span, so a corrupted (cyclic)
-// list yields a mismatching count instead of a hang.
-func (a *Adaptive) RecountSet(idx int) OccupancyOfSet {
-	var occ OccupancyOfSet
-	a.RecountSetInto(idx, &occ)
-	return occ
-}
-
-// RecountSetInto is RecountSet with a caller-provided scratch record.
+// RecountSetInto re-derives the occupancy of global set idx into occ by
+// walking the block lists, ignoring the incremental counters. Comparing
+// it against InspectSet is invariant I9: the incremental index must equal
+// a full recount. Walks are bounded by the arena span, so a corrupted
+// (cyclic) list yields a mismatching count instead of a hang.
 func (a *Adaptive) RecountSetInto(idx int, occ *OccupancyOfSet) {
 	cores := a.cfg.Cores
 	occ.Private = resizeInts(occ.Private, cores)

@@ -13,7 +13,7 @@ import (
 func newH(t *testing.T) (*Hierarchy, *dram.Memory) {
 	t.Helper()
 	mem := dram.New(dram.PrivateConfig())
-	org := llc.NewPrivate(4, mem, llc.DefaultLatencies())
+	org := llc.NewPrivateSized(4, mem, 1<<20, 4, llc.DefaultLatencies().LocalHit, "private")
 	return New(Config{}, org), mem
 }
 
@@ -85,7 +85,7 @@ func TestTLBPenaltyApplied(t *testing.T) {
 
 func TestWritePropagatesDirtyThroughLevels(t *testing.T) {
 	mem := dram.New(dram.PrivateConfig())
-	org := llc.NewPrivate(1, mem, llc.DefaultLatencies())
+	org := llc.NewPrivateSized(1, mem, 1<<20, 4, llc.DefaultLatencies().LocalHit, "private")
 	h := New(Config{Cores: 1}, org)
 	p := h.Port(0)
 	base := addr(0, 0x100000)
@@ -137,7 +137,7 @@ func TestStatsAndReset(t *testing.T) {
 
 func TestScaledL2Latency(t *testing.T) {
 	mem := dram.New(dram.ScaledConfig(false))
-	org := llc.NewPrivate(4, mem, llc.ScaledLatencies())
+	org := llc.NewPrivateSized(4, mem, 1<<20, 4, llc.ScaledLatencies().LocalHit, "private")
 	h := New(Config{L2Lat: 11}, org)
 	p := h.Port(0)
 	a := addr(0, 0x20000)
@@ -310,7 +310,7 @@ func TestDeferredPortReplaysDirectCallSequence(t *testing.T) {
 // CI asserts 0 allocs/op: a reused log keeps its capacity.
 func BenchmarkPortDeferred(b *testing.B) {
 	mem := dram.New(dram.PrivateConfig())
-	h := New(Config{Cores: 1}, llc.NewPrivate(1, mem, llc.DefaultLatencies()))
+	h := New(Config{Cores: 1}, llc.NewPrivateSized(1, mem, 1<<20, 4, llc.DefaultLatencies().LocalHit, "private"))
 	h.SetLoadLatencyHistogram(new(telemetry.Histogram))
 	p := h.Port(0)
 	r := rng.New(1)

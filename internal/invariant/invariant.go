@@ -1,6 +1,6 @@
 // Package invariant is an external structural checker for the adaptive
 // NUCA organization. It re-derives every invariant the paper's design
-// promises from the public inspection API (core.Adaptive's DumpSet /
+// promises from the public inspection API (core.Adaptive's DumpSetInto /
 // InspectSet / MaxBlocks / ShadowEntry accessors) and cross-checks the
 // result against the engine's own internal self-check — so a bookkeeping
 // bug has to fool two independently written checkers to go unnoticed.
@@ -12,7 +12,7 @@
 //	I3 set capacity      every global set holds ≤ cores×ways blocks
 //	I4 private shape     private stack c has ≤ ways blocks, owner=home=c
 //	I5 tag uniqueness    a tag is resident at most once per global set
-//	I6 occupancy match   InspectSet's derived counts match DumpSet's blocks
+//	I6 occupancy match   InspectSet's derived counts match DumpSetInto's blocks
 //	I7 home capacity     each local cache holds ≤ ways blocks of its set
 //	I8 shadow aliasing   a valid shadow register never names a block its
 //	                     core currently has resident
@@ -133,7 +133,7 @@ func Check(a *core.Adaptive) error {
 			}
 		}
 		// I9: the incremental occupancy index equals a full recount of the
-		// intrusive lists. InspectSet reads the counters; RecountSet walks
+		// intrusive lists. InspectSet reads the counters; RecountSetInto walks
 		// the blocks and ignores them.
 		a.RecountSetInto(set, &rec)
 		for c := 0; c < cores; c++ {

@@ -1,8 +1,6 @@
 package llc
 
 import (
-	"fmt"
-
 	"nucasim/internal/cache"
 	"nucasim/internal/dram"
 	"nucasim/internal/memaddr"
@@ -24,54 +22,34 @@ import (
 //     normally is not spilled again (it already had its second chance).
 //
 // Sharing is uncontrolled: there is no partitioning and no pollution
-// protection, which is exactly what the adaptive scheme adds.
+// protection, which is exactly what the adaptive scheme adds. Reset leaves
+// the rng stream untouched.
 type Cooperative struct {
-	caches  []*cache.Cache
-	mem     *dram.Memory
-	lat     Latencies
-	r       *rng.Rand
-	perCore []AccessStats
-	latRec  *LatencyRecorder
-}
-
-// NewCooperative builds the Table 1-sized cooperative organization (1 MB
-// 4-way per core) over the given memory. The rng drives neighbor choice.
-func NewCooperative(cores int, mem *dram.Memory, lat Latencies, r *rng.Rand) *Cooperative {
-	return NewCooperativeSized(cores, mem, 1<<20, 4, lat, r)
+	base
+	remoteLat uint64
+	r         *rng.Rand
 }
 
 // NewCooperativeSized builds a cooperative organization with explicit
-// per-core geometry.
+// per-core geometry; lat gives the local and neighbor hit latencies and
+// the rng drives neighbor choice.
 func NewCooperativeSized(cores int, mem *dram.Memory, bytesPerCore, ways int, lat Latencies, r *rng.Rand) *Cooperative {
 	if cores < 2 {
 		panic("llc: cooperative caching needs at least 2 cores")
 	}
-	co := &Cooperative{
-		mem:     mem,
-		lat:     lat,
-		r:       r,
-		caches:  make([]*cache.Cache, cores),
-		perCore: make([]AccessStats, cores),
+	return &Cooperative{
+		base:      newBase("coop", cores, cores, bytesPerCore, ways, lat.LocalHit, mem),
+		remoteLat: uint64(lat.RemoteHit),
+		r:         r,
 	}
-	for i := range co.caches {
-		co.caches[i] = cache.New(fmt.Sprintf("coop-L3-%d", i), memaddr.NewGeometry(bytesPerCore, ways))
-	}
-	return co
 }
-
-// Name implements Organization.
-func (co *Cooperative) Name() string { return "coop" }
 
 // Access implements Organization.
 func (co *Cooperative) Access(core int, addr memaddr.Addr, write bool, now uint64) (uint64, bool) {
-	st := &co.perCore[core]
-	st.Accesses++
 	local := co.caches[core]
-	if hit, _ := local.Access(addr, write); hit {
-		st.LocalHits++
-		st.TotalLatency += uint64(co.lat.LocalHit)
-		co.latRec.ObserveLocal(core, uint64(co.lat.LocalHit))
-		return now + uint64(co.lat.LocalHit), true
+	if co.lookup(core, local, addr, write) {
+		co.lat.ObserveLocal(core, co.hitLat)
+		return now + co.hitLat, true
 	}
 	// Check all neighbors (in parallel in hardware; any order here —
 	// a block exists in at most one cache).
@@ -81,21 +59,18 @@ func (co *Cooperative) Access(core int, addr memaddr.Addr, write bool, now uint6
 		}
 		if blk, ok := co.caches[n].Invalidate(addr); ok {
 			// Migrate to the local cache as MRU.
+			st := &co.perCore[core]
 			st.RemoteHits++
-			st.TotalLatency += uint64(co.lat.RemoteHit)
-			co.latRec.ObserveRemote(core, uint64(co.lat.RemoteHit))
+			st.TotalLatency += co.remoteLat
+			co.lat.ObserveRemote(core, co.remoteLat)
 			victim, victimAddr := local.Install(addr, blk.Dirty || write, blk.Owner)
 			co.handleLocalVictim(core, victim, victimAddr, now)
-			return now + uint64(co.lat.RemoteHit), true
+			return now + co.remoteLat, true
 		}
 	}
 	// Full miss: fetch from memory into the local cache.
-	st.Misses++
-	ready, _ := co.mem.ReadBlock(now)
-	co.latRec.ObserveMiss(core, ready-now)
-	victim, victimAddr := local.Install(addr, write, core)
+	ready, victim, victimAddr := co.fetch(core, local, addr, write, now)
 	co.handleLocalVictim(core, victim, victimAddr, now)
-	st.TotalLatency += ready - now
 	return ready, false
 }
 
@@ -105,29 +80,18 @@ func (co *Cooperative) handleLocalVictim(core int, victim cache.Block, victimAdd
 	if !victim.Valid {
 		return
 	}
-	st := &co.perCore[core]
 	if victim.Owner != core {
 		// A foreign (previously spilled) block: it already had its
 		// second chance; drop it (write back if dirty).
-		st.Evictions++
-		if victim.Dirty {
-			st.Writebacks++
-			co.mem.Writeback(now)
-		}
+		co.evict(core, victim, now)
 		return
 	}
 	// Own block evicted by own access: spill to a random neighbor as MRU.
 	n := co.randomNeighbor(core)
-	st.SpillsOut++
+	co.perCore[core].SpillsOut++
 	nVictim, _ := co.caches[n].Install(victimAddr, victim.Dirty, victim.Owner)
-	if nVictim.Valid {
-		// The displaced neighbor block is not re-allocated (no ripple).
-		st.Evictions++
-		if nVictim.Dirty {
-			st.Writebacks++
-			co.mem.Writeback(now)
-		}
-	}
+	// The displaced neighbor block is not re-allocated (no ripple).
+	co.evict(core, nVictim, now)
 }
 
 func (co *Cooperative) randomNeighbor(core int) int {
@@ -138,41 +102,4 @@ func (co *Cooperative) randomNeighbor(core int) int {
 	return n
 }
 
-// WritebackFromL2 implements Organization.
-func (co *Cooperative) WritebackFromL2(core int, addr memaddr.Addr, now uint64) {
-	for _, c := range co.caches {
-		if c.MarkDirty(addr) {
-			return
-		}
-	}
-	co.mem.Writeback(now)
-	co.perCore[core].Writebacks++
-}
-
-// CoreStats implements Organization.
-func (co *Cooperative) CoreStats(core int) AccessStats { return co.perCore[core] }
-
-// TotalStats implements Organization.
-func (co *Cooperative) TotalStats() AccessStats { return sumStats(co.perCore) }
-
-// Reset implements Organization (the rng stream is left untouched).
-func (co *Cooperative) Reset() {
-	for _, c := range co.caches {
-		c.Reset()
-	}
-	for i := range co.perCore {
-		co.perCore[i] = AccessStats{}
-	}
-}
-
-// SetLatencyRecorder implements LatencyObserver.
-func (co *Cooperative) SetLatencyRecorder(r *LatencyRecorder) { co.latRec = r }
-
-// Memory returns the underlying memory model (test helper).
-func (co *Cooperative) Memory() *dram.Memory { return co.mem }
-
-// Cache exposes a core's cache for tests.
-func (co *Cooperative) Cache(core int) *cache.Cache { return co.caches[core] }
-
 var _ Organization = (*Cooperative)(nil)
-var _ memoryOf = (*Cooperative)(nil)

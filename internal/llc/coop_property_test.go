@@ -50,7 +50,7 @@ func TestPropertyCoopNoDuplicateCopies(t *testing.T) {
 func TestPropertyCoopStatsConsistent(t *testing.T) {
 	f := func(seed uint64, n uint16) bool {
 		mem := dram.New(dram.PrivateConfig())
-		co := NewCooperative(4, mem, DefaultLatencies(), rng.New(seed))
+		co := table1Coop(4, mem, rng.New(seed))
 		r := rng.New(seed + 1)
 		steps := int(n%500) + 50
 		for i := 0; i < steps; i++ {

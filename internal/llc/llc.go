@@ -1,18 +1,24 @@
 // Package llc defines the last-level-cache organization interface and the
 // baseline organizations the paper compares against:
 //
-//   - Private: one 1 MB 4-way L3 per core, 14-cycle hits (Table 1).
-//   - Shared: one 4 MB 16-way L3 for all cores, 19-cycle hits.
-//   - PrivateLarge ("4 x size private"): a 4 MB private cache per core —
-//     the capacity upper bound used in Figures 7-9.
+//   - Private: one isolated L3 array per core.
+//   - Shared: one monolithic L3 array for all cores.
 //   - Cooperative: Chang & Sohi's spill-to-random-neighbor scheme, which
 //     the paper calls "random replacement" (Section 4.7).
 //
-// The paper's own adaptive organization lives in internal/core and
+// All three embed one base that holds the arrays, the memory channel and
+// the statistics, and runs the miss/fill and writeback paths; each type
+// adds only its hit path (and, for Cooperative, its spill rules). The
+// constructors take explicit geometry: the Table 1 sizes of every scheme,
+// the "4 x size private" bound among them, live in internal/sim's scheme
+// table. The paper's own adaptive organization lives in internal/core and
 // implements the same Organization interface.
 package llc
 
 import (
+	"fmt"
+
+	"nucasim/internal/cache"
 	"nucasim/internal/dram"
 	"nucasim/internal/memaddr"
 )
@@ -130,15 +136,123 @@ type Organization interface {
 	Reset()
 }
 
-// sumStats aggregates a slice of per-core stats.
-func sumStats(per []AccessStats) AccessStats {
+// base is what the baseline organizations share: their cache arrays
+// (one per core, or one for a monolithic shared cache), all of one
+// geometry and hit latency, the memory channel, per-core statistics and
+// the latency recorder, with the miss/fill and writeback paths common to
+// all of them.
+type base struct {
+	name    string
+	caches  []*cache.Cache
+	mem     *dram.Memory
+	hitLat  uint64
+	perCore []AccessStats
+	lat     *LatencyRecorder
+}
+
+func newBase(name string, cores, arrays, bytesPerArray, ways, hitLat int, mem *dram.Memory) base {
+	b := base{
+		name:    name,
+		caches:  make([]*cache.Cache, arrays),
+		mem:     mem,
+		hitLat:  uint64(hitLat),
+		perCore: make([]AccessStats, cores),
+	}
+	for i := range b.caches {
+		b.caches[i] = cache.New(fmt.Sprintf("%s-L3-%d", name, i), memaddr.NewGeometry(bytesPerArray, ways))
+	}
+	return b
+}
+
+// lookup counts a demand access by core and looks addr up in array c; a
+// hit is counted as local at the arrays' hit latency.
+func (b *base) lookup(core int, c *cache.Cache, addr memaddr.Addr, write bool) bool {
+	st := &b.perCore[core]
+	st.Accesses++
+	if hit, _ := c.Access(addr, write); !hit {
+		return false
+	}
+	st.LocalHits++
+	st.TotalLatency += b.hitLat
+	return true
+}
+
+// fetch serves core's miss from memory and fills the block into array c
+// as core's own. It returns the cycle the data is ready and the block the
+// fill displaced, which the caller disposes of.
+func (b *base) fetch(core int, c *cache.Cache, addr memaddr.Addr, write bool, now uint64) (ready uint64, victim cache.Block, victimAddr memaddr.Addr) {
+	st := &b.perCore[core]
+	st.Misses++
+	ready, _ = b.mem.ReadBlock(now)
+	b.lat.ObserveMiss(core, ready-now)
+	st.TotalLatency += ready - now
+	victim, victimAddr = c.Install(addr, write, core)
+	return ready, victim, victimAddr
+}
+
+// evict drops a block displaced by core's activity out of the L3,
+// writing it back if dirty. The writeback is write-buffered: it occupies
+// the channel from now rather than reserving time after the demand fetch.
+func (b *base) evict(core int, victim cache.Block, now uint64) {
+	if !victim.Valid {
+		return
+	}
+	st := &b.perCore[core]
+	st.Evictions++
+	if victim.Dirty {
+		st.Writebacks++
+		b.mem.Writeback(now)
+	}
+}
+
+// WritebackFromL2 implements Organization for organizations whose block
+// may sit in any array: the block is marked dirty where it lives (without
+// disturbing LRU order, a writeback is not a demand reference), or written
+// to memory when no array holds it.
+func (b *base) WritebackFromL2(core int, addr memaddr.Addr, now uint64) {
+	for _, c := range b.caches {
+		if c.MarkDirty(addr) {
+			return
+		}
+	}
+	b.writeback(core, now)
+}
+
+// writeback sends core's dirty L2 victim to memory.
+func (b *base) writeback(core int, now uint64) {
+	b.mem.Writeback(now)
+	b.perCore[core].Writebacks++
+}
+
+// Name implements Organization.
+func (b *base) Name() string { return b.name }
+
+// CoreStats implements Organization.
+func (b *base) CoreStats(core int) AccessStats { return b.perCore[core] }
+
+// TotalStats implements Organization.
+func (b *base) TotalStats() AccessStats {
 	var total AccessStats
-	for _, s := range per {
+	for _, s := range b.perCore {
 		total.add(s)
 	}
 	return total
 }
 
-// memoryOf is implemented by all organizations in this package to share
-// test helpers.
-type memoryOf interface{ Memory() *dram.Memory }
+// Reset implements Organization.
+func (b *base) Reset() {
+	for _, c := range b.caches {
+		c.Reset()
+	}
+	clear(b.perCore)
+}
+
+// SetLatencyRecorder implements LatencyObserver.
+func (b *base) SetLatencyRecorder(r *LatencyRecorder) { b.lat = r }
+
+// Memory returns the underlying memory model.
+func (b *base) Memory() *dram.Memory { return b.mem }
+
+// Cache exposes array i for inspection in tests and examples: core i's
+// own array, or for Shared (i = 0) the one shared array.
+func (b *base) Cache(i int) *cache.Cache { return b.caches[i] }

@@ -14,9 +14,23 @@ func blockIn(core int, tag uint64, set int) memaddr.Addr {
 	return memaddr.Addr(tag<<18 | uint64(set)<<6).WithSpace(core)
 }
 
+// The Table 1 organizations, at the geometry sim's scheme table gives
+// them (internal/sim checks that table against Table 1).
+func table1Private(cores int, mem *dram.Memory) *Private {
+	return NewPrivateSized(cores, mem, 1<<20, 4, DefaultLatencies().LocalHit, "private")
+}
+
+func table1Shared(cores int, mem *dram.Memory) *Shared {
+	return NewSharedSized(cores, mem, 4<<20, 16, DefaultLatencies().SharedHit)
+}
+
+func table1Coop(cores int, mem *dram.Memory, r *rng.Rand) *Cooperative {
+	return NewCooperativeSized(cores, mem, 1<<20, 4, DefaultLatencies(), r)
+}
+
 func TestPrivateHitMissLatency(t *testing.T) {
 	mem := dram.New(dram.PrivateConfig())
-	p := NewPrivate(4, mem, DefaultLatencies())
+	p := table1Private(4, mem)
 	a := blockIn(0, 1, 0)
 	ready, hit := p.Access(0, a, false, 100)
 	if hit {
@@ -37,7 +51,7 @@ func TestPrivateHitMissLatency(t *testing.T) {
 
 func TestPrivateIsolation(t *testing.T) {
 	mem := dram.New(dram.PrivateConfig())
-	p := NewPrivate(4, mem, DefaultLatencies())
+	p := table1Private(4, mem)
 	a := blockIn(0, 1, 0)
 	p.Access(0, a, false, 0)
 	// Core 1 accessing ANY address never hits core 0's cache; and core 0's
@@ -68,7 +82,7 @@ func TestPrivateWritebackOnDirtyEviction(t *testing.T) {
 
 func TestPrivateWritebackFromL2(t *testing.T) {
 	mem := dram.New(dram.PrivateConfig())
-	p := NewPrivate(2, mem, DefaultLatencies())
+	p := table1Private(2, mem)
 	a := blockIn(0, 1, 0)
 	p.Access(0, a, false, 0) // miss + fill, clean
 	p.WritebackFromL2(0, a, 500)
@@ -83,7 +97,7 @@ func TestPrivateWritebackFromL2(t *testing.T) {
 
 func TestSharedCapacitySharing(t *testing.T) {
 	mem := dram.New(dram.SharedConfig())
-	s := NewShared(4, mem, DefaultLatencies())
+	s := table1Shared(4, mem)
 	// One core can use far more than 1 MB worth of one set: 16 ways.
 	for i := uint64(0); i < 16; i++ {
 		s.Access(0, blockIn(0, i+1, 0), false, 0)
@@ -101,7 +115,7 @@ func TestSharedCapacitySharing(t *testing.T) {
 
 func TestSharedPollution(t *testing.T) {
 	mem := dram.New(dram.SharedConfig())
-	s := NewShared(2, mem, DefaultLatencies())
+	s := table1Shared(2, mem)
 	a := blockIn(0, 1, 0)
 	s.Access(0, a, false, 0)
 	// Core 1 streams 16 distinct blocks through the same set: core 0's
@@ -121,7 +135,7 @@ func TestSharedPollution(t *testing.T) {
 
 func TestSharedLatencies(t *testing.T) {
 	mem := dram.New(dram.SharedConfig())
-	s := NewShared(4, mem, DefaultLatencies())
+	s := table1Shared(4, mem)
 	a := blockIn(2, 7, 3)
 	ready, hit := s.Access(2, a, false, 0)
 	if hit || ready != 260 {
@@ -205,7 +219,7 @@ func TestCooperativeNoRippleOnSpill(t *testing.T) {
 
 func TestCooperativeRandomNeighborExcludesSelf(t *testing.T) {
 	mem := dram.New(dram.PrivateConfig())
-	co := NewCooperative(4, mem, DefaultLatencies(), rng.New(4))
+	co := table1Coop(4, mem, rng.New(4))
 	for i := 0; i < 1000; i++ {
 		for c := 0; c < 4; c++ {
 			if n := co.randomNeighbor(c); n == c || n < 0 || n > 3 {
@@ -221,7 +235,7 @@ func TestCooperativeNeedsTwoCores(t *testing.T) {
 			t.Fatal("expected panic for 1-core cooperative")
 		}
 	}()
-	NewCooperative(1, dram.New(dram.PrivateConfig()), DefaultLatencies(), rng.New(1))
+	table1Coop(1, dram.New(dram.PrivateConfig()), rng.New(1))
 }
 
 func TestStatsHelpers(t *testing.T) {
@@ -243,7 +257,7 @@ func TestStatsHelpers(t *testing.T) {
 
 func TestTotalStatsAggregates(t *testing.T) {
 	mem := dram.New(dram.PrivateConfig())
-	p := NewPrivate(2, mem, DefaultLatencies())
+	p := table1Private(2, mem)
 	p.Access(0, blockIn(0, 1, 0), false, 0)
 	p.Access(1, blockIn(1, 1, 0), false, 0)
 	p.Access(0, blockIn(0, 1, 0), false, 999)
@@ -256,9 +270,9 @@ func TestTotalStatsAggregates(t *testing.T) {
 func TestResetAllOrgs(t *testing.T) {
 	mem := dram.New(dram.SharedConfig())
 	orgs := []Organization{
-		NewPrivate(2, mem, DefaultLatencies()),
-		NewShared(2, mem, DefaultLatencies()),
-		NewCooperative(2, mem, DefaultLatencies(), rng.New(5)),
+		table1Private(2, mem),
+		table1Shared(2, mem),
+		table1Coop(2, mem, rng.New(5)),
 	}
 	for _, org := range orgs {
 		a := blockIn(0, 3, 1)
@@ -270,19 +284,5 @@ func TestResetAllOrgs(t *testing.T) {
 		if _, hit := org.Access(0, a, false, 0); hit {
 			t.Fatalf("%s: contents not reset", org.Name())
 		}
-	}
-}
-
-func TestPrivateLargeGeometryAndLatency(t *testing.T) {
-	mem := dram.New(dram.PrivateConfig())
-	p := NewPrivateLarge(1, mem, DefaultLatencies())
-	a := blockIn(0, 5, 0)
-	p.Access(0, a, false, 0)
-	ready, hit := p.Access(0, a, false, 1000)
-	if !hit || ready != 1019 {
-		t.Fatalf("4x private hit at %d, want 1019 (shared-cache latency)", ready)
-	}
-	if p.Cache(0).Geom.SizeBytes() != 4<<20 {
-		t.Fatal("4x private should be 4 MB per core")
 	}
 }

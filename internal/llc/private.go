@@ -1,9 +1,6 @@
 package llc
 
 import (
-	"fmt"
-
-	"nucasim/internal/cache"
 	"nucasim/internal/dram"
 	"nucasim/internal/memaddr"
 )
@@ -12,116 +9,35 @@ import (
 // isolated cache; misses go straight to memory. The paper uses it as the
 // primary baseline because its behaviour is "predictable and well
 // understood" (§4).
-type Private struct {
-	name    string
-	caches  []*cache.Cache
-	mem     *dram.Memory
-	hitLat  int
-	perCore []AccessStats
-	lat     *LatencyRecorder
-}
+type Private struct{ base }
 
-// NewPrivate builds the Table 1 private organization: 1 MB 4-way per core,
-// 14-cycle hits, over the given memory.
-func NewPrivate(cores int, mem *dram.Memory, lat Latencies) *Private {
-	return NewPrivateSized(cores, mem, 1<<20, 4, lat.LocalHit, "private")
-}
-
-// NewPrivateLarge builds the "4 x size private" capacity upper bound used
-// in Figures 7-9: a shared-cache-sized (4 MB, 16-way) private cache per
-// core. Its hit latency is the shared cache's 19 cycles — a 4 MB array
-// cannot be faster than the equally-sized shared cache (CACTI-consistent;
-// the paper plots it only to show which applications want capacity).
-func NewPrivateLarge(cores int, mem *dram.Memory, lat Latencies) *Private {
-	return NewPrivateSized(cores, mem, 4<<20, 16, lat.SharedHit, "private4x")
-}
-
-// NewPrivateSized builds a private organization with explicit geometry and
-// hit latency, for cache-size sweeps (Figure 9 doubles capacity).
+// NewPrivateSized builds a private organization with explicit per-core
+// geometry and hit latency: the Table 1 private cache, the "4 x size
+// private" capacity bound, or a cache-size sweep point (Figure 9 doubles
+// capacity).
 func NewPrivateSized(cores int, mem *dram.Memory, bytesPerCore, ways, hitLat int, name string) *Private {
-	p := &Private{
-		name:    name,
-		mem:     mem,
-		hitLat:  hitLat,
-		caches:  make([]*cache.Cache, cores),
-		perCore: make([]AccessStats, cores),
-	}
-	for i := range p.caches {
-		p.caches[i] = cache.New(fmt.Sprintf("%s-L3-%d", name, i), memaddr.NewGeometry(bytesPerCore, ways))
-	}
-	return p
+	return &Private{newBase(name, cores, cores, bytesPerCore, ways, hitLat, mem)}
 }
-
-// Name implements Organization.
-func (p *Private) Name() string { return p.name }
 
 // Access implements Organization.
 func (p *Private) Access(core int, addr memaddr.Addr, write bool, now uint64) (uint64, bool) {
-	st := &p.perCore[core]
-	st.Accesses++
 	c := p.caches[core]
-	if hit, _ := c.Access(addr, write); hit {
-		st.LocalHits++
-		st.TotalLatency += uint64(p.hitLat)
-		p.lat.ObserveLocal(core, uint64(p.hitLat))
-		return now + uint64(p.hitLat), true
+	if p.lookup(core, c, addr, write) {
+		p.lat.ObserveLocal(core, p.hitLat)
+		return now + p.hitLat, true
 	}
-	st.Misses++
-	ready, _ := p.mem.ReadBlock(now)
-	p.lat.ObserveMiss(core, ready-now)
-	victim, _ := c.Install(addr, write, core)
-	if victim.Valid {
-		st.Evictions++
-		if victim.Dirty {
-			st.Writebacks++
-			// Write-buffered: occupies the channel from now rather than
-			// reserving time after the fill completes.
-			p.mem.Writeback(now)
-		}
-	}
-	st.TotalLatency += ready - now
+	ready, victim, _ := p.fetch(core, c, addr, write, now)
+	p.evict(core, victim, now)
 	return ready, false
 }
 
-// WritebackFromL2 implements Organization.
+// WritebackFromL2 implements Organization. Only the core's own cache is
+// searched: a copy of the same (shared-space) block in another core's
+// private cache is that core's, not this writeback's.
 func (p *Private) WritebackFromL2(core int, addr memaddr.Addr, now uint64) {
-	c := p.caches[core]
-	if c.Probe(addr) {
-		// Mark dirty without disturbing LRU order: re-install refreshes
-		// recency, which is wrong for a writeback, so touch the block
-		// in place via Invalidate+InstallAtLRU only if absent. Instead,
-		// use a dirty-marking access path: Probe then a targeted update.
-		c.MarkDirty(addr)
-		return
-	}
-	p.mem.Writeback(now)
-	p.perCore[core].Writebacks++
-}
-
-// CoreStats implements Organization.
-func (p *Private) CoreStats(core int) AccessStats { return p.perCore[core] }
-
-// TotalStats implements Organization.
-func (p *Private) TotalStats() AccessStats { return sumStats(p.perCore) }
-
-// Reset implements Organization.
-func (p *Private) Reset() {
-	for _, c := range p.caches {
-		c.Reset()
-	}
-	for i := range p.perCore {
-		p.perCore[i] = AccessStats{}
+	if !p.caches[core].MarkDirty(addr) {
+		p.writeback(core, now)
 	}
 }
-
-// SetLatencyRecorder implements LatencyObserver.
-func (p *Private) SetLatencyRecorder(r *LatencyRecorder) { p.lat = r }
-
-// Memory returns the underlying memory model (test helper).
-func (p *Private) Memory() *dram.Memory { return p.mem }
-
-// Cache exposes a core's cache for inspection in tests and examples.
-func (p *Private) Cache(core int) *cache.Cache { return p.caches[core] }
 
 var _ Organization = (*Private)(nil)
-var _ memoryOf = (*Private)(nil)

@@ -1,105 +1,39 @@
 package llc
 
 import (
-	"nucasim/internal/cache"
 	"nucasim/internal/dram"
 	"nucasim/internal/memaddr"
 )
 
-// Shared is the monolithic shared L3 baseline: 4 MB, 16-way, LRU, 19-cycle
-// hits (Table 1). All cores allocate freely, so a cache-hungry core can
-// pollute the others — the effect the paper's adaptive scheme controls.
-type Shared struct {
-	c       *cache.Cache
-	mem     *dram.Memory
-	hitLat  int
-	perCore []AccessStats
-	lat     *LatencyRecorder
-}
+// Shared is the monolithic shared L3 baseline: one LRU array for all
+// cores. Every core allocates freely, so a cache-hungry core can pollute
+// the others — the effect the paper's adaptive scheme controls.
+type Shared struct{ base }
 
-// NewShared builds the Table 1 shared organization over the given memory.
-func NewShared(cores int, mem *dram.Memory, lat Latencies) *Shared {
-	return NewSharedSized(cores, mem, 4<<20, 16, lat.SharedHit)
-}
-
-// NewSharedSized builds a shared organization with explicit geometry, for
-// the Figure 9 8-MB study.
+// NewSharedSized builds a shared organization with explicit geometry and
+// hit latency: the Table 1 shared cache, or the Figure 9 8-MB study.
 func NewSharedSized(cores int, mem *dram.Memory, bytes, ways, hitLat int) *Shared {
-	return &Shared{
-		c:       cache.New("shared-L3", memaddr.NewGeometry(bytes, ways)),
-		mem:     mem,
-		hitLat:  hitLat,
-		perCore: make([]AccessStats, cores),
-	}
+	return &Shared{newBase("shared", cores, 1, bytes, ways, hitLat, mem)}
 }
-
-// Name implements Organization.
-func (s *Shared) Name() string { return "shared" }
 
 // Access implements Organization.
 func (s *Shared) Access(core int, addr memaddr.Addr, write bool, now uint64) (uint64, bool) {
-	st := &s.perCore[core]
-	st.Accesses++
-	if hit, _ := s.c.Access(addr, write); hit {
-		st.LocalHits++
-		st.TotalLatency += uint64(s.hitLat)
+	c := s.caches[0]
+	if s.lookup(core, c, addr, write) {
 		// A monolithic shared array has one hit latency; it lands in the
 		// remote-hit histogram because 19 cycles is the far-bank figure.
-		s.lat.ObserveRemote(core, uint64(s.hitLat))
-		return now + uint64(s.hitLat), true
+		s.lat.ObserveRemote(core, s.hitLat)
+		return now + s.hitLat, true
 	}
-	st.Misses++
-	ready, _ := s.mem.ReadBlock(now)
-	s.lat.ObserveMiss(core, ready-now)
-	victim, _ := s.c.Install(addr, write, core)
-	if victim.Valid {
-		st.Evictions++
-		if victim.Dirty {
-			st.Writebacks++
-			// The victim's writeback occupies the channel from now; it
-			// does not reserve future time (a write buffer drains it
-			// behind the demand fetch).
-			s.mem.Writeback(now)
-		}
-	}
-	st.TotalLatency += ready - now
+	ready, victim, _ := s.fetch(core, c, addr, write, now)
+	s.evict(core, victim, now)
 	return ready, false
 }
-
-// WritebackFromL2 implements Organization.
-func (s *Shared) WritebackFromL2(core int, addr memaddr.Addr, now uint64) {
-	if s.c.MarkDirty(addr) {
-		return
-	}
-	s.mem.Writeback(now)
-	s.perCore[core].Writebacks++
-}
-
-// CoreStats implements Organization.
-func (s *Shared) CoreStats(core int) AccessStats { return s.perCore[core] }
-
-// TotalStats implements Organization.
-func (s *Shared) TotalStats() AccessStats { return sumStats(s.perCore) }
-
-// Reset implements Organization.
-func (s *Shared) Reset() {
-	s.c.Reset()
-	for i := range s.perCore {
-		s.perCore[i] = AccessStats{}
-	}
-}
-
-// SetLatencyRecorder implements LatencyObserver.
-func (s *Shared) SetLatencyRecorder(r *LatencyRecorder) { s.lat = r }
-
-// Memory returns the underlying memory model (test helper).
-func (s *Shared) Memory() *dram.Memory { return s.mem }
 
 // OccupancyByOwner reports how many blocks each core currently holds —
 // the direct measure of pollution in the shared baseline.
 func (s *Shared) OccupancyByOwner() []int {
-	return s.c.OccupancyByOwner(len(s.perCore))
+	return s.caches[0].OccupancyByOwner(len(s.perCore))
 }
 
 var _ Organization = (*Shared)(nil)
-var _ memoryOf = (*Shared)(nil)

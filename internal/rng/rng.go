@@ -67,9 +67,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns the next 32 random bits.
-func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {

@@ -602,7 +602,7 @@ func (s *Server) jobConfig(j *Job, parent telemetry.SpanID) sim.Config {
 	cfg := j.cfg
 	cfg.Telemetry = &telemetry.Config{}
 	j.wireTelemetry(cfg.Telemetry, parent)
-	if cfg.Scheme == sim.SchemeAdaptive {
+	if cfg.Scheme.Checkpointable() {
 		cfg.CheckpointPath = s.store.CheckpointPath(j.ID)
 		cfg.CheckpointEvery = s.opts.CheckpointEvery
 	}

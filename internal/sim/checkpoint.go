@@ -434,11 +434,11 @@ func ResumeFromCheckpoint(ctx context.Context, ck *Checkpoint, attach func(c *te
 // which the fork-equivalence suite proves; the point is that one warmup
 // can seed arbitrarily many measurement windows (ResumeFromCheckpoint on
 // decoded copies with different MeasureCycles), so a sweep whose points share
-// warmup-relevant configuration pays for warmup exactly once. Adaptive
-// scheme only: the baseline organizations have no snapshot support.
+// warmup-relevant configuration pays for warmup exactly once. The scheme
+// must be Checkpointable.
 func WarmupCheckpoint(ctx context.Context, cfg Config, mix []workload.AppParams) (*Checkpoint, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Scheme != SchemeAdaptive {
+	if !cfg.Scheme.Checkpointable() {
 		return nil, fmt.Errorf("sim: warmup checkpointing supports only the adaptive scheme, not %s", cfg.Scheme)
 	}
 	m, _, _, err := warmedMachine(ctx, cfg, mix)

@@ -135,7 +135,8 @@ func TestConfigValidate(t *testing.T) {
 		want string
 	}{
 		{"unknown scheme", func(c *Config) { c.Scheme = "l4-victim" }, "unknown scheme"},
-		{"adaptive needs 2 cores", func(c *Config) { c.Scheme = SchemeAdaptive; c.Cores = 1 }, "at least 2 cores"},
+		{"adaptive needs 2 cores", func(c *Config) { c.Scheme = SchemeAdaptive; c.Cores = 1 }, "the adaptive scheme needs at least 2 cores, got 1"},
+		{"coop needs 2 cores", func(c *Config) { c.Scheme = SchemeCoop; c.Cores = 1 }, "the coop scheme needs at least 2 cores, got 1"},
 		{"bad cache size", func(c *Config) { c.L3BytesPerCore = 100_000 }, "not divisible"},
 		{"non-pow2 sets", func(c *Config) { c.L3BytesPerCore = 3 * 256 * 1024 }, "power of two"},
 		{"negative period", func(c *Config) { c.RepartitionPeriod = -1 }, "RepartitionPeriod"},

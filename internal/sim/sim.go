@@ -52,9 +52,92 @@ const (
 	SchemeAdaptive  Scheme = "adaptive"
 )
 
+// schemeDef is everything sim knows about one L3 organization. All of a
+// scheme's cache arrays share one geometry: wide arrays hold the whole
+// chip's capacity (Cores × L3BytesPerCore), the others one core's.
+type schemeDef struct {
+	name         Scheme
+	wide         bool
+	ways         int
+	minCores     int
+	sharedMem    bool // on the shared cache's memory channel (dram.SharedConfig)
+	checkpointed bool // the machine can be snapshotted and resumed
+	build        func(cfg Config, bytes, ways int, mem *dram.Memory, lat llc.Latencies, r *rng.Rand) llc.Organization
+}
+
+// schemeTable is the one place the Table 1 L3 organizations are defined,
+// in the order tables present them.
+var schemeTable = [...]schemeDef{
+	{name: SchemePrivate, ways: 4, minCores: 1,
+		build: func(cfg Config, bytes, ways int, mem *dram.Memory, lat llc.Latencies, _ *rng.Rand) llc.Organization {
+			return llc.NewPrivateSized(cfg.Cores, mem, bytes, ways, lat.LocalHit, string(SchemePrivate))
+		}},
+	{name: SchemeShared, wide: true, ways: 16, minCores: 1, sharedMem: true,
+		build: func(cfg Config, bytes, ways int, mem *dram.Memory, lat llc.Latencies, _ *rng.Rand) llc.Organization {
+			return llc.NewSharedSized(cfg.Cores, mem, bytes, ways, lat.SharedHit)
+		}},
+	// The "4 x size private" capacity bound of Figures 7-9: a
+	// shared-cache-sized private cache per core. It hits at the shared
+	// cache's latency — an array that size cannot be faster than the
+	// equally-sized shared cache (CACTI-consistent; the paper plots it
+	// only to show which applications want capacity).
+	{name: SchemePrivate4x, wide: true, ways: 16, minCores: 1,
+		build: func(cfg Config, bytes, ways int, mem *dram.Memory, lat llc.Latencies, _ *rng.Rand) llc.Organization {
+			return llc.NewPrivateSized(cfg.Cores, mem, bytes, ways, lat.SharedHit, string(SchemePrivate4x))
+		}},
+	{name: SchemeCoop, ways: 4, minCores: 2,
+		build: func(cfg Config, bytes, ways int, mem *dram.Memory, lat llc.Latencies, r *rng.Rand) llc.Organization {
+			return llc.NewCooperativeSized(cfg.Cores, mem, bytes, ways, lat, r.Fork(0xC0))
+		}},
+	{name: SchemeAdaptive, ways: 4, minCores: 2, checkpointed: true,
+		build: func(cfg Config, bytes, ways int, mem *dram.Memory, lat llc.Latencies, _ *rng.Rand) llc.Organization {
+			return core.NewAdaptive(core.Config{
+				Cores:             cfg.Cores,
+				BytesPerCore:      bytes,
+				LocalWays:         ways,
+				RepartitionPeriod: cfg.RepartitionPeriod,
+				ShadowSampleShift: cfg.ShadowSampleShift,
+				Latencies:         lat,
+				DisableProtection: cfg.DisableProtection,
+				DisableAdaptation: cfg.DisableAdaptation,
+			}, mem)
+		}},
+}
+
+// def returns s's table entry.
+func (s Scheme) def() (schemeDef, bool) {
+	for _, d := range schemeTable {
+		if d.name == s {
+			return d, true
+		}
+	}
+	return schemeDef{}, false
+}
+
+// arrayBytes is the size of each of the scheme's cache arrays under cfg.
+func (d schemeDef) arrayBytes(cfg Config) int {
+	if d.wide {
+		return cfg.Cores * cfg.L3BytesPerCore
+	}
+	return cfg.L3BytesPerCore
+}
+
+// Checkpointable reports whether a run of s can be checkpointed and
+// resumed: CheckpointPath, WarmupCheckpoint and forked sweep warmups
+// need it. Only the adaptive scheme can; the baselines have no snapshot
+// support.
+func (s Scheme) Checkpointable() bool {
+	d, ok := s.def()
+	return ok && d.checkpointed
+}
+
 // Schemes lists every organization, in the order tables present them.
 func Schemes() []Scheme {
-	return []Scheme{SchemePrivate, SchemeShared, SchemePrivate4x, SchemeCoop, SchemeAdaptive}
+	out := make([]Scheme, len(schemeTable))
+	for i, d := range schemeTable {
+		out[i] = d.name
+	}
+	return out
 }
 
 // Config parameterizes one simulation run. Zero fields select the Table 1
@@ -261,10 +344,6 @@ func (m *Machine) startSpan(name string) telemetry.Span {
 	return m.Telemetry.StartSpan(name, m.spanRoot.ID())
 }
 
-// RootSpanID exposes the run root span's ID so external observers
-// (artifact writers) can nest under it. Zero when spans are disabled.
-func (m *Machine) RootSpanID() telemetry.SpanID { return m.spanRoot.ID() }
-
 // NewMachine assembles a CMP running the given application mix (one entry
 // per core; len(mix) must equal Cores).
 func NewMachine(cfg Config, mix []workload.AppParams) *Machine {
@@ -277,40 +356,14 @@ func NewMachine(cfg Config, mix []workload.AppParams) *Machine {
 		lat = llc.ScaledLatencies()
 	}
 
-	var mem *dram.Memory
-	var org llc.Organization
-	var adaptive *core.Adaptive
-	r := rng.New(cfg.Seed)
-
-	switch cfg.Scheme {
-	case SchemePrivate:
-		mem = dram.New(memCfg(cfg, false))
-		org = llc.NewPrivateSized(cfg.Cores, mem, cfg.L3BytesPerCore, 4, lat.LocalHit, "private")
-	case SchemePrivate4x:
-		mem = dram.New(memCfg(cfg, false))
-		org = llc.NewPrivateSized(cfg.Cores, mem, cfg.Cores*cfg.L3BytesPerCore, 16, lat.SharedHit, "private4x")
-	case SchemeShared:
-		mem = dram.New(memCfg(cfg, true))
-		org = llc.NewSharedSized(cfg.Cores, mem, cfg.Cores*cfg.L3BytesPerCore, 16, lat.SharedHit)
-	case SchemeCoop:
-		mem = dram.New(memCfg(cfg, false))
-		org = llc.NewCooperativeSized(cfg.Cores, mem, cfg.L3BytesPerCore, 4, lat, r.Fork(0xC0))
-	case SchemeAdaptive:
-		mem = dram.New(memCfg(cfg, false))
-		adaptive = core.NewAdaptive(core.Config{
-			Cores:             cfg.Cores,
-			BytesPerCore:      cfg.L3BytesPerCore,
-			LocalWays:         4,
-			RepartitionPeriod: cfg.RepartitionPeriod,
-			ShadowSampleShift: cfg.ShadowSampleShift,
-			Latencies:         lat,
-			DisableProtection: cfg.DisableProtection,
-			DisableAdaptation: cfg.DisableAdaptation,
-		}, mem)
-		org = adaptive
-	default:
+	d, ok := cfg.Scheme.def()
+	if !ok {
 		panic("sim: unknown scheme " + string(cfg.Scheme))
 	}
+	r := rng.New(cfg.Seed)
+	mem := dram.New(memCfg(cfg, d.sharedMem))
+	org := d.build(cfg, d.arrayBytes(cfg), d.ways, mem, lat, r)
+	adaptive, _ := org.(*core.Adaptive)
 
 	hcfg := hierarchy.Config{Cores: cfg.Cores}
 	if cfg.Scaled {

@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 
+	"nucasim/internal/cache"
+	"nucasim/internal/memaddr"
 	"nucasim/internal/workload"
 )
 
@@ -28,6 +30,43 @@ func mixOf(t *testing.T, names ...string) []workload.AppParams {
 		mix = append(mix, p)
 	}
 	return mix
+}
+
+// TestTable1Geometry checks the scheme table against Table 1: every
+// baseline NewMachine builds has the paper's arrays, hit latency and
+// memory channel (a cold miss is ready after 258 cycles on the private
+// channel, 260 on the shared cache's).
+func TestTable1Geometry(t *testing.T) {
+	cases := []struct {
+		scheme              Scheme
+		arrays, bytes, ways int
+		hit, miss           uint64
+	}{
+		{SchemePrivate, 4, 1 << 20, 4, 14, 258},
+		{SchemeShared, 1, 4 << 20, 16, 19, 260},
+		// The 4x bound is 4 MB per core at the shared array's latency.
+		{SchemePrivate4x, 4, 4 << 20, 16, 19, 258},
+		{SchemeCoop, 4, 1 << 20, 4, 14, 258},
+	}
+	mix := mixOf(t, "ammp", "swim", "lucas", "gzip")
+	for _, tc := range cases {
+		t.Run(string(tc.scheme), func(t *testing.T) {
+			m := NewMachine(Config{Scheme: tc.scheme}, mix)
+			org := m.Org.(interface{ Cache(int) *cache.Cache })
+			for i := 0; i < tc.arrays; i++ {
+				if g := org.Cache(i).Geom; g.SizeBytes() != tc.bytes || g.Ways != tc.ways {
+					t.Fatalf("array %d is %d bytes %d-way, want %d bytes %d-way", i, g.SizeBytes(), g.Ways, tc.bytes, tc.ways)
+				}
+			}
+			a := memaddr.Addr(5 << 18).WithSpace(0)
+			if ready, hit := m.Org.Access(0, a, false, 0); hit || ready != tc.miss {
+				t.Fatalf("cold access ready at %d (hit=%v), want a miss at %d", ready, hit, tc.miss)
+			}
+			if ready, hit := m.Org.Access(0, a, false, 1000); !hit || ready != 1000+tc.hit {
+				t.Fatalf("hit ready at %d (hit=%v), want %d", ready, hit, 1000+tc.hit)
+			}
+		})
+	}
 }
 
 func TestRunAllSchemesProduceProgress(t *testing.T) {

@@ -17,32 +17,19 @@ func (c Config) Validate() error {
 	if c.Cores < 1 {
 		return fmt.Errorf("sim: Cores = %d, need at least 1", c.Cores)
 	}
-	known := false
-	for _, s := range Schemes() {
-		if c.Scheme == s {
-			known = true
-			break
-		}
-	}
-	if !known {
+	d, ok := c.Scheme.def()
+	if !ok {
 		return fmt.Errorf("sim: unknown scheme %q (choose from %v)", c.Scheme, Schemes())
 	}
-	if c.Scheme == SchemeAdaptive && c.Cores < 2 {
-		return fmt.Errorf("sim: the adaptive scheme needs at least 2 cores, got %d", c.Cores)
+	if c.Cores < d.minCores {
+		return fmt.Errorf("sim: the %s scheme needs at least %d cores, got %d", c.Scheme, d.minCores, c.Cores)
 	}
 	if c.L3BytesPerCore <= 0 {
 		return fmt.Errorf("sim: L3BytesPerCore = %d, must be positive", c.L3BytesPerCore)
 	}
-	// Mirror the geometry each scheme will actually build so the
-	// power-of-two set-count requirement surfaces here, not as a panic.
-	var geomSize, geomWays int
-	switch c.Scheme {
-	case SchemePrivate, SchemeCoop, SchemeAdaptive:
-		geomSize, geomWays = c.L3BytesPerCore, 4
-	case SchemePrivate4x, SchemeShared:
-		geomSize, geomWays = c.Cores*c.L3BytesPerCore, 16
-	}
-	if err := checkGeometry(geomSize, geomWays); err != nil {
+	// The power-of-two set-count requirement surfaces here, not as a
+	// panic in NewMachine.
+	if err := checkGeometry(d.arrayBytes(c), d.ways); err != nil {
 		return fmt.Errorf("sim: scheme %s with L3BytesPerCore = %d: %w", c.Scheme, c.L3BytesPerCore, err)
 	}
 	if c.RepartitionPeriod < 0 {
@@ -52,7 +39,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: ShadowSampleShift = %d leaves no monitored sets", c.ShadowSampleShift)
 	}
 	if c.CheckpointPath != "" {
-		if c.Scheme != SchemeAdaptive {
+		if !c.Scheme.Checkpointable() {
 			return fmt.Errorf("sim: checkpointing supports only the adaptive scheme, not %s", c.Scheme)
 		}
 		if c.ReplayVerify {

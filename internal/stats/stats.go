@@ -262,16 +262,24 @@ func (t *Table) String() string {
 			labelW = len(r.label)
 		}
 	}
+	// A column is 14 wide, or wider when its name needs it, so that
+	// names never run together.
+	width := func(col int) int {
+		if col < len(t.ColNames) {
+			return max(14, len(t.ColNames[col])+1)
+		}
+		return 14
+	}
 	fmt.Fprintf(&b, "%s\n", t.Title)
 	fmt.Fprintf(&b, "%-*s", labelW+2, "")
-	for _, c := range t.ColNames {
-		fmt.Fprintf(&b, "%14s", c)
+	for i, c := range t.ColNames {
+		fmt.Fprintf(&b, "%*s", width(i), c)
 	}
 	b.WriteByte('\n')
 	for _, r := range t.rows {
 		fmt.Fprintf(&b, "%-*s", labelW+2, r.label)
-		for _, v := range r.vals {
-			fmt.Fprintf(&b, "%14.4f", v)
+		for i, v := range r.vals {
+			fmt.Fprintf(&b, "%*.4f", width(i), v)
 		}
 		b.WriteByte('\n')
 	}

@@ -131,6 +131,21 @@ func TestTableSortAndRender(t *testing.T) {
 	if ai > ci {
 		t.Fatal("rows not rendered in sorted order")
 	}
+
+	// Names of 14 or more characters get a column that fits them, and
+	// each value ends where its column name ends.
+	wide := NewTable("wide", "mean_ipc", "llc_misses_per_kcycle", "x")
+	wide.AddRow("r", 1, 2, 3)
+	lines := strings.Split(wide.String(), "\n")
+	header, row := lines[1], lines[2]
+	if !strings.Contains(header, "mean_ipc llc_misses_per_kcycle") {
+		t.Fatalf("long column names run together:\n%s", header)
+	}
+	for _, pair := range [][2]string{{"mean_ipc", "1.0000"}, {"llc_misses_per_kcycle", "2.0000"}, {" x", "3.0000"}} {
+		if end := strings.Index(header, pair[0]) + len(pair[0]); end != strings.Index(row, pair[1])+len(pair[1]) {
+			t.Fatalf("value %s misaligned under %s:\n%s\n%s", pair[1], pair[0], header, row)
+		}
+	}
 }
 
 func TestTableColumnMean(t *testing.T) {

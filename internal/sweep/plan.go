@@ -1,7 +1,5 @@
 package sweep
 
-import "nucasim/internal/sim"
-
 // Group is a set of points sharing one WarmupHash. When Fork is set the
 // group's warmup runs once (sim.WarmupCheckpoint), the checkpoint is
 // encoded once, and every member's measurement window resumes from a
@@ -36,7 +34,7 @@ func Plan(points []Point) []Group {
 	for i := range groups {
 		g := &groups[i]
 		g.Fork = len(g.Points) > 1 &&
-			points[g.Points[0]].Cfg.Scheme == sim.SchemeAdaptive
+			points[g.Points[0]].Cfg.Scheme.Checkpointable()
 	}
 	return groups
 }

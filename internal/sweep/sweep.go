@@ -13,10 +13,13 @@
 package sweep
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 
 	"nucasim/internal/sim"
@@ -306,11 +309,18 @@ func Canonical(spec Spec) ([]byte, error) {
 	return json.Marshal(spec)
 }
 
-// ParseSpec decodes Canonical bytes.
+// ParseSpec is the strict sweep spec decoder, for Canonical bytes and
+// for spec files: exactly one JSON value, no unknown fields, nothing
+// after it.
 func ParseSpec(data []byte) (Spec, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Spec{}, fmt.Errorf("sweep: corrupt sweep spec: %w", err)
+	if err := dec.Decode(&s); err != nil {
+		return Spec{}, fmt.Errorf("sweep: invalid sweep spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, errors.New("sweep: invalid sweep spec: unexpected data after the JSON value")
 	}
 	return s, nil
 }

@@ -365,7 +365,18 @@ func TestAggregateAndID(t *testing.T) {
 	if !reflect.DeepEqual(back, spec) {
 		t.Errorf("canonical round trip changed the spec:\n%+v\n%+v", back, spec)
 	}
-	if _, err := ParseSpec([]byte("{")); err == nil {
-		t.Error("corrupt spec parsed without error")
+	// ParseSpec is strict: one JSON value, known fields, nothing after it.
+	for _, bad := range []string{
+		"{",
+		string(data) + " garbage",
+		string(data) + "{}",
+		`{"name":"x","colour":1}`,
+	} {
+		if _, err := ParseSpec([]byte(bad)); err == nil {
+			t.Errorf("invalid spec %q parsed without error", bad)
+		}
+	}
+	if _, err := ParseSpec(append(data, '\n')); err != nil {
+		t.Errorf("trailing newline rejected: %v", err)
 	}
 }

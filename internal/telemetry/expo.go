@@ -146,12 +146,6 @@ func WriteMetrics(w io.Writer, m MetricsSnapshot) error {
 	return nil
 }
 
-// WriteMetricsText is the counters-and-gauges compatibility form of
-// WriteMetrics, kept for exporters that assemble their own maps.
-func WriteMetricsText(w io.Writer, counters map[string]uint64, gauges map[string]float64) error {
-	return WriteMetrics(w, MetricsSnapshot{Counters: counters, Gauges: gauges})
-}
-
 func sortedKeys[V any](m map[string]V) []string {
 	names := make([]string, 0, len(m))
 	for name := range m {

@@ -58,16 +58,16 @@ func TestWriteMetricsUnified(t *testing.T) {
 		t.Fatalf("own exposition fails lint: %v\n%s", errs, out)
 	}
 
-	// The compatibility wrapper still renders plain maps, lint-clean.
+	// A counters-and-gauges snapshot of plain maps renders lint-clean.
 	buf.Reset()
-	if err := WriteMetricsText(&buf, map[string]uint64{"a.b": 7}, map[string]float64{"c.d": 1.5}); err != nil {
+	if err := WriteMetrics(&buf, MetricsSnapshot{Counters: map[string]uint64{"a.b": 7}, Gauges: map[string]float64{"c.d": 1.5}}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "a_b 7\n") || !strings.Contains(buf.String(), "c_d 1.5\n") {
-		t.Fatalf("wrapper output: %s", buf.String())
+		t.Fatalf("counters-and-gauges output: %s", buf.String())
 	}
 	if errs := LintExposition(bytes.NewReader(buf.Bytes())); len(errs) != 0 {
-		t.Fatalf("wrapper exposition fails lint: %v", errs)
+		t.Fatalf("counters-and-gauges exposition fails lint: %v", errs)
 	}
 }
 
