@@ -182,13 +182,13 @@ bench-serve: build
 
 # Benchmark warmup forking against cold per-point runs on the same
 # 8-point sweep into BENCH_sweep.json: forking must keep a real
-# throughput win (forked <= 0.85x cold ns/op) or the gate fails.
+# throughput win (forked <= 0.6x cold ns/op) or the gate fails.
 bench-sweep: build
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep(Forked|Cold)$$' -benchmem \
 		-count=5 ./internal/sweep/ | tee /tmp/nucasim-bench-sweep.txt
 	$(GO) run ./internal/tools/benchjson -in /tmp/nucasim-bench-sweep.txt \
 		-out BENCH_sweep.json -require BenchmarkSweepForked,BenchmarkSweepCold \
-		-max-ratio BenchmarkSweepForked/BenchmarkSweepCold=0.85
+		-max-ratio BenchmarkSweepForked/BenchmarkSweepCold=0.6
 	@echo "bench record written to BENCH_sweep.json"
 
 # Short fuzz pass over the external-input parsers (JSONL trace, binary

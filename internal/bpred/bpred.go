@@ -72,12 +72,6 @@ func (s Stats) MispredictRate() float64 {
 	return float64(s.Mispredicts) / float64(s.Lookups)
 }
 
-type btbEntry struct {
-	tag    uint64
-	target memaddr.Addr
-	valid  bool
-}
-
 // Predictor is the combined branch predictor. Not safe for concurrent use;
 // each simulated core owns one.
 type Predictor struct {
@@ -87,7 +81,7 @@ type Predictor struct {
 	chooser  []twoBit // >=2 selects the 2-level predictor
 	history  uint64
 	histMask uint64
-	btb      [][]btbEntry // per BTB set, MRU→LRU
+	btb      [][]BTBEntryState // per BTB set, MRU→LRU
 	Stats    Stats
 }
 
@@ -100,7 +94,7 @@ func New(cfg Config) *Predictor {
 		level2:   make([]twoBit, cfg.Level2Entries),
 		chooser:  make([]twoBit, cfg.ChooserEntries),
 		histMask: 1<<uint(cfg.HistoryBits) - 1,
-		btb:      make([][]btbEntry, cfg.BTBSets),
+		btb:      make([][]BTBEntryState, cfg.BTBSets),
 	}
 	// Weakly-taken initial state matches common simulator practice and
 	// avoids a cold avalanche of mispredicts for loop branches.
@@ -110,8 +104,9 @@ func New(cfg Config) *Predictor {
 	for i := range p.level2 {
 		p.level2[i] = 2
 	}
+	entries := make([]BTBEntryState, cfg.BTBSets*cfg.BTBWays)
 	for i := range p.btb {
-		p.btb[i] = make([]btbEntry, 0, cfg.BTBWays)
+		p.btb[i] = entries[i*cfg.BTBWays : i*cfg.BTBWays : (i+1)*cfg.BTBWays]
 	}
 	return p
 }
@@ -192,8 +187,8 @@ func (p *Predictor) btbLookup(pc, target memaddr.Addr) bool {
 	set := p.btb[p.btbSet(pc)]
 	tag := uint64(pc)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return set[i].target == target
+		if set[i].Valid && set[i].Tag == tag {
+			return set[i].Target == target
 		}
 	}
 	return false
@@ -204,17 +199,17 @@ func (p *Predictor) btbInsert(pc, target memaddr.Addr) {
 	set := p.btb[idx]
 	tag := uint64(pc)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].Valid && set[i].Tag == tag {
 			e := set[i]
-			e.target = target
+			e.Target = target
 			copy(set[1:i+1], set[:i])
 			set[0] = e
 			return
 		}
 	}
-	e := btbEntry{tag: tag, target: target, valid: true}
+	e := BTBEntryState{Tag: tag, Target: target, Valid: true}
 	if len(set) < p.cfg.BTBWays {
-		set = append(set, btbEntry{})
+		set = append(set, BTBEntryState{})
 		copy(set[1:], set[:len(set)-1])
 		set[0] = e
 		p.btb[idx] = set

@@ -3,10 +3,11 @@ package bpred
 import (
 	"fmt"
 
+	"nucasim/internal/cache"
 	"nucasim/internal/memaddr"
 )
 
-// BTBEntryState mirrors btbEntry with exported fields for serialization.
+// BTBEntryState is one BTB entry, exported for serialization.
 type BTBEntryState struct {
 	Tag    uint64
 	Target memaddr.Addr
@@ -14,14 +15,14 @@ type BTBEntryState struct {
 }
 
 // State is the serializable mutable state of a Predictor; tables are
-// stored as raw counter bytes. Restore expects a predictor built with
-// the same Config.
+// stored as raw counter bytes and the BTB as one stack per set, MRU→LRU.
+// Restore expects a predictor built with the same Config.
 type State struct {
 	Bimodal []uint8
 	Level2  []uint8
 	Chooser []uint8
 	History uint64
-	BTB     [][]BTBEntryState
+	BTB     cache.Stacks[BTBEntryState]
 	Stats   Stats
 }
 
@@ -32,40 +33,31 @@ func (p *Predictor) Snapshot() State {
 		Level2:  counterBytes(p.level2),
 		Chooser: counterBytes(p.chooser),
 		History: p.history,
-		BTB:     make([][]BTBEntryState, len(p.btb)),
+		BTB:     cache.MakeStacks[BTBEntryState](len(p.btb), len(p.btb)*p.cfg.BTBWays),
 		Stats:   p.Stats,
 	}
-	for i, set := range p.btb {
-		out := make([]BTBEntryState, len(set))
-		for j, e := range set {
-			out[j] = BTBEntryState{Tag: e.tag, Target: e.target, Valid: e.valid}
-		}
-		s.BTB[i] = out
+	for _, set := range p.btb {
+		copy(s.BTB.Push(len(set)), set)
 	}
 	return s
 }
 
 // Restore loads a snapshot taken from an identically configured predictor.
 func (p *Predictor) Restore(s State) error {
-	if len(s.Bimodal) != len(p.bimodal) || len(s.Level2) != len(p.level2) ||
-		len(s.Chooser) != len(p.chooser) || len(s.BTB) != len(p.btb) {
-		return fmt.Errorf("bpred: state tables sized %d/%d/%d/%d, predictor wants %d/%d/%d/%d",
-			len(s.Bimodal), len(s.Level2), len(s.Chooser), len(s.BTB),
-			len(p.bimodal), len(p.level2), len(p.chooser), len(p.btb))
+	if len(s.Bimodal) != len(p.bimodal) || len(s.Level2) != len(p.level2) || len(s.Chooser) != len(p.chooser) {
+		return fmt.Errorf("bpred: state tables sized %d/%d/%d, predictor wants %d/%d/%d",
+			len(s.Bimodal), len(s.Level2), len(s.Chooser), len(p.bimodal), len(p.level2), len(p.chooser))
+	}
+	next, err := s.BTB.Split(len(p.btb), p.cfg.BTBWays)
+	if err != nil {
+		return fmt.Errorf("bpred: BTB %w", err)
 	}
 	copyCounters(p.bimodal, s.Bimodal)
 	copyCounters(p.level2, s.Level2)
 	copyCounters(p.chooser, s.Chooser)
 	p.history = s.History
-	for i, set := range s.BTB {
-		if len(set) > p.cfg.BTBWays {
-			return fmt.Errorf("bpred: state BTB set %d has %d entries, max %d", i, len(set), p.cfg.BTBWays)
-		}
-		dst := p.btb[i][:0]
-		for _, e := range set {
-			dst = append(dst, btbEntry{tag: e.Tag, target: e.Target, valid: e.Valid})
-		}
-		p.btb[i] = dst
+	for i := range p.btb {
+		p.btb[i] = append(p.btb[i][:0], next()...)
 	}
 	p.Stats = s.Stats
 	return nil

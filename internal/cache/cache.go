@@ -64,8 +64,9 @@ func New(name string, geom memaddr.Geometry) *Cache {
 	}
 	c := &Cache{Name: name, Geom: geom}
 	c.sets = make([]set, geom.Sets)
+	blocks := make([]Block, geom.Sets*geom.Ways)
 	for i := range c.sets {
-		c.sets[i].blocks = make([]Block, 0, geom.Ways)
+		c.sets[i].blocks = blocks[i*geom.Ways : i*geom.Ways : (i+1)*geom.Ways]
 	}
 	return c
 }
@@ -234,31 +235,30 @@ func (c *Cache) OccupancyByOwner(numCores int) []int {
 	return counts
 }
 
-// State is the serializable mutable state of a Cache (blocks + stats).
+// State is the serializable mutable state of a Cache: every set's
+// blocks MRU→LRU, one stack per set, and the statistics.
 type State struct {
-	Sets  [][]Block
+	Sets  Stacks[Block]
 	Stats Stats
 }
 
 // Snapshot captures the cache's full mutable state.
 func (c *Cache) Snapshot() State {
-	s := State{Sets: make([][]Block, len(c.sets)), Stats: c.Stats}
+	s := State{Sets: MakeStacks[Block](len(c.sets), len(c.sets)*c.Geom.Ways), Stats: c.Stats}
 	for i := range c.sets {
-		s.Sets[i] = append([]Block(nil), c.sets[i].blocks...)
+		copy(s.Sets.Push(len(c.sets[i].blocks)), c.sets[i].blocks)
 	}
 	return s
 }
 
 // Restore loads a snapshot taken from an identically configured cache.
 func (c *Cache) Restore(s State) error {
-	if len(s.Sets) != len(c.sets) {
-		return fmt.Errorf("cache %s: state has %d sets, cache has %d", c.Name, len(s.Sets), len(c.sets))
+	next, err := s.Sets.Split(len(c.sets), c.Geom.Ways)
+	if err != nil {
+		return fmt.Errorf("cache %s: %w", c.Name, err)
 	}
-	for i, blocks := range s.Sets {
-		if len(blocks) > c.Geom.Ways {
-			return fmt.Errorf("cache %s: state set %d has %d blocks > %d ways", c.Name, i, len(blocks), c.Geom.Ways)
-		}
-		c.sets[i].blocks = append(c.sets[i].blocks[:0], blocks...)
+	for i := range c.sets {
+		c.sets[i].blocks = append(c.sets[i].blocks[:0], next()...)
 	}
 	c.Stats = s.Stats
 	return nil
@@ -272,15 +272,15 @@ func (c *Cache) CheckInvariants() string {
 		if len(s.blocks) > c.Geom.Ways {
 			return fmt.Sprintf("set %d holds %d blocks > %d ways", i, len(s.blocks), c.Geom.Ways)
 		}
-		seen := make(map[uint64]bool, len(s.blocks))
-		for _, b := range s.blocks {
+		for j, b := range s.blocks {
 			if !b.Valid {
 				return fmt.Sprintf("set %d contains an invalid block in-stack", i)
 			}
-			if seen[b.Tag] {
-				return fmt.Sprintf("set %d contains duplicate tag %#x", i, b.Tag)
+			for _, o := range s.blocks[:j] {
+				if o.Tag == b.Tag {
+					return fmt.Sprintf("set %d contains duplicate tag %#x", i, b.Tag)
+				}
 			}
-			seen[b.Tag] = true
 		}
 	}
 	return ""

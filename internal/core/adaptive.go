@@ -54,6 +54,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"nucasim/internal/cache"
 	"nucasim/internal/dram"
@@ -289,7 +290,7 @@ func NewAdaptive(cfg Config, mem *dram.Memory) *Adaptive {
 		perCore:     make([]llc.AccessStats, cfg.Cores),
 		setStats:    make([]llc.SetStats, geom.Sets),
 	}
-	a.initArena()
+	a.buildArena(func() []BlockState { return nil })
 	initial := cfg.LocalWays * 3 / 4 // 75 % private (Section 2.1)
 	if initial < 1 {
 		initial = 1
@@ -300,22 +301,60 @@ func NewAdaptive(cfg Config, mem *dram.Memory) *Adaptive {
 	return a
 }
 
-// initArena empties every list and threads all node slots onto the
-// per-set free lists.
-func (a *Adaptive) initArena() {
-	for c := range a.mru {
-		a.mru[c] = mruEntry{head: nilSlot, tail: nilSlot}
-		a.cnts[c] = coreCnt{}
-	}
-	for s := range a.setHdrs {
-		a.setHdrs[s] = setHdr{sharedHead: nilSlot, sharedTail: nilSlot, freeHead: nilSlot}
-		setBase := s * a.slotsPerSet
-		for w := a.slotsPerSet - 1; w >= 0; w-- {
-			a.nodes[setBase+w] = blockNode{prev: nilSlot, next: a.setHdrs[s].freeHead}
-			a.setHdrs[s].freeHead = int16(w)
+// buildArena lays every set out in one pass from validated stacks that
+// next yields in State.Blocks order (all empty when it yields nil). Each
+// stack takes consecutive slots, the rest go on the set's free list, and
+// the occupancy index and totals are counted along the way.
+func (a *Adaptive) buildArena(next func() []BlockState) {
+	cores := a.cfg.Cores
+	a.totalPriv, a.totalShared = 0, 0
+	for i := range a.setHdrs {
+		setBase, base := i*a.slotsPerSet, i*cores
+		clear(a.cnts[base : base+cores])
+		slot := 0
+		for c := 0; c < cores; c++ {
+			priv := next()
+			m := &a.mru[base+c]
+			*m = mruEntry{privLen: int16(len(priv))}
+			m.head, m.tail = a.linkStack(setBase, base, slot, priv)
+			if len(priv) > 0 {
+				m.tag = priv[0].Tag
+			}
+			slot += len(priv)
+		}
+		a.totalPriv += slot
+		shared := next()
+		sh := &a.setHdrs[i]
+		*sh = setHdr{sharedLen: int16(len(shared)), freeHead: nilSlot}
+		sh.sharedHead, sh.sharedTail = a.linkStack(setBase, base, slot, shared)
+		slot += len(shared)
+		a.totalShared += len(shared)
+		sh.total = int16(slot)
+		for w := a.slotsPerSet - 1; w >= slot; w-- {
+			a.nodes[setBase+w] = blockNode{prev: nilSlot, next: sh.freeHead}
+			sh.freeHead = int16(w)
 		}
 	}
-	a.totalPriv, a.totalShared = 0, 0
+}
+
+// linkStack threads stack MRU→LRU through consecutive slots of the set
+// at setBase, from slot on, counts its blocks in the set's occupancy
+// index (base is the set's first core header), and returns the list's
+// endpoints.
+func (a *Adaptive) linkStack(setBase, base, slot int, stack []BlockState) (head, tail int16) {
+	if len(stack) == 0 {
+		return nilSlot, nilSlot
+	}
+	for j, b := range stack {
+		n := int16(slot + j)
+		a.nodes[setBase+int(n)] = blockNode{tag: b.Tag, owner: b.Owner, home: b.Home, dirty: b.Dirty, prev: n - 1, next: n + 1}
+		a.cnts[base+int(b.Owner)].owner++
+		a.cnts[base+int(b.Home)].home++
+	}
+	head, tail = int16(slot), int16(slot+len(stack)-1)
+	a.nodes[setBase+int(head)].prev = nilSlot
+	a.nodes[setBase+int(tail)].next = nilSlot
+	return head, tail
 }
 
 // allocNode takes a free slot from the set; freeNode returns one. Both
@@ -336,9 +375,9 @@ func (a *Adaptive) freeNode(setBase int, sh *setHdr, n int16) {
 	sh.total--
 }
 
-// privPushFront / privPushBack / privUnlink / privMoveToFront are the
-// private-stack splices; shared* are their shared-stack twins. All are
-// O(1). setBase is the set's first arena slot (setIdx*slotsPerSet).
+// privPushFront / privUnlink / privMoveToFront are the private-stack
+// splices; shared* are their shared-stack twins. All are O(1). setBase
+// is the set's first arena slot (setIdx*slotsPerSet).
 func (a *Adaptive) privPushFront(setBase int, m *mruEntry, n int16) {
 	nd := &a.nodes[setBase+int(n)]
 	nd.prev = nilSlot
@@ -350,20 +389,6 @@ func (a *Adaptive) privPushFront(setBase int, m *mruEntry, n int16) {
 	}
 	m.head = n
 	m.tag = nd.tag
-	m.privLen++
-}
-
-func (a *Adaptive) privPushBack(setBase int, m *mruEntry, n int16) {
-	nd := &a.nodes[setBase+int(n)]
-	nd.next = nilSlot
-	nd.prev = m.tail
-	if m.tail != nilSlot {
-		a.nodes[setBase+int(m.tail)].next = n
-	} else {
-		m.head = n
-		m.tag = nd.tag
-	}
-	m.tail = n
 	m.privLen++
 }
 
@@ -411,19 +436,6 @@ func (a *Adaptive) sharedPushFront(setBase int, sh *setHdr, n int16) {
 		sh.sharedTail = n
 	}
 	sh.sharedHead = n
-	sh.sharedLen++
-}
-
-func (a *Adaptive) sharedPushBack(setBase int, sh *setHdr, n int16) {
-	nd := &a.nodes[setBase+int(n)]
-	nd.next = nilSlot
-	nd.prev = sh.sharedTail
-	if sh.sharedTail != nilSlot {
-		a.nodes[setBase+int(sh.sharedTail)].next = n
-	} else {
-		sh.sharedHead = n
-	}
-	sh.sharedTail = n
 	sh.sharedLen++
 }
 
@@ -1086,7 +1098,7 @@ func (a *Adaptive) TotalStats() llc.AccessStats {
 // Reset implements llc.Organization: contents, counters and limits return
 // to the initial state.
 func (a *Adaptive) Reset() {
-	a.initArena()
+	a.buildArena(func() []BlockState { return nil })
 	a.shadow.Reset()
 	initial := a.cfg.LocalWays * 3 / 4
 	if initial < 1 {
@@ -1333,12 +1345,16 @@ func (a *Adaptive) CheckInvariants() string {
 	}
 	sumPriv, sumShared := 0, 0
 	var sumStats llc.SetStats
+	// Scratch reused by every set: the tags walked so far in the set and
+	// the occupancy records of the I9 recount.
+	seen := make([]uint64, 0, a.slotsPerSet)
+	var inc, rec OccupancyOfSet
 	for i := range a.setHdrs {
 		sh := &a.setHdrs[i]
 		base := i * a.cfg.Cores
 		setBase := i * a.slotsPerSet
 		total := 0
-		seen := map[uint64]bool{}
+		seen = seen[:0]
 		for c := 0; c < a.cfg.Cores; c++ {
 			m := &a.mru[base+c]
 			walked := 0
@@ -1351,10 +1367,10 @@ func (a *Adaptive) CheckInvariants() string {
 				if int(nd.owner) != c || int(nd.home) != c {
 					return fmt.Sprintf("set %d: private block of core %d has owner %d home %d", i, c, nd.owner, nd.home)
 				}
-				if seen[nd.tag] {
+				if slices.Contains(seen, nd.tag) {
 					return fmt.Sprintf("set %d: duplicate tag %#x", i, nd.tag)
 				}
-				seen[nd.tag] = true
+				seen = append(seen, nd.tag)
 				walked++
 				if walked > a.slotsPerSet {
 					return fmt.Sprintf("set %d core %d: private list does not terminate", i, c)
@@ -1388,10 +1404,10 @@ func (a *Adaptive) CheckInvariants() string {
 			if int(nd.home) < 0 || int(nd.home) >= a.cfg.Cores {
 				return fmt.Sprintf("set %d: shared block %#x has home %d out of [0,%d)", i, nd.tag, nd.home, a.cfg.Cores)
 			}
-			if seen[nd.tag] {
+			if slices.Contains(seen, nd.tag) {
 				return fmt.Sprintf("set %d: duplicate tag %#x in shared", i, nd.tag)
 			}
-			seen[nd.tag] = true
+			seen = append(seen, nd.tag)
 			sharedWalked++
 			if sharedWalked > a.slotsPerSet {
 				return fmt.Sprintf("set %d: shared list does not terminate", i)
@@ -1423,7 +1439,6 @@ func (a *Adaptive) CheckInvariants() string {
 		}
 		// I9 (internal half): the incremental occupancy index must equal a
 		// full recount of the block lists.
-		var inc, rec OccupancyOfSet
 		a.InspectSetInto(i, &inc)
 		a.RecountSetInto(i, &rec)
 		for c := 0; c < a.cfg.Cores; c++ {

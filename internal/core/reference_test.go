@@ -530,6 +530,20 @@ func TestArenaMatchesSliceReference(t *testing.T) {
 	}
 }
 
+// snapshotStack returns stack c of global set idx from a snapshot of a,
+// MRU→LRU: core c's private stack, or the shared stack for c = NumCores().
+func snapshotStack(t *testing.T, a *Adaptive, idx, c int) []BlockState {
+	t.Helper()
+	next, err := a.Snapshot().Blocks.Split(a.NumSets()*(a.NumCores()+1), a.TotalWays())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < idx*(a.NumCores()+1)+c; k++ {
+		next()
+	}
+	return next()
+}
+
 // TestWritebackFromL2Arena exercises the L2-victim sink on the arena
 // layout directly: a resident private block is dirtied in place, a
 // resident shared block is dirtied in place, and a non-resident block
@@ -540,8 +554,7 @@ func TestWritebackFromL2Arena(t *testing.T) {
 	a.Access(0, addr, false, 0)
 
 	a.WritebackFromL2(0, addr, 10)
-	st := a.Snapshot()
-	if !st.Sets[0].Priv[0][0].Dirty {
+	if !snapshotStack(t, a, 0, 0)[0].Dirty {
 		t.Fatal("WritebackFromL2 must dirty the resident private block")
 	}
 	if wb := a.CoreStats(0).Writebacks; wb != 0 {
@@ -553,13 +566,12 @@ func TestWritebackFromL2Arena(t *testing.T) {
 	for tag := uint64(2); tag <= 4; tag++ {
 		a.Access(0, addrFor(0, tag, 0), false, 0)
 	}
-	st = a.Snapshot()
-	if len(st.Sets[0].Shared) == 0 || st.Sets[0].Shared[0].Tag != 1 {
-		t.Fatalf("expected tag 1 demoted to shared MRU, shared=%v", st.Sets[0].Shared)
+	shared := snapshotStack(t, a, 0, a.NumCores())
+	if len(shared) == 0 || shared[0].Tag != 1 {
+		t.Fatalf("expected tag 1 demoted to shared MRU, shared=%v", shared)
 	}
 	a.WritebackFromL2(0, addr, 20)
-	st = a.Snapshot()
-	if !st.Sets[0].Shared[0].Dirty {
+	if !snapshotStack(t, a, 0, a.NumCores())[0].Dirty {
 		t.Fatal("WritebackFromL2 must dirty the resident shared block")
 	}
 
@@ -589,10 +601,9 @@ func TestProbeArena(t *testing.T) {
 	for tag := uint64(8); tag <= 10; tag++ {
 		a.Access(1, addrFor(1, tag, 1), false, 0)
 	}
-	st := a.Snapshot()
 	wantTag := a.geom.Tag(addr) // includes core 1's address-space bits
-	if len(st.Sets[1].Shared) == 0 || st.Sets[1].Shared[0].Tag != wantTag {
-		t.Fatalf("expected tag %#x demoted to shared, shared=%v", wantTag, st.Sets[1].Shared)
+	if shared := snapshotStack(t, a, 1, a.NumCores()); len(shared) == 0 || shared[0].Tag != wantTag {
+		t.Fatalf("expected tag %#x demoted to shared, shared=%v", wantTag, shared)
 	}
 	if !a.Probe(addr) {
 		t.Fatal("demoted shared block must probe true")

@@ -9,21 +9,11 @@ import (
 )
 
 // BlockState is one resident block with exported fields for serialization.
-// The on-disk shape predates the flat arena and is kept stable: stacks are
-// serialized as MRU→LRU slices regardless of the in-memory layout (the
-// arena packs owner/home into int8; the wire format keeps int16), so
-// checkpoints interoperate across engine versions.
 type BlockState struct {
 	Tag   uint64
-	Owner int16
-	Home  int16
+	Owner int8
+	Home  int8
 	Dirty bool
-}
-
-// SetState is the serializable content of one global set.
-type SetState struct {
-	Priv   [][]BlockState
-	Shared []BlockState
 }
 
 // State is the complete mutable state of an Adaptive instance — enough
@@ -33,7 +23,9 @@ type SetState struct {
 // totals, the activity aggregate) are not serialized; Restore rebuilds
 // them from the blocks and the per-set stats.
 type State struct {
-	Sets      []SetState
+	// Blocks holds every global set's LRU stacks, MRU→LRU: set i's
+	// private stacks of cores 0..Cores-1, then its shared stack.
+	Blocks    cache.Stacks[BlockState]
 	Shadow    cache.ShadowState
 	MaxBlocks []int
 
@@ -49,7 +41,7 @@ type State struct {
 	// EpochLatBase carries the merged latency-histogram totals at the last
 	// epoch boundary, so a resumed run's per-epoch latency percentiles
 	// continue from the same baseline. Zero-valued when telemetry was
-	// detached (gob decodes its absence in old checkpoints to the same).
+	// detached.
 	EpochLatBase telemetry.HistogramState
 
 	Repartitions     uint64
@@ -57,34 +49,20 @@ type State struct {
 	SinceLimitChange uint64
 }
 
-// privOut serializes core c's private stack of set idx, MRU→LRU.
-func (a *Adaptive) privOut(idx, c int) []BlockState {
-	m := &a.mru[idx*a.cfg.Cores+c]
-	setBase := idx * a.slotsPerSet
-	out := make([]BlockState, 0, m.privLen)
-	for n := m.head; n != nilSlot; n = a.nodes[setBase+int(n)].next {
+// listOut copies the list starting at slot head of the set at setBase
+// into dst, MRU→LRU.
+func (a *Adaptive) listOut(dst []BlockState, setBase int, head int16) {
+	n := head
+	for i := 0; i < len(dst) && n != nilSlot; i++ {
 		nd := &a.nodes[setBase+int(n)]
-		out = append(out, BlockState{Tag: nd.tag, Owner: int16(nd.owner), Home: int16(nd.home), Dirty: nd.dirty})
+		dst[i] = BlockState{Tag: nd.tag, Owner: nd.owner, Home: nd.home, Dirty: nd.dirty}
+		n = nd.next
 	}
-	return out
-}
-
-// sharedOut serializes the shared stack of set idx, MRU→LRU.
-func (a *Adaptive) sharedOut(idx int) []BlockState {
-	sh := &a.setHdrs[idx]
-	setBase := idx * a.slotsPerSet
-	out := make([]BlockState, 0, sh.sharedLen)
-	for n := sh.sharedHead; n != nilSlot; n = a.nodes[setBase+int(n)].next {
-		nd := &a.nodes[setBase+int(n)]
-		out = append(out, BlockState{Tag: nd.tag, Owner: int16(nd.owner), Home: int16(nd.home), Dirty: nd.dirty})
-	}
-	return out
 }
 
 // Snapshot captures the instance's full mutable state.
 func (a *Adaptive) Snapshot() State {
 	st := State{
-		Sets:              make([]SetState, len(a.setHdrs)),
 		Shadow:            a.shadow.State(),
 		MaxBlocks:         append([]int(nil), a.maxBlocks...),
 		ShadowHits:        append([]uint64(nil), a.shadowHits...),
@@ -103,80 +81,69 @@ func (a *Adaptive) Snapshot() State {
 	if a.tel != nil {
 		st.EpochLatBase = a.epochLatBase.State()
 	}
-	for i := range st.Sets {
-		ss := SetState{Priv: make([][]BlockState, a.cfg.Cores)}
-		for c := 0; c < a.cfg.Cores; c++ {
-			ss.Priv[c] = a.privOut(i, c)
+	cores := a.cfg.Cores
+	st.Blocks = cache.MakeStacks[BlockState](len(a.setHdrs)*(cores+1), a.totalPriv+a.totalShared)
+	for i := range a.setHdrs {
+		setBase := i * a.slotsPerSet
+		for _, m := range a.mru[i*cores : (i+1)*cores] {
+			a.listOut(st.Blocks.Push(int(m.privLen)), setBase, m.head)
 		}
-		ss.Shared = a.sharedOut(i)
-		st.Sets[i] = ss
+		sh := &a.setHdrs[i]
+		a.listOut(st.Blocks.Push(int(sh.sharedLen)), setBase, sh.sharedHead)
 	}
 	return st
 }
 
-// Restore loads a snapshot taken from an identically configured instance.
-// The arena is rebuilt from the serialized stacks and the incremental
-// occupancy index recounted; CheckInvariants then vets the result, so a
-// corrupted snapshot is rejected rather than resumed.
+// Restore loads a snapshot taken from an identically configured instance,
+// reading st but never writing it. Every slice length and block owner and
+// home is checked before the arena is rebuilt (buildArena), and
+// CheckInvariants vets the result, so a corrupted snapshot is rejected.
 func (a *Adaptive) Restore(st State) error {
-	if len(st.Sets) != len(a.setHdrs) {
-		return fmt.Errorf("core: state has %d sets, instance has %d", len(st.Sets), len(a.setHdrs))
+	cores, sets := a.cfg.Cores, len(a.setHdrs)
+	next, err := st.Blocks.Split(sets*(cores+1), a.totalWays)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
-	if len(st.MaxBlocks) != a.cfg.Cores || len(st.PerCore) != a.cfg.Cores {
-		return fmt.Errorf("core: state is for %d cores, instance has %d", len(st.MaxBlocks), a.cfg.Cores)
+	epochCores := cores
+	if st.EpochStats == nil {
+		epochCores = 0
 	}
-	for i := range st.Sets {
-		if len(st.Sets[i].Priv) != a.cfg.Cores {
-			return fmt.Errorf("core: set %d has %d private stacks, want %d", i, len(st.Sets[i].Priv), a.cfg.Cores)
+	for _, l := range []struct {
+		name      string
+		got, want int
+	}{
+		{"MaxBlocks", len(st.MaxBlocks), cores},
+		{"PerCore", len(st.PerCore), cores},
+		{"ShadowHits", len(st.ShadowHits), cores},
+		{"LRUHits", len(st.LRUHits), cores},
+		{"EpochStats", len(st.EpochStats), epochCores},
+		{"SetStats", len(st.SetStats), sets},
+	} {
+		if l.got != l.want {
+			return fmt.Errorf("core: state %s has %d entries, instance wants %d", l.name, l.got, l.want)
 		}
-		blocks := len(st.Sets[i].Shared)
-		for _, p := range st.Sets[i].Priv {
-			blocks += len(p)
-		}
-		if blocks > a.totalWays {
-			return fmt.Errorf("core: restored state violates invariants: set %d holds %d blocks > %d", i, blocks, a.totalWays)
-		}
-		for _, p := range st.Sets[i].Priv {
-			for _, b := range p {
-				if err := checkBlockRange(b, i, a.cfg.Cores); err != nil {
-					return err
+	}
+	for i := 0; i < sets; i++ {
+		blocks := 0
+		for k := 0; k <= cores; k++ {
+			stack := next()
+			blocks += len(stack)
+			for _, b := range stack {
+				if int(b.Owner) < 0 || int(b.Owner) >= cores || int(b.Home) < 0 || int(b.Home) >= cores {
+					return fmt.Errorf("core: restored state violates invariants: set %d block %#x has owner %d home %d outside [0,%d)",
+						i, b.Tag, b.Owner, b.Home, cores)
 				}
 			}
 		}
-		for _, b := range st.Sets[i].Shared {
-			if err := checkBlockRange(b, i, a.cfg.Cores); err != nil {
-				return err
-			}
+		if blocks > a.totalWays {
+			return fmt.Errorf("core: restored state violates invariants: set %d holds %d blocks > %d", i, blocks, a.totalWays)
 		}
 	}
 	if err := a.shadow.Restore(st.Shadow); err != nil {
 		return err
 	}
-	a.initArena()
-	for i := range st.Sets {
-		sh := &a.setHdrs[i]
-		base := i * a.cfg.Cores
-		setBase := i * a.slotsPerSet
-		for c, p := range st.Sets[i].Priv {
-			m := &a.mru[base+c]
-			for _, b := range p {
-				n := a.allocNode(setBase, sh)
-				a.nodes[setBase+int(n)] = blockNode{tag: b.Tag, owner: int8(b.Owner), home: int8(b.Home), dirty: b.Dirty, prev: nilSlot, next: nilSlot}
-				a.privPushBack(setBase, m, n)
-				a.cnts[base+int(b.Owner)].owner++
-				a.cnts[base+int(b.Home)].home++
-				a.totalPriv++
-			}
-		}
-		for _, b := range st.Sets[i].Shared {
-			n := a.allocNode(setBase, sh)
-			a.nodes[setBase+int(n)] = blockNode{tag: b.Tag, owner: int8(b.Owner), home: int8(b.Home), dirty: b.Dirty, prev: nilSlot, next: nilSlot}
-			a.sharedPushBack(setBase, sh, n)
-			a.cnts[base+int(b.Owner)].owner++
-			a.cnts[base+int(b.Home)].home++
-			a.totalShared++
-		}
-	}
+	next, _ = st.Blocks.Split(sets*(cores+1), a.totalWays) // validated above
+	a.buildArena(next)
 	copy(a.maxBlocks, st.MaxBlocks)
 	copy(a.shadowHits, st.ShadowHits)
 	copy(a.lruHits, st.LRUHits)
@@ -188,9 +155,7 @@ func (a *Adaptive) Restore(st State) error {
 		a.aggStats.Add(a.setStats[i])
 	}
 	a.lastSetAgg = st.LastSetAgg
-	if st.EpochStats != nil && a.epochStats != nil {
-		copy(a.epochStats, st.EpochStats)
-	}
+	copy(a.epochStats, st.EpochStats)
 	// Counters were flushed when the checkpoint was captured (their values
 	// travel in the registry state), so the flush baseline resumes at the
 	// restored aggregates; the epoch-latency baseline travels explicitly.
@@ -203,17 +168,6 @@ func (a *Adaptive) Restore(st State) error {
 	a.sinceLimitChange = st.SinceLimitChange
 	if msg := a.CheckInvariants(); msg != "" {
 		return fmt.Errorf("core: restored state violates invariants: %s", msg)
-	}
-	return nil
-}
-
-// checkBlockRange rejects serialized blocks whose owner or home would
-// index outside the instance's core headers (the arena rebuild would
-// corrupt memory, so this is validated up front).
-func checkBlockRange(b BlockState, set, cores int) error {
-	if int(b.Owner) < 0 || int(b.Owner) >= cores || int(b.Home) < 0 || int(b.Home) >= cores {
-		return fmt.Errorf("core: restored state violates invariants: set %d block %#x has owner %d home %d outside [0,%d)",
-			set, b.Tag, b.Owner, b.Home, cores)
 	}
 	return nil
 }

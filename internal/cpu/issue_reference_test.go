@@ -239,12 +239,13 @@ func sameState(a, b State) bool {
 		!slices.Equal(a.Gen.SiteVisits, b.Gen.SiteVisits) ||
 		!slices.Equal(a.Pred.Bimodal, b.Pred.Bimodal) || !slices.Equal(a.Pred.Level2, b.Pred.Level2) ||
 		!slices.Equal(a.Pred.Chooser, b.Pred.Chooser) ||
-		!slices.EqualFunc(a.Pred.BTB, b.Pred.BTB, slices.Equal) {
+		!slices.Equal(a.Pred.BTB.Items, b.Pred.BTB.Items) || !slices.Equal(a.Pred.BTB.Lens, b.Pred.BTB.Lens) {
 		return false
 	}
 	for _, s := range []*State{&a, &b} {
 		s.ReadyBySeq, s.RUU, s.Gen.SiteVisits = nil, nil, nil
-		s.Pred.Bimodal, s.Pred.Level2, s.Pred.Chooser, s.Pred.BTB = nil, nil, nil, nil
+		s.Pred.Bimodal, s.Pred.Level2, s.Pred.Chooser = nil, nil, nil
+		s.Pred.BTB.Items, s.Pred.BTB.Lens = nil, nil
 	}
 	return reflect.DeepEqual(a, b)
 }

@@ -52,6 +52,23 @@ func Check(a *core.Adaptive) error {
 	// every epoch under -check-invariants, so it must not allocate per set.
 	var d core.SetDump
 	var occ, rec core.OccupancyOfSet
+	// seen lists each resident tag of the set with the core whose
+	// partition (private) or ownership (shared) holds it; a set holds at
+	// most total tags, so a linear scan beats a map.
+	type resident struct {
+		tag uint64
+		by  int
+	}
+	seen := make([]resident, 0, total)
+	owned := make([]int, cores)
+	find := func(tag uint64) (int, bool) {
+		for _, r := range seen {
+			if r.tag == tag {
+				return r.by, true
+			}
+		}
+		return 0, false
+	}
 	sumPriv, sumShared := 0, 0
 	for set := 0; set < a.NumSets(); set++ {
 		a.DumpSetInto(set, &d)
@@ -61,8 +78,8 @@ func Check(a *core.Adaptive) error {
 			return fmt.Errorf("invariant I6: set %d dump has %d shared tags but %d owners",
 				set, len(d.SharedTags), len(d.SharedOwners))
 		}
-		seen := make(map[uint64]int, total)
-		owned := make([]int, cores)
+		seen = seen[:0]
+		clear(owned)
 		residents := 0
 		for c, p := range d.Priv {
 			// I4: private partition shape.
@@ -75,11 +92,11 @@ func Check(a *core.Adaptive) error {
 					set, c, occ.Private[c], len(p))
 			}
 			for _, tag := range p {
-				if prev, dup := seen[tag]; dup {
+				if prev, dup := find(tag); dup {
 					return fmt.Errorf("invariant I5: set %d tag %#x resident in partitions of core %d and core %d",
 						set, tag, prev, c)
 				}
-				seen[tag] = c
+				seen = append(seen, resident{tag, c})
 			}
 			owned[c] += len(p)
 			residents += len(p)
@@ -90,11 +107,11 @@ func Check(a *core.Adaptive) error {
 				return fmt.Errorf("invariant I6: set %d shared block %#x has owner %d outside [0,%d)",
 					set, tag, owner, cores)
 			}
-			if prev, dup := seen[tag]; dup {
+			if prev, dup := find(tag); dup {
 				return fmt.Errorf("invariant I5: set %d tag %#x duplicated (core %d partition and shared)",
 					set, tag, prev)
 			}
-			seen[tag] = owner
+			seen = append(seen, resident{tag, owner})
 			owned[owner]++
 			residents++
 		}
@@ -127,7 +144,7 @@ func Check(a *core.Adaptive) error {
 			if !ok {
 				continue
 			}
-			if by, resident := seen[tag]; resident && by == c {
+			if by, ok := find(tag); ok && by == c {
 				return fmt.Errorf("invariant I8: set %d shadow register of core %d names resident tag %#x",
 					set, c, tag)
 			}

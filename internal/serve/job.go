@@ -180,16 +180,16 @@ func (j *Job) onProgress(p telemetry.Progress) {
 }
 
 // wireTelemetry equips c with the job's live observability: its run
-// label, the epoch and progress hooks feeding its stream, its span
-// recorder nesting simulation phases under parent, and per-epoch
-// runtime-metrics sampling.
+// label, the epoch and progress hooks feeding its stream, and its span
+// recorder nesting simulation phases under parent. Runtime metrics are
+// not sampled per epoch: EncodeResult drops them, and /metrics reads its
+// runtime gauges at scrape time.
 func (j *Job) wireTelemetry(c *telemetry.Config, parent telemetry.SpanID) {
 	c.Run = j.ID
 	c.OnEpoch = j.onEpoch
 	c.OnProgress = j.onProgress
 	c.Spans = j.spans
 	c.SpanParent = parent
-	c.SampleRuntime = true
 }
 
 // setState transitions the job and wakes streamers. A job turning done

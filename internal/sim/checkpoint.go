@@ -28,7 +28,8 @@ import (
 var ErrInterrupted = errors.New("sim: run interrupted")
 
 const (
-	checkpointVersion = 1
+	// checkpointVersion changes whenever Checkpoint's gob layout does.
+	checkpointVersion = 2
 
 	// warmSegment is the functional-warmup granularity between context
 	// checks.
@@ -136,9 +137,6 @@ func (m *Machine) captureCheckpoint(before snapshot, measured uint64, mix []work
 // restoreCheckpoint loads a checkpoint into a machine freshly built from
 // the checkpoint's own configuration and mix.
 func (m *Machine) restoreCheckpoint(ck *Checkpoint) error {
-	if len(ck.Cores) != len(m.Cores) {
-		return fmt.Errorf("sim: checkpoint holds %d cores, machine has %d", len(ck.Cores), len(m.Cores))
-	}
 	for i, c := range m.Cores {
 		if err := c.Restore(ck.Cores[i]); err != nil {
 			return fmt.Errorf("core %d: %w", i, err)
@@ -173,9 +171,7 @@ func WriteCheckpoint(path string, ck *Checkpoint) error {
 }
 
 // Encode renders the checkpoint as the same gob bytes WriteCheckpoint
-// persists, without touching disk — the in-memory transport behind
-// sweep warmup forking, where one warmup checkpoint is encoded once and
-// decoded into a private copy per measurement window.
+// persists, without touching disk.
 func (ck *Checkpoint) Encode() ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
@@ -189,6 +185,12 @@ func (ck *Checkpoint) Encode() ([]byte, error) {
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	ck := new(Checkpoint)
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(ck); err != nil {
+		// Another format version need not decode at all; name its version
+		// when the stream still carries one.
+		var v struct{ Version int }
+		if gob.NewDecoder(bytes.NewReader(data)).Decode(&v) == nil && v.Version != checkpointVersion {
+			return nil, versionError(v.Version)
+		}
 		return nil, fmt.Errorf("sim: corrupt checkpoint: %w", err)
 	}
 	if err := ck.validate(); err != nil {
@@ -197,12 +199,21 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
+func versionError(v int) error {
+	return fmt.Errorf("sim: checkpoint has format version %d, this build reads version %d", v, checkpointVersion)
+}
+
 func (ck *Checkpoint) validate() error {
 	if ck.Version != checkpointVersion {
-		return fmt.Errorf("sim: checkpoint has version %d, this build reads %d", ck.Version, checkpointVersion)
+		return versionError(ck.Version)
 	}
-	if len(ck.Mix) != ck.Cfg.withDefaults().Cores {
-		return fmt.Errorf("sim: checkpoint names %d apps for %d cores", len(ck.Mix), ck.Cfg.withDefaults().Cores)
+	cores := ck.Cfg.withDefaults().Cores
+	if len(ck.Mix) != cores {
+		return fmt.Errorf("sim: checkpoint names %d apps for %d cores", len(ck.Mix), cores)
+	}
+	if len(ck.Cores) != cores || len(ck.BeforeInstr) != cores || len(ck.BeforeAccess) != cores || len(ck.BeforeMiss) != cores {
+		return fmt.Errorf("sim: checkpoint holds %d core states and a measurement baseline of %d/%d/%d counters for %d cores",
+			len(ck.Cores), len(ck.BeforeInstr), len(ck.BeforeAccess), len(ck.BeforeMiss), cores)
 	}
 	return nil
 }
@@ -314,49 +325,38 @@ func warmedMachine(ctx context.Context, cfg Config, mix []workload.AppParams) (m
 func (m *Machine) warmup(ctx context.Context) (err error) {
 	cfg := m.Cfg
 	telemetry.WithPhase(ctx, "warmup", func(ctx context.Context) {
-		phase := m.startSpan("sim.warmup_functional")
-		for done := uint64(0); done < cfg.WarmupInstructions; {
-			if ctx.Err() != nil {
-				phase.End()
-				err = fmt.Errorf("%w during warmup (no checkpoint)", ErrInterrupted)
-				return
-			}
-			seg := uint64(warmSegment)
-			if rem := cfg.WarmupInstructions - done; rem < seg {
-				seg = rem
-			}
-			segSpan := m.startSpan("sim.warmup_segment")
-			m.warmFunctionalSegment(seg)
-			done += seg
-			segSpan.SetDetail(seg)
-			segSpan.End()
-			m.Telemetry.ReportProgress(telemetry.Progress{Phase: "warmup-functional", Done: done, Total: cfg.WarmupInstructions})
+		err = m.warmPhase(ctx, "sim.warmup_functional", "sim.warmup_segment", "warmup-functional",
+			cfg.WarmupInstructions, warmSegment, m.warmFunctionalSegment)
+		if err == nil {
+			m.Memory.Reset()
+			err = m.warmPhase(ctx, "sim.warmup_cycles", "sim.warmup_chunk", "warmup-cycles",
+				cfg.WarmupCycles, measureChunk, m.Run)
 		}
-		phase.SetDetail(cfg.WarmupInstructions)
-		phase.End()
-		m.Memory.Reset()
-		phase = m.startSpan("sim.warmup_cycles")
-		for done := uint64(0); done < cfg.WarmupCycles; {
-			if ctx.Err() != nil {
-				phase.End()
-				err = fmt.Errorf("%w during warmup (no checkpoint)", ErrInterrupted)
-				return
-			}
-			chunk := uint64(measureChunk)
-			if rem := cfg.WarmupCycles - done; rem < chunk {
-				chunk = rem
-			}
-			chunkSpan := m.startSpan("sim.warmup_chunk")
-			m.Run(chunk)
-			done += chunk
-			chunkSpan.SetDetail(chunk)
-			chunkSpan.End()
-			m.Telemetry.ReportProgress(telemetry.Progress{Phase: "warmup-cycles", Done: done, Total: cfg.WarmupCycles})
-		}
-		phase.SetDetail(cfg.WarmupCycles)
-		phase.End()
 	})
 	return err
+}
+
+// warmPhase runs one warmup phase of total units in steps of at most
+// step, under a span named name with one span named stepName per step,
+// reporting progress as phase after each step.
+func (m *Machine) warmPhase(ctx context.Context, name, stepName, phase string, total, step uint64, run func(n uint64)) error {
+	sp := m.startSpan(name)
+	for done := uint64(0); done < total; {
+		if ctx.Err() != nil {
+			sp.End()
+			return fmt.Errorf("%w during warmup (no checkpoint)", ErrInterrupted)
+		}
+		n := min(step, total-done)
+		stepSpan := m.startSpan(stepName)
+		run(n)
+		done += n
+		stepSpan.SetDetail(n)
+		stepSpan.End()
+		m.Telemetry.ReportProgress(telemetry.Progress{Phase: phase, Done: done, Total: total})
+	}
+	sp.SetDetail(total)
+	sp.End()
+	return nil
 }
 
 // ResumeFromCheckpoint continues a checkpoint (ReadCheckpoint for a
@@ -373,13 +373,12 @@ func (m *Machine) warmup(ctx context.Context) (err error) {
 // whose adoption it signals by returning true.
 //
 // It is also the fork primitive behind sweep warmup sharing: capture
-// one checkpoint at the warmup/measure boundary (WarmupCheckpoint),
-// decode a private copy per sweep point, override its Cfg.MeasureCycles
-// (and, for crash safety, its Cfg.CheckpointPath), and resume each copy
-// independently. The checkpoint's stamped WarmupHash is re-derived from
-// ck.Cfg and a mismatch is rejected, so state is never continued under a
-// configuration whose warmup it does not represent. The caller must not
-// reuse ck afterwards (restored machines may alias its slices).
+// one checkpoint at the warmup/measure boundary (WarmupCheckpoint) and
+// resume a struct copy of it per sweep point, its Cfg carrying that
+// point's MeasureCycles (and, for crash safety, CheckpointPath). The
+// stamped WarmupHash is re-derived from ck.Cfg and a mismatch rejected,
+// so state never continues under a configuration whose warmup it does
+// not represent. ResumeFromCheckpoint never modifies ck.
 func ResumeFromCheckpoint(ctx context.Context, ck *Checkpoint, attach func(c *telemetry.Config) (enable bool)) (Result, error) {
 	if err := ck.validate(); err != nil {
 		return Result{}, err
@@ -433,7 +432,7 @@ func ResumeFromCheckpoint(ctx context.Context, ck *Checkpoint, attach func(c *te
 // checkpoint is bit-identical to running the same configuration cold,
 // which the fork-equivalence suite proves; the point is that one warmup
 // can seed arbitrarily many measurement windows (ResumeFromCheckpoint on
-// decoded copies with different MeasureCycles), so a sweep whose points share
+// copies with different MeasureCycles), so a sweep whose points share
 // warmup-relevant configuration pays for warmup exactly once. The scheme
 // must be Checkpointable.
 func WarmupCheckpoint(ctx context.Context, cfg Config, mix []workload.AppParams) (*Checkpoint, error) {
@@ -496,19 +495,12 @@ func (m *Machine) measureLoop(ctx context.Context, mix []workload.AppParams, bef
 		if cfg.StopAfter > 0 && measured >= cfg.StopAfter {
 			return interrupt()
 		}
-		chunk := uint64(measureChunk)
-		if rem := cfg.MeasureCycles - measured; rem < chunk {
-			chunk = rem
-		}
-		if cfg.StopAfter > 0 && measured < cfg.StopAfter {
-			if rem := cfg.StopAfter - measured; rem < chunk {
-				chunk = rem
-			}
+		chunk := min(measureChunk, cfg.MeasureCycles-measured)
+		if cfg.StopAfter > 0 {
+			chunk = min(chunk, cfg.StopAfter-measured)
 		}
 		if nextCkpt > measured {
-			if rem := nextCkpt - measured; rem < chunk {
-				chunk = rem
-			}
+			chunk = min(chunk, nextCkpt-measured)
 		}
 		chunkSpan := m.startSpan("sim.measure_chunk")
 		m.Run(chunk)

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -123,6 +124,126 @@ func TestReadCheckpointRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadCheckpoint(filepath.Join(t.TempDir(), "missing.ckpt")); err == nil {
 		t.Fatal("missing checkpoint opened without error")
+	}
+}
+
+// TestReadCheckpointNamesVersion pins the format-version contract: a
+// version-1 checkpoint, which held one slice per set where version 2
+// holds flat stacks, is refused with an error naming both versions —
+// what nucasim -resume prints — not a gob type mismatch.
+func TestReadCheckpointNamesVersion(t *testing.T) {
+	type v1Block struct {
+		Tag          uint64
+		Owner, Home  int16
+		Dirty, Valid bool
+	}
+	type v1Cache struct{ Sets [][]v1Block }
+	v1 := struct {
+		Version int
+		Hier    struct{ Cores []struct{ L1D v1Cache } }
+		LLC     struct {
+			Sets []struct {
+				Priv   [][]v1Block
+				Shared []v1Block
+			}
+		}
+	}{Version: 1}
+	v1.Hier.Cores = make([]struct{ L1D v1Cache }, 1)
+	v1.Hier.Cores[0].L1D.Sets = [][]v1Block{{{Tag: 7, Valid: true}}}
+	v1.LLC.Sets = make([]struct {
+		Priv   [][]v1Block
+		Shared []v1Block
+	}, 1)
+	v1.LLC.Sets[0].Priv = [][]v1Block{{{Tag: 9, Owner: 1, Home: 1}}}
+
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v1); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadCheckpoint(path)
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") ||
+		strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("err = %v, want a version error naming versions 1 and 2", err)
+	}
+}
+
+// TestCheckpointHasNoNestedSlices keeps every checkpointed structure in
+// the flat cache.Stacks layout: no type reachable from Checkpoint may
+// have a [][]T field, which gob decodes into one heap slice per inner
+// slice.
+func TestCheckpointHasNoNestedSlices(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if f := typ.Field(i); f.IsExported() {
+					walk(f.Type, path+"."+f.Name)
+				}
+			}
+		case reflect.Slice:
+			if typ.Elem().Kind() == reflect.Slice {
+				t.Errorf("%s is a nested slice %s", path, typ)
+			}
+			walk(typ.Elem(), path+"[]")
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Pointer:
+			walk(typ.Elem(), path)
+		case reflect.Map:
+			walk(typ.Key(), path+"{key}")
+			walk(typ.Elem(), path+"{}")
+		}
+	}
+	walk(reflect.TypeOf(Checkpoint{}), "Checkpoint")
+}
+
+// TestResumeRejectsShortState pins that every per-core and per-set slice
+// of a checkpoint is checked against the machine before anything runs: a
+// short one is refused with an error naming it, never resumed into an
+// index-out-of-range panic or silently zeroed counters.
+func TestResumeRejectsShortState(t *testing.T) {
+	ck, err := WarmupCheckpoint(context.Background(), ckConfig(), mixOf(t, "ammp", "gzip"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		want string
+		cut  func(ck *Checkpoint)
+	}{
+		{"baseline", func(ck *Checkpoint) { ck.BeforeInstr = ck.BeforeInstr[:1] }},
+		{"baseline", func(ck *Checkpoint) { ck.BeforeAccess = ck.BeforeAccess[:1] }},
+		{"baseline", func(ck *Checkpoint) { ck.BeforeMiss = ck.BeforeMiss[:1] }},
+		{"ShadowHits", func(ck *Checkpoint) { ck.LLC.ShadowHits = ck.LLC.ShadowHits[:1] }},
+		{"LRUHits", func(ck *Checkpoint) { ck.LLC.LRUHits = ck.LLC.LRUHits[:1] }},
+		{"SetStats", func(ck *Checkpoint) { ck.LLC.SetStats = ck.LLC.SetStats[:len(ck.LLC.SetStats)-1] }},
+		{"EpochStats", func(ck *Checkpoint) { ck.LLC.EpochStats = ck.LLC.EpochStats[:1] }},
+		{"stacks", func(ck *Checkpoint) { ck.LLC.Blocks.Lens = ck.LLC.Blocks.Lens[:len(ck.LLC.Blocks.Lens)-1] }},
+		{"stacks", func(ck *Checkpoint) { ck.Hier.Cores[0].L2D.Sets.Lens = ck.Hier.Cores[0].L2D.Sets.Lens[1:] }},
+		{"BTB", func(ck *Checkpoint) { ck.Cores[1].Pred.BTB.Items = ck.Cores[1].Pred.BTB.Items[1:] }},
+	} {
+		fork, err := DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.cut(fork)
+		fork.Cfg.MeasureCycles = measureChunk
+		if _, err := ResumeFromCheckpoint(context.Background(), fork, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v", tc.want, err)
+		}
 	}
 }
 

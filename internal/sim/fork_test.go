@@ -212,3 +212,43 @@ func TestCheckpointCloneIsolation(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeLeavesCheckpointAlone pins the contract sweep forks rest on:
+// ResumeFromCheckpoint never modifies its checkpoint, so one *Checkpoint
+// resumed twice gives the cold result both times and still equals a copy
+// decoded from its bytes before either resume.
+func TestResumeLeavesCheckpointAlone(t *testing.T) {
+	mix := mixOf(t, "ammp", "gzip")
+	warm, err := WarmupCheckpoint(context.Background(), ckConfig(), mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := warm.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := RunContext(context.Background(), ckConfig(), mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		got, err := ResumeFromCheckpoint(context.Background(), ck, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(normalizeResult(got), normalizeResult(ref)) {
+			t.Fatalf("resume %d of one checkpoint diverged from the cold run", i+1)
+		}
+	}
+	pristine, err := DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ck, pristine) {
+		t.Fatal("resuming modified its checkpoint")
+	}
+}

@@ -61,6 +61,25 @@ func TestRunEmitsPhaseSpans(t *testing.T) {
 	if count["sim.warmup_segment"] == 0 || count["sim.warmup_chunk"] == 0 || count["sim.measure_chunk"] == 0 {
 		t.Errorf("missing segment/chunk spans: %v", count)
 	}
+	// Each warmup phase span and the sum of its step spans carry the
+	// phase's work count.
+	cfg := spanConfig(nil)
+	detail := make(map[string]uint64)
+	for _, s := range byID {
+		detail[s.Name] += s.Detail
+	}
+	for _, want := range []struct {
+		phase, step string
+		n           uint64
+	}{
+		{"sim.warmup_functional", "sim.warmup_segment", cfg.WarmupInstructions},
+		{"sim.warmup_cycles", "sim.warmup_chunk", cfg.WarmupCycles},
+	} {
+		if detail[want.phase] != want.n || detail[want.step] != want.n {
+			t.Errorf("%s detail %d, %s details sum to %d, want %d",
+				want.phase, detail[want.phase], want.step, detail[want.step], want.n)
+		}
+	}
 
 	// Structure: every non-root span's parent chain reaches sim.run.
 	var rootID telemetry.SpanID

@@ -33,10 +33,11 @@ type LocalStats struct {
 }
 
 // RunLocal executes every point in-process, sharing warmup within each
-// fork group: warmup runs once per group (sim.WarmupCheckpoint), the
-// checkpoint is encoded once, and each member's measurement window
-// resumes from a private decode with its own MeasureCycles. Results
-// come back in expansion order. The first error aborts the sweep.
+// fork group: warmup runs once per group (sim.WarmupCheckpoint), and
+// each member's measurement window resumes from a struct copy of that
+// one checkpoint with its own MeasureCycles (sim.ResumeFromCheckpoint
+// never modifies its checkpoint). Results come back in expansion order.
+// The first error aborts the sweep.
 func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Result, LocalStats, error) {
 	results := make([]sim.Result, len(points))
 	var st LocalStats
@@ -74,20 +75,12 @@ func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Resu
 			return nil, st, fmt.Errorf("sweep: warmup group %.12s: %w", g.WarmupHash, err)
 		}
 		st.WarmupsRun++
-		data, err := ck.Encode()
-		if err != nil {
-			return nil, st, fmt.Errorf("sweep: warmup group %.12s: %w", g.WarmupHash, err)
-		}
 		for _, pi := range g.Points {
 			p := points[pi]
-			fork, err := sim.DecodeCheckpoint(data)
-			if err != nil {
-				return nil, st, fmt.Errorf("sweep: point %q: %w", p.Label, err)
-			}
+			fork := *ck
 			fork.Cfg.MeasureCycles = p.Cfg.MeasureCycles
-			fork.Cfg.CheckInvariants = opt.CheckInvariants
 			want := opt.telemetryFor(p)
-			r, err := sim.ResumeFromCheckpoint(ctx, fork, func(c *telemetry.Config) bool {
+			r, err := sim.ResumeFromCheckpoint(ctx, &fork, func(c *telemetry.Config) bool {
 				c.Run = want.Run
 				c.TraceWriter = want.TraceWriter
 				c.Spans = want.Spans

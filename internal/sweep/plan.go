@@ -1,10 +1,10 @@
 package sweep
 
 // Group is a set of points sharing one WarmupHash. When Fork is set the
-// group's warmup runs once (sim.WarmupCheckpoint), the checkpoint is
-// encoded once, and every member's measurement window resumes from a
-// private decode of those bytes — the fork-equivalence tests in
-// internal/sim prove each forked result is bit-identical to a cold run.
+// group's warmup runs once (sim.WarmupCheckpoint) and every member's
+// measurement window resumes from that checkpoint — the fork-equivalence
+// tests in internal/sim prove each forked result is bit-identical to a
+// cold run.
 type Group struct {
 	WarmupHash string
 	// Points indexes the members in the expanded point slice, in
