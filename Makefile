@@ -9,6 +9,11 @@ GO ?= go
 
 all: build
 
+# BenchmarkGeneratorNext's sub-benchmarks: the apps of the benchmark's
+# warmup (ammp, art, mcf, swim) and table1 (gzip, mcf, ammp, wupwise)
+# mixes.
+GENERATOR_BENCHES = BenchmarkGeneratorNext/ammp,BenchmarkGeneratorNext/art,BenchmarkGeneratorNext/mcf,BenchmarkGeneratorNext/swim,BenchmarkGeneratorNext/gzip,BenchmarkGeneratorNext/wupwise
+
 build:
 	$(GO) build ./...
 
@@ -27,11 +32,13 @@ race:
 
 # Benchmark the core engine paths (the adaptive access path with and
 # without telemetry, the end-to-end Table 1 run, the wall-clock span
-# hot path enabled/disabled, functional warmup at one and two CPUs, and
-# the timed loop over three mixes). The text output is benchstat-compatible;
-# benchjson folds the same stream into the machine-readable
-# BENCH_core.json benchmark record, asserting the access and span paths
-# stay allocation-free and the telemetry tax stays <= 2x.
+# hot path enabled/disabled, functional warmup at one and two CPUs, the
+# timed loop over three mixes, and the workload generator over the apps
+# of the benchmark's warmup and table1 mixes). The text output is
+# benchstat-compatible; benchjson folds the same stream into the
+# machine-readable BENCH_core.json benchmark record, asserting the
+# access, span and generator paths stay allocation-free and the
+# telemetry tax stays <= 2x.
 bench: build
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmFunctional$$' -benchmem -cpu 1,2 \
 		-count=5 ./internal/sim/ | tee /tmp/nucasim-bench.txt
@@ -39,9 +46,11 @@ bench: build
 		-count=5 ./internal/sim/ | tee -a /tmp/nucasim-bench.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkAdaptiveAccess|BenchmarkTable1$$|BenchmarkSpanStartEnd' \
 		-benchmem -count=5 . | tee -a /tmp/nucasim-bench.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkGeneratorNext$$' -benchmem \
+		-count=5 ./internal/workload/ | tee -a /tmp/nucasim-bench.txt
 	$(GO) run ./internal/tools/benchjson -in /tmp/nucasim-bench.txt -out BENCH_core.json \
-		-require BenchmarkWarmFunctional/cpu=1,BenchmarkWarmFunctional/cpu=2,BenchmarkTimedCycles/table1,BenchmarkTimedCycles/memory,BenchmarkTimedCycles/compute,BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry,BenchmarkTable1,BenchmarkSpanStartEnd,BenchmarkSpanStartEndDisabled \
-		-assert-zero-allocs BenchmarkTimedCycles,BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry,BenchmarkSpanStartEnd,BenchmarkSpanStartEndDisabled \
+		-require BenchmarkWarmFunctional/cpu=1,BenchmarkWarmFunctional/cpu=2,BenchmarkTimedCycles/table1,BenchmarkTimedCycles/memory,BenchmarkTimedCycles/compute,BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry,BenchmarkTable1,BenchmarkSpanStartEnd,BenchmarkSpanStartEndDisabled,$(GENERATOR_BENCHES) \
+		-assert-zero-allocs BenchmarkTimedCycles,BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry,BenchmarkSpanStartEnd,BenchmarkSpanStartEndDisabled,BenchmarkGeneratorNext \
 		-max-ratio BenchmarkAdaptiveAccessTelemetry/BenchmarkAdaptiveAccess=2.0
 	@echo "bench record written to BENCH_core.json"
 
@@ -51,8 +60,9 @@ bench: build
 # that pair lasts about 0.1 s, long enough for the mean over -count to
 # settle. The two hottest per-cycle layers, a core step and a
 # dependency-distance draw, must stay allocation-free too, and so must
-# the timed loop over each mix and a data access through a deferring
-# port (functional warmup's per-core path).
+# the timed loop over each mix, a data access through a deferring port
+# (functional warmup's per-core path) and one generated instruction of
+# each app in the benchmark's warmup and table1 mixes.
 bench-smoke: build
 	$(GO) test -run '^$$' -bench 'BenchmarkAdaptiveAccess(Telemetry)?$$' -benchmem \
 		-benchtime=5000000x -count=3 . | tee /tmp/nucasim-bench-smoke.txt
@@ -69,10 +79,12 @@ bench-smoke: build
 		-benchtime=2000000x -count=3 ./internal/rng/ | tee -a /tmp/nucasim-bench-smoke-layers.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkPortDeferred$$' -benchmem \
 		-benchtime=200000x -count=3 ./internal/hierarchy/ | tee -a /tmp/nucasim-bench-smoke-layers.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkGeneratorNext$$' -benchmem \
+		-benchtime=2000000x -count=3 ./internal/workload/ | tee -a /tmp/nucasim-bench-smoke-layers.txt
 	$(GO) run ./internal/tools/benchjson -in /tmp/nucasim-bench-smoke-layers.txt \
 		-out /tmp/nucasim-bench-smoke-layers.json \
-		-require BenchmarkCoreStep,BenchmarkTimedCycles/table1,BenchmarkTimedCycles/memory,BenchmarkTimedCycles/compute,BenchmarkGeometricSource,BenchmarkPortDeferred \
-		-assert-zero-allocs BenchmarkCoreStep,BenchmarkTimedCycles,BenchmarkGeometricSource,BenchmarkPortDeferred
+		-require BenchmarkCoreStep,BenchmarkTimedCycles/table1,BenchmarkTimedCycles/memory,BenchmarkTimedCycles/compute,BenchmarkGeometricSource,BenchmarkPortDeferred,$(GENERATOR_BENCHES) \
+		-assert-zero-allocs BenchmarkCoreStep,BenchmarkTimedCycles,BenchmarkGeometricSource,BenchmarkPortDeferred,BenchmarkGeneratorNext
 	@echo bench-smoke ok
 
 # Smoke-test the observability pipeline end to end: a short adaptive run

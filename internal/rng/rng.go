@@ -254,27 +254,43 @@ func geometricThresholds(denom float64) []uint64 {
 	return thr
 }
 
-// Zipf samples from a bounded Zipf-like distribution over [0, n) with
-// exponent s. Small indexes are most likely. It uses rejection-inversion
-// (Hörmann & Derflinger) simplified for s != 1 via direct inversion of the
-// continuous approximation, which is adequate for workload skew modeling.
-func (r *Rand) Zipf(n int, s float64) int {
-	if n <= 1 {
+// ZipfSource samples a bounded Zipf-like distribution over [0, n) with
+// exponent s; small indexes are most likely. It inverts the continuous
+// approximation of the CDF, (x^(1-s) - 1) / (n^(1-s) - 1), which is
+// adequate for workload skew modeling; s = 1 is treated as 1.0001 to
+// avoid the harmonic special case. The constants n^(1-s) - 1 and
+// 1/(1-s) are computed once here, by the same expressions a per-draw
+// evaluation would use, so every sample is bit for bit what the formula
+// gives. Each Next consumes one Uint64, or none when n <= 1.
+type ZipfSource struct {
+	r     *Rand
+	n     int
+	scale float64 // n^(1-s) - 1
+	inv   float64 // 1/(1-s)
+}
+
+// NewZipfSource builds a sampler over r for n items with exponent s.
+func NewZipfSource(r *Rand, n int, s float64) ZipfSource {
+	if s == 1 {
+		s = 1.0001
+	}
+	oneMinusS := 1 - s
+	return ZipfSource{r: r, n: n, scale: math.Pow(float64(n), oneMinusS) - 1, inv: 1 / oneMinusS}
+}
+
+// Next draws the next index in [0, n).
+func (z *ZipfSource) Next() int {
+	if z.n <= 1 {
 		return 0
 	}
-	if s == 1 {
-		s = 1.0001 // avoid the harmonic special case
-	}
-	// Continuous inversion: CDF(x) ~ (x^(1-s) - 1) / (n^(1-s) - 1).
-	u := r.Float64()
-	oneMinusS := 1 - s
-	x := math.Pow(u*(math.Pow(float64(n), oneMinusS)-1)+1, 1/oneMinusS)
+	u := z.r.Float64()
+	x := math.Pow(u*z.scale+1, z.inv)
 	i := int(x) - 1
 	if i < 0 {
 		i = 0
 	}
-	if i >= n {
-		i = n - 1
+	if i >= z.n {
+		i = z.n - 1
 	}
 	return i
 }

@@ -143,25 +143,6 @@ func TestGeometricDegenerate(t *testing.T) {
 	}
 }
 
-func TestZipfSkewAndRange(t *testing.T) {
-	r := New(13)
-	const n = 100
-	counts := make([]int, n)
-	for i := 0; i < 100000; i++ {
-		v := r.Zipf(n, 1.2)
-		if v < 0 || v >= n {
-			t.Fatalf("Zipf out of range: %d", v)
-		}
-		counts[v]++
-	}
-	if counts[0] <= counts[n-1] {
-		t.Fatalf("Zipf not skewed: counts[0]=%d counts[last]=%d", counts[0], counts[n-1])
-	}
-	if r.Zipf(1, 1.2) != 0 {
-		t.Fatal("Zipf(1) must be 0")
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(17)
 	f := func(nRaw uint8) bool {

@@ -210,7 +210,8 @@ func TestCheckpointHasNoNestedSlices(t *testing.T) {
 // TestResumeRejectsShortState pins that every per-core and per-set slice
 // of a checkpoint is checked against the machine before anything runs: a
 // short one is refused with an error naming it, never resumed into an
-// index-out-of-range panic or silently zeroed counters.
+// index-out-of-range panic or silently zeroed counters. So is a generator
+// position outside its code region or window, or outside a data layer.
 func TestResumeRejectsShortState(t *testing.T) {
 	ck, err := WarmupCheckpoint(context.Background(), ckConfig(), mixOf(t, "ammp", "gzip"))
 	if err != nil {
@@ -234,6 +235,13 @@ func TestResumeRejectsShortState(t *testing.T) {
 		{"stacks", func(ck *Checkpoint) { ck.LLC.Blocks.Lens = ck.LLC.Blocks.Lens[:len(ck.LLC.Blocks.Lens)-1] }},
 		{"stacks", func(ck *Checkpoint) { ck.Hier.Cores[0].L2D.Sets.Lens = ck.Hier.Cores[0].L2D.Sets.Lens[1:] }},
 		{"BTB", func(ck *Checkpoint) { ck.Cores[1].Pred.BTB.Items = ck.Cores[1].Pred.BTB.Items[1:] }},
+		{"WindowStart", func(ck *Checkpoint) { ck.Cores[0].Gen.WindowStart = 1 << 40 }},
+		{"PCIndex", func(ck *Checkpoint) { ck.Cores[1].Gen.PCIndex = 174763 }},
+		{"PCIndex", func(ck *Checkpoint) {
+			ck.Cores[0].Gen.WindowStart = 256
+			ck.Cores[0].Gen.PCIndex = 0
+		}},
+		{"LayerPos", func(ck *Checkpoint) { ck.Cores[1].Gen.LayerPos[0] = 1 << 40 }},
 	} {
 		fork, err := DecodeCheckpoint(data)
 		if err != nil {

@@ -80,7 +80,7 @@ type Instr struct {
 type Layer struct {
 	Frac   float64 // share of memory accesses hitting this layer
 	Blocks int     // working-set size in 64-byte blocks
-	Stride int     // cyclic walk stride in blocks (ignored for Random/Zipf)
+	Stride int     // cyclic walk stride in blocks, 0 = 1 (ignored for Random/Zipf)
 	Random bool    // uniform random within the layer
 	Zipf   float64 // if > 0, Zipf-skewed random with this exponent
 	Repeat int     // consecutive accesses per block before advancing
@@ -136,16 +136,21 @@ type Generator struct {
 	space int
 	r     *rng.Rand
 
-	cum        []float64 // cumulative layer weights
-	layerPos   []uint64  // cyclic positions
-	layerBase  []uint64  // byte base of each layer's region
-	layerLeft  []int     // remaining repeats on the current block
-	layerBlock []uint64  // current block index (for repeats)
+	cum        []float64        // cumulative layer weights
+	layerPos   []uint64         // cyclic positions
+	layerBase  []uint64         // byte base of each layer's region
+	layerStep  []uint64         // cyclic stride reduced modulo the layer size
+	layerLeft  []int            // remaining repeats on the current block
+	layerBlock []uint64         // current block index (for repeats)
+	zipf       []rng.ZipfSource // samplers of the Zipf layers
 
 	codeInstrs  uint64 // instructions in the code region
 	pcIndex     uint64 // current position in the code region
 	branchEvery uint64 // a branch site every N slots
-	count       uint64 // instructions generated
+	// branchSlot has bit pc set when code-region position pc is a
+	// forward branch slot (see Next).
+	branchSlot []uint64
+	count      uint64 // instructions generated
 
 	// Inner-loop structure: execution stays inside a window of the code
 	// region for several laps before advancing — real control flow is
@@ -155,8 +160,14 @@ type Generator struct {
 	windowLaps  uint64
 
 	// classRing remembers the classes of the most recent instructions so
-	// dependencies can target value-producing instructions.
-	classRing [depWindow]Class
+	// dependencies can target value-producing instructions. Two indexes
+	// over it answer pickProducer without a scan: lastLoad is the count
+	// of the most recent Load, and lastProducer[c%depWindow] the count
+	// of the latest value producer at or before count c (0 = none). Both
+	// are derived from classRing and count, so Restore rebuilds them.
+	classRing    [depWindow]Class
+	lastLoad     uint64
+	lastProducer [depWindow]uint64
 
 	// siteVisits counts per-branch-site executions so patterned sites
 	// produce periodic (learnable) outcome sequences.
@@ -191,14 +202,19 @@ func NewGenerator(p AppParams, space int, r *rng.Rand) *Generator {
 		cum:        make([]float64, len(p.Layers)),
 		layerPos:   make([]uint64, len(p.Layers)),
 		layerBase:  make([]uint64, len(p.Layers)),
+		layerStep:  make([]uint64, len(p.Layers)),
 		layerLeft:  make([]int, len(p.Layers)),
 		layerBlock: make([]uint64, len(p.Layers)),
+		zipf:       make([]rng.ZipfSource, len(p.Layers)),
 	}
 	sum := 0.0
 	base := uint64(dataBase)
 	for i, l := range p.Layers {
 		if l.Blocks <= 0 {
 			panic(fmt.Sprintf("workload: %s layer %d has no blocks", p.Name, i))
+		}
+		if l.Stride < 0 {
+			panic(fmt.Sprintf("workload: %s layer %d has a negative stride", p.Name, i))
 		}
 		sum += l.Frac
 		g.cum[i] = sum
@@ -208,6 +224,10 @@ func NewGenerator(p AppParams, space int, r *rng.Rand) *Generator {
 		// Random fast-forward: start each cyclic walk somewhere inside
 		// its period.
 		g.layerPos[i] = r.Uint64n(uint64(l.Blocks))
+		g.layerStep[i] = uint64(max(l.Stride, 1)) % uint64(l.Blocks)
+		if l.Zipf > 0 {
+			g.zipf[i] = rng.NewZipfSource(r, l.Blocks, l.Zipf)
+		}
 	}
 	if sum <= 0 {
 		panic("workload: layer fractions sum to zero: " + p.Name)
@@ -228,6 +248,21 @@ func NewGenerator(p AppParams, space int, r *rng.Rand) *Generator {
 	}
 	g.branchEvery = be
 	g.siteVisits = make([]uint32, g.codeInstrs/be+2)
+	// Within a window there is one forward branch slot per chunk of
+	// branchEvery instructions, at a chunk-specific offset (real code
+	// does not align branches to a fixed stride — a regular stride would
+	// alias every site into a handful of BTB sets). A chunk starts at a
+	// multiple of be, so its slot is the one pc with pc%be equal to the
+	// chunk's hash modulo be.
+	g.branchSlot = make([]uint64, (g.codeInstrs+63)/64)
+	if be < g.windowSize() {
+		for start := uint64(0); start < g.codeInstrs; start += be {
+			chunk := start / be
+			if pc := start + (chunk*0x9e3779b97f4a7c15>>33)%be; pc < g.codeInstrs {
+				g.branchSlot[pc/64] |= 1 << (pc % 64)
+			}
+		}
+	}
 	g.depDist = rng.NewGeometricSource(r, p.MeanDepDist)
 	return g
 }
@@ -250,17 +285,11 @@ func (g *Generator) Next(ins *Instr) {
 	ins.Dep2 = 0
 
 	// Control flow: execution runs in inner loops of loopWindow
-	// instructions, lapping each window several times before moving on.
-	// Within a window there is one branch slot per chunk of branchEvery
-	// instructions, at a chunk-specific offset (real code does not align
-	// branches to a fixed stride — a regular stride would alias every
-	// site into a handful of BTB sets).
+	// instructions, lapping each window several times before moving on,
+	// with forward branches at the slots NewGenerator tabulated.
 	window := g.windowSize()
 	atLoopEnd := g.pcIndex == g.windowStart+window-1
-	chunk := g.pcIndex / g.branchEvery
-	slotHash := chunk * 0x9e3779b97f4a7c15 >> 33
-	atBranchSlot := g.branchEvery < window &&
-		g.pcIndex%g.branchEvery == slotHash%g.branchEvery
+	atBranchSlot := g.branchSlot[g.pcIndex/64]&(1<<(g.pcIndex%64)) != 0
 	if atLoopEnd || atBranchSlot {
 		ins.Class = Branch
 		if atLoopEnd {
@@ -285,6 +314,7 @@ func (g *Generator) Next(ins *Instr) {
 			}
 		} else {
 			// Forward branch: patterned or data-dependent per site.
+			chunk := g.pcIndex / g.branchEvery
 			siteHash := g.pcIndex * 0x9e3779b97f4a7c15
 			visits := g.siteVisits[chunk]
 			g.siteVisits[chunk] = visits + 1
@@ -311,7 +341,7 @@ func (g *Generator) Next(ins *Instr) {
 			}
 		}
 		ins.Dep1 = g.pickProducer(false)
-		g.classRing[g.count%depWindow] = Branch
+		g.record(g.count, Branch)
 		return
 	}
 	g.pcIndex++
@@ -345,7 +375,23 @@ func (g *Generator) Next(ins *Instr) {
 		}
 		ins.Dep1 = g.pickProducer(false)
 	}
-	g.classRing[g.count%depWindow] = ins.Class
+	g.record(g.count, ins.Class)
+}
+
+// record enters the class of instruction number c, the newest one, into
+// the dependency window and its indexes.
+func (g *Generator) record(c uint64, cl Class) {
+	slot := c % depWindow
+	g.classRing[slot] = cl
+	switch cl {
+	case IntALU, IntMul, FPALU, FPMul:
+		g.lastProducer[slot] = c
+	default:
+		g.lastProducer[slot] = g.lastProducer[(c-1)%depWindow]
+	}
+	if cl == Load {
+		g.lastLoad = c
+	}
 }
 
 // windowSize returns the inner-loop window length, clamped to the code
@@ -359,26 +405,24 @@ func (g *Generator) windowSize() uint64 {
 
 // pickProducer returns the distance back to this instruction's producer.
 // With chase it targets the most recent load (pointer chasing); otherwise
-// it draws a geometric distance and walks back to the nearest
+// it draws a geometric distance and goes back to the nearest
 // value-producing (ALU/multiply) instruction at or beyond it, so loads and
 // branches do not accidentally serialize behind unrelated memory traffic.
+// A producer must lie inside the dependency window and be a generated
+// instruction (k < count); failing that, the chase falls back to the
+// geometric draw and the draw stands as drawn.
 func (g *Generator) pickProducer(chase bool) int32 {
 	if chase {
-		for k := uint64(1); k < depWindow && k < g.count; k++ {
-			if g.classRing[(g.count-k)%depWindow] == Load {
-				return int32(k)
-			}
+		if k := g.count - g.lastLoad; k < depWindow && k < g.count {
+			return int32(k)
 		}
 	}
 	d := uint64(g.depDist.Next())
-	if d >= depWindow {
-		return int32(d) // ancient producer: always ready
+	if d >= depWindow || d >= g.count {
+		return int32(d) // ancient or before the stream: always ready
 	}
-	for k := d; k < depWindow && k < g.count; k++ {
-		switch g.classRing[(g.count-k)%depWindow] {
-		case IntALU, IntMul, FPALU, FPMul:
-			return int32(k)
-		}
+	if k := g.count - g.lastProducer[(g.count-d)%depWindow]; k < depWindow && k < g.count {
+		return int32(k)
 	}
 	return int32(d)
 }
@@ -404,16 +448,17 @@ func (g *Generator) dataAddr() memaddr.Addr {
 	var blockIdx uint64
 	switch {
 	case l.Zipf > 0:
-		blockIdx = uint64(g.r.Zipf(l.Blocks, l.Zipf))
+		blockIdx = uint64(g.zipf[li].Next())
 	case l.Random:
 		blockIdx = g.r.Uint64n(uint64(l.Blocks))
 	default:
-		stride := uint64(l.Stride)
-		if stride == 0 {
-			stride = 1
+		// layerPos < Blocks and layerStep < Blocks, so one subtraction
+		// wraps the walk.
+		blockIdx = g.layerPos[li] + g.layerStep[li]
+		if blockIdx >= uint64(l.Blocks) {
+			blockIdx -= uint64(l.Blocks)
 		}
-		g.layerPos[li] = (g.layerPos[li] + stride) % uint64(l.Blocks)
-		blockIdx = g.layerPos[li]
+		g.layerPos[li] = blockIdx
 	}
 	if l.Repeat > 1 {
 		g.layerLeft[li] = l.Repeat - 1

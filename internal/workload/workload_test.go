@@ -354,6 +354,7 @@ func TestGeneratorPanicsOnBadParams(t *testing.T) {
 		"no layers":  {Name: "x"},
 		"zero block": {Name: "x", Layers: []Layer{{Frac: 1, Blocks: 0}}},
 		"zero frac":  {Name: "x", Layers: []Layer{{Frac: 0, Blocks: 4}}},
+		"neg stride": {Name: "x", Layers: []Layer{{Frac: 1, Blocks: 4, Stride: -1}}},
 	} {
 		func() {
 			defer func() {
@@ -366,12 +367,20 @@ func TestGeneratorPanicsOnBadParams(t *testing.T) {
 	}
 }
 
+// BenchmarkGeneratorNext times one Next over the apps of the benchmark's
+// warmup mix (ammp, art, mcf, swim) and table1 mix (gzip, mcf, ammp,
+// wupwise).
 func BenchmarkGeneratorNext(b *testing.B) {
-	p, _ := ByName("gcc")
-	g := NewGenerator(p, 0, rng.New(1))
-	var ins Instr
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Next(&ins)
+	for _, name := range []string{"ammp", "art", "mcf", "swim", "gzip", "wupwise"} {
+		b.Run(name, func(b *testing.B) {
+			p, _ := ByName(name)
+			g := NewGenerator(p, 0, rng.New(1))
+			var ins Instr
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Next(&ins)
+			}
+		})
 	}
 }
