@@ -51,9 +51,7 @@ func main() {
 func doCapture(app string, n uint64, out string, seed uint64) error {
 	p, ok := workload.ByName(app)
 	if !ok {
-		if p, ok = workload.ParallelByName(app); !ok {
-			return fmt.Errorf("unknown application %q", app)
-		}
+		return fmt.Errorf("unknown application %q", app)
 	}
 	f, err := atomicio.Create(out)
 	if err != nil {

@@ -64,13 +64,3 @@ func ParallelSuite() []AppParams {
 		},
 	}
 }
-
-// ParallelByName returns one parallel application model by name.
-func ParallelByName(name string) (AppParams, bool) {
-	for _, p := range ParallelSuite() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return AppParams{}, false
-}

@@ -27,16 +27,10 @@ func TestParallelSuiteShape(t *testing.T) {
 			t.Errorf("%s: fractions sum to %.2f", p.Name, sum)
 		}
 	}
-	if _, ok := ParallelByName("oceanp"); !ok {
-		t.Fatal("oceanp missing")
-	}
-	if _, ok := ParallelByName("gzip"); ok {
-		t.Fatal("sequential apps must not resolve via ParallelByName")
-	}
 }
 
 func TestSharedLayerAddressesLandInSharedSpace(t *testing.T) {
-	p, _ := ParallelByName("fftp")
+	p, _ := ByName("fftp")
 	g := NewGenerator(p, 2, rng.New(1))
 	var ins Instr
 	sawShared, sawPrivate := false, false
@@ -63,7 +57,7 @@ func TestSharedAddressesIdenticalAcrossThreads(t *testing.T) {
 	// Two generator instances of the same parallel app (different cores,
 	// different seeds) must draw shared-layer addresses from the SAME
 	// region, or the "shared" data would not actually be shared.
-	p, _ := ParallelByName("oceanp")
+	p, _ := ByName("oceanp")
 	collect := func(space int, seed uint64) map[uint64]bool {
 		g := NewGenerator(p, space, rng.New(seed))
 		var ins Instr

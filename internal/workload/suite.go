@@ -348,9 +348,11 @@ func Idle() AppParams {
 	}
 }
 
-// ByName returns the model for a named application.
+// ByName returns the model for a named application: one of Suite(),
+// ParallelSuite() or Idle(). It is the one app lookup, so every program
+// a figure runs can be named in a run request.
 func ByName(name string) (AppParams, bool) {
-	for _, p := range Suite() {
+	for _, p := range append(append(Suite(), ParallelSuite()...), Idle()) {
 		if p.Name == name {
 			return p, true
 		}

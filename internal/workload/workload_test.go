@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"nucasim/internal/cache"
@@ -65,6 +66,27 @@ func TestByName(t *testing.T) {
 	}
 	if _, ok := ByName("nonesuch"); ok {
 		t.Fatal("unknown app resolved")
+	}
+}
+
+// TestByNameResolvesEveryApp pins the one app lookup: every program a
+// figure runs — the suite, the parallel apps and the idle filler —
+// resolves by name to itself, and no two share a name.
+func TestByNameResolvesEveryApp(t *testing.T) {
+	seen := map[string]bool{}
+	for _, p := range append(append(Suite(), ParallelSuite()...), Idle()) {
+		if seen[p.Name] {
+			t.Errorf("duplicate app name %q", p.Name)
+		}
+		seen[p.Name] = true
+		got, ok := ByName(p.Name)
+		if !ok {
+			t.Errorf("ByName(%q) not found", p.Name)
+			continue
+		}
+		if !reflect.DeepEqual(got, p) {
+			t.Errorf("ByName(%q) = %+v, want %+v", p.Name, got, p)
+		}
 	}
 }
 

@@ -41,7 +41,8 @@ func Schemes() []Scheme { return sim.Schemes() }
 // Apps returns the 24 synthetic SPEC2000 application models.
 func Apps() []App { return workload.Suite() }
 
-// AppByName returns one application model by its SPEC name.
+// AppByName returns one application model by name: a SPEC suite app,
+// a synthetic parallel app (oceanp, fftp, lup) or "idle".
 func AppByName(name string) (App, bool) { return workload.ByName(name) }
 
 // IntensiveApps returns the last-level-cache-intensive subset (Figure 5).
