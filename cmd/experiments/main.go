@@ -37,6 +37,7 @@ import (
 	"nucasim/internal/experiment"
 	"nucasim/internal/sim"
 	"nucasim/internal/stats"
+	"nucasim/internal/sweep"
 	"nucasim/internal/telemetry"
 	"nucasim/internal/tools/cliflags"
 )
@@ -83,7 +84,7 @@ func main() {
 	flag.Uint64Var(&opt.WarmupInstructions, "warmup-instrs", 0, "functional warmup instructions per core (default 1e6)")
 	flag.Uint64Var(&opt.WarmupCycles, "warmup-cycles", 0, "timed warmup cycles (default 1e5)")
 	flag.Uint64Var(&opt.MeasureCycles, "cycles", 0, "measured cycles (default 6e5; paper: 2e8)")
-	flag.BoolVar(&opt.CheckInvariants, "check-invariants", false, "verify adaptive-scheme structural invariants at every repartition epoch (aborts on violation)")
+	flag.BoolVar(&opt.Run.CheckInvariants, "check-invariants", false, "verify adaptive-scheme structural invariants at every repartition epoch (aborts on violation)")
 	common := cliflags.Register(flag.CommandLine, cliflags.Spec{
 		Command:      "experiments",
 		JSONUsage:    "emit tables as JSON Lines instead of text",
@@ -109,9 +110,6 @@ func main() {
 	if session.Metrics != nil {
 		out.metrics = session.Metrics
 	}
-	if session.Trace != nil {
-		opt.TraceWriter = session.Trace
-	}
 
 	for _, w := range which {
 		if w == "all" {
@@ -135,9 +133,8 @@ func timed(which string, opt experiment.Options, out *output, session *cliflags.
 	start := time.Now()
 	cyclesBefore := sim.CyclesSimulated()
 	sp := session.StartSpan("experiment." + which)
-	if session.Spans != nil {
-		opt.Spans = session.Spans
-		opt.SpanParent = sp.ID()
+	if session.Trace != nil || session.Spans != nil {
+		opt.Run.Attach = adaptiveTelemetry(session, sp.ID())
 	}
 	telemetry.WithPhase(context.Background(), which, func(context.Context) {
 		run(which, opt, out)
@@ -148,6 +145,28 @@ func timed(which string, opt experiment.Options, out *output, session *cliflags.
 		SimCycles: sim.CyclesSimulated() - cyclesBefore,
 	}
 	fmt.Fprintf(os.Stderr, "# %s: %s\n", which, tp)
+}
+
+// adaptiveTelemetry gives each adaptive point the session's trace
+// writer and span recorder, labelled "adaptive-seed<N>" so decisions
+// from different mixes stay distinguishable, with its simulation phases
+// nested under parent. The baselines keep the sweep engine's default.
+func adaptiveTelemetry(session *cliflags.Session, parent telemetry.SpanID) func(sweep.Point) *telemetry.Config {
+	var trace io.Writer
+	if session.Trace != nil {
+		trace = session.Trace
+	}
+	return func(p sweep.Point) *telemetry.Config {
+		if p.Cfg.Scheme != sim.SchemeAdaptive {
+			return nil
+		}
+		return &telemetry.Config{
+			Run:         fmt.Sprintf("%s-seed%d", p.Cfg.Scheme, p.Cfg.Seed),
+			TraceWriter: trace,
+			Spans:       session.Spans,
+			SpanParent:  parent,
+		}
+	}
 }
 
 func run(which string, opt experiment.Options, out *output) {

@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"fmt"
+
 	"nucasim/internal/sim"
 	"nucasim/internal/stats"
+	"nucasim/internal/sweep"
 	"nucasim/internal/workload"
 )
 
@@ -26,38 +29,28 @@ type ParallelResult struct {
 // scheme additionally protecting each thread's private state.
 func ParallelWorkloads(opt Options) ParallelResult {
 	opt = opt.withDefaults()
-	t := stats.NewTable("Parallel workloads (§3 future work): harmonic IPC",
-		"private", "shared", "adaptive", "adaptive/private")
-	var aAcc, sAcc stats.Accumulator
-	for i, p := range workload.ParallelSuite() {
+	var mixes [][]workload.AppParams
+	for _, p := range workload.ParallelSuite() {
 		mix := make([]workload.AppParams, opt.Cores)
 		for c := range mix {
 			mix[c] = p // one thread per core
 		}
-		seed := opt.Seed + uint64(i)*101
-		rp := sim.Run(opt.simConfig(sim.SchemePrivate, seed), mix)
-		rs := sim.Run(opt.simConfig(sim.SchemeShared, seed), mix)
-		ra := sim.Run(opt.simConfig(sim.SchemeAdaptive, seed), mix)
-		sp := stats.Speedup(ra.HarmonicIPC, rp.HarmonicIPC)
-		t.AddRow(p.Name+" x"+coresSuffix(opt.Cores),
-			rp.HarmonicIPC, rs.HarmonicIPC, ra.HarmonicIPC, sp)
+		mixes = append(mixes, mix)
+	}
+	results := opt.run(opt.specs(sweep.Base{}, mixes, sim.SchemePrivate, sim.SchemeShared, sim.SchemeAdaptive))
+	t := stats.NewTable("Parallel workloads (§3 future work): harmonic IPC",
+		"private", "shared", "adaptive", "adaptive/private")
+	var aAcc, sAcc stats.Accumulator
+	for i, r := range results {
+		sp := stats.Speedup(r[2].HarmonicIPC, r[0].HarmonicIPC)
+		t.AddRow(fmt.Sprintf("%s x%d", mixes[i][0].Name, opt.Cores),
+			r[0].HarmonicIPC, r[1].HarmonicIPC, r[2].HarmonicIPC, sp)
 		aAcc.Add(sp)
-		sAcc.Add(stats.Speedup(rs.HarmonicIPC, rp.HarmonicIPC))
+		sAcc.Add(stats.Speedup(r[1].HarmonicIPC, r[0].HarmonicIPC))
 	}
 	return ParallelResult{
 		Table:             t,
 		AdaptiveVsPrivate: aAcc.Mean(),
 		SharedVsPrivate:   sAcc.Mean(),
-	}
-}
-
-func coresSuffix(cores int) string {
-	switch cores {
-	case 4:
-		return "4"
-	case 8:
-		return "8"
-	default:
-		return "N"
 	}
 }

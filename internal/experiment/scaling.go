@@ -1,9 +1,9 @@
 package experiment
 
 import (
-	"nucasim/internal/rng"
 	"nucasim/internal/sim"
 	"nucasim/internal/stats"
+	"nucasim/internal/sweep"
 	"nucasim/internal/workload"
 )
 
@@ -23,23 +23,20 @@ type CoreScalingResult struct {
 // structures scale as described in §2.7.
 func CoreScaling(opt Options) CoreScalingResult {
 	opt = opt.withDefaults()
+	widths := []int{4, 8}
+	var specs []sweep.Spec
+	for _, cores := range widths {
+		specs = append(specs, opt.specs(sweep.Base{}, opt.draw(workload.Intensive(), cores), sim.SchemePrivate, sim.SchemeAdaptive)...)
+	}
+	results := opt.run(specs)
 	res := CoreScalingResult{
 		Table:       stats.NewTable("§6 scaling: adaptive vs private harmonic-IPC speedup", "speedup"),
 		GainAtCores: map[int]float64{},
 	}
-	for _, cores := range []int{4, 8} {
-		r := rng.New(opt.Seed)
-		mixes := drawMixes(r, workload.Intensive(), opt.Mixes, cores)
+	for w, cores := range widths {
 		var acc stats.Accumulator
-		for i, mix := range mixes {
-			seed := opt.Seed + uint64(i)*101
-			cfgP := opt.simConfig(sim.SchemePrivate, seed)
-			cfgP.Cores = cores
-			cfgA := opt.simConfig(sim.SchemeAdaptive, seed)
-			cfgA.Cores = cores
-			rp := sim.Run(cfgP, mix)
-			ra := sim.Run(cfgA, mix)
-			acc.Add(stats.Speedup(ra.HarmonicIPC, rp.HarmonicIPC))
+		for _, r := range results[w*opt.Mixes : (w+1)*opt.Mixes] {
+			acc.Add(stats.Speedup(r[1].HarmonicIPC, r[0].HarmonicIPC))
 		}
 		res.Table.AddRow(coresLabel(cores), acc.Mean())
 		res.GainAtCores[cores] = (acc.Mean() - 1) * 100
