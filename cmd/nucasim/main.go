@@ -114,7 +114,6 @@ func main() {
 				}
 				c.Spans = session.Spans
 				c.SpanParent = session.Root.ID()
-				c.SampleRuntime = true
 				return true
 			})
 		}
@@ -167,7 +166,6 @@ func main() {
 	if session.Spans != nil {
 		telcfg.Spans = session.Spans
 		telcfg.SpanParent = session.Root.ID()
-		telcfg.SampleRuntime = true
 	}
 	if cfg.Scheme == sim.SchemeAdaptive || common.MetricsOut != "" || common.TraceOut != "" || common.SpanOut != "" || common.JSON {
 		cfg.Telemetry = &telcfg

@@ -9,13 +9,11 @@ import (
 	"nucasim/internal/telemetry"
 )
 
-// normalizeResult strips the only fields that legitimately differ
-// between a forked and a cold run: wall-clock throughput and the
-// process-local runtime series. Everything else — limits, counters,
+// normalizeResult strips the only field that legitimately differs
+// between a forked and a cold run: wall-clock throughput. Everything else — limits, counters,
 // per-core stats, the full epoch time series — must be deep-equal.
 func normalizeResult(r Result) Result {
 	r.Throughput = telemetry.Throughput{}
-	r.RuntimeSamples = nil
 	return r
 }
 

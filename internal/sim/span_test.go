@@ -15,12 +15,8 @@ func spanConfig(rec *telemetry.SpanRecorder) Config {
 		MeasureCycles: 200_000,
 	}
 	// Both arms carry a telemetry config (epoch recording changes Result
-	// fields); only the Spans/SampleRuntime observers differ.
-	cfg.Telemetry = &telemetry.Config{}
-	if rec != nil {
-		cfg.Telemetry.Spans = rec
-		cfg.Telemetry.SampleRuntime = true
-	}
+	// fields); only the Spans observer differs.
+	cfg.Telemetry = &telemetry.Config{Spans: rec}
 	return cfg
 }
 
@@ -107,22 +103,12 @@ func TestRunEmitsPhaseSpans(t *testing.T) {
 			}
 		}
 	}
-
-	// Runtime sampling rode along: one sample per evaluation, and it is
-	// surfaced on the Result (not inside the epoch samples).
-	if len(r.RuntimeSamples) == 0 {
-		t.Fatal("SampleRuntime produced no samples")
-	}
-	if uint64(len(r.RuntimeSamples)) != r.Evaluations {
-		t.Errorf("%d runtime samples for %d evaluations", len(r.RuntimeSamples), r.Evaluations)
-	}
 }
 
 // TestSpansDoNotPerturbResults is the load-bearing invariant of the span
 // subsystem: wall-clock observation must never leak into simulated
 // state. Identical config modulo spans ⇒ identical Result, modulo the
-// fields that are definitionally host-side (wall-clock throughput and
-// the runtime samples themselves).
+// one field that is definitionally host-side (wall-clock throughput).
 func TestSpansDoNotPerturbResults(t *testing.T) {
 	plain := Run(spanConfig(nil), telemetryMix(t))
 	rec := telemetry.NewSpanRecorder(telemetry.SpanConfig{})
@@ -130,8 +116,6 @@ func TestSpansDoNotPerturbResults(t *testing.T) {
 
 	plain.Throughput.Wall = 0
 	traced.Throughput.Wall = 0
-	plain.RuntimeSamples = nil
-	traced.RuntimeSamples = nil
 
 	a, err := json.Marshal(plain)
 	if err != nil {

@@ -264,7 +264,6 @@ func TestRunLocalForkEquivalence(t *testing.T) {
 		}
 		norm := func(r sim.Result) sim.Result {
 			r.Throughput = telemetry.Throughput{}
-			r.RuntimeSamples = nil
 			return r
 		}
 		if !reflect.DeepEqual(norm(got[i]), norm(ref)) {

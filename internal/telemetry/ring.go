@@ -1,7 +1,7 @@
 package telemetry
 
 // ring is the package's one bounded drop-oldest buffer, shared by the
-// epoch Ring, the SpanRecorder's completed records and the RuntimeRing.
+// epoch Ring and the SpanRecorder's completed records.
 // It grows by append up to max entries, so it costs what it holds; once
 // full, each push overwrites the oldest entry and counts the drop. It
 // does not lock: an owner read from several goroutines holds its own

@@ -82,12 +82,6 @@ type Config struct {
 	// handle, so Config stays gob-describable for the checkpoint's type
 	// graph.
 	SpanParent SpanID
-
-	// SampleRuntime enables one Go runtime/metrics observation (heap,
-	// goroutines, GC pauses, scheduler latency) per repartition epoch,
-	// collected into Telemetry.Runtime and surfaced as
-	// sim.Result.RuntimeSamples. Wall-clock-only, like spans.
-	SampleRuntime bool
 }
 
 // Progress is one coarse progress report from the simulation driver:
@@ -125,11 +119,6 @@ type Telemetry struct {
 	Spans      *SpanRecorder
 	SpanParent SpanID
 
-	// Runtime holds per-epoch Go runtime observations when
-	// Config.SampleRuntime is set (nil otherwise). Not checkpointed:
-	// wall-clock process telemetry has no place in simulated state.
-	Runtime *RuntimeRing
-
 	onEpoch    func(EpochSample)
 	onProgress func(Progress)
 }
@@ -147,9 +136,6 @@ func New(cfg Config) *Telemetry {
 		onEpoch:    cfg.OnEpoch,
 		onProgress: cfg.OnProgress,
 	}
-	if cfg.SampleRuntime {
-		t.Runtime = NewRuntimeRing(0)
-	}
 	if cfg.TraceWriter != nil {
 		sampleEvery := cfg.SampleEvery
 		if cfg.FullTrace {
@@ -166,15 +152,13 @@ func New(cfg Config) *Telemetry {
 // Enabled reports whether this instance observes anything.
 func (t *Telemetry) Enabled() bool { return t != nil }
 
-// RecordEpoch appends one sample to the epoch ring, takes the per-epoch
-// runtime observation when enabled, and forwards the sample to the
-// Config.OnEpoch hook, if any.
+// RecordEpoch appends one sample to the epoch ring and forwards it to
+// the Config.OnEpoch hook, if any.
 func (t *Telemetry) RecordEpoch(s EpochSample) {
 	if t == nil {
 		return
 	}
 	t.Epochs.Append(s)
-	t.Runtime.Sample(s.Eval)
 	if t.onEpoch != nil {
 		t.onEpoch(s)
 	}
