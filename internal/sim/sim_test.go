@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"nucasim/internal/cache"
@@ -104,6 +105,34 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 	if a.LLCTotal != b.LLCTotal {
 		t.Fatalf("LLC stats differ:\n%+v\n%+v", a.LLCTotal, b.LLCTotal)
+	}
+}
+
+// TestEverySchemeRunsTheSameStreams: the front end (generators,
+// predictors, TLBs, L1/L2) does not depend on the L3 organization, so
+// after the same functional warmup every scheme's cores must stand
+// exactly where private's do. A scheme whose build drew from the
+// machine's stream before the per-core generators forked from it would
+// run different programs, and comparing it with the others at one seed
+// would not be a paired comparison.
+func TestEverySchemeRunsTheSameStreams(t *testing.T) {
+	mix := mixOf(t, "ammp", "art", "mcf", "swim")
+	warm := func(s Scheme) *Machine {
+		m := NewMachine(small(s), mix)
+		m.WarmFunctional(50_000)
+		return m
+	}
+	ref := warm(SchemePrivate)
+	for _, s := range Schemes() {
+		m := warm(s)
+		for i := range m.Cores {
+			if !reflect.DeepEqual(m.Cores[i].Snapshot(), ref.Cores[i].Snapshot()) {
+				t.Errorf("%s: core %d state differs from private's", s, i)
+			}
+			if got, want := m.Hierarchy.Stats(i), ref.Hierarchy.Stats(i); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: core %d hierarchy stats %+v, private's %+v", s, i, got, want)
+			}
+		}
 	}
 }
 
