@@ -33,11 +33,12 @@ race:
 # Benchmark the core engine paths (the adaptive access path with and
 # without telemetry, the end-to-end Table 1 run, the wall-clock span
 # hot path enabled/disabled, functional warmup at one and two CPUs, the
-# timed loop over three mixes, and the workload generator over the apps
-# of the benchmark's warmup and table1 mixes). The text output is
-# benchstat-compatible; benchjson folds the same stream into the
-# machine-readable BENCH_core.json benchmark record, asserting the
-# access, span and generator paths stay allocation-free and the
+# timed loop over three mixes, a data load through a deferring port
+# (the L1/L2/TLB path of functional warmup), and the workload generator
+# over the apps of the benchmark's warmup and table1 mixes). The text
+# output is benchstat-compatible; benchjson folds the same stream into
+# the machine-readable BENCH_core.json benchmark record, asserting the
+# access, span, port and generator paths stay allocation-free and the
 # telemetry tax stays <= 2x.
 bench: build
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmFunctional$$' -benchmem -cpu 1,2 \
@@ -46,11 +47,13 @@ bench: build
 		-count=5 ./internal/sim/ | tee -a /tmp/nucasim-bench.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkAdaptiveAccess|BenchmarkTable1$$|BenchmarkSpanStartEnd' \
 		-benchmem -count=5 . | tee -a /tmp/nucasim-bench.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkPortDeferred$$' -benchmem \
+		-count=5 ./internal/hierarchy/ | tee -a /tmp/nucasim-bench.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkGeneratorNext$$' -benchmem \
 		-count=5 ./internal/workload/ | tee -a /tmp/nucasim-bench.txt
 	$(GO) run ./internal/tools/benchjson -in /tmp/nucasim-bench.txt -out BENCH_core.json \
-		-require BenchmarkWarmFunctional/cpu=1,BenchmarkWarmFunctional/cpu=2,BenchmarkTimedCycles/table1,BenchmarkTimedCycles/memory,BenchmarkTimedCycles/compute,BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry,BenchmarkTable1,BenchmarkSpanStartEnd,BenchmarkSpanStartEndDisabled,$(GENERATOR_BENCHES) \
-		-assert-zero-allocs BenchmarkTimedCycles,BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry,BenchmarkSpanStartEnd,BenchmarkSpanStartEndDisabled,BenchmarkGeneratorNext \
+		-require BenchmarkWarmFunctional/cpu=1,BenchmarkWarmFunctional/cpu=2,BenchmarkTimedCycles/table1,BenchmarkTimedCycles/memory,BenchmarkTimedCycles/compute,BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry,BenchmarkTable1,BenchmarkSpanStartEnd,BenchmarkSpanStartEndDisabled,BenchmarkPortDeferred,$(GENERATOR_BENCHES) \
+		-assert-zero-allocs BenchmarkTimedCycles,BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry,BenchmarkSpanStartEnd,BenchmarkSpanStartEndDisabled,BenchmarkPortDeferred,BenchmarkGeneratorNext \
 		-max-ratio BenchmarkAdaptiveAccessTelemetry/BenchmarkAdaptiveAccess=2.0
 	@echo "bench record written to BENCH_core.json"
 
@@ -199,17 +202,20 @@ bench-serve: build
 
 # Benchmark warmup forking against cold per-point runs on the same
 # 8-point sweep into BENCH_sweep.json: forking must keep a real
-# throughput win (forked <= 0.6x cold ns/op) or the gate fails.
+# throughput win (forked <= 0.6x cold ns/op) and allocate no more
+# often than cold runs do (forked <= 1x cold allocs/op), or the gate
+# fails.
 bench-sweep: build
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep(Forked|Cold)$$' -benchmem \
 		-count=5 ./internal/sweep/ | tee /tmp/nucasim-bench-sweep.txt
 	$(GO) run ./internal/tools/benchjson -in /tmp/nucasim-bench-sweep.txt \
 		-out BENCH_sweep.json -require BenchmarkSweepForked,BenchmarkSweepCold \
-		-max-ratio BenchmarkSweepForked/BenchmarkSweepCold=0.6
+		-max-ratio BenchmarkSweepForked/BenchmarkSweepCold=0.6,BenchmarkSweepForked/BenchmarkSweepCold:allocs=1.0
 	@echo "bench record written to BENCH_sweep.json"
 
 # Short fuzz pass over the external-input parsers (JSONL trace, binary
-# address trace, canonical job spec) and the sweep spec expander.
+# address trace, canonical job spec), the sweep spec expander, and the
+# flat cache and linked-slot TLB against their reference models.
 # Seed corpora live under */testdata/fuzz/ and in the fuzz targets.
 fuzz-smoke: build
 	$(GO) test -run=^$$ -fuzz=FuzzReadEvents -fuzztime=10s ./internal/replay/
@@ -217,6 +223,8 @@ fuzz-smoke: build
 	$(GO) test -run=^$$ -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzParseCanonicalSpec -fuzztime=10s ./internal/sim/
 	$(GO) test -run=^$$ -fuzz=FuzzExpand -fuzztime=10s ./internal/sweep/
+	$(GO) test -run=^$$ -fuzz=FuzzCacheMatchesReference -fuzztime=10s ./internal/cache/
+	$(GO) test -run=^$$ -fuzz=FuzzTLBMatchesReference -fuzztime=10s ./internal/tlb/
 
 # Static analysis and vulnerability scanning. Both tools are optional at
 # the Makefile level — environments without them (hermetic containers)

@@ -13,6 +13,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"nucasim/internal/memaddr"
 )
@@ -25,11 +26,19 @@ type Block struct {
 	Owner int // core id that fetched the block (Figure 4(a) core ID field)
 }
 
-// set holds the ways of one set in MRU→LRU order. Position 0 is the most
-// recently used block; position len-1 is the LRU block. Moving a block is a
-// small memmove; associativity is at most 16 in every paper configuration.
-type set struct {
-	blocks []Block // blocks[0] = MRU ... blocks[n-1] = LRU; only Valid entries participate
+// line is one resident way in the flat line array: 16 bytes, so four
+// ways share a 64-byte host cache line. Validity is implied by position
+// (the first n[set] lines of a set are valid), and the owner is a core
+// id, stored in 32 bits.
+type line struct {
+	tag   uint64
+	owner int32
+	dirty bool
+}
+
+// block expands a resident line into the exported Block form.
+func (l line) block() Block {
+	return Block{Tag: l.tag, Valid: true, Dirty: l.dirty, Owner: int(l.owner)}
 }
 
 // Stats counts the cache's externally visible events.
@@ -50,46 +59,73 @@ func (s Stats) HitRate() float64 {
 }
 
 // Cache is a set-associative cache with true-LRU replacement.
+//
+// Every set lives in one flat array: set i holds lines[i·Ways :
+// i·Ways+n[i]] in MRU→LRU order, so a lookup reads the set's count and
+// its lines directly, with no per-set slice header in between. Moving a
+// line is a short shift; associativity is at most 16 in every paper
+// configuration.
 type Cache struct {
 	Name  string
 	Geom  memaddr.Geometry
 	Stats Stats
-	sets  []set
+	lines []line
+	n     []uint16 // resident lines per set
 }
 
 // New constructs a cache from a geometry. Name is used in diagnostics only.
+// The associativity must fit the per-set count (at most 65535 ways, the
+// same bound a checkpoint's Stacks lengths have).
 func New(name string, geom memaddr.Geometry) *Cache {
 	if !geom.Valid() {
 		panic("cache: geometry must be built with memaddr.NewGeometry*")
 	}
-	c := &Cache{Name: name, Geom: geom}
-	c.sets = make([]set, geom.Sets)
-	blocks := make([]Block, geom.Sets*geom.Ways)
-	for i := range c.sets {
-		c.sets[i].blocks = blocks[i*geom.Ways : i*geom.Ways : (i+1)*geom.Ways]
+	if geom.Ways > math.MaxUint16 {
+		panic(fmt.Sprintf("cache: %d ways exceed the per-set count limit %d", geom.Ways, math.MaxUint16))
 	}
-	return c
+	return &Cache{
+		Name:  name,
+		Geom:  geom,
+		lines: make([]line, geom.Sets*geom.Ways),
+		n:     make([]uint16, geom.Sets),
+	}
+}
+
+// set returns the resident lines of set idx, MRU first.
+func (c *Cache) set(idx int) []line {
+	base := idx * c.Geom.Ways
+	return c.lines[base : base+int(c.n[idx])]
+}
+
+// find returns the way holding tag in s, or -1.
+func find(s []line, tag uint64) int {
+	for i := range s {
+		if s[i].tag == tag {
+			return i
+		}
+	}
+	return -1
+}
+
+// promote moves s[i] to the MRU position, shifting s[:i] down one way.
+func promote(s []line, i int) {
+	l := s[i]
+	for ; i > 0; i-- {
+		s[i] = s[i-1]
+	}
+	s[0] = l
 }
 
 // Reset clears all blocks and statistics.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		c.sets[i].blocks = c.sets[i].blocks[:0]
-	}
+	clear(c.n)
 	c.Stats = Stats{}
 }
 
 // Probe reports whether the address is present without updating LRU order
 // or statistics.
 func (c *Cache) Probe(a memaddr.Addr) bool {
-	s := &c.sets[c.Geom.Set(a)]
-	tag := c.Geom.Tag(a)
-	for i := range s.blocks {
-		if s.blocks[i].Valid && s.blocks[i].Tag == tag {
-			return true
-		}
-	}
-	return false
+	return find(c.set(c.Geom.Set(a)), c.Geom.Tag(a)) >= 0
 }
 
 // Access performs a demand access. On a hit the block becomes MRU (and
@@ -106,23 +142,18 @@ func (c *Cache) Access(a memaddr.Addr, isWrite bool) (hit bool, lruPos int) {
 // level, instead of re-splitting the full byte address per level.
 func (c *Cache) AccessBlock(bn memaddr.BlockNum, isWrite bool) (hit bool, lruPos int) {
 	c.Stats.Accesses++
-	s := &c.sets[c.Geom.SetOfBlock(bn)]
-	tag := c.Geom.TagOfBlock(bn)
-	for i := range s.blocks {
-		if s.blocks[i].Valid && s.blocks[i].Tag == tag {
-			c.Stats.Hits++
-			blk := s.blocks[i]
-			if isWrite {
-				blk.Dirty = true
-			}
-			// Promote to MRU.
-			copy(s.blocks[1:i+1], s.blocks[:i])
-			s.blocks[0] = blk
-			return true, i
-		}
+	s := c.set(c.Geom.SetOfBlock(bn))
+	i := find(s, c.Geom.TagOfBlock(bn))
+	if i < 0 {
+		c.Stats.Misses++
+		return false, -1
 	}
-	c.Stats.Misses++
-	return false, -1
+	c.Stats.Hits++
+	if isWrite {
+		s[i].dirty = true
+	}
+	promote(s, i)
+	return true, i
 }
 
 // Install fills the block for address a as MRU, evicting the LRU block if
@@ -130,7 +161,7 @@ func (c *Cache) AccessBlock(bn memaddr.BlockNum, isWrite bool) (hit bool, lruPos
 // victim's reconstructed block address. Install does not count as an
 // access. Installing an already-present tag refreshes it to MRU instead of
 // duplicating (this happens when two outstanding misses to the same block
-// are not merged by the caller).
+// are not merged by the caller). The owner is a core id.
 func (c *Cache) Install(a memaddr.Addr, dirty bool, owner int) (victim Block, victimAddr memaddr.Addr) {
 	return c.InstallBlock(a.BlockNum(), dirty, owner)
 }
@@ -138,33 +169,27 @@ func (c *Cache) Install(a memaddr.Addr, dirty bool, owner int) (victim Block, vi
 // InstallBlock is Install for a precomputed block number.
 func (c *Cache) InstallBlock(bn memaddr.BlockNum, dirty bool, owner int) (victim Block, victimAddr memaddr.Addr) {
 	setIdx := c.Geom.SetOfBlock(bn)
-	s := &c.sets[setIdx]
 	tag := c.Geom.TagOfBlock(bn)
-	for i := range s.blocks {
-		if s.blocks[i].Valid && s.blocks[i].Tag == tag {
-			blk := s.blocks[i]
-			blk.Dirty = blk.Dirty || dirty
-			blk.Owner = owner
-			copy(s.blocks[1:i+1], s.blocks[:i])
-			s.blocks[0] = blk
-			return Block{}, 0
-		}
-	}
-	newBlk := Block{Tag: tag, Valid: true, Dirty: dirty, Owner: owner}
-	if len(s.blocks) < c.Geom.Ways {
-		s.blocks = append(s.blocks, Block{})
-		copy(s.blocks[1:], s.blocks[:len(s.blocks)-1])
-		s.blocks[0] = newBlk
+	s := c.set(setIdx)
+	if i := find(s, tag); i >= 0 {
+		s[i].dirty = s[i].dirty || dirty
+		s[i].owner = int32(owner)
+		promote(s, i)
 		return Block{}, 0
 	}
-	victim = s.blocks[len(s.blocks)-1]
-	victimAddr = c.Geom.AddrFor(victim.Tag, setIdx)
-	copy(s.blocks[1:], s.blocks[:len(s.blocks)-1])
-	s.blocks[0] = newBlk
-	c.Stats.Evictions++
-	if victim.Dirty {
-		c.Stats.Writebacks++
+	if n := len(s); n < c.Geom.Ways {
+		c.n[setIdx]++
+		s = s[:n+1]
+	} else {
+		victim = s[n-1].block()
+		victimAddr = c.Geom.AddrFor(victim.Tag, setIdx)
+		c.Stats.Evictions++
+		if victim.Dirty {
+			c.Stats.Writebacks++
+		}
 	}
+	s[len(s)-1] = line{tag: tag, owner: int32(owner), dirty: dirty}
+	promote(s, len(s)-1)
 	return victim, victimAddr
 }
 
@@ -177,47 +202,36 @@ func (c *Cache) MarkDirty(a memaddr.Addr) bool {
 
 // MarkDirtyBlock is MarkDirty for a precomputed block number.
 func (c *Cache) MarkDirtyBlock(bn memaddr.BlockNum) bool {
-	s := &c.sets[c.Geom.SetOfBlock(bn)]
-	tag := c.Geom.TagOfBlock(bn)
-	for i := range s.blocks {
-		if s.blocks[i].Valid && s.blocks[i].Tag == tag {
-			s.blocks[i].Dirty = true
-			return true
-		}
+	s := c.set(c.Geom.SetOfBlock(bn))
+	i := find(s, c.Geom.TagOfBlock(bn))
+	if i < 0 {
+		return false
 	}
-	return false
+	s[i].dirty = true
+	return true
 }
 
 // Invalidate removes the block for address a if present, returning it.
 func (c *Cache) Invalidate(a memaddr.Addr) (Block, bool) {
-	s := &c.sets[c.Geom.Set(a)]
-	tag := c.Geom.Tag(a)
-	for i := range s.blocks {
-		if s.blocks[i].Valid && s.blocks[i].Tag == tag {
-			blk := s.blocks[i]
-			s.blocks = append(s.blocks[:i], s.blocks[i+1:]...)
-			return blk, true
-		}
-	}
-	return Block{}, false
-}
-
-// LRUOf returns the LRU block of the set containing a, without modifying
-// state. ok is false for an empty set.
-func (c *Cache) LRUOf(a memaddr.Addr) (blk Block, addr memaddr.Addr, ok bool) {
 	setIdx := c.Geom.Set(a)
-	s := &c.sets[setIdx]
-	if len(s.blocks) == 0 {
-		return Block{}, 0, false
+	s := c.set(setIdx)
+	i := find(s, c.Geom.Tag(a))
+	if i < 0 {
+		return Block{}, false
 	}
-	blk = s.blocks[len(s.blocks)-1]
-	return blk, c.Geom.AddrFor(blk.Tag, setIdx), true
+	blk := s[i].block()
+	copy(s[i:], s[i+1:])
+	c.n[setIdx]--
+	return blk, true
 }
 
 // BlocksInSet returns a copy of the blocks of set idx in MRU→LRU order.
 func (c *Cache) BlocksInSet(idx int) []Block {
-	out := make([]Block, len(c.sets[idx].blocks))
-	copy(out, c.sets[idx].blocks)
+	s := c.set(idx)
+	out := make([]Block, len(s))
+	for i, l := range s {
+		out[i] = l.block()
+	}
 	return out
 }
 
@@ -225,10 +239,10 @@ func (c *Cache) BlocksInSet(idx int) []Block {
 // cache; used by pollution diagnostics for the shared baseline.
 func (c *Cache) OccupancyByOwner(numCores int) []int {
 	counts := make([]int, numCores)
-	for i := range c.sets {
-		for _, b := range c.sets[i].blocks {
-			if b.Valid && b.Owner >= 0 && b.Owner < numCores {
-				counts[b.Owner]++
+	for i := range c.n {
+		for _, l := range c.set(i) {
+			if l.owner >= 0 && int(l.owner) < numCores {
+				counts[l.owner]++
 			}
 		}
 	}
@@ -244,42 +258,67 @@ type State struct {
 
 // Snapshot captures the cache's full mutable state.
 func (c *Cache) Snapshot() State {
-	s := State{Sets: MakeStacks[Block](len(c.sets), len(c.sets)*c.Geom.Ways), Stats: c.Stats}
-	for i := range c.sets {
-		copy(s.Sets.Push(len(c.sets[i].blocks)), c.sets[i].blocks)
+	s := State{Sets: MakeStacks[Block](len(c.n), len(c.lines)), Stats: c.Stats}
+	for i := range c.n {
+		set := c.set(i)
+		out := s.Sets.Push(len(set))
+		for j, l := range set {
+			out[j] = l.block()
+		}
 	}
 	return s
 }
 
 // Restore loads a snapshot taken from an identically configured cache.
+// A stack entry that is not Valid, a tag held twice in one set, or an
+// owner that is no core id is refused, naming the cache and set: no
+// lookup would find such a way correctly. On such an error the cache is
+// left empty.
 func (c *Cache) Restore(s State) error {
-	next, err := s.Sets.Split(len(c.sets), c.Geom.Ways)
+	next, err := s.Sets.Split(len(c.n), c.Geom.Ways)
 	if err != nil {
 		return fmt.Errorf("cache %s: %w", c.Name, err)
 	}
-	for i := range c.sets {
-		c.sets[i].blocks = append(c.sets[i].blocks[:0], next()...)
+	for i := range c.n {
+		stack := next()
+		set := c.lines[i*c.Geom.Ways:][:len(stack)]
+		for j := range stack {
+			b := &stack[j]
+			if !b.Valid || int(int32(b.Owner)) != b.Owner || find(set[:j], b.Tag) >= 0 {
+				c.Reset()
+				return fmt.Errorf("cache %s: set %d %s", c.Name, i, badWay(stack, j))
+			}
+			set[j] = line{tag: b.Tag, owner: int32(b.Owner), dirty: b.Dirty}
+		}
+		c.n[i] = uint16(len(stack))
 	}
 	c.Stats = s.Stats
 	return nil
 }
 
+// badWay says why way j of a checkpointed set cannot be restored.
+func badWay(stack []Block, j int) string {
+	b := stack[j]
+	switch {
+	case !b.Valid:
+		return fmt.Sprintf("holds an invalid block at way %d", j)
+	case int(int32(b.Owner)) != b.Owner:
+		return fmt.Sprintf("holds owner %d at way %d, not a core id", b.Owner, j)
+	}
+	return fmt.Sprintf("holds tag %#x twice", b.Tag)
+}
+
 // CheckInvariants verifies internal consistency (unique tags per set, no
 // overflow); used by property tests. It returns an error description or "".
 func (c *Cache) CheckInvariants() string {
-	for i := range c.sets {
-		s := &c.sets[i]
-		if len(s.blocks) > c.Geom.Ways {
-			return fmt.Sprintf("set %d holds %d blocks > %d ways", i, len(s.blocks), c.Geom.Ways)
+	for i, n := range c.n {
+		if int(n) > c.Geom.Ways {
+			return fmt.Sprintf("set %d holds %d blocks > %d ways", i, n, c.Geom.Ways)
 		}
-		for j, b := range s.blocks {
-			if !b.Valid {
-				return fmt.Sprintf("set %d contains an invalid block in-stack", i)
-			}
-			for _, o := range s.blocks[:j] {
-				if o.Tag == b.Tag {
-					return fmt.Sprintf("set %d contains duplicate tag %#x", i, b.Tag)
-				}
+		s := c.set(i)
+		for j, l := range s {
+			if find(s[:j], l.tag) >= 0 {
+				return fmt.Sprintf("set %d contains duplicate tag %#x", i, l.tag)
 			}
 		}
 	}

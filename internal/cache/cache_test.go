@@ -140,20 +140,6 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestLRUOf(t *testing.T) {
-	c := tiny()
-	if _, _, ok := c.LRUOf(addrFor(0, 1)); ok {
-		t.Fatal("empty set must report no LRU")
-	}
-	a, b := addrFor(1, 1), addrFor(2, 1)
-	c.Install(a, false, 0)
-	c.Install(b, false, 0)
-	_, addr, ok := c.LRUOf(addrFor(9, 1))
-	if !ok || addr.Block() != a.Block() {
-		t.Fatalf("LRUOf wrong: %v ok=%v", addr, ok)
-	}
-}
-
 func TestOccupancyByOwner(t *testing.T) {
 	c := New("t", memaddr.NewGeometrySets(4, 4))
 	c.Install(addrFor(1, 0), false, 0)

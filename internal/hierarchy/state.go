@@ -58,10 +58,10 @@ func (h *Hierarchy) Restore(s State) error {
 			return err
 		}
 		if err := h.itlbs[i].Restore(cs.ITLB); err != nil {
-			return err
+			return fmt.Errorf("hierarchy: core %d I-TLB: %w", i, err)
 		}
 		if err := h.dtlbs[i].Restore(cs.DTLB); err != nil {
-			return err
+			return fmt.Errorf("hierarchy: core %d D-TLB: %w", i, err)
 		}
 	}
 	return nil

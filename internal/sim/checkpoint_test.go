@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"nucasim/internal/cache"
 	"nucasim/internal/telemetry"
 )
 
@@ -212,6 +213,8 @@ func TestCheckpointHasNoNestedSlices(t *testing.T) {
 // short one is refused with an error naming it, never resumed into an
 // index-out-of-range panic or silently zeroed counters. So is a generator
 // position outside its code region or window, or outside a data layer.
+// So is a cache way that is not valid or repeats a tag of its set, and a
+// TLB page listed twice: each would hold an entry no lookup finds.
 func TestResumeRejectsShortState(t *testing.T) {
 	ck, err := WarmupCheckpoint(context.Background(), ckConfig(), mixOf(t, "ammp", "gzip"))
 	if err != nil {
@@ -242,6 +245,9 @@ func TestResumeRejectsShortState(t *testing.T) {
 			ck.Cores[0].Gen.PCIndex = 0
 		}},
 		{"LayerPos", func(ck *Checkpoint) { ck.Cores[1].Gen.LayerPos[0] = 1 << 40 }},
+		{"invalid block", func(ck *Checkpoint) { ck.Hier.Cores[0].L1D.Sets.Items[0].Valid = false }},
+		{"holds tag", func(ck *Checkpoint) { repeatTag(t, &ck.Hier.Cores[1].L2D.Sets) }},
+		{"core 0 D-TLB: tlb: state lists page", func(ck *Checkpoint) { p := ck.Hier.Cores[0].DTLB.Pages; p[1] = p[0] }},
 	} {
 		fork, err := DecodeCheckpoint(data)
 		if err != nil {
@@ -253,6 +259,20 @@ func TestResumeRejectsShortState(t *testing.T) {
 			t.Errorf("%s: err = %v", tc.want, err)
 		}
 	}
+}
+
+// repeatTag gives the second way of the first set holding two blocks the
+// first way's tag.
+func repeatTag(t *testing.T, s *cache.Stacks[cache.Block]) {
+	off := 0
+	for _, n := range s.Lens {
+		if n >= 2 {
+			s.Items[off+1].Tag = s.Items[off].Tag
+			return
+		}
+		off += int(n)
+	}
+	t.Fatal("no set holds two blocks")
 }
 
 // TestConfigValidate pins the descriptive-error contract for the

@@ -18,8 +18,10 @@
 // guarantee the flat-arena engine makes. -max-ratio takes
 // "Numerator/Denominator=limit" entries and fails if the ns/op ratio of
 // the two named benchmarks exceeds the limit — the telemetry-tax gate
-// (instrumented access path ≤ 2× bare). Measured ratios are recorded in
-// the JSON output either way.
+// (instrumented access path ≤ 2× bare). An entry written
+// "Numerator/Denominator:allocs=limit" gates the allocs/op ratio
+// instead. Measured ratios are recorded in the JSON output either way,
+// under the entry's name without its limit.
 //
 // The GOMAXPROCS suffix of a benchmark name ("-4") is dropped, unless the
 // input holds the benchmark at several GOMAXPROCS values (a -cpu list):
@@ -81,7 +83,7 @@ func main() {
 	out := flag.String("out", "", "JSON file to write ('' = stdout)")
 	require := flag.String("require", "", "comma-separated benchmark name prefixes that must be present")
 	assertZero := flag.String("assert-zero-allocs", "", "comma-separated benchmark name prefixes that must report 0 allocs/op")
-	maxRatio := flag.String("max-ratio", "", "comma-separated Numerator/Denominator=limit ns/op ratio gates")
+	maxRatio := flag.String("max-ratio", "", "comma-separated Numerator/Denominator[:allocs]=limit ratio gates (ns/op, or allocs/op)")
 	flag.Parse()
 
 	var r io.Reader = os.Stdin
@@ -255,23 +257,33 @@ func parse(r io.Reader) (Record, error) {
 	return rec, nil
 }
 
-// checkRatio evaluates one "Numerator/Denominator=limit" gate against the
-// parsed benchmarks and returns the key and measured ns/op ratio. A
-// missing benchmark, an unparsable spec, or a ratio above the limit is an
-// error.
+// checkRatio evaluates one "Numerator/Denominator[:allocs]=limit" gate
+// against the parsed benchmarks and returns the key and measured ratio
+// of ns/op, or of allocs/op with the ":allocs" suffix. A missing
+// benchmark, an unparsable spec, or a ratio above the limit is an error.
 func checkRatio(bs []Benchmark, spec string) (key string, ratio float64, err error) {
-	names, limitStr, ok := strings.Cut(spec, "=")
+	key, limitStr, ok := strings.Cut(spec, "=")
+	names, unit, byAllocs := strings.Cut(key, ":")
 	num, den, ok2 := strings.Cut(names, "/")
-	if !ok || !ok2 {
-		return "", 0, fmt.Errorf("max-ratio: bad spec %q, want Numerator/Denominator=limit", spec)
+	if !ok || !ok2 || byAllocs && unit != "allocs" {
+		return "", 0, fmt.Errorf("max-ratio: bad spec %q, want Numerator/Denominator[:allocs]=limit", spec)
 	}
 	limit, err := strconv.ParseFloat(limitStr, 64)
 	if err != nil {
 		return "", 0, fmt.Errorf("max-ratio: bad limit in %q: %v", spec, err)
 	}
+	unit = "ns/op"
+	value := func(b Benchmark) float64 { return b.NsPerOp }
+	if byAllocs {
+		unit = "allocs/op"
+		value = func(b Benchmark) float64 { return b.AllocsPerOp }
+	}
 	lookup := func(name string) (Benchmark, error) {
 		for _, b := range bs {
 			if b.Name == name {
+				if value(b) < 0 {
+					return Benchmark{}, fmt.Errorf("max-ratio: %s has no %s (the run lacked -benchmem)", name, unit)
+				}
 				return b, nil
 			}
 		}
@@ -285,14 +297,13 @@ func checkRatio(bs []Benchmark, spec string) (key string, ratio float64, err err
 	if err != nil {
 		return "", 0, err
 	}
-	if db.NsPerOp <= 0 {
-		return "", 0, fmt.Errorf("max-ratio: %s reports %g ns/op, cannot form a ratio", den, db.NsPerOp)
+	if value(db) <= 0 {
+		return "", 0, fmt.Errorf("max-ratio: %s reports %g %s, cannot form a ratio", den, value(db), unit)
 	}
-	key = num + "/" + den
-	ratio = nb.NsPerOp / db.NsPerOp
+	ratio = value(nb) / value(db)
 	if ratio > limit {
-		return "", 0, fmt.Errorf("max-ratio: %s = %.2f ns/op / %.2f ns/op = %.2fx, limit %gx",
-			key, nb.NsPerOp, db.NsPerOp, ratio, limit)
+		return "", 0, fmt.Errorf("max-ratio: %s = %.2f %s / %.2f %s = %.2fx, limit %gx",
+			key, value(nb), unit, value(db), unit, ratio, limit)
 	}
 	return key, ratio, nil
 }
