@@ -65,7 +65,10 @@ bench: build
 # dependency-distance draw, must stay allocation-free too, and so must
 # the timed loop over each mix, a data access through a deferring port
 # (functional warmup's per-core path) and one generated instruction of
-# each app in the benchmark's warmup and table1 mixes.
+# each app in the benchmark's warmup and table1 mixes. A forked sweep
+# must allocate at most half the bytes of the same points run cold: B/op
+# does not depend on host speed, so two iterations suffice, and the gate
+# fails if forks go back to building a machine each.
 bench-smoke: build
 	$(GO) test -run '^$$' -bench 'BenchmarkAdaptiveAccess(Telemetry)?$$' -benchmem \
 		-benchtime=5000000x -count=3 . | tee /tmp/nucasim-bench-smoke.txt
@@ -88,6 +91,11 @@ bench-smoke: build
 		-out /tmp/nucasim-bench-smoke-layers.json \
 		-require BenchmarkCoreStep,BenchmarkTimedCycles/table1,BenchmarkTimedCycles/memory,BenchmarkTimedCycles/compute,BenchmarkGeometricSource,BenchmarkPortDeferred,$(GENERATOR_BENCHES) \
 		-assert-zero-allocs BenchmarkCoreStep,BenchmarkTimedCycles,BenchmarkGeometricSource,BenchmarkPortDeferred,BenchmarkGeneratorNext
+	$(GO) test -run '^$$' -bench 'BenchmarkSweep(Forked|Cold)$$' -benchmem \
+		-benchtime=2x -count=1 ./internal/sweep/ | tee /tmp/nucasim-bench-smoke-sweep.txt
+	$(GO) run ./internal/tools/benchjson -in /tmp/nucasim-bench-smoke-sweep.txt \
+		-out /tmp/nucasim-bench-smoke-sweep.json -require BenchmarkSweepForked,BenchmarkSweepCold \
+		-max-ratio BenchmarkSweepForked/BenchmarkSweepCold:bytes=0.5
 	@echo bench-smoke ok
 
 # Smoke-test the observability pipeline end to end: a short adaptive run
@@ -202,15 +210,16 @@ bench-serve: build
 
 # Benchmark warmup forking against cold per-point runs on the same
 # 8-point sweep into BENCH_sweep.json: forking must keep a real
-# throughput win (forked <= 0.6x cold ns/op) and allocate no more
-# often than cold runs do (forked <= 1x cold allocs/op), or the gate
-# fails.
+# throughput win (forked <= 0.6x cold ns/op), allocate no more often
+# than cold runs do (forked <= 1x cold allocs/op), and allocate at most
+# half their bytes (forked <= 0.5x cold B/op: the forks resume on the
+# warmup's machine instead of building their own), or the gate fails.
 bench-sweep: build
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep(Forked|Cold)$$' -benchmem \
 		-count=5 ./internal/sweep/ | tee /tmp/nucasim-bench-sweep.txt
 	$(GO) run ./internal/tools/benchjson -in /tmp/nucasim-bench-sweep.txt \
 		-out BENCH_sweep.json -require BenchmarkSweepForked,BenchmarkSweepCold \
-		-max-ratio BenchmarkSweepForked/BenchmarkSweepCold=0.6,BenchmarkSweepForked/BenchmarkSweepCold:allocs=1.0
+		-max-ratio BenchmarkSweepForked/BenchmarkSweepCold=0.6,BenchmarkSweepForked/BenchmarkSweepCold:allocs=1.0,BenchmarkSweepForked/BenchmarkSweepCold:bytes=0.5
 	@echo "bench record written to BENCH_sweep.json"
 
 # Short fuzz pass over the external-input parsers (JSONL trace, binary
@@ -255,4 +264,5 @@ clean:
 	rm -f /tmp/nucasim-bench.txt /tmp/nucasim-bench-serve.txt /tmp/nucasim-bench-sweep.txt
 	rm -f /tmp/nucasim-bench-smoke.txt /tmp/nucasim-bench-smoke.json
 	rm -f /tmp/nucasim-bench-smoke-layers.txt /tmp/nucasim-bench-smoke-layers.json
+	rm -f /tmp/nucasim-bench-smoke-sweep.txt /tmp/nucasim-bench-smoke-sweep.json
 	rm -f /tmp/nucasim-invariants.txt /tmp/nucaserve

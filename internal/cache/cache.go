@@ -14,6 +14,7 @@ package cache
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"nucasim/internal/memaddr"
 )
@@ -71,6 +72,12 @@ type Cache struct {
 	Stats Stats
 	lines []line
 	n     []uint16 // resident lines per set
+
+	// setMask and setBits split a block number into set and tag, as
+	// Geom does. The block paths read these copies: a call through the
+	// Geom value copies all of Geom first.
+	setMask uint64
+	setBits uint
 }
 
 // New constructs a cache from a geometry. Name is used in diagnostics only.
@@ -84,11 +91,21 @@ func New(name string, geom memaddr.Geometry) *Cache {
 		panic(fmt.Sprintf("cache: %d ways exceed the per-set count limit %d", geom.Ways, math.MaxUint16))
 	}
 	return &Cache{
-		Name:  name,
-		Geom:  geom,
-		lines: make([]line, geom.Sets*geom.Ways),
-		n:     make([]uint16, geom.Sets),
+		Name:    name,
+		Geom:    geom,
+		lines:   make([]line, geom.Sets*geom.Ways),
+		n:       make([]uint16, geom.Sets),
+		setMask: uint64(geom.Sets - 1),
+		setBits: uint(bits.TrailingZeros(uint(geom.Sets))),
 	}
+}
+
+// setOf, tagOf and addrOf are Geom.SetOfBlock, Geom.TagOfBlock and
+// Geom.AddrFor.
+func (c *Cache) setOf(bn memaddr.BlockNum) int    { return int(uint64(bn) & c.setMask) }
+func (c *Cache) tagOf(bn memaddr.BlockNum) uint64 { return uint64(bn) >> c.setBits }
+func (c *Cache) addrOf(tag uint64, set int) memaddr.Addr {
+	return memaddr.Addr((tag<<c.setBits | uint64(set)) << memaddr.BlockBits)
 }
 
 // set returns the resident lines of set idx, MRU first.
@@ -142,8 +159,8 @@ func (c *Cache) Access(a memaddr.Addr, isWrite bool) (hit bool, lruPos int) {
 // level, instead of re-splitting the full byte address per level.
 func (c *Cache) AccessBlock(bn memaddr.BlockNum, isWrite bool) (hit bool, lruPos int) {
 	c.Stats.Accesses++
-	s := c.set(c.Geom.SetOfBlock(bn))
-	i := find(s, c.Geom.TagOfBlock(bn))
+	s := c.set(c.setOf(bn))
+	i := find(s, c.tagOf(bn))
 	if i < 0 {
 		c.Stats.Misses++
 		return false, -1
@@ -168,8 +185,8 @@ func (c *Cache) Install(a memaddr.Addr, dirty bool, owner int) (victim Block, vi
 
 // InstallBlock is Install for a precomputed block number.
 func (c *Cache) InstallBlock(bn memaddr.BlockNum, dirty bool, owner int) (victim Block, victimAddr memaddr.Addr) {
-	setIdx := c.Geom.SetOfBlock(bn)
-	tag := c.Geom.TagOfBlock(bn)
+	setIdx := c.setOf(bn)
+	tag := c.tagOf(bn)
 	s := c.set(setIdx)
 	if i := find(s, tag); i >= 0 {
 		s[i].dirty = s[i].dirty || dirty
@@ -182,7 +199,7 @@ func (c *Cache) InstallBlock(bn memaddr.BlockNum, dirty bool, owner int) (victim
 		s = s[:n+1]
 	} else {
 		victim = s[n-1].block()
-		victimAddr = c.Geom.AddrFor(victim.Tag, setIdx)
+		victimAddr = c.addrOf(victim.Tag, setIdx)
 		c.Stats.Evictions++
 		if victim.Dirty {
 			c.Stats.Writebacks++
@@ -202,8 +219,8 @@ func (c *Cache) MarkDirty(a memaddr.Addr) bool {
 
 // MarkDirtyBlock is MarkDirty for a precomputed block number.
 func (c *Cache) MarkDirtyBlock(bn memaddr.BlockNum) bool {
-	s := c.set(c.Geom.SetOfBlock(bn))
-	i := find(s, c.Geom.TagOfBlock(bn))
+	s := c.set(c.setOf(bn))
+	i := find(s, c.tagOf(bn))
 	if i < 0 {
 		return false
 	}

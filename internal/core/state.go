@@ -155,7 +155,13 @@ func (a *Adaptive) Restore(st State) error {
 		a.aggStats.Add(a.setStats[i])
 	}
 	a.lastSetAgg = st.LastSetAgg
-	copy(a.epochStats, st.EpochStats)
+	if st.EpochStats == nil {
+		// A state captured without telemetry has no epoch baseline;
+		// start from zero, as an instance built with telemetry does.
+		clear(a.epochStats)
+	} else {
+		copy(a.epochStats, st.EpochStats)
+	}
 	// Counters were flushed when the checkpoint was captured (their values
 	// travel in the registry state), so the flush baseline resumes at the
 	// restored aggregates; the epoch-latency baseline travels explicitly.

@@ -113,13 +113,16 @@ func TestEventSkipAfterRestore(t *testing.T) {
 }
 
 // TestRestoreRejectsCorruptRing: Restore refuses a state whose RUU
-// window, scan frontier, LSQ occupancy or MSHR file cannot belong to the
-// core, instead of continuing on it.
+// window, scan frontier, LSQ occupancy, MSHR file or sequence numbering
+// cannot belong to the core, instead of continuing on it.
 func TestRestoreRejectsCorruptRing(t *testing.T) {
 	app, _ := workload.ByName("mcf")
 	c, _ := newOracleCore(Config{}, app, 3)
 	for now := uint64(0); now < 500; now++ {
 		c.Step(now)
+	}
+	if c.head == c.tail {
+		t.Fatal("the RUU is empty; the ring rows need entries in flight")
 	}
 	for _, tc := range []struct {
 		name    string
@@ -133,6 +136,12 @@ func TestRestoreRejectsCorruptRing(t *testing.T) {
 		{"negative LSQ", func(s *State) { s.LSQLen = -1 }, "LSQ"},
 		{"LSQ overfull", func(s *State) { s.LSQLen = 65 }, "LSQ"},
 		{"MSHRs overfull", func(s *State) { s.MSHR = make([]uint64, 9) }, "outstanding misses"},
+		{"unissued behind scan frontier", func(s *State) {
+			s.RUU[s.Head%uint64(len(s.RUU))].Issued = false
+			s.ScanAbs = s.Head + 1
+		}, "unissued behind the scan frontier"},
+		{"NextSeq off the tail", func(s *State) { s.NextSeq++ }, "NextSeq"},
+		{"entry Seq off its position", func(s *State) { s.RUU[(s.Tail-1)%uint64(len(s.RUU))].Seq++ }, "has Seq"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := c.Snapshot()

@@ -100,6 +100,24 @@ func (c *Core) Restore(s State) error {
 	if len(s.MSHR) > c.cfg.MSHRs {
 		return fmt.Errorf("cpu: state holds %d > %d outstanding misses", len(s.MSHR), c.cfg.MSHRs)
 	}
+	// Dispatch numbers instruction pos (from 0) as seq pos+1, and the
+	// producer lookups (readyBySeq) and the mispredict hold
+	// (pendingHoldSeq) rely on it.
+	if s.NextSeq != s.Tail+1 {
+		return fmt.Errorf("cpu: state NextSeq %d is not the RUU tail %d + 1", s.NextSeq, s.Tail)
+	}
+	for pos := s.Head; pos < s.Tail; pos++ {
+		e := &s.RUU[pos%uint64(len(s.RUU))]
+		if e.Seq != pos+1 {
+			return fmt.Errorf("cpu: state RUU entry at position %d has Seq %d, want %d", pos, e.Seq, pos+1)
+		}
+		// Issue only visits entries from the scan frontier on, so an
+		// unissued one behind it would never issue and commit would
+		// stall on it.
+		if pos < s.ScanAbs && !e.Issued {
+			return fmt.Errorf("cpu: state RUU entry at position %d is unissued behind the scan frontier ScanAbs %d", pos, s.ScanAbs)
+		}
+	}
 	if err := c.gen.Restore(s.Gen); err != nil {
 		return err
 	}

@@ -33,14 +33,37 @@ type Verifier struct {
 }
 
 // NewVerifier builds a verifier reconstructing alongside the given live
-// organization, starting from its current (initial) limits. Attach it
-// before the first access: the reconstruction starts from an empty
-// cache.
+// organization, starting from its current contents and limits (Reset).
+// Attach it before the first event the reconstruction must see: on a
+// freshly built organization that is an empty cache.
 func NewVerifier(a *core.Adaptive) *Verifier {
-	return &Verifier{
-		m:    NewMachine(a.NumCores(), a.NumSets(), a.MaxBlocks()),
-		live: a,
+	v := &Verifier{live: a}
+	v.Reset()
+	return v
+}
+
+// Reset restarts the reconstruction from the live organization's
+// current contents and limits, and clears the epoch count, the first
+// error and any partial trace line. A run resumed from a checkpoint
+// calls it once the cache is restored: its trace starts there.
+func (v *Verifier) Reset() {
+	a := v.live
+	v.m = NewMachine(a.NumCores(), a.NumSets(), a.MaxBlocks())
+	d := &v.scratch
+	for idx := range v.m.sets {
+		a.DumpSetInto(idx, d)
+		s := &v.m.sets[idx]
+		for c, tags := range d.Priv {
+			for _, tag := range tags {
+				s.priv[c] = append(s.priv[c], block{tag: tag, owner: c})
+			}
+		}
+		for i, tag := range d.SharedTags {
+			s.shared = append(s.shared, block{tag: tag, owner: d.SharedOwners[i]})
+		}
 	}
+	v.partial = v.partial[:0]
+	v.epochs, v.err = 0, nil
 }
 
 // Machine exposes the reconstruction (for inspection after a run).

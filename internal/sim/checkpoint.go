@@ -134,8 +134,9 @@ func (m *Machine) captureCheckpoint(before snapshot, measured uint64, mix []work
 	return ck
 }
 
-// restoreCheckpoint loads a checkpoint into a machine freshly built from
-// the checkpoint's own configuration and mix.
+// restoreCheckpoint loads a checkpoint into a machine built from a
+// configuration and mix with the checkpoint's warmup hash, and restarts
+// the replay verifier's reconstruction from the restored cache.
 func (m *Machine) restoreCheckpoint(ck *Checkpoint) error {
 	for i, c := range m.Cores {
 		if err := c.Restore(ck.Cores[i]); err != nil {
@@ -155,6 +156,9 @@ func (m *Machine) restoreCheckpoint(ck *Checkpoint) error {
 		if err := m.Telemetry.Restore(ck.Telem); err != nil {
 			return err
 		}
+	}
+	if m.Verifier != nil {
+		m.Verifier.Reset()
 	}
 	m.now = ck.Now
 	return nil
@@ -238,8 +242,8 @@ type invariantGuard struct {
 }
 
 // armInvariantChecks wires invariant.Check into the adaptive scheme's
-// repartition hook (composing with any hook NewMachine installed) when
-// Config.CheckInvariants is set.
+// repartition hook (composing with any hook wireRun installed before it)
+// when Config.CheckInvariants is set.
 func (m *Machine) armInvariantChecks() *invariantGuard {
 	g := &invariantGuard{}
 	if !m.Cfg.CheckInvariants || m.Adaptive == nil {
@@ -286,35 +290,34 @@ func (g *invariantGuard) final(m *Machine) error {
 // path is configured); a completed run returns the same Result the
 // plain Run would.
 func RunContext(ctx context.Context, cfg Config, mix []workload.AppParams) (Result, error) {
-	m, guard, start, err := warmedMachine(ctx, cfg.withDefaults(), mix)
+	m, start, err := warmedMachine(ctx, cfg.withDefaults(), mix)
 	if err != nil {
 		return Result{}, err
 	}
-	return m.measure(ctx, mix, m.snap(), 0, start, guard)
+	return m.measure(ctx, mix, m.snap(), 0, start)
 }
 
-// warmedMachine validates cfg, builds its machine with the invariant
-// checker armed, and runs the warmup — everything RunContext and
-// WarmupCheckpoint share before the measurement window. start is when
-// the warmup began, the origin of the run's wall-clock throughput.
-func warmedMachine(ctx context.Context, cfg Config, mix []workload.AppParams) (m *Machine, guard *invariantGuard, start time.Time, err error) {
+// warmedMachine validates cfg, builds its machine (which arms the
+// invariant checker), and runs the warmup — everything RunContext and
+// WarmupMachine share before the measurement window. start is when the
+// warmup began, the origin of the run's wall-clock throughput.
+func warmedMachine(ctx context.Context, cfg Config, mix []workload.AppParams) (m *Machine, start time.Time, err error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, start, err
+		return nil, start, err
 	}
 	if len(mix) != cfg.Cores {
-		return nil, nil, start, fmt.Errorf("sim: mix has %d apps for %d cores", len(mix), cfg.Cores)
+		return nil, start, fmt.Errorf("sim: mix has %d apps for %d cores", len(mix), cfg.Cores)
 	}
 	m = NewMachine(cfg, mix)
-	guard = m.armInvariantChecks()
 	start = time.Now()
 	if err = m.warmup(ctx); err == nil {
-		err = guard.err
+		err = m.guard.err
 	}
 	if err != nil {
 		m.spanRoot.End()
-		return nil, nil, start, err
+		return nil, start, err
 	}
-	return m, guard, start, nil
+	return m, start, nil
 }
 
 // warmup runs the functional fast-forward and the timed warmup window in
@@ -362,44 +365,102 @@ func (m *Machine) warmPhase(ctx context.Context, name, stepName, phase string, t
 // ResumeFromCheckpoint continues a checkpoint (ReadCheckpoint for a
 // file, DecodeCheckpoint for bytes) to completion and returns the Result
 // the uninterrupted run would have produced: bit-identical limits,
-// counters and epoch series; only wall-clock throughput differs. The
-// checkpoint's StopAfter is cleared, while its CheckpointPath stays live
-// so a resumed run keeps checkpointing. A checkpoint carries telemetry
-// parameters (run label, ring capacity, sampling) but not process-local
-// wiring: attach, when non-nil, receives the reconstructed telemetry
-// config before the machine is built and may install hooks, spans or a
-// fresh TraceWriter (without one, no event trace is emitted); it is
-// called even when the run had no telemetry, with a zero-value config
-// whose adoption it signals by returning true.
+// counters and epoch series; only wall-clock throughput differs. It
+// builds a machine from the checkpoint's configuration and mix and
+// resumes the checkpoint on it; Machine.Resume describes the run.
 //
 // It is also the fork primitive behind sweep warmup sharing: capture
 // one checkpoint at the warmup/measure boundary (WarmupCheckpoint) and
 // resume a struct copy of it per sweep point, its Cfg carrying that
-// point's MeasureCycles (and, for crash safety, CheckpointPath). The
-// stamped WarmupHash is re-derived from ck.Cfg and a mismatch rejected,
-// so state never continues under a configuration whose warmup it does
-// not represent. ResumeFromCheckpoint never modifies ck.
+// point's MeasureCycles (and, for crash safety, CheckpointPath).
+// ResumeFromCheckpoint never modifies ck.
 func ResumeFromCheckpoint(ctx context.Context, ck *Checkpoint, attach func(c *telemetry.Config) (enable bool)) (Result, error) {
-	if err := ck.validate(); err != nil {
+	cfg, warmHash, err := ck.resumeConfig()
+	if err != nil {
 		return Result{}, err
 	}
-	if ck.WarmupHash != "" {
-		h, err := WarmupHash(ck.Cfg, ck.Mix)
-		if err != nil {
-			return Result{}, err
-		}
-		if h != ck.WarmupHash {
-			return Result{}, fmt.Errorf("sim: checkpoint warmup hash %.12s does not match configuration (%.12s): only measurement-window fields may change across a fork", ck.WarmupHash, h)
+	m := NewMachine(cfg, ck.Mix)
+	m.buildHash = warmHash
+	return m.resume(ctx, ck, cfg, attach)
+}
+
+// Resume continues a checkpoint on this machine, in place of the run it
+// holds, and returns the Result the uninterrupted run would have
+// produced, exactly as ResumeFromCheckpoint on a fresh machine would.
+// The machine must have been built for the checkpoint's warmup: a
+// checkpoint whose warmup hash (which covers the scheme, the core count,
+// the mix and every warmup field) differs from the machine's build is
+// refused, and the error names both hashes. The machine that ran a
+// warmup (WarmupMachine) can so resume each of the windows forked from
+// it in turn, with no machine built per window.
+//
+// Resume runs every check a fresh resume does: the checkpoint is
+// validated, its stamped WarmupHash is re-derived from ck.Cfg and a
+// mismatch rejected (only measurement-window fields may change across a
+// fork), the configuration is validated, Measured may not exceed its
+// MeasureCycles, and each component's Restore vets its state. The
+// checkpoint's StopAfter is cleared, while its CheckpointPath stays live
+// so a resumed run keeps checkpointing.
+//
+// The run is wired afresh (telemetry, spans, the replay verifier, the
+// invariant checker), and hooks an earlier run installed on the
+// machine's components are dropped. A checkpoint carries telemetry
+// parameters (run label, ring capacity, sampling) but not process-local
+// wiring: attach, when non-nil, receives the reconstructed telemetry
+// config before the run is wired and may install hooks, spans or a
+// fresh TraceWriter (without one, no event trace is emitted); it is
+// called even when the run had no telemetry, with a zero-value config
+// whose adoption it signals by returning true. Under ReplayVerify the
+// reconstruction starts from the restored cache, so
+// Result.ReplayEpochsVerified counts the epochs of the resumed part.
+//
+// Resume never modifies ck. After an error the machine holds no
+// consistent run; a later Resume that succeeds restores all of it.
+func (m *Machine) Resume(ctx context.Context, ck *Checkpoint, attach func(c *telemetry.Config) (enable bool)) (Result, error) {
+	cfg, warmHash, err := ck.resumeConfig()
+	if err != nil {
+		return Result{}, err
+	}
+	if m.buildHash == "" {
+		if m.buildHash, err = WarmupHash(m.Cfg, m.mix); err != nil {
+			return Result{}, fmt.Errorf("sim: this machine's build has no warmup hash: %w", err)
 		}
 	}
-	cfg := ck.Cfg.withDefaults()
+	if warmHash != m.buildHash {
+		return Result{}, fmt.Errorf("sim: checkpoint warmup hash %.12s does not match this machine's build (warmup hash %.12s): a machine resumes only checkpoints of its own scheme, cores, mix and warmup", warmHash, m.buildHash)
+	}
+	return m.resume(ctx, ck, cfg, attach)
+}
+
+// resumeConfig validates ck and returns the configuration its run
+// continues under, with its warmup hash re-derived from ck.Cfg and
+// ck.Mix.
+func (ck *Checkpoint) resumeConfig() (cfg Config, warmHash string, err error) {
+	if err := ck.validate(); err != nil {
+		return Config{}, "", err
+	}
+	warmHash, err = WarmupHash(ck.Cfg, ck.Mix)
+	if err != nil {
+		return Config{}, "", err
+	}
+	if ck.WarmupHash != "" && warmHash != ck.WarmupHash {
+		return Config{}, "", fmt.Errorf("sim: checkpoint warmup hash %.12s does not match configuration (%.12s): only measurement-window fields may change across a fork", ck.WarmupHash, warmHash)
+	}
+	cfg = ck.Cfg.withDefaults()
 	cfg.StopAfter = 0
 	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+		return Config{}, "", err
 	}
 	if ck.Measured > cfg.MeasureCycles {
-		return Result{}, fmt.Errorf("sim: checkpoint holds %d measured cycles, configuration wants only %d", ck.Measured, cfg.MeasureCycles)
+		return Config{}, "", fmt.Errorf("sim: checkpoint holds %d measured cycles, configuration wants only %d", ck.Measured, cfg.MeasureCycles)
 	}
+	return cfg, warmHash, nil
+}
+
+// resume is the one resume path of fresh and reused machines: it wires
+// the run of cfg (ck's validated configuration), restores every
+// component from ck and measures the rest of the window.
+func (m *Machine) resume(ctx context.Context, ck *Checkpoint, cfg Config, attach func(c *telemetry.Config) (enable bool)) (Result, error) {
 	tcfg := telemetry.Config{}
 	if ck.HasTelemetry {
 		tcfg = telemetry.Config{
@@ -416,13 +477,12 @@ func ResumeFromCheckpoint(ctx context.Context, ck *Checkpoint, attach func(c *te
 	if enabled {
 		cfg.Telemetry = &tcfg
 	}
-	m := NewMachine(cfg, ck.Mix)
-	guard := m.armInvariantChecks()
+	m.wireRun(cfg)
 	if err := m.restoreCheckpoint(ck); err != nil {
 		return Result{}, fmt.Errorf("sim: restoring checkpoint: %w", err)
 	}
 	before := snapshot{instr: ck.BeforeInstr, access: ck.BeforeAccess, miss: ck.BeforeMiss}
-	return m.measure(ctx, ck.Mix, before, ck.Measured, time.Now(), guard)
+	return m.measure(ctx, ck.Mix, before, ck.Measured, time.Now())
 }
 
 // WarmupCheckpoint runs only the warmup phase of cfg — the functional
@@ -436,27 +496,37 @@ func ResumeFromCheckpoint(ctx context.Context, ck *Checkpoint, attach func(c *te
 // warmup-relevant configuration pays for warmup exactly once. The scheme
 // must be Checkpointable.
 func WarmupCheckpoint(ctx context.Context, cfg Config, mix []workload.AppParams) (*Checkpoint, error) {
+	_, ck, err := WarmupMachine(ctx, cfg, mix)
+	return ck, err
+}
+
+// WarmupMachine is WarmupCheckpoint that also returns the warmed
+// machine, whose state is exactly the checkpoint's. Windows forked from
+// the checkpoint can then run one after another on that machine
+// (Machine.Resume), none of them building a machine of its own.
+func WarmupMachine(ctx context.Context, cfg Config, mix []workload.AppParams) (*Machine, *Checkpoint, error) {
 	cfg = cfg.withDefaults()
 	if !cfg.Scheme.Checkpointable() {
-		return nil, fmt.Errorf("sim: warmup checkpointing supports only the adaptive scheme, not %s", cfg.Scheme)
+		return nil, nil, fmt.Errorf("sim: warmup checkpointing supports only the adaptive scheme, not %s", cfg.Scheme)
 	}
-	m, _, _, err := warmedMachine(ctx, cfg, mix)
+	m, _, err := warmedMachine(ctx, cfg, mix)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ck := m.captureCheckpoint(m.snap(), 0, mix)
+	m.buildHash = ck.WarmupHash
 	m.spanRoot.End()
-	return ck, nil
+	return m, ck, nil
 }
 
 // measure runs the measurement window under the pprof label
 // phase=measure, then ends the run's root span: it is the single exit
 // path for both fresh and resumed runs.
-func (m *Machine) measure(ctx context.Context, mix []workload.AppParams, before snapshot, measured uint64, start time.Time, guard *invariantGuard) (Result, error) {
+func (m *Machine) measure(ctx context.Context, mix []workload.AppParams, before snapshot, measured uint64, start time.Time) (Result, error) {
 	var res Result
 	var err error
 	telemetry.WithPhase(ctx, "measure", func(ctx context.Context) {
-		res, err = m.measureLoop(ctx, mix, before, measured, start, guard)
+		res, err = m.measureLoop(ctx, mix, before, measured, start)
 	})
 	m.spanRoot.End()
 	return res, err
@@ -465,8 +535,8 @@ func (m *Machine) measure(ctx context.Context, mix []workload.AppParams, before 
 // measureLoop runs the measurement window from measured cycles already
 // done, checkpointing on the configured cadence and on interruption, and
 // recording one wall-clock span per chunk and per checkpoint write.
-func (m *Machine) measureLoop(ctx context.Context, mix []workload.AppParams, before snapshot, measured uint64, start time.Time, guard *invariantGuard) (Result, error) {
-	cfg := m.Cfg
+func (m *Machine) measureLoop(ctx context.Context, mix []workload.AppParams, before snapshot, measured uint64, start time.Time) (Result, error) {
+	cfg, guard := m.Cfg, m.guard
 	phase := m.startSpan("sim.measure")
 	defer phase.End()
 	nextCkpt := uint64(0)

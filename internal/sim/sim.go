@@ -324,6 +324,15 @@ type Machine struct {
 	// switches into deferral.
 	ports []*hierarchy.Port
 
+	// mix is the application mix the machine was built for, and
+	// buildHash its warmup hash (set on first use): Resume accepts only
+	// checkpoints of the same hash.
+	mix       []workload.AppParams
+	buildHash string
+
+	// guard holds the current run's first invariant violation.
+	guard *invariantGuard
+
 	// spanRoot is the run's "sim.run" wall-clock span (inert unless
 	// Cfg.Telemetry.Spans was set); every phase span nests under it.
 	spanRoot telemetry.Span
@@ -341,7 +350,7 @@ func (m *Machine) startSpan(name string) telemetry.Span {
 }
 
 // NewMachine assembles a CMP running the given application mix (one entry
-// per core; len(mix) must equal Cores).
+// per core; len(mix) must equal Cores), wired for a run of cfg.
 func NewMachine(cfg Config, mix []workload.AppParams) *Machine {
 	cfg = cfg.withDefaults()
 	if len(mix) != cfg.Cores {
@@ -366,8 +375,39 @@ func NewMachine(cfg Config, mix []workload.AppParams) *Machine {
 	}
 	h := hierarchy.New(hcfg, org)
 
-	m := &Machine{Cfg: cfg, Hierarchy: h, Memory: mem, Org: org, Adaptive: adaptive,
-		at: make([]uint64, cfg.Cores), due: make([]uint64, cfg.Cores)}
+	m := &Machine{Hierarchy: h, Memory: mem, Org: org, Adaptive: adaptive,
+		mix: append([]workload.AppParams(nil), mix...),
+		at:  make([]uint64, cfg.Cores), due: make([]uint64, cfg.Cores)}
+	r := rng.New(cfg.Seed)
+	for i := 0; i < cfg.Cores; i++ {
+		gen := workload.NewGenerator(mix[i], i, r.Fork(uint64(i)+1))
+		m.ports = append(m.ports, h.Port(i))
+		m.Cores = append(m.Cores, cpu.New(i, cfg.CPU, gen, m.ports[i], bpred.New(bpred.Config{})))
+	}
+	m.wireRun(cfg)
+	return m
+}
+
+// wireRun attaches everything that belongs to one run rather than to
+// the machine: cfg itself, telemetry with its latency histograms and the
+// "sim.run" span root, the replay verifier, and the invariant checker's
+// repartition hook. It first detaches whatever an earlier run attached,
+// so a machine resumed for another run (Resume) carries none of it over.
+// NewMachine and Resume are its only callers.
+func (m *Machine) wireRun(cfg Config) {
+	m.Cfg = cfg
+	m.Telemetry, m.Verifier, m.spanRoot = nil, nil, telemetry.Span{}
+	m.Memory.SetQueueDelayHistogram(nil)
+	m.Hierarchy.SetLoadLatencyHistogram(nil)
+	adaptive := m.Adaptive
+	if adaptive != nil {
+		adaptive.SetTelemetry(nil)
+		adaptive.SetSpans(nil, 0)
+		adaptive.OnRepartition = nil
+	} else if obs, ok := m.Org.(llc.LatencyObserver); ok {
+		obs.SetLatencyRecorder(nil)
+	}
+
 	tcfg := cfg.Telemetry
 	if cfg.ReplayVerify && adaptive != nil {
 		// Self-verify needs a lossless trace feeding the replay state
@@ -388,12 +428,12 @@ func NewMachine(cfg Config, mix []workload.AppParams) *Machine {
 	if tcfg != nil {
 		m.Telemetry = telemetry.New(*tcfg)
 		reg := &m.Telemetry.Registry
-		mem.SetQueueDelayHistogram(reg.Histogram("dram.queue_delay"))
-		h.SetLoadLatencyHistogram(reg.Histogram("hierarchy.load_latency"))
+		m.Memory.SetQueueDelayHistogram(reg.Histogram("dram.queue_delay"))
+		m.Hierarchy.SetLoadLatencyHistogram(reg.Histogram("hierarchy.load_latency"))
 		if adaptive == nil {
 			// The adaptive engine wires its own recorder in SetTelemetry;
 			// the baseline organizations get one here.
-			if obs, ok := org.(llc.LatencyObserver); ok {
+			if obs, ok := m.Org.(llc.LatencyObserver); ok {
 				obs.SetLatencyRecorder(llc.NewLatencyRecorder(reg, "llc", cfg.Cores))
 			}
 		}
@@ -410,13 +450,7 @@ func NewMachine(cfg Config, mix []workload.AppParams) *Machine {
 			}
 		}
 	}
-	r := rng.New(cfg.Seed)
-	for i := 0; i < cfg.Cores; i++ {
-		gen := workload.NewGenerator(mix[i], i, r.Fork(uint64(i)+1))
-		m.ports = append(m.ports, h.Port(i))
-		m.Cores = append(m.Cores, cpu.New(i, cfg.CPU, gen, m.ports[i], bpred.New(bpred.Config{})))
-	}
-	return m
+	m.guard = m.armInvariantChecks()
 }
 
 func memCfg(cfg Config, shared bool) dram.Config {

@@ -129,7 +129,7 @@ func TestWarmInvariantViolationStopsWorkers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	m := NewMachine(Config{Scheme: SchemeAdaptive, Seed: 1, CheckInvariants: true,
 		WarmupInstructions: 400_000, WarmupCycles: 1}, warmOracleMix(t, 4))
-	guard := m.armInvariantChecks()
+	guard := m.guard
 	a := m.Adaptive
 	check := a.OnRepartition
 	a.OnRepartition = func(limits []int, transferred bool) {

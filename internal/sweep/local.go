@@ -33,11 +33,12 @@ type LocalStats struct {
 }
 
 // RunLocal executes every point in-process, sharing warmup within each
-// fork group: warmup runs once per group (sim.WarmupCheckpoint), and
-// each member's measurement window resumes from a struct copy of that
-// one checkpoint with its own MeasureCycles (sim.ResumeFromCheckpoint
-// never modifies its checkpoint). Results come back in expansion order.
-// The first error aborts the sweep.
+// fork group: warmup runs once per group (sim.WarmupMachine), and each
+// member's measurement window resumes a struct copy of that one
+// checkpoint, with its own MeasureCycles, on the machine that ran the
+// warmup (sim.Machine.Resume restores every component first and never
+// modifies its checkpoint). No member builds a machine. Results come
+// back in expansion order. The first error aborts the sweep.
 func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Result, LocalStats, error) {
 	results := make([]sim.Result, len(points))
 	var st LocalStats
@@ -70,7 +71,7 @@ func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Resu
 		// have accumulated. Process-local hooks stay off: they are not
 		// checkpointable and the warmup belongs to every member at once.
 		warmCfg.Telemetry = &telemetry.Config{Run: "warmup-" + g.WarmupHash[:12]}
-		ck, err := sim.WarmupCheckpoint(ctx, warmCfg, points[g.Points[0]].Mix)
+		m, ck, err := sim.WarmupMachine(ctx, warmCfg, points[g.Points[0]].Mix)
 		if err != nil {
 			return nil, st, fmt.Errorf("sweep: warmup group %.12s: %w", g.WarmupHash, err)
 		}
@@ -80,7 +81,7 @@ func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Resu
 			fork := *ck
 			fork.Cfg.MeasureCycles = p.Cfg.MeasureCycles
 			want := opt.telemetryFor(p)
-			r, err := sim.ResumeFromCheckpoint(ctx, &fork, func(c *telemetry.Config) bool {
+			r, err := m.Resume(ctx, &fork, func(c *telemetry.Config) bool {
 				c.Run = want.Run
 				c.TraceWriter = want.TraceWriter
 				c.Spans = want.Spans

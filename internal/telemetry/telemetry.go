@@ -65,7 +65,7 @@ type Config struct {
 	// Hooks are process-local live wiring, not state: checkpoints do not
 	// carry them (gob ignores func fields) and a resumed run is silent
 	// unless the caller re-installs them (the attach callback of
-	// sim.ResumeFromCheckpoint).
+	// sim.ResumeFromCheckpoint and sim.Machine.Resume).
 	OnProgress func(Progress)
 
 	// Spans, if set, receives wall-clock phase spans from the simulation

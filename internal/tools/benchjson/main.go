@@ -20,7 +20,8 @@
 // the two named benchmarks exceeds the limit — the telemetry-tax gate
 // (instrumented access path ≤ 2× bare). An entry written
 // "Numerator/Denominator:allocs=limit" gates the allocs/op ratio
-// instead. Measured ratios are recorded in the JSON output either way,
+// instead, and "Numerator/Denominator:bytes=limit" the B/op ratio.
+// Measured ratios are recorded in the JSON output either way,
 // under the entry's name without its limit.
 //
 // The GOMAXPROCS suffix of a benchmark name ("-4") is dropped, unless the
@@ -83,7 +84,7 @@ func main() {
 	out := flag.String("out", "", "JSON file to write ('' = stdout)")
 	require := flag.String("require", "", "comma-separated benchmark name prefixes that must be present")
 	assertZero := flag.String("assert-zero-allocs", "", "comma-separated benchmark name prefixes that must report 0 allocs/op")
-	maxRatio := flag.String("max-ratio", "", "comma-separated Numerator/Denominator[:allocs]=limit ratio gates (ns/op, or allocs/op)")
+	maxRatio := flag.String("max-ratio", "", "comma-separated Numerator/Denominator[:allocs|:bytes]=limit ratio gates (ns/op, allocs/op or B/op)")
 	flag.Parse()
 
 	var r io.Reader = os.Stdin
@@ -257,27 +258,35 @@ func parse(r io.Reader) (Record, error) {
 	return rec, nil
 }
 
-// checkRatio evaluates one "Numerator/Denominator[:allocs]=limit" gate
-// against the parsed benchmarks and returns the key and measured ratio
-// of ns/op, or of allocs/op with the ":allocs" suffix. A missing
-// benchmark, an unparsable spec, or a ratio above the limit is an error.
+// ratioUnits are the measures a ratio gate can compare, by the suffix
+// of its spec's key.
+var ratioUnits = map[string]struct {
+	unit  string
+	value func(Benchmark) float64
+}{
+	"":        {"ns/op", func(b Benchmark) float64 { return b.NsPerOp }},
+	":allocs": {"allocs/op", func(b Benchmark) float64 { return b.AllocsPerOp }},
+	":bytes":  {"B/op", func(b Benchmark) float64 { return b.BytesPerOp }},
+}
+
+// checkRatio evaluates one "Numerator/Denominator[:allocs|:bytes]=limit"
+// gate against the parsed benchmarks and returns the key and measured
+// ratio of ns/op, or of allocs/op or B/op with the ":allocs" or ":bytes"
+// suffix. A missing benchmark, an unparsable spec, or a ratio above the
+// limit is an error.
 func checkRatio(bs []Benchmark, spec string) (key string, ratio float64, err error) {
 	key, limitStr, ok := strings.Cut(spec, "=")
-	names, unit, byAllocs := strings.Cut(key, ":")
+	names, _, _ := strings.Cut(key, ":")
 	num, den, ok2 := strings.Cut(names, "/")
-	if !ok || !ok2 || byAllocs && unit != "allocs" {
-		return "", 0, fmt.Errorf("max-ratio: bad spec %q, want Numerator/Denominator[:allocs]=limit", spec)
+	measure, ok3 := ratioUnits[key[len(names):]]
+	if !ok || !ok2 || !ok3 {
+		return "", 0, fmt.Errorf("max-ratio: bad spec %q, want Numerator/Denominator[:allocs|:bytes]=limit", spec)
 	}
 	limit, err := strconv.ParseFloat(limitStr, 64)
 	if err != nil {
 		return "", 0, fmt.Errorf("max-ratio: bad limit in %q: %v", spec, err)
 	}
-	unit = "ns/op"
-	value := func(b Benchmark) float64 { return b.NsPerOp }
-	if byAllocs {
-		unit = "allocs/op"
-		value = func(b Benchmark) float64 { return b.AllocsPerOp }
-	}
+	unit, value := measure.unit, measure.value
 	lookup := func(name string) (Benchmark, error) {
 		for _, b := range bs {
 			if b.Name == name {

@@ -11,8 +11,9 @@ BenchmarkSweepCold-2     	       5	 206000000 ns/op	15986459 B/op	    3274 alloc
 BenchmarkNoMem-2         	       5	 100000000 ns/op
 `
 
-// TestCheckRatio pins both ratio gates: ns/op by default, allocs/op with
-// the ":allocs" suffix, each recorded under its spec's name.
+// TestCheckRatio pins the ratio gates: ns/op by default, allocs/op with
+// the ":allocs" suffix and B/op with ":bytes", each recorded under its
+// spec's name.
 func TestCheckRatio(t *testing.T) {
 	rec, err := parse(strings.NewReader(sweepBench))
 	if err != nil {
@@ -27,7 +28,11 @@ func TestCheckRatio(t *testing.T) {
 		{spec: "BenchmarkSweepForked/BenchmarkSweepCold:allocs=1", key: "BenchmarkSweepForked/BenchmarkSweepCold:allocs", ratio: 2916.0 / 3274},
 		{spec: "BenchmarkSweepCold/BenchmarkSweepForked:allocs=1", err: "allocs/op"},
 		{spec: "BenchmarkSweepCold/BenchmarkSweepForked=3", key: "BenchmarkSweepCold/BenchmarkSweepForked", ratio: 206.0 / 90},
-		{spec: "BenchmarkSweepForked/BenchmarkSweepCold:bytes=1", err: "bad spec"},
+		{spec: "BenchmarkSweepForked/BenchmarkSweepCold:bytes=1.2", key: "BenchmarkSweepForked/BenchmarkSweepCold:bytes", ratio: 18748607.0 / 15986459},
+		{spec: "BenchmarkSweepForked/BenchmarkSweepCold:bytes=1", err: "B/op"},
+		{spec: "BenchmarkNoMem/BenchmarkSweepCold:bytes=1", err: "lacked -benchmem"},
+		{spec: "BenchmarkSweepForked/BenchmarkSweepCold:widgets=1", err: "bad spec"},
+		{spec: "BenchmarkSweepForked/BenchmarkSweepCold:=1", err: "bad spec"},
 		{spec: "BenchmarkNoMem/BenchmarkSweepCold:allocs=1", err: "lacked -benchmem"},
 		{spec: "BenchmarkSweepForked/BenchmarkMissing=1", err: "not found"},
 	} {
