@@ -219,7 +219,7 @@ bench-sweep: build
 		-count=5 ./internal/sweep/ | tee /tmp/nucasim-bench-sweep.txt
 	$(GO) run ./internal/tools/benchjson -in /tmp/nucasim-bench-sweep.txt \
 		-out BENCH_sweep.json -require BenchmarkSweepForked,BenchmarkSweepCold \
-		-max-ratio BenchmarkSweepForked/BenchmarkSweepCold=0.6,BenchmarkSweepForked/BenchmarkSweepCold:allocs=1.0,BenchmarkSweepForked/BenchmarkSweepCold:bytes=0.5
+		-max-ratio BenchmarkSweepForked/BenchmarkSweepCold=0.3,BenchmarkSweepForked/BenchmarkSweepCold:allocs=1.0,BenchmarkSweepForked/BenchmarkSweepCold:bytes=0.5
 	@echo "bench record written to BENCH_sweep.json"
 
 # Short fuzz pass over the external-input parsers (JSONL trace, binary

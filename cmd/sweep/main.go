@@ -227,8 +227,8 @@ func runLocal(spec sweep.Spec, maxPoints int, session *cliflags.Session) (*stats
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "# sweep: %d points, %d warmups run (%d forked, %d cold)\n",
-		len(points), st.WarmupsRun, st.Forked, st.Cold)
+	fmt.Fprintf(os.Stderr, "# sweep: %d points, %d warmups run (%d forked, %d cold, %d restores)\n",
+		len(points), st.WarmupsRun, st.Forked, st.Cold, st.Restores)
 	return sweep.Aggregate(spec.Name, points, results), nil
 }
 

@@ -54,6 +54,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"nucasim/internal/cache"
@@ -173,6 +174,12 @@ type Adaptive struct {
 	geom      memaddr.Geometry // per-local-cache geometry
 	totalWays int
 
+	// setMask and tagShift split an address into set and tag, as geom
+	// does. The block paths read these copies: a call through the geom
+	// value copies all of geom first.
+	setMask  uint64
+	tagShift uint
+
 	// Flat block arena: set i owns nodes[i*slotsPerSet : (i+1)*slotsPerSet],
 	// mru/cnts[i*Cores : (i+1)*Cores], and setHdrs[i]. slotsPerSet is
 	// totalWays+1: the spare slot lets a fill land before Algorithm 1
@@ -277,6 +284,8 @@ func NewAdaptive(cfg Config, mem *dram.Memory) *Adaptive {
 		cfg:         cfg,
 		geom:        geom,
 		totalWays:   totalWays,
+		setMask:     uint64(geom.Sets - 1),
+		tagShift:    memaddr.BlockBits + uint(bits.TrailingZeros(uint(geom.Sets))),
 		slotsPerSet: totalWays + 1,
 		nodes:       make([]blockNode, geom.Sets*(totalWays+1)),
 		mru:         make([]mruEntry, geom.Sets*cfg.Cores),
@@ -525,6 +534,12 @@ func (a *Adaptive) SetSpans(rec *telemetry.SpanRecorder, parent telemetry.SpanID
 	a.spanParent = parent
 }
 
+func (a *Adaptive) setOf(addr memaddr.Addr) int {
+	return int(uint64(addr) >> memaddr.BlockBits & a.setMask)
+}
+
+func (a *Adaptive) tagOf(addr memaddr.Addr) uint64 { return uint64(addr) >> a.tagShift }
+
 // privTarget is the current private-partition size for a core: the
 // occupancy limit capped by the local associativity (Section 2.2).
 func (a *Adaptive) privTarget(core int) int {
@@ -549,8 +564,7 @@ func (a *Adaptive) MaxBlocks() []int {
 func (a *Adaptive) Access(coreID int, addr memaddr.Addr, write bool, now uint64) (uint64, bool) {
 	st := &a.perCore[coreID]
 	st.Accesses++
-	setIdx := a.geom.Set(addr)
-	tag := a.geom.Tag(addr)
+	setIdx, tag := a.setOf(addr), a.tagOf(addr)
 	base := setIdx * a.cfg.Cores
 	setBase := setIdx * a.slotsPerSet
 
@@ -719,7 +733,11 @@ func (a *Adaptive) Access(coreID int, addr memaddr.Addr, write bool, now uint64)
 	a.lat.ObserveMiss(coreID, ready-now)
 
 	n := a.allocNode(setBase, sh)
-	a.nodes[setBase+int(n)] = blockNode{tag: tag, owner: int8(coreID), home: int8(coreID), dirty: write, prev: nilSlot, next: nilSlot}
+	// Every field stored one by one: a composite literal here is built
+	// on the stack and then copied into the arena.
+	nd := &a.nodes[setBase+int(n)]
+	nd.tag, nd.prev, nd.next = tag, nilSlot, nilSlot
+	nd.owner, nd.home, nd.dirty = int8(coreID), int8(coreID), write
 	a.privPushFront(setBase, m, n)
 	cnts[coreID].owner++
 	cnts[coreID].home++
@@ -1050,8 +1068,7 @@ func (a *Adaptive) Counters() (shadowHits, lruHits []uint64) {
 
 // WritebackFromL2 implements llc.Organization.
 func (a *Adaptive) WritebackFromL2(coreID int, addr memaddr.Addr, now uint64) {
-	setIdx := a.geom.Set(addr)
-	tag := a.geom.Tag(addr)
+	setIdx, tag := a.setOf(addr), a.tagOf(addr)
 	base := setIdx * a.cfg.Cores
 	setBase := setIdx * a.slotsPerSet
 	for c := 0; c < a.cfg.Cores; c++ {
@@ -1132,8 +1149,7 @@ func (a *Adaptive) Memory() *dram.Memory { return a.mem }
 
 // Probe reports whether the block is resident in any partition (tests).
 func (a *Adaptive) Probe(addr memaddr.Addr) bool {
-	setIdx := a.geom.Set(addr)
-	tag := a.geom.Tag(addr)
+	setIdx, tag := a.setOf(addr), a.tagOf(addr)
 	base := setIdx * a.cfg.Cores
 	setBase := setIdx * a.slotsPerSet
 	for c := 0; c < a.cfg.Cores; c++ {

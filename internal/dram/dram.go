@@ -71,7 +71,7 @@ func ScaledConfig(shared bool) Config {
 }
 
 // chunks returns the number of chunks per block.
-func (c Config) chunks() int { return (c.BlockBytes + c.ChunkBytes - 1) / c.ChunkBytes }
+func (c *Config) chunks() int { return (c.BlockBytes + c.ChunkBytes - 1) / c.ChunkBytes }
 
 // BlockLatency is the unloaded latency for a full block: first chunk plus
 // the remaining chunk gaps.
@@ -81,7 +81,7 @@ func (c Config) BlockLatency() int {
 
 // channelCycles is how long one block occupies the off-chip channel under
 // the bandwidth cap.
-func (c Config) channelCycles() uint64 {
+func (c *Config) channelCycles() uint64 {
 	return uint64((c.BlockBytes + c.BytesPerCycle - 1) / c.BytesPerCycle)
 }
 

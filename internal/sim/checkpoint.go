@@ -294,7 +294,11 @@ func RunContext(ctx context.Context, cfg Config, mix []workload.AppParams) (Resu
 	if err != nil {
 		return Result{}, err
 	}
-	return m.measure(ctx, mix, m.snap(), 0, start)
+	rs, err := m.measure(ctx, mix, m.snap(), 0, start, []uint64{m.Cfg.MeasureCycles})
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
 }
 
 // warmedMachine validates cfg, builds its machine (which arms the
@@ -375,13 +379,14 @@ func (m *Machine) warmPhase(ctx context.Context, name, stepName, phase string, t
 // point's MeasureCycles (and, for crash safety, CheckpointPath).
 // ResumeFromCheckpoint never modifies ck.
 func ResumeFromCheckpoint(ctx context.Context, ck *Checkpoint, attach func(c *telemetry.Config) (enable bool)) (Result, error) {
-	cfg, warmHash, err := ck.resumeConfig()
+	windows := ck.window()
+	cfg, warmHash, err := ck.resumeConfig(windows)
 	if err != nil {
 		return Result{}, err
 	}
 	m := NewMachine(cfg, ck.Mix)
 	m.buildHash = warmHash
-	return m.resume(ctx, ck, cfg, attach)
+	return first(m.resume(ctx, ck, cfg, windows, attach))
 }
 
 // Resume continues a checkpoint on this machine, in place of the run it
@@ -416,28 +421,85 @@ func ResumeFromCheckpoint(ctx context.Context, ck *Checkpoint, attach func(c *te
 //
 // Resume never modifies ck. After an error the machine holds no
 // consistent run; a later Resume that succeeds restores all of it.
+// Resume is ResumeWindows of the one window ck.Cfg.MeasureCycles.
 func (m *Machine) Resume(ctx context.Context, ck *Checkpoint, attach func(c *telemetry.Config) (enable bool)) (Result, error) {
-	cfg, warmHash, err := ck.resumeConfig()
+	return first(m.ResumeWindows(ctx, ck, ck.window(), attach))
+}
+
+// ResumeWindows continues a checkpoint once through several
+// measurement windows and returns one Result per window, each the
+// Result that Resume of ck with that window as its MeasureCycles would
+// produce (Throughput.Wall aside). ck.Cfg.MeasureCycles is ignored:
+// windows, which may not decrease and may repeat, replace it. A run of
+// W cycles from ck passes through the exact state of every shorter run
+// from it (Machine.Run is exact between calls), so the machine restores
+// ck once, runs to each window in turn and harvests it there: the cost
+// is one restore and the longest window, not one restore and one run
+// per window.
+//
+// Every check Resume runs is run once, against the longest window:
+// the checkpoint is validated, its warmup hash re-derived and held
+// against both its stamp and the machine's build, the configuration of
+// the longest window validated, and each component's Restore vets its
+// state. ck.Measured may exceed no window. Each window ends with the
+// end-of-run invariant sweep (Config.CheckInvariants) before it is
+// harvested, and every Result is a fresh copy that shares no slice or
+// map with the machine or another Result. Throughput.Wall of each
+// window runs from the end of the restore to that window's harvest: the
+// one-window resume's measurement time, plus the harvests of the
+// shorter windows before it.
+//
+// The run is wired once, from ck and attach as Resume describes: one
+// telemetry instance, trace and span tree covers every window, progress
+// reports count towards the longest window, and CheckpointPath
+// checkpoints carry the longest window's MeasureCycles. On an error the
+// Results of the windows harvested before it are returned with it.
+func (m *Machine) ResumeWindows(ctx context.Context, ck *Checkpoint, windows []uint64, attach func(c *telemetry.Config) (enable bool)) ([]Result, error) {
+	cfg, warmHash, err := ck.resumeConfig(windows)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if m.buildHash == "" {
 		if m.buildHash, err = WarmupHash(m.Cfg, m.mix); err != nil {
-			return Result{}, fmt.Errorf("sim: this machine's build has no warmup hash: %w", err)
+			return nil, fmt.Errorf("sim: this machine's build has no warmup hash: %w", err)
 		}
 	}
 	if warmHash != m.buildHash {
-		return Result{}, fmt.Errorf("sim: checkpoint warmup hash %.12s does not match this machine's build (warmup hash %.12s): a machine resumes only checkpoints of its own scheme, cores, mix and warmup", warmHash, m.buildHash)
+		return nil, fmt.Errorf("sim: checkpoint warmup hash %.12s does not match this machine's build (warmup hash %.12s): a machine resumes only checkpoints of its own scheme, cores, mix and warmup", warmHash, m.buildHash)
 	}
-	return m.resume(ctx, ck, cfg, attach)
+	return m.resume(ctx, ck, cfg, windows, attach)
 }
 
-// resumeConfig validates ck and returns the configuration its run
-// continues under, with its warmup hash re-derived from ck.Cfg and
-// ck.Mix.
-func (ck *Checkpoint) resumeConfig() (cfg Config, warmHash string, err error) {
+// window is the one measurement window of ck's own configuration.
+func (ck *Checkpoint) window() []uint64 {
+	return []uint64{ck.Cfg.MeasureWindow()}
+}
+
+// first is the one-window case of a resume's results.
+func first(rs []Result, err error) (Result, error) {
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
+}
+
+// resumeConfig validates ck and windows and returns the configuration
+// its run continues under, measuring the longest window, with its
+// warmup hash re-derived from ck.Cfg and ck.Mix.
+func (ck *Checkpoint) resumeConfig(windows []uint64) (cfg Config, warmHash string, err error) {
 	if err := ck.validate(); err != nil {
 		return Config{}, "", err
+	}
+	if len(windows) == 0 {
+		return Config{}, "", errors.New("sim: no measurement window to resume")
+	}
+	for i, w := range windows {
+		if w == 0 {
+			return Config{}, "", fmt.Errorf("sim: measurement window %d is empty", i)
+		}
+		if i > 0 && w < windows[i-1] {
+			return Config{}, "", fmt.Errorf("sim: measurement window %d (%d cycles) is shorter than the window before it (%d): windows may not decrease", i, w, windows[i-1])
+		}
 	}
 	warmHash, err = WarmupHash(ck.Cfg, ck.Mix)
 	if err != nil {
@@ -447,20 +509,22 @@ func (ck *Checkpoint) resumeConfig() (cfg Config, warmHash string, err error) {
 		return Config{}, "", fmt.Errorf("sim: checkpoint warmup hash %.12s does not match configuration (%.12s): only measurement-window fields may change across a fork", ck.WarmupHash, warmHash)
 	}
 	cfg = ck.Cfg.withDefaults()
+	cfg.MeasureCycles = windows[len(windows)-1]
 	cfg.StopAfter = 0
 	if err := cfg.Validate(); err != nil {
 		return Config{}, "", err
 	}
-	if ck.Measured > cfg.MeasureCycles {
-		return Config{}, "", fmt.Errorf("sim: checkpoint holds %d measured cycles, configuration wants only %d", ck.Measured, cfg.MeasureCycles)
+	if ck.Measured > windows[0] {
+		return Config{}, "", fmt.Errorf("sim: checkpoint holds %d measured cycles, configuration wants only %d", ck.Measured, windows[0])
 	}
 	return cfg, warmHash, nil
 }
 
 // resume is the one resume path of fresh and reused machines: it wires
-// the run of cfg (ck's validated configuration), restores every
-// component from ck and measures the rest of the window.
-func (m *Machine) resume(ctx context.Context, ck *Checkpoint, cfg Config, attach func(c *telemetry.Config) (enable bool)) (Result, error) {
+// the run of cfg (ck's validated configuration, measuring the longest
+// of windows), restores every component from ck and measures the rest
+// of each window in turn.
+func (m *Machine) resume(ctx context.Context, ck *Checkpoint, cfg Config, windows []uint64, attach func(c *telemetry.Config) (enable bool)) ([]Result, error) {
 	tcfg := telemetry.Config{}
 	if ck.HasTelemetry {
 		tcfg = telemetry.Config{
@@ -479,10 +543,10 @@ func (m *Machine) resume(ctx context.Context, ck *Checkpoint, cfg Config, attach
 	}
 	m.wireRun(cfg)
 	if err := m.restoreCheckpoint(ck); err != nil {
-		return Result{}, fmt.Errorf("sim: restoring checkpoint: %w", err)
+		return nil, fmt.Errorf("sim: restoring checkpoint: %w", err)
 	}
 	before := snapshot{instr: ck.BeforeInstr, access: ck.BeforeAccess, miss: ck.BeforeMiss}
-	return m.measure(ctx, ck.Mix, before, ck.Measured, time.Now())
+	return m.measure(ctx, ck.Mix, before, ck.Measured, time.Now(), windows)
 }
 
 // WarmupCheckpoint runs only the warmup phase of cfg — the functional
@@ -503,7 +567,8 @@ func WarmupCheckpoint(ctx context.Context, cfg Config, mix []workload.AppParams)
 // WarmupMachine is WarmupCheckpoint that also returns the warmed
 // machine, whose state is exactly the checkpoint's. Windows forked from
 // the checkpoint can then run one after another on that machine
-// (Machine.Resume), none of them building a machine of its own.
+// (Machine.Resume), or all in one resumed run (Machine.ResumeWindows),
+// none of them building a machine of its own.
 func WarmupMachine(ctx context.Context, cfg Config, mix []workload.AppParams) (*Machine, *Checkpoint, error) {
 	cfg = cfg.withDefaults()
 	if !cfg.Scheme.Checkpointable() {
@@ -519,23 +584,26 @@ func WarmupMachine(ctx context.Context, cfg Config, mix []workload.AppParams) (*
 	return m, ck, nil
 }
 
-// measure runs the measurement window under the pprof label
+// measure runs the measurement windows under the pprof label
 // phase=measure, then ends the run's root span: it is the single exit
 // path for both fresh and resumed runs.
-func (m *Machine) measure(ctx context.Context, mix []workload.AppParams, before snapshot, measured uint64, start time.Time) (Result, error) {
-	var res Result
+func (m *Machine) measure(ctx context.Context, mix []workload.AppParams, before snapshot, measured uint64, start time.Time, windows []uint64) ([]Result, error) {
+	var rs []Result
 	var err error
 	telemetry.WithPhase(ctx, "measure", func(ctx context.Context) {
-		res, err = m.measureLoop(ctx, mix, before, measured, start)
+		rs, err = m.measureLoop(ctx, mix, before, measured, start, windows)
 	})
 	m.spanRoot.End()
-	return res, err
+	return rs, err
 }
 
-// measureLoop runs the measurement window from measured cycles already
-// done, checkpointing on the configured cadence and on interruption, and
-// recording one wall-clock span per chunk and per checkpoint write.
-func (m *Machine) measureLoop(ctx context.Context, mix []workload.AppParams, before snapshot, measured uint64, start time.Time) (Result, error) {
+// measureLoop runs the measurement from measured cycles already done
+// to each of windows in turn (non-decreasing, the last one
+// m.Cfg.MeasureCycles) and harvests a Result at each, checkpointing on
+// the configured cadence and on interruption, and recording one
+// wall-clock span per chunk and per checkpoint write. On an error it
+// returns the Results harvested so far with it.
+func (m *Machine) measureLoop(ctx context.Context, mix []workload.AppParams, before snapshot, measured uint64, start time.Time, windows []uint64) ([]Result, error) {
 	cfg, guard := m.Cfg, m.guard
 	phase := m.startSpan("sim.measure")
 	defer phase.End()
@@ -550,46 +618,50 @@ func (m *Machine) measureLoop(ctx context.Context, mix []workload.AppParams, bef
 		sp.End()
 		return err
 	}
-	interrupt := func() (Result, error) {
+	out := make([]Result, 0, len(windows))
+	interrupt := func() ([]Result, error) {
 		if cfg.CheckpointPath != "" {
 			if err := writeCkpt(); err != nil {
-				return Result{}, fmt.Errorf("%w; writing checkpoint failed: %v", ErrInterrupted, err)
+				return out, fmt.Errorf("%w; writing checkpoint failed: %v", ErrInterrupted, err)
 			}
 		}
-		return Result{}, ErrInterrupted
+		return out, ErrInterrupted
 	}
-	for measured < cfg.MeasureCycles {
-		if ctx.Err() != nil {
-			return interrupt()
-		}
-		if cfg.StopAfter > 0 && measured >= cfg.StopAfter {
-			return interrupt()
-		}
-		chunk := min(measureChunk, cfg.MeasureCycles-measured)
-		if cfg.StopAfter > 0 {
-			chunk = min(chunk, cfg.StopAfter-measured)
-		}
-		if nextCkpt > measured {
-			chunk = min(chunk, nextCkpt-measured)
-		}
-		chunkSpan := m.startSpan("sim.measure_chunk")
-		m.Run(chunk)
-		measured += chunk
-		chunkSpan.SetDetail(chunk)
-		chunkSpan.End()
-		m.Telemetry.ReportProgress(telemetry.Progress{Phase: "measure", Done: measured, Total: cfg.MeasureCycles})
-		if guard.err != nil {
-			return Result{}, guard.err
-		}
-		if nextCkpt > 0 && measured >= nextCkpt && measured < cfg.MeasureCycles {
-			if err := writeCkpt(); err != nil {
-				return Result{}, fmt.Errorf("sim: periodic checkpoint: %w", err)
+	for _, window := range windows {
+		for measured < window {
+			if ctx.Err() != nil {
+				return interrupt()
 			}
-			nextCkpt = measured + cfg.CheckpointEvery
+			if cfg.StopAfter > 0 && measured >= cfg.StopAfter {
+				return interrupt()
+			}
+			chunk := min(measureChunk, window-measured)
+			if cfg.StopAfter > 0 {
+				chunk = min(chunk, cfg.StopAfter-measured)
+			}
+			if nextCkpt > measured {
+				chunk = min(chunk, nextCkpt-measured)
+			}
+			chunkSpan := m.startSpan("sim.measure_chunk")
+			m.Run(chunk)
+			measured += chunk
+			chunkSpan.SetDetail(chunk)
+			chunkSpan.End()
+			m.Telemetry.ReportProgress(telemetry.Progress{Phase: "measure", Done: measured, Total: cfg.MeasureCycles})
+			if guard.err != nil {
+				return out, guard.err
+			}
+			if nextCkpt > 0 && measured >= nextCkpt && measured < cfg.MeasureCycles {
+				if err := writeCkpt(); err != nil {
+					return out, fmt.Errorf("sim: periodic checkpoint: %w", err)
+				}
+				nextCkpt = measured + cfg.CheckpointEvery
+			}
 		}
+		if err := guard.final(m); err != nil {
+			return out, err
+		}
+		out = append(out, m.results(mix, before, window, time.Since(start)))
 	}
-	if err := guard.final(m); err != nil {
-		return Result{}, err
-	}
-	return m.results(mix, before, time.Since(start)), nil
+	return out, nil
 }

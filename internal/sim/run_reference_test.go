@@ -75,11 +75,11 @@ func TestRunMatchesEveryCycleLoop(t *testing.T) {
 						want := captureOutcome(t, b, mix, &traceB)
 						compareOutcomes(t, got, want)
 					}
-					got, err := json.Marshal(a.results(mix, before, 0))
+					got, err := json.Marshal(a.results(mix, before, a.Cfg.MeasureCycles, 0))
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := json.Marshal(b.results(mix, before, 0))
+					want, err := json.Marshal(b.results(mix, before, b.Cfg.MeasureCycles, 0))
 					if err != nil {
 						t.Fatal(err)
 					}

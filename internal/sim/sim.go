@@ -246,6 +246,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// MeasureWindow is the measurement window a run of c measures:
+// MeasureCycles, or its default when it is zero.
+func (c Config) MeasureWindow() uint64 { return c.withDefaults().MeasureCycles }
+
 // Result is the outcome of one run.
 type Result struct {
 	Scheme Scheme
@@ -665,8 +669,10 @@ func Run(cfg Config, mix []workload.AppParams) Result {
 	return res
 }
 
-// results assembles the Result from the measurement window's deltas.
-func (m *Machine) results(mix []workload.AppParams, before snapshot, wall time.Duration) Result {
+// results assembles the Result of a measurement window of window
+// cycles from its deltas. The Result shares no slice or map with the
+// machine, so a run that goes on after it leaves it unchanged.
+func (m *Machine) results(mix []workload.AppParams, before snapshot, window uint64, wall time.Duration) Result {
 	cfg := m.Cfg
 	after := m.snap()
 
@@ -674,9 +680,9 @@ func (m *Machine) results(mix []workload.AppParams, before snapshot, wall time.D
 	for _, p := range mix {
 		res.Mix = append(res.Mix, p.Name)
 	}
-	kCycles := float64(cfg.MeasureCycles) / 1000
+	kCycles := float64(window) / 1000
 	for i := range m.Cores {
-		ipc := float64(after.instr[i]-before.instr[i]) / float64(cfg.MeasureCycles)
+		ipc := float64(after.instr[i]-before.instr[i]) / float64(window)
 		res.PerCoreIPC = append(res.PerCoreIPC, ipc)
 		res.LLCAccessesPerKCycle = append(res.LLCAccessesPerKCycle,
 			float64(after.access[i]-before.access[i])/kCycles)
@@ -699,6 +705,9 @@ func (m *Machine) results(mix []workload.AppParams, before snapshot, wall time.D
 			m.Adaptive.FlushTelemetry()
 		}
 		res.Epochs = m.Telemetry.Epochs.Samples()
+		for i := range res.Epochs {
+			res.Epochs[i] = res.Epochs[i].Clone()
+		}
 		res.EpochsDropped = m.Telemetry.Epochs.Dropped()
 		res.Counters = m.Telemetry.Registry.Counters()
 		res.Histograms = m.Telemetry.Registry.Histograms()
@@ -715,7 +724,7 @@ func (m *Machine) results(mix []workload.AppParams, before snapshot, wall time.D
 	}
 	res.Throughput = telemetry.Throughput{
 		Wall:      wall,
-		SimCycles: cfg.WarmupCycles + cfg.MeasureCycles,
+		SimCycles: cfg.WarmupCycles + window,
 	}
 	return res
 }

@@ -1,0 +1,234 @@
+package sim
+
+import (
+	"context"
+	"errors"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"nucasim/internal/telemetry"
+)
+
+// withoutWall strips the one field a chained window may not share with
+// a one-window resume: the wall clock. Throughput.SimCycles stays.
+func withoutWall(r Result) Result {
+	r.Throughput.Wall = 0
+	return r
+}
+
+// chainCase is one ResumeWindows call: its checkpoint (the warmup's or
+// the mid-window one), the run knobs every window of the chain shares,
+// and the windows.
+type chainCase struct {
+	mid        bool
+	telemetry  bool
+	invariants bool
+	verify     bool
+	windows    []uint64
+}
+
+// window is the one-window resume and cold run of the chain's i-th
+// window, with the chain's knobs.
+func (c chainCase) window(i int) reuseWindow {
+	return reuseWindow{measure: c.windows[i], mid: c.mid, telemetry: c.telemetry,
+		invariants: c.invariants, verify: c.verify}
+}
+
+// scribble overwrites every slice and map element of r in place, so a
+// Result that shares any of them with another shows the change.
+func scribble(r *Result) {
+	for i := range r.Epochs {
+		e := &r.Epochs[i]
+		e.Eval += 1000
+		for _, s := range [][]uint64{e.ShadowHits, e.LRUHits, e.EpochAccesses, e.EpochMisses} {
+			for k := range s {
+				s[k] += 1000
+			}
+		}
+		for k := range e.Limits {
+			e.Limits[k] += 1000
+		}
+	}
+	for k := range r.Counters {
+		r.Counters[k] += 1000
+	}
+	for k, h := range r.Histograms {
+		for b := range h.Buckets {
+			h.Buckets[b].Count += 1000
+		}
+		r.Histograms[k] = h
+	}
+	for i := range r.SetStats {
+		r.SetStats[i].Fills += 1000
+	}
+	for i := range r.PartitionLimits {
+		r.PartitionLimits[i] += 1000
+	}
+	for i := range r.PerCoreIPC {
+		r.PerCoreIPC[i] += 1000
+	}
+	for i := range r.CoreStats {
+		r.CoreStats[i].Instructions += 1000
+	}
+}
+
+// TestResumeWindowsMatchesSeparateResumes is the chain oracle: one
+// warmed machine runs chains of windows (repeated windows included)
+// from the warmup checkpoint and from one taken part way into a window,
+// with telemetry on and off and CheckInvariants and ReplayVerify mixed.
+// Each harvested Result, wall clock aside, must equal both the
+// fresh-machine one-window resume and the cold run of its window. Each
+// earlier Result is overwritten in place before the next is compared,
+// so a later Result that shares a slice or map with it fails.
+func TestResumeWindowsMatchesSeparateResumes(t *testing.T) {
+	ctx := context.Background()
+	mix := mixOf(t, "ammp", "gzip")
+	m, ck, err := WarmupMachine(ctx, ckConfig(), mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interrupted := ckConfig()
+	interrupted.CheckpointPath = filepath.Join(t.TempDir(), "mid.ckpt")
+	interrupted.StopAfter = midMeasured
+	if _, err := RunContext(ctx, interrupted, mix); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
+	}
+	mid, err := ReadCheckpoint(interrupted.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	windows := []uint64{1_000, 1_000, 3_000, 8_000, 25_000}
+	for _, c := range []chainCase{
+		{telemetry: true, invariants: true, windows: windows},
+		{windows: windows},
+		{telemetry: true, verify: true, windows: windows},
+		{invariants: true, verify: true, windows: windows},
+		{mid: true, telemetry: true, invariants: true, windows: []uint64{midMeasured, midMeasured, 30_000, 45_000}},
+	} {
+		// The chain's checkpoint carries a window of its own that it
+		// ignores.
+		rs, err := m.ResumeWindows(ctx, c.window(0).fork(ck, mid), c.windows, nil)
+		if err != nil {
+			t.Fatalf("chain %+v: %v", c, err)
+		}
+		if len(rs) != len(c.windows) {
+			t.Fatalf("chain %+v: %d Results for %d windows", c, len(rs), len(c.windows))
+		}
+		for i := range rs {
+			w := c.window(i)
+			got := rs[i]
+			if c.telemetry && (len(got.Epochs) == 0 || len(got.Counters) == 0 || len(got.SetStats) == 0 || len(got.Histograms) == 0) {
+				t.Fatalf("chain %+v window %d: telemetry left epochs, counters, set stats or histograms empty", c, i)
+			}
+			fresh, err := ResumeFromCheckpoint(ctx, w.fork(ck, mid), nil)
+			if err != nil {
+				t.Fatalf("chain %+v window %d: one-window resume: %v", c, i, err)
+			}
+			if !reflect.DeepEqual(withoutWall(got), withoutWall(fresh)) {
+				t.Fatalf("chain %+v window %d (%d cycles): chained Result diverged from the one-window resume\nchained %+v\nresume  %+v",
+					c, i, w.measure, withoutWall(got), withoutWall(fresh))
+			}
+			cold, err := RunContext(ctx, w.coldConfig(), mix)
+			if err != nil {
+				t.Fatalf("chain %+v window %d: cold run: %v", c, i, err)
+			}
+			if c.verify {
+				// The resumed reconstruction starts at the checkpoint, the
+				// cold one at the empty cache.
+				before := ck.LLC.Evaluations
+				if c.mid {
+					before = mid.LLC.Evaluations
+				}
+				last := i == len(rs)-1
+				if got.ReplayVerifyError != "" || cold.ReplayVerifyError != "" ||
+					got.ReplayEpochsVerified+before != cold.ReplayEpochsVerified || last && got.ReplayEpochsVerified == 0 {
+					t.Fatalf("chain %+v window %d: resumed run verified %d epochs after the checkpoint's %d, cold run %d; errors %q, %q",
+						c, i, got.ReplayEpochsVerified, before, cold.ReplayEpochsVerified, got.ReplayVerifyError, cold.ReplayVerifyError)
+				}
+				got.ReplayEpochsVerified = cold.ReplayEpochsVerified
+			}
+			if !reflect.DeepEqual(withoutWall(got), withoutWall(cold)) {
+				t.Fatalf("chain %+v window %d (%d cycles): chained Result diverged from the cold run\nchained %+v\ncold    %+v",
+					c, i, w.measure, withoutWall(got), withoutWall(cold))
+			}
+			scribble(&rs[i])
+		}
+	}
+}
+
+// TestResumeWindowsRefusesBadWindows: windows that decrease, an empty
+// list, an empty window and windows shorter than the checkpoint's
+// measured cycles are refused before anything is restored.
+func TestResumeWindowsRefusesBadWindows(t *testing.T) {
+	ctx := context.Background()
+	mix := mixOf(t, "ammp", "gzip")
+	m, ck, err := WarmupMachine(ctx, ckConfig(), mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured := *ck
+	measured.Measured = 2_000
+	for name, c := range map[string]struct {
+		ck      *Checkpoint
+		windows []uint64
+		want    string
+	}{
+		"decreasing":  {ck, []uint64{1_000, 3_000, 2_000}, "may not decrease"},
+		"none":        {ck, nil, "no measurement window"},
+		"empty":       {ck, []uint64{0, 1_000}, "window 0 is empty"},
+		"below start": {&measured, []uint64{1_000, 3_000}, "measured cycles"},
+	} {
+		rs, err := m.ResumeWindows(ctx, c.ck, c.windows, nil)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: windows %v returned %v, want an error containing %q", name, c.windows, err, c.want)
+		}
+		if rs != nil {
+			t.Errorf("%s: a refused chain returned %d Results", name, len(rs))
+		}
+	}
+}
+
+// TestResumeWindowsChecksEachWindowEnd: each window ends with the
+// end-of-run invariant sweep before it is harvested. A fault injected
+// just as the second window's last chunk completes (after the
+// repartition hook's last check) fails the chain at that window's end,
+// with the first window's Result returned and the second's not.
+func TestResumeWindowsChecksEachWindowEnd(t *testing.T) {
+	ctx := context.Background()
+	mix := mixOf(t, "ammp", "gzip")
+	m, ck, err := WarmupMachine(ctx, ckConfig(), mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := []uint64{1_000, 3_000, 8_000}
+	flipped := false
+	rs, err := m.ResumeWindows(ctx, ck, windows, func(c *telemetry.Config) bool {
+		c.OnProgress = func(p telemetry.Progress) {
+			if p.Phase == "measure" && p.Done == windows[1] {
+				flipped = m.Adaptive.FaultFlipPrivateOwner()
+			}
+		}
+		return true
+	})
+	if !flipped {
+		t.Fatal("no private block to corrupt at the second window's end")
+	}
+	if err == nil || !strings.Contains(err.Error(), "invariant violation at end of run") {
+		t.Fatalf("chain returned %v, want an end-of-run invariant violation", err)
+	}
+	if len(rs) != 1 {
+		t.Fatalf("chain returned %d Results with its error, want the first window's only", len(rs))
+	}
+	fork := *ck
+	fork.Cfg.MeasureCycles = windows[0]
+	want, err := ResumeFromCheckpoint(ctx, &fork, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(withoutWall(rs[0]), withoutWall(want)) {
+		t.Fatal("the Result harvested before the failure diverged from its one-window resume")
+	}
+}

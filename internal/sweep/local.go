@@ -1,8 +1,10 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"nucasim/internal/sim"
 	"nucasim/internal/telemetry"
@@ -17,31 +19,57 @@ type LocalOptions struct {
 	// writer, span recorder, hooks). For forked points it is applied to
 	// the measurement window only: the shared warmup belongs to the whole
 	// group, so its events carry the group's warmup-hash label instead.
+	// It is called once per point, just before the point runs, except
+	// in a fork group's chain, whose members are all resolved before it
+	// runs. A forked point it gives a TraceWriter, Spans, OnEpoch or
+	// OnProgress resumes on its own, so that wiring sees its window
+	// alone.
 	Attach func(p Point) *telemetry.Config
-	// OnPoint observes each completed point in completion order (groups
-	// run in plan order, members in expansion order).
+	// OnPoint observes each completed point in completion order. Groups
+	// run in plan order. Within a fork group the members that resume on
+	// their own complete first, in expansion order, then the chained
+	// members, in window order, when the chain ends; the members of a
+	// cold group complete in expansion order.
 	OnPoint func(p Point, r sim.Result)
 }
 
 // LocalStats reports how a local sweep executed: how many warmups
-// actually ran versus how many points forked one, the observable
-// guarantee behind `make sweep-smoke` and BENCH_sweep.json.
+// actually ran versus how many points forked one, and how many
+// checkpoint restores the forks took — the observable guarantees behind
+// `make sweep-smoke` and BENCH_sweep.json.
 type LocalStats struct {
 	WarmupsRun int // warmup phases executed (one per group)
 	Forked     int // points resumed from a shared warmup checkpoint
 	Cold       int // points run end to end
+	// Restores counts checkpoint restores run: one per fork group's
+	// chain, plus one per member that resumes on its own.
+	Restores int
 }
 
 // RunLocal executes every point in-process, sharing warmup within each
-// fork group: warmup runs once per group (sim.WarmupMachine), and each
-// member's measurement window resumes a struct copy of that one
-// checkpoint, with its own MeasureCycles, on the machine that ran the
-// warmup (sim.Machine.Resume restores every component first and never
-// modifies its checkpoint). No member builds a machine. Results come
-// back in expansion order. The first error aborts the sweep.
+// fork group: warmup runs once per group (sim.WarmupMachine), and the
+// members' measurement windows resume that one checkpoint on the
+// machine that ran the warmup. No member builds a machine.
+//
+// The members whose resolved telemetry config carries no process-local
+// wiring (TraceWriter, Spans, OnEpoch and OnProgress all nil, as in the
+// default config) form the group's chain: sorted by MeasureCycles, they
+// run as one sim.Machine.ResumeWindows, which restores the checkpoint
+// once and harvests each window on the way to the longest. Every other
+// member resumes its own window (sim.Machine.Resume), so its trace,
+// spans and hooks see that window alone. Both paths return the Result a
+// cold run of the point would, and neither modifies the checkpoint.
+// Results come back in expansion order. The first error aborts the
+// sweep.
 func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Result, LocalStats, error) {
 	results := make([]sim.Result, len(points))
 	var st LocalStats
+	done := func(pi int, r sim.Result) {
+		results[pi] = r
+		if opt.OnPoint != nil {
+			opt.OnPoint(points[pi], r)
+		}
+	}
 	for _, g := range Plan(points) {
 		if !g.Fork {
 			for _, pi := range g.Points {
@@ -55,10 +83,7 @@ func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Resu
 				}
 				st.WarmupsRun++
 				st.Cold++
-				results[pi] = r
-				if opt.OnPoint != nil {
-					opt.OnPoint(p, r)
-				}
+				done(pi, r)
 			}
 			continue
 		}
@@ -76,11 +101,20 @@ func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Resu
 			return nil, st, fmt.Errorf("sweep: warmup group %.12s: %w", g.WarmupHash, err)
 		}
 		st.WarmupsRun++
+
+		// A member with its own wiring resumes as soon as Attach has
+		// resolved it, so spans its Attach opens time its run alone;
+		// the chain runs when every member is resolved.
+		var chain []int
 		for _, pi := range g.Points {
 			p := points[pi]
+			want := opt.telemetryFor(p)
+			if want.TraceWriter == nil && want.Spans == nil && want.OnEpoch == nil && want.OnProgress == nil {
+				chain = append(chain, pi)
+				continue
+			}
 			fork := *ck
 			fork.Cfg.MeasureCycles = p.Cfg.MeasureCycles
-			want := opt.telemetryFor(p)
 			r, err := m.Resume(ctx, &fork, func(c *telemetry.Config) bool {
 				c.Run = want.Run
 				c.TraceWriter = want.TraceWriter
@@ -93,11 +127,31 @@ func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Resu
 			if err != nil {
 				return nil, st, fmt.Errorf("sweep: point %q: %w", p.Label, err)
 			}
+			st.Restores++
 			st.Forked++
-			results[pi] = r
-			if opt.OnPoint != nil {
-				opt.OnPoint(p, r)
-			}
+			done(pi, r)
+		}
+		if len(chain) == 0 {
+			continue
+		}
+		window := func(pi int) uint64 { return points[pi].Cfg.MeasureWindow() }
+		slices.SortStableFunc(chain, func(a, b int) int { return cmp.Compare(window(a), window(b)) })
+		windows := make([]uint64, len(chain))
+		for i, pi := range chain {
+			windows[i] = window(pi)
+		}
+		// The chain keeps the checkpoint's telemetry config, labelled
+		// with the warmup's run: without a trace, spans or hooks,
+		// nothing outside the run sees the label, and the Results do
+		// not carry it.
+		rs, err := m.ResumeWindows(ctx, ck, windows, nil)
+		if err != nil {
+			return nil, st, fmt.Errorf("sweep: point %q: %w", points[chain[len(rs)]].Label, err)
+		}
+		st.Restores++
+		for i, pi := range chain {
+			st.Forked++
+			done(pi, rs[i])
 		}
 	}
 	return results, st, nil

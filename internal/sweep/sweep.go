@@ -5,7 +5,7 @@
 // capped — and Plan groups the points that share warmup-relevant
 // configuration so warmup runs once per group and every member's
 // measurement window forks from one checkpoint (sim.WarmupMachine /
-// sim.Machine.Resume locally, sim.WarmupCheckpoint /
+// sim.Machine.ResumeWindows locally, sim.WarmupCheckpoint /
 // sim.ResumeFromCheckpoint on the server). Aggregate folds the per-point results into
 // one stats.Table, the downloadable artifact of a whole Fig. 7-style
 // study. The package is the shared engine of cmd/sweep (local

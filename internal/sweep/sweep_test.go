@@ -1,8 +1,12 @@
 package sweep
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -238,37 +242,127 @@ func TestPlanGroups(t *testing.T) {
 // TestRunLocalForkEquivalence is the sweep-level fork-equivalence test:
 // a grid whose adaptive points share one warmup group must produce
 // results identical to running every point cold, with warmup executed
-// exactly once per group.
+// exactly once per group, whatever order the MeasureCycles axis lists
+// its windows in and with the invariant checker armed. Points with no
+// process-local wiring run as one chain (one restore); a point that
+// Attach gives its own TraceWriter resumes on its own as soon as Attach
+// resolves it, and its trace is the one a one-window resume of its fork
+// writes.
 func TestRunLocalForkEquivalence(t *testing.T) {
-	spec := Spec{
-		Base: smallBase(),
-		Axes: Axes{MeasureCycles: []uint64{20_000, 40_000, 60_000}},
-	}
-	points, err := Expand(spec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, st, err := RunLocal(context.Background(), points, LocalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.WarmupsRun != 1 || st.Forked != 3 || st.Cold != 0 {
-		t.Errorf("stats = %+v, want 1 warmup, 3 forked, 0 cold", st)
-	}
-	for i, p := range points {
-		cfg := p.Cfg
-		cfg.Telemetry = &telemetry.Config{Run: p.Label}
-		ref, err := sim.RunContext(context.Background(), cfg, p.Mix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		norm := func(r sim.Result) sim.Result {
-			r.Throughput = telemetry.Throughput{}
-			return r
-		}
-		if !reflect.DeepEqual(norm(got[i]), norm(ref)) {
-			t.Errorf("point %q: forked result diverged from cold run", p.Label)
-		}
+	ctx := context.Background()
+	all := func(string) bool { return true }
+	for _, c := range []struct {
+		name       string
+		windows    []uint64
+		invariants bool
+		traced     func(label string) bool // points given a TraceWriter
+		restores   int
+	}{
+		{name: "ascending", windows: []uint64{20_000, 40_000, 60_000}, restores: 1},
+		{name: "descending", windows: []uint64{60_000, 40_000, 20_000}, invariants: true, restores: 1},
+		{name: "traced", windows: []uint64{60_000, 20_000, 40_000}, traced: all, restores: 3},
+		{name: "one traced", windows: []uint64{60_000, 20_000, 40_000}, invariants: true,
+			traced: func(l string) bool { return l == "mc40000" }, restores: 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			points, err := Expand(Spec{Base: smallBase(), Axes: Axes{MeasureCycles: c.windows}}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces := make(map[string]*bytes.Buffer)
+			var order, chain, alone []string
+			for _, p := range points {
+				if c.traced != nil && c.traced(p.Label) {
+					alone = append(alone, p.Label)
+				} else {
+					chain = append(chain, p.Label)
+				}
+			}
+			window := func(label string) uint64 {
+				w, _ := strconv.ParseUint(strings.TrimPrefix(label, "mc"), 10, 64)
+				return w
+			}
+			slices.SortFunc(chain, func(a, b string) int { return cmp.Compare(window(a), window(b)) })
+			// A traced point runs right after Attach resolves it, before
+			// any other point is resolved.
+			pending := ""
+			got, st, err := RunLocal(ctx, points, LocalOptions{
+				CheckInvariants: c.invariants,
+				Attach: func(p Point) *telemetry.Config {
+					if pending != "" {
+						t.Errorf("point %q resolved before %q ran", p.Label, pending)
+					}
+					if c.traced == nil || !c.traced(p.Label) {
+						return nil
+					}
+					pending = p.Label
+					traces[p.Label] = new(bytes.Buffer)
+					return &telemetry.Config{Run: p.Label, TraceWriter: traces[p.Label]}
+				},
+				OnPoint: func(p Point, _ sim.Result) {
+					if p.Label == pending {
+						pending = ""
+					}
+					order = append(order, p.Label)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := LocalStats{WarmupsRun: 1, Forked: 3, Restores: c.restores}
+			if st != want {
+				t.Errorf("stats = %+v, want %+v", st, want)
+			}
+			if want := append(alone, chain...); !slices.Equal(order, want) {
+				t.Errorf("OnPoint order %v, want the unchained points in expansion order, then the chain in window order: %v", order, want)
+			}
+			norm := func(r sim.Result) sim.Result {
+				r.Throughput = telemetry.Throughput{}
+				return r
+			}
+			for i, p := range points {
+				cfg := p.Cfg
+				cfg.CheckInvariants = c.invariants
+				cfg.Telemetry = &telemetry.Config{Run: p.Label}
+				ref, err := sim.RunContext(ctx, cfg, p.Mix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(norm(got[i]), norm(ref)) {
+					t.Errorf("point %q: forked result diverged from cold run", p.Label)
+				}
+			}
+			if len(alone) == 0 {
+				return
+			}
+			// A traced point's trace is the one its own resume of the
+			// group's warmup checkpoint writes.
+			warmCfg := points[0].Cfg
+			warmCfg.CheckInvariants = c.invariants
+			warmCfg.Telemetry = &telemetry.Config{Run: "warmup-" + points[0].WarmupHash[:12]}
+			ck, err := sim.WarmupCheckpoint(ctx, warmCfg, points[0].Mix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range points {
+				if traces[p.Label] == nil {
+					continue
+				}
+				fork := *ck
+				fork.Cfg.MeasureCycles = p.Cfg.MeasureCycles
+				var ref bytes.Buffer
+				if _, err := sim.ResumeFromCheckpoint(ctx, &fork, func(tc *telemetry.Config) bool {
+					tc.Run, tc.TraceWriter = p.Label, &ref
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if ref.Len() == 0 || !bytes.Equal(traces[p.Label].Bytes(), ref.Bytes()) {
+					t.Errorf("point %q: its trace (%d bytes) is not its own resume's (%d bytes)",
+						p.Label, traces[p.Label].Len(), ref.Len())
+				}
+			}
+		})
 	}
 }
 

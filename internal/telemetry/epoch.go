@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -64,6 +65,16 @@ func (s EpochSample) MissRate(c int) float64 {
 		return 0
 	}
 	return float64(s.EpochMisses[c]) / float64(s.EpochAccesses[c])
+}
+
+// Clone returns a copy of s that shares none of its slices.
+func (s EpochSample) Clone() EpochSample {
+	s.Limits = slices.Clone(s.Limits)
+	s.ShadowHits = slices.Clone(s.ShadowHits)
+	s.LRUHits = slices.Clone(s.LRUHits)
+	s.EpochAccesses = slices.Clone(s.EpochAccesses)
+	s.EpochMisses = slices.Clone(s.EpochMisses)
+	return s
 }
 
 // Ring is a bounded buffer of epoch samples: appends are O(1), memory

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -109,6 +110,29 @@ func TestRingBounds(t *testing.T) {
 				t.Fatalf("restoring %d samples into capacity %d succeeded", capacity+1, capacity)
 			}
 		})
+	}
+}
+
+// TestEpochSampleCloneSharesNothing: Clone copies every slice field of
+// EpochSample, including any added later, so writing through the clone
+// leaves the original alone.
+func TestEpochSampleCloneSharesNothing(t *testing.T) {
+	var s EpochSample
+	v := reflect.ValueOf(&s).Elem()
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			f.Set(reflect.MakeSlice(f.Type(), 2, 2))
+		}
+	}
+	c := s.Clone()
+	if !reflect.DeepEqual(c, s) {
+		t.Fatalf("clone %+v differs from the sample %+v", c, s)
+	}
+	cv := reflect.ValueOf(c)
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Kind() == reflect.Slice && f.Pointer() == cv.Field(i).Pointer() {
+			t.Errorf("clone shares field %s with the sample", v.Type().Field(i).Name)
+		}
 	}
 }
 
