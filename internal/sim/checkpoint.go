@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"nucasim/internal/atomicio"
@@ -91,8 +92,18 @@ type Checkpoint struct {
 	Telem telemetry.State
 }
 
+// checkpointsCaptured counts checkpoint captures across the process:
+// warmup boundaries, periodic and interrupt checkpoints alike.
+var checkpointsCaptured atomic.Uint64
+
+// CheckpointsCaptured returns the process-wide count of checkpoints
+// captured so far, so a caller can tell whether a run snapshotted a
+// machine (a fork group whose members all chain captures none).
+func CheckpointsCaptured() uint64 { return checkpointsCaptured.Load() }
+
 // captureCheckpoint snapshots the machine mid-measurement.
 func (m *Machine) captureCheckpoint(before snapshot, measured uint64, mix []workload.AppParams) *Checkpoint {
+	checkpointsCaptured.Add(1)
 	cfg := m.Cfg
 	tcfg := cfg.Telemetry
 	cfg.Telemetry = nil
@@ -490,16 +501,8 @@ func (ck *Checkpoint) resumeConfig(windows []uint64) (cfg Config, warmHash strin
 	if err := ck.validate(); err != nil {
 		return Config{}, "", err
 	}
-	if len(windows) == 0 {
-		return Config{}, "", errors.New("sim: no measurement window to resume")
-	}
-	for i, w := range windows {
-		if w == 0 {
-			return Config{}, "", fmt.Errorf("sim: measurement window %d is empty", i)
-		}
-		if i > 0 && w < windows[i-1] {
-			return Config{}, "", fmt.Errorf("sim: measurement window %d (%d cycles) is shorter than the window before it (%d): windows may not decrease", i, w, windows[i-1])
-		}
+	if cfg, err = windowsConfig(ck.Cfg.withDefaults(), windows); err != nil {
+		return Config{}, "", err
 	}
 	warmHash, err = WarmupHash(ck.Cfg, ck.Mix)
 	if err != nil {
@@ -508,16 +511,33 @@ func (ck *Checkpoint) resumeConfig(windows []uint64) (cfg Config, warmHash strin
 	if ck.WarmupHash != "" && warmHash != ck.WarmupHash {
 		return Config{}, "", fmt.Errorf("sim: checkpoint warmup hash %.12s does not match configuration (%.12s): only measurement-window fields may change across a fork", ck.WarmupHash, warmHash)
 	}
-	cfg = ck.Cfg.withDefaults()
-	cfg.MeasureCycles = windows[len(windows)-1]
-	cfg.StopAfter = 0
-	if err := cfg.Validate(); err != nil {
-		return Config{}, "", err
-	}
 	if ck.Measured > windows[0] {
 		return Config{}, "", fmt.Errorf("sim: checkpoint holds %d measured cycles, configuration wants only %d", ck.Measured, windows[0])
 	}
 	return cfg, warmHash, nil
+}
+
+// windowsConfig checks a list of measurement windows (at least one,
+// none empty, none shorter than the one before it) and returns cfg
+// measuring the longest of them, with StopAfter cleared, validated.
+func windowsConfig(cfg Config, windows []uint64) (Config, error) {
+	if len(windows) == 0 {
+		return Config{}, errors.New("sim: no measurement window")
+	}
+	for i, w := range windows {
+		if w == 0 {
+			return Config{}, fmt.Errorf("sim: measurement window %d is empty", i)
+		}
+		if i > 0 && w < windows[i-1] {
+			return Config{}, fmt.Errorf("sim: measurement window %d (%d cycles) is shorter than the window before it (%d): windows may not decrease", i, w, windows[i-1])
+		}
+	}
+	cfg.MeasureCycles = windows[len(windows)-1]
+	cfg.StopAfter = 0
+	if err := cfg.Validate(); err != nil {
+		return Config{}, err
+	}
+	return cfg, nil
 }
 
 // resume is the one resume path of fresh and reused machines: it wires
@@ -560,28 +580,94 @@ func (m *Machine) resume(ctx context.Context, ck *Checkpoint, cfg Config, window
 // warmup-relevant configuration pays for warmup exactly once. The scheme
 // must be Checkpointable.
 func WarmupCheckpoint(ctx context.Context, cfg Config, mix []workload.AppParams) (*Checkpoint, error) {
-	_, ck, err := WarmupMachine(ctx, cfg, mix)
-	return ck, err
+	m, ck, err := WarmupMachine(ctx, cfg, mix)
+	if err != nil {
+		return nil, err
+	}
+	m.spanRoot.End()
+	return ck, nil
 }
 
 // WarmupMachine is WarmupCheckpoint that also returns the warmed
-// machine, whose state is exactly the checkpoint's. Windows forked from
-// the checkpoint can then run one after another on that machine
-// (Machine.Resume), or all in one resumed run (Machine.ResumeWindows),
-// none of them building a machine of its own.
+// machine, whose state is exactly the checkpoint's: NewWarmedMachine
+// followed by BoundaryCheckpoint. Windows forked from the checkpoint
+// can then run one after another on that machine (Machine.Resume), or
+// all in one resumed run (Machine.ResumeWindows), none of them building
+// a machine of its own.
 func WarmupMachine(ctx context.Context, cfg Config, mix []workload.AppParams) (*Machine, *Checkpoint, error) {
-	cfg = cfg.withDefaults()
-	if !cfg.Scheme.Checkpointable() {
-		return nil, nil, fmt.Errorf("sim: warmup checkpointing supports only the adaptive scheme, not %s", cfg.Scheme)
-	}
-	m, _, err := warmedMachine(ctx, cfg, mix)
+	m, err := NewWarmedMachine(ctx, cfg, mix)
 	if err != nil {
 		return nil, nil, err
 	}
-	ck := m.captureCheckpoint(m.snap(), 0, mix)
-	m.buildHash = ck.WarmupHash
-	m.spanRoot.End()
+	ck, err := m.BoundaryCheckpoint()
+	if err != nil {
+		return nil, nil, err
+	}
 	return m, ck, nil
+}
+
+// NewWarmedMachine validates cfg, builds its machine and runs only its
+// warmup phase, exactly as RunContext would, and returns the machine
+// at the warmup/measure boundary with nothing captured. From there it
+// either measures on (MeasureWindows), which is the cold run, or
+// captures the boundary checkpoint (BoundaryCheckpoint) first, for runs
+// that restore it. The run's root span stays open until the machine
+// measures, or until a Resume replaces the run.
+func NewWarmedMachine(ctx context.Context, cfg Config, mix []workload.AppParams) (*Machine, error) {
+	m, _, err := warmedMachine(ctx, cfg.withDefaults(), mix)
+	if err != nil {
+		return nil, err
+	}
+	m.atBoundary = true
+	return m, nil
+}
+
+// errPastBoundary refuses work that needs a machine still at its
+// warmup/measure boundary.
+var errPastBoundary = errors.New("sim: the machine is not at its warmup/measure boundary: it was not warmed by NewWarmedMachine, or it has run or restored a checkpoint since")
+
+// BoundaryCheckpoint captures the machine at its warmup/measure
+// boundary: zero measured cycles, the measurement baseline just
+// snapped. Resuming it is bit-identical to measuring the machine on.
+// It refuses a machine that is not at that boundary (one that has run a
+// cycle or restored a checkpoint since NewWarmedMachine) and a scheme
+// that is not Checkpointable. Capturing does not move the machine: it
+// may still measure on (MeasureWindows) or resume the checkpoint.
+func (m *Machine) BoundaryCheckpoint() (*Checkpoint, error) {
+	if !m.Cfg.Scheme.Checkpointable() {
+		return nil, fmt.Errorf("sim: warmup checkpointing supports only the adaptive scheme, not %s", m.Cfg.Scheme)
+	}
+	if !m.atBoundary {
+		return nil, errPastBoundary
+	}
+	ck := m.captureCheckpoint(m.snap(), 0, m.mix)
+	m.buildHash = ck.WarmupHash
+	return ck, nil
+}
+
+// MeasureWindows measures a machine at its warmup/measure boundary
+// (NewWarmedMachine) on through each of windows, which may not decrease
+// and may repeat, and returns one Result per window: the Result
+// RunContext of the machine's configuration with that window as its
+// MeasureCycles produces, wall clock aside. It is the cold run,
+// harvested at each window through the measurement loop every run
+// takes, as ResumeWindows harvests a resumed one; nothing is captured
+// or restored. The machine's configuration measures the longest window
+// (progress reports and CheckpointPath checkpoints carry it) and its
+// StopAfter is cleared, as a resume's is. Throughput.Wall of each window
+// runs from the boundary to that window's harvest. A machine that is
+// not at its boundary is refused. On an error the Results of the
+// windows harvested before it are returned with it.
+func (m *Machine) MeasureWindows(ctx context.Context, windows []uint64) ([]Result, error) {
+	if !m.atBoundary {
+		return nil, errPastBoundary
+	}
+	cfg, err := windowsConfig(m.Cfg, windows)
+	if err != nil {
+		return nil, err
+	}
+	m.Cfg = cfg
+	return m.measure(ctx, m.mix, m.snap(), 0, time.Now(), windows)
 }
 
 // measure runs the measurement windows under the pprof label

@@ -334,6 +334,10 @@ type Machine struct {
 	mix       []workload.AppParams
 	buildHash string
 
+	// atBoundary is set while the machine waits at the warmup/measure
+	// boundary NewWarmedMachine left it at; Run and wireRun clear it.
+	atBoundary bool
+
 	// guard holds the current run's first invariant violation.
 	guard *invariantGuard
 
@@ -397,8 +401,13 @@ func NewMachine(cfg Config, mix []workload.AppParams) *Machine {
 // "sim.run" span root, the replay verifier, and the invariant checker's
 // repartition hook. It first detaches whatever an earlier run attached,
 // so a machine resumed for another run (Resume) carries none of it over.
+// A warmed run replaced at its boundary ends its root span there.
 // NewMachine and Resume are its only callers.
 func (m *Machine) wireRun(cfg Config) {
+	if m.atBoundary {
+		m.spanRoot.End()
+		m.atBoundary = false
+	}
 	m.Cfg = cfg
 	m.Telemetry, m.Verifier, m.spanRoot = nil, nil, telemetry.Span{}
 	m.Memory.SetQueueDelayHistogram(nil)
@@ -488,6 +497,7 @@ func CyclesSimulated() uint64 { return cyclesSimulated.Load() }
 // observe it, and the result is that of stepping every core on every
 // cycle.
 func (m *Machine) Run(cycles uint64) {
+	m.atBoundary = false
 	end := m.now + cycles
 	t := uint64(math.MaxUint64)
 	for i, c := range m.Cores {

@@ -232,3 +232,109 @@ func TestResumeWindowsChecksEachWindowEnd(t *testing.T) {
 		t.Fatal("the Result harvested before the failure diverged from its one-window resume")
 	}
 }
+
+// TestMeasureWindowsMatchesColdRuns is the oracle of a chain that
+// restores nothing: machines warmed by NewWarmedMachine measure on
+// through a chain of windows, with telemetry on and off, CheckInvariants
+// and ReplayVerify mixed, and the boundary checkpoint captured first or
+// not. Each harvested Result, wall clock aside, must equal the cold run
+// of its window (it is that run, so under ReplayVerify the verified
+// epochs match too), and each earlier Result is overwritten in place
+// before the next is compared. A baseline scheme measures on the same
+// way. A machine that has measured, resumed (even unsuccessfully), or
+// was never warmed refuses both to capture and to measure from its
+// boundary.
+func TestMeasureWindowsMatchesColdRuns(t *testing.T) {
+	ctx := context.Background()
+	mix := mixOf(t, "ammp", "gzip")
+	windows := []uint64{1_000, 1_000, 3_000, 8_000, 25_000}
+	for _, c := range []struct {
+		chainCase
+		scheme  Scheme
+		capture bool
+	}{
+		{chainCase: chainCase{telemetry: true, invariants: true, windows: windows}},
+		{chainCase: chainCase{windows: windows}, capture: true},
+		{chainCase: chainCase{telemetry: true, verify: true, windows: windows}, capture: true},
+		{chainCase: chainCase{invariants: true, verify: true, windows: windows}},
+		{chainCase: chainCase{telemetry: true, windows: []uint64{2_000, 6_000}}, scheme: SchemeShared},
+	} {
+		cold := func(i int) Config {
+			cfg := c.window(i).coldConfig()
+			if c.scheme != "" {
+				cfg.Scheme = c.scheme
+			}
+			return cfg
+		}
+		// The machine is built for the shortest window's cold run; the
+		// windows replace its MeasureCycles.
+		m, err := NewWarmedMachine(ctx, cold(0), mix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.capture {
+			if _, err := m.BoundaryCheckpoint(); err != nil {
+				t.Fatalf("chain %+v: capture: %v", c, err)
+			}
+		}
+		if _, err := m.MeasureWindows(ctx, []uint64{3_000, 1_000}); err == nil || !strings.Contains(err.Error(), "may not decrease") {
+			t.Fatalf("chain %+v: decreasing windows returned %v", c, err)
+		}
+		rs, err := m.MeasureWindows(ctx, c.windows)
+		if err != nil {
+			t.Fatalf("chain %+v: %v", c, err)
+		}
+		if len(rs) != len(c.windows) {
+			t.Fatalf("chain %+v: %d Results for %d windows", c, len(rs), len(c.windows))
+		}
+		for i := range rs {
+			want, err := RunContext(ctx, cold(i), mix)
+			if err != nil {
+				t.Fatalf("chain %+v window %d: cold run: %v", c, i, err)
+			}
+			if c.verify && (rs[i].ReplayEpochsVerified == 0 || rs[i].ReplayVerifyError != "") {
+				t.Fatalf("chain %+v window %d: verified %d epochs, error %q", c, i, rs[i].ReplayEpochsVerified, rs[i].ReplayVerifyError)
+			}
+			if !reflect.DeepEqual(withoutWall(rs[i]), withoutWall(want)) {
+				t.Fatalf("chain %+v window %d (%d cycles): Result diverged from the cold run\nchain %+v\ncold  %+v",
+					c, i, c.windows[i], withoutWall(rs[i]), withoutWall(want))
+			}
+			scribble(&rs[i])
+		}
+		if c.scheme == "" {
+			if _, err := m.BoundaryCheckpoint(); !errors.Is(err, errPastBoundary) {
+				t.Fatalf("chain %+v: capture after measuring returned %v", c, err)
+			}
+		}
+		if _, err := m.MeasureWindows(ctx, c.windows); !errors.Is(err, errPastBoundary) {
+			t.Fatalf("chain %+v: measuring twice returned %v", c, err)
+		}
+	}
+
+	// A restore that fails part way leaves the machine past its
+	// boundary too: its state is no longer the warmup's.
+	failed, ck, err := WarmupMachine(ctx, ckConfig(), mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := *ck
+	corrupt.LLC.MaxBlocks = corrupt.LLC.MaxBlocks[:1]
+	if _, err := failed.Resume(ctx, &corrupt, nil); err == nil {
+		t.Fatal("a checkpoint with a short MaxBlocks was resumed")
+	}
+	resumed, ck, err := WarmupMachine(ctx, ckConfig(), mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := resumed.Resume(ctx, ck, nil); err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*Machine{"failed restore": failed, "resumed": resumed, "never warmed": NewMachine(ckConfig(), mix)} {
+		if _, err := m.BoundaryCheckpoint(); !errors.Is(err, errPastBoundary) {
+			t.Errorf("%s machine: capture returned %v", name, err)
+		}
+		if _, err := m.MeasureWindows(ctx, windows); !errors.Is(err, errPastBoundary) {
+			t.Errorf("%s machine: measuring returned %v", name, err)
+		}
+	}
+}

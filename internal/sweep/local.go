@@ -22,8 +22,9 @@ type LocalOptions struct {
 	// It is called once per point, just before the point runs, except
 	// in a fork group's chain, whose members are all resolved before it
 	// runs. A forked point it gives a TraceWriter, Spans, OnEpoch or
-	// OnProgress resumes on its own, so that wiring sees its window
-	// alone.
+	// OnProgress resumes on its own from the group's warmup checkpoint,
+	// so that wiring sees its window alone; the first such point's
+	// resolution is what captures the checkpoint.
 	Attach func(p Point) *telemetry.Config
 	// OnPoint observes each completed point in completion order. Groups
 	// run in plan order. Within a fork group the members that resume on
@@ -39,28 +40,36 @@ type LocalOptions struct {
 // `make sweep-smoke` and BENCH_sweep.json.
 type LocalStats struct {
 	WarmupsRun int // warmup phases executed (one per group)
-	Forked     int // points resumed from a shared warmup checkpoint
+	Forked     int // points measured from a shared warmup
 	Cold       int // points run end to end
-	// Restores counts checkpoint restores run: one per fork group's
-	// chain, plus one per member that resumes on its own.
+	// Restores counts checkpoint restores run: one per member that
+	// resumes on its own, plus one for the group's chain when such a
+	// member ran before it. A group whose members all chain restores
+	// nothing.
 	Restores int
 }
 
 // RunLocal executes every point in-process, sharing warmup within each
-// fork group: warmup runs once per group (sim.WarmupMachine), and the
-// members' measurement windows resume that one checkpoint on the
-// machine that ran the warmup. No member builds a machine.
+// fork group: warmup runs once per group (sim.NewWarmedMachine), and
+// every member measures on the machine that ran it. No member builds a
+// machine.
 //
 // The members whose resolved telemetry config carries no process-local
 // wiring (TraceWriter, Spans, OnEpoch and OnProgress all nil, as in the
 // default config) form the group's chain: sorted by MeasureCycles, they
-// run as one sim.Machine.ResumeWindows, which restores the checkpoint
-// once and harvests each window on the way to the longest. Every other
-// member resumes its own window (sim.Machine.Resume), so its trace,
-// spans and hooks see that window alone. Both paths return the Result a
-// cold run of the point would, and neither modifies the checkpoint.
-// Results come back in expansion order. The first error aborts the
-// sweep.
+// run as one measurement harvested at each window on the way to the
+// longest. Every other member resumes its own window from the group's
+// warmup checkpoint (sim.Machine.Resume), so its trace, spans and hooks
+// see that window alone. The checkpoint is captured only when Attach
+// resolves the first such member, while the machine is still at its
+// warmup/measure boundary. When nothing was captured the chain measures
+// the warmed machine straight on (sim.Machine.MeasureWindows): it is
+// the cold run, harvested at each window, and restores nothing. After a
+// member has resumed, the chain restores the checkpoint once
+// (sim.Machine.ResumeWindows). Every path returns the Result a cold run
+// of the point would, wall clock aside, and none modifies the
+// checkpoint. Results come back in expansion order. The first error
+// aborts the sweep.
 func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Result, LocalStats, error) {
 	results := make([]sim.Result, len(points))
 	var st LocalStats
@@ -96,7 +105,7 @@ func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Resu
 		// have accumulated. Process-local hooks stay off: they are not
 		// checkpointable and the warmup belongs to every member at once.
 		warmCfg.Telemetry = &telemetry.Config{Run: "warmup-" + g.WarmupHash[:12]}
-		m, ck, err := sim.WarmupMachine(ctx, warmCfg, points[g.Points[0]].Mix)
+		m, err := sim.NewWarmedMachine(ctx, warmCfg, points[g.Points[0]].Mix)
 		if err != nil {
 			return nil, st, fmt.Errorf("sweep: warmup group %.12s: %w", g.WarmupHash, err)
 		}
@@ -105,6 +114,7 @@ func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Resu
 		// A member with its own wiring resumes as soon as Attach has
 		// resolved it, so spans its Attach opens time its run alone;
 		// the chain runs when every member is resolved.
+		var ck *sim.Checkpoint
 		var chain []int
 		for _, pi := range g.Points {
 			p := points[pi]
@@ -112,6 +122,13 @@ func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Resu
 			if want.TraceWriter == nil && want.Spans == nil && want.OnEpoch == nil && want.OnProgress == nil {
 				chain = append(chain, pi)
 				continue
+			}
+			if ck == nil {
+				// No member has run yet: the machine is still at its
+				// boundary.
+				if ck, err = m.BoundaryCheckpoint(); err != nil {
+					return nil, st, fmt.Errorf("sweep: warmup group %.12s: %w", g.WarmupHash, err)
+				}
 			}
 			fork := *ck
 			fork.Cfg.MeasureCycles = p.Cfg.MeasureCycles
@@ -140,15 +157,19 @@ func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Resu
 		for i, pi := range chain {
 			windows[i] = window(pi)
 		}
-		// The chain keeps the checkpoint's telemetry config, labelled
-		// with the warmup's run: without a trace, spans or hooks,
-		// nothing outside the run sees the label, and the Results do
-		// not carry it.
-		rs, err := m.ResumeWindows(ctx, ck, windows, nil)
+		// The chain keeps the warmup's telemetry config and run label:
+		// without a trace, spans or hooks, nothing outside the run sees
+		// the label, and the Results do not carry it.
+		var rs []sim.Result
+		if ck == nil {
+			rs, err = m.MeasureWindows(ctx, windows)
+		} else {
+			rs, err = m.ResumeWindows(ctx, ck, windows, nil)
+			st.Restores++
+		}
 		if err != nil {
 			return nil, st, fmt.Errorf("sweep: point %q: %w", points[chain[len(rs)]].Label, err)
 		}
-		st.Restores++
 		for i, pi := range chain {
 			st.Forked++
 			done(pi, rs[i])

@@ -1,10 +1,11 @@
 package sweep
 
 // Group is a set of points sharing one WarmupHash. When Fork is set the
-// group's warmup runs once (sim.WarmupCheckpoint) and every member's
-// measurement window resumes from that checkpoint — the fork-equivalence
-// tests in internal/sim prove each forked result is bit-identical to a
-// cold run.
+// group's warmup runs once and every member's measurement window forks
+// from it: RunLocal measures the warmed machine on, and the server
+// resumes the group's warmup checkpoint (sim.WarmupCheckpoint) — the
+// fork-equivalence tests in internal/sim prove each forked result is
+// bit-identical to a cold run.
 type Group struct {
 	WarmupHash string
 	// Points indexes the members in the expanded point slice, in

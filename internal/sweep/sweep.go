@@ -4,11 +4,13 @@
 // the cartesian product into canonical job specs — validated, deduped,
 // capped — and Plan groups the points that share warmup-relevant
 // configuration so warmup runs once per group and every member's
-// measurement window forks from one checkpoint (sim.WarmupMachine /
-// sim.Machine.ResumeWindows locally, sim.WarmupCheckpoint /
-// sim.ResumeFromCheckpoint on the server). Aggregate folds the per-point results into
-// one stats.Table, the downloadable artifact of a whole Fig. 7-style
-// study. The package is the shared engine of cmd/sweep (local
+// measurement window forks from it: locally on the warmed machine
+// itself (sim.NewWarmedMachine, then sim.Machine.MeasureWindows, with a
+// checkpoint captured and resumed only for members with their own
+// trace, spans or hooks), on the server from one checkpoint
+// (sim.WarmupCheckpoint / sim.ResumeFromCheckpoint). Aggregate folds
+// the per-point results into one stats.Table, the downloadable artifact
+// of a whole Fig. 7-style study. The package is the shared engine of cmd/sweep (local
 // execution) and nucaserve's POST /v1/sweeps (scheduled on the serve
 // worker pool).
 package sweep

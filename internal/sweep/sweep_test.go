@@ -244,10 +244,12 @@ func TestPlanGroups(t *testing.T) {
 // results identical to running every point cold, with warmup executed
 // exactly once per group, whatever order the MeasureCycles axis lists
 // its windows in and with the invariant checker armed. Points with no
-// process-local wiring run as one chain (one restore); a point that
-// Attach gives its own TraceWriter resumes on its own as soon as Attach
-// resolves it, and its trace is the one a one-window resume of its fork
-// writes.
+// process-local wiring run as one chain; a point that Attach gives its
+// own TraceWriter resumes on its own as soon as Attach resolves it, and
+// its trace is the one a one-window resume of its fork writes. A group
+// captures its warmup checkpoint only for such a point, even when
+// chained points were resolved before it, so a pure chain captures and
+// restores nothing, and a chain after a traced point restores once.
 func TestRunLocalForkEquivalence(t *testing.T) {
 	ctx := context.Background()
 	all := func(string) bool { return true }
@@ -257,12 +259,15 @@ func TestRunLocalForkEquivalence(t *testing.T) {
 		invariants bool
 		traced     func(label string) bool // points given a TraceWriter
 		restores   int
+		captures   uint64 // warmup checkpoints captured
 	}{
-		{name: "ascending", windows: []uint64{20_000, 40_000, 60_000}, restores: 1},
-		{name: "descending", windows: []uint64{60_000, 40_000, 20_000}, invariants: true, restores: 1},
-		{name: "traced", windows: []uint64{60_000, 20_000, 40_000}, traced: all, restores: 3},
+		{name: "ascending", windows: []uint64{20_000, 40_000, 60_000}},
+		{name: "descending", windows: []uint64{60_000, 40_000, 20_000}, invariants: true},
+		{name: "traced", windows: []uint64{60_000, 20_000, 40_000}, traced: all, restores: 3, captures: 1},
 		{name: "one traced", windows: []uint64{60_000, 20_000, 40_000}, invariants: true,
-			traced: func(l string) bool { return l == "mc40000" }, restores: 2},
+			traced: func(l string) bool { return l == "mc40000" }, restores: 2, captures: 1},
+		{name: "last traced", windows: []uint64{20_000, 40_000, 60_000},
+			traced: func(l string) bool { return l == "mc60000" }, restores: 2, captures: 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			points, err := Expand(Spec{Base: smallBase(), Axes: Axes{MeasureCycles: c.windows}}, 0)
@@ -286,6 +291,7 @@ func TestRunLocalForkEquivalence(t *testing.T) {
 			// A traced point runs right after Attach resolves it, before
 			// any other point is resolved.
 			pending := ""
+			captured := sim.CheckpointsCaptured()
 			got, st, err := RunLocal(ctx, points, LocalOptions{
 				CheckInvariants: c.invariants,
 				Attach: func(p Point) *telemetry.Config {
@@ -312,6 +318,9 @@ func TestRunLocalForkEquivalence(t *testing.T) {
 			want := LocalStats{WarmupsRun: 1, Forked: 3, Restores: c.restores}
 			if st != want {
 				t.Errorf("stats = %+v, want %+v", st, want)
+			}
+			if n := sim.CheckpointsCaptured() - captured; n != c.captures {
+				t.Errorf("captured %d checkpoints, want %d", n, c.captures)
 			}
 			if want := append(alone, chain...); !slices.Equal(order, want) {
 				t.Errorf("OnPoint order %v, want the unchained points in expansion order, then the chain in window order: %v", order, want)
