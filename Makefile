@@ -226,14 +226,18 @@ bench-sweep: build
 	@echo "bench record written to BENCH_sweep.json"
 
 # Short fuzz pass over the external-input parsers (JSONL trace, binary
-# address trace, canonical job spec), the sweep spec expander, and the
-# flat cache and linked-slot TLB against their reference models.
-# Seed corpora live under */testdata/fuzz/ and in the fuzz targets.
+# address trace, canonical job spec, checkpoint bytes through Restore),
+# the sweep spec expander, and the flat cache and linked-slot TLB against
+# their reference models. Seed corpora live under */testdata/fuzz/ and in
+# the fuzz targets. A checkpoint seed is about 190 KB and nearly every
+# mutation reaches a new refusal, so FuzzRestoreCheckpoint skips input
+# minimization, which would spend the whole pass on one input.
 fuzz-smoke: build
 	$(GO) test -run=^$$ -fuzz=FuzzReadEvents -fuzztime=10s ./internal/replay/
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzParseCanonicalSpec -fuzztime=10s ./internal/sim/
+	$(GO) test -run=^$$ -fuzz=FuzzRestoreCheckpoint -fuzztime=10s -fuzzminimizetime=0s ./internal/sim/
 	$(GO) test -run=^$$ -fuzz=FuzzExpand -fuzztime=10s ./internal/sweep/
 	$(GO) test -run=^$$ -fuzz=FuzzCacheMatchesReference -fuzztime=10s ./internal/cache/
 	$(GO) test -run=^$$ -fuzz=FuzzTLBMatchesReference -fuzztime=10s ./internal/tlb/

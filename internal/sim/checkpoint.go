@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -101,32 +102,48 @@ var checkpointsCaptured atomic.Uint64
 // machine (a fork group whose members all chain captures none).
 func CheckpointsCaptured() uint64 { return checkpointsCaptured.Load() }
 
-// captureCheckpoint snapshots the machine mid-measurement.
-func (m *Machine) captureCheckpoint(before snapshot, measured uint64, mix []workload.AppParams) *Checkpoint {
+// errNoOrigin refuses work that needs a measurement origin.
+var errNoOrigin = errors.New("sim: the machine has no measurement origin: it was neither warmed (NewWarmedMachine) nor restored (Restore), or its last Restore failed")
+
+// Capture snapshots the machine with its measurement origin: the
+// configuration, mix and warmup hash, the cycle, the measured cycles
+// and the counter baseline, and every component's state. It is valid
+// at any point once the machine has an origin. At the warmup/measure
+// boundary it is the warmup checkpoint, with zero measured cycles;
+// after a run has measured W cycles it continues that run past W.
+// Capturing does not move the machine. It refuses a machine with no
+// origin and a scheme that is not Checkpointable.
+func (m *Machine) Capture() (*Checkpoint, error) {
+	if !m.Cfg.Scheme.Checkpointable() {
+		return nil, fmt.Errorf("sim: checkpointing supports only the adaptive scheme, not %s", m.Cfg.Scheme)
+	}
+	if m.origin == nil {
+		return nil, errNoOrigin
+	}
 	checkpointsCaptured.Add(1)
 	cfg := m.Cfg
 	tcfg := cfg.Telemetry
 	cfg.Telemetry = nil
-	if m.Adaptive != nil {
-		// Publish the epoch-deferred counter deltas so the registry state
-		// below carries current values (Restore re-baselines the flush).
-		m.Adaptive.FlushTelemetry()
-	}
+	// Publish the epoch-deferred counter deltas so the registry state
+	// below carries current values (Restore re-baselines the flush).
+	m.Adaptive.FlushTelemetry()
 	// The hash cannot fail here: the machine was built from this very
 	// (cfg, mix), so CanonicalSpec already validated it.
-	warmHash, _ := WarmupHash(cfg, mix)
+	m.buildHash, _ = WarmupHash(cfg, m.mix)
+	base := m.origin.base
 	ck := &Checkpoint{
 		Version:      checkpointVersion,
 		Cfg:          cfg,
-		Mix:          append([]workload.AppParams(nil), mix...),
-		WarmupHash:   warmHash,
+		Mix:          slices.Clone(m.mix),
+		WarmupHash:   m.buildHash,
 		Now:          m.now,
-		Measured:     measured,
-		BeforeInstr:  append([]uint64(nil), before.instr...),
-		BeforeAccess: append([]uint64(nil), before.access...),
-		BeforeMiss:   append([]uint64(nil), before.miss...),
+		Measured:     m.now - m.origin.cycle,
+		BeforeInstr:  slices.Clone(base.instr),
+		BeforeAccess: slices.Clone(base.access),
+		BeforeMiss:   slices.Clone(base.miss),
 		Hier:         m.Hierarchy.Snapshot(),
 		Mem:          m.Memory.Snapshot(),
+		LLC:          m.Adaptive.Snapshot(),
 		Telem:        m.Telemetry.Snapshot(),
 	}
 	if tcfg != nil {
@@ -139,16 +156,111 @@ func (m *Machine) captureCheckpoint(before snapshot, measured uint64, mix []work
 	for _, c := range m.Cores {
 		ck.Cores = append(ck.Cores, c.Snapshot())
 	}
-	if m.Adaptive != nil {
-		ck.LLC = m.Adaptive.Snapshot()
-	}
-	return ck
+	return ck, nil
 }
 
-// restoreCheckpoint loads a checkpoint into a machine built from a
-// configuration and mix with the checkpoint's warmup hash, and restarts
-// the replay verifier's reconstruction from the restored cache.
-func (m *Machine) restoreCheckpoint(ck *Checkpoint) error {
+// Restore loads ck into the machine in place of the run it holds, so
+// that MeasureWindows continues the run ck captured. The machine must
+// have been built for ck's warmup: any machine of the same scheme,
+// cores, mix and warmup fields, whether it ran the warmup or was only
+// built (NewMachine), and whatever it ran since.
+//
+// Every check runs before anything is restored: ck is validated, its
+// WarmupHash is re-derived from ck.Cfg and ck.Mix and held against both
+// its stamp (only measurement-window fields may change across a fork)
+// and the machine's build, naming both hashes on a mismatch, and the
+// configuration is validated with its StopAfter cleared. Its
+// CheckpointPath stays live, so a restored run keeps checkpointing.
+// Each component's Restore then vets its own state.
+//
+// The run is wired afresh (telemetry, spans, the replay verifier, the
+// invariant checker), and hooks an earlier run installed on the
+// machine's components are dropped. A checkpoint carries telemetry
+// parameters (run label, ring capacity, sampling) but not process-local
+// wiring: attach, when non-nil, receives the reconstructed telemetry
+// config before the run is wired and may install hooks, spans or a
+// fresh TraceWriter (without one, no event trace is emitted); it is
+// called even when the run had no telemetry, with a zero-value config
+// whose adoption it signals by returning true. Under ReplayVerify the
+// reconstruction restarts from the restored cache, so
+// Result.ReplayEpochsVerified counts the epochs after the checkpoint.
+//
+// A successful Restore sets the machine's origin to ck's (Now −
+// Measured, with ck's counter baseline); the Results' Throughput.Wall
+// runs from the end of the restore. A failed one leaves the machine with
+// no origin until a later Restore succeeds, which restores all of it.
+// Restore never modifies ck.
+func (m *Machine) Restore(ck *Checkpoint, attach func(c *telemetry.Config) (enable bool)) error {
+	m.origin = nil
+	cfg, err := ck.config()
+	if err != nil {
+		return err
+	}
+	if m.buildHash == "" {
+		if m.buildHash, err = WarmupHash(m.Cfg, m.mix); err != nil {
+			return fmt.Errorf("sim: this machine's build has no warmup hash: %w", err)
+		}
+	}
+	if ck.WarmupHash != m.buildHash {
+		return fmt.Errorf("sim: checkpoint warmup hash %.12s does not match this machine's build (warmup hash %.12s): a machine restores only checkpoints of its own scheme, cores, mix and warmup", ck.WarmupHash, m.buildHash)
+	}
+	tcfg := telemetry.Config{}
+	if ck.HasTelemetry {
+		tcfg = telemetry.Config{
+			Run:           ck.TelemetryRun,
+			EpochCapacity: ck.TelemetryEpochCapacity,
+			SampleEvery:   ck.TelemetrySampleEvery,
+			FullTrace:     ck.TelemetryFullTrace,
+		}
+	}
+	if attach != nil && attach(&tcfg) || ck.HasTelemetry {
+		cfg.Telemetry = &tcfg
+	}
+	m.wireRun(cfg)
+	if err := m.restoreState(ck); err != nil {
+		return fmt.Errorf("sim: restoring checkpoint: %w", err)
+	}
+	m.origin = &origin{
+		cycle: ck.Now - ck.Measured,
+		base: snapshot{
+			instr:  slices.Clone(ck.BeforeInstr),
+			access: slices.Clone(ck.BeforeAccess),
+			miss:   slices.Clone(ck.BeforeMiss),
+		},
+		wall: time.Now(),
+	}
+	return nil
+}
+
+// config checks ck and returns the configuration its run continues
+// under: ck.Cfg with its defaults and StopAfter cleared, validated,
+// with ck's stamped warmup hash re-derived from ck.Cfg and ck.Mix.
+func (ck *Checkpoint) config() (Config, error) {
+	if err := ck.validate(); err != nil {
+		return Config{}, err
+	}
+	cfg := ck.Cfg.withDefaults()
+	cfg.StopAfter = 0
+	if err := cfg.Validate(); err != nil {
+		return Config{}, err
+	}
+	if !cfg.Scheme.Checkpointable() {
+		return Config{}, fmt.Errorf("sim: checkpointing supports only the adaptive scheme, not %s", cfg.Scheme)
+	}
+	warmHash, err := WarmupHash(ck.Cfg, ck.Mix)
+	if err != nil {
+		return Config{}, err
+	}
+	if warmHash != ck.WarmupHash {
+		return Config{}, fmt.Errorf("sim: checkpoint warmup hash %.12s does not match configuration (%.12s): only measurement-window fields may change across a fork", ck.WarmupHash, warmHash)
+	}
+	return cfg, nil
+}
+
+// restoreState loads every component's state from ck, restarts the
+// replay verifier's reconstruction from the restored cache, and sets
+// the clock to ck's.
+func (m *Machine) restoreState(ck *Checkpoint) error {
 	for i, c := range m.Cores {
 		if err := c.Restore(ck.Cores[i]); err != nil {
 			return fmt.Errorf("core %d: %w", i, err)
@@ -158,15 +270,11 @@ func (m *Machine) restoreCheckpoint(ck *Checkpoint) error {
 		return err
 	}
 	m.Memory.Restore(ck.Mem)
-	if m.Adaptive != nil {
-		if err := m.Adaptive.Restore(ck.LLC); err != nil {
-			return err
-		}
+	if err := m.Adaptive.Restore(ck.LLC); err != nil {
+		return err
 	}
-	if m.Telemetry != nil {
-		if err := m.Telemetry.Restore(ck.Telem); err != nil {
-			return err
-		}
+	if err := m.Telemetry.Restore(ck.Telem); err != nil {
+		return err
 	}
 	if m.Verifier != nil {
 		m.Verifier.Reset()
@@ -229,6 +337,12 @@ func (ck *Checkpoint) validate() error {
 	if len(ck.Cores) != cores || len(ck.BeforeInstr) != cores || len(ck.BeforeAccess) != cores || len(ck.BeforeMiss) != cores {
 		return fmt.Errorf("sim: checkpoint holds %d core states and a measurement baseline of %d/%d/%d counters for %d cores",
 			len(ck.Cores), len(ck.BeforeInstr), len(ck.BeforeAccess), len(ck.BeforeMiss), cores)
+	}
+	if ck.WarmupHash == "" {
+		return errors.New("sim: checkpoint has no WarmupHash: nothing ties its state to the configuration that produced it")
+	}
+	if ck.Measured > ck.Now {
+		return fmt.Errorf("sim: checkpoint holds Measured = %d measured cycles at Now = %d: its measurement origin would precede cycle 0", ck.Measured, ck.Now)
 	}
 	return nil
 }
@@ -299,40 +413,48 @@ func (g *invariantGuard) final(m *Machine) error {
 // Config.CheckpointPath makes the measurement window crash-safe. An
 // interrupted run returns ErrInterrupted (checkpoint written first when a
 // path is configured); a completed run returns the same Result the
-// plain Run would.
+// plain Run would. It is NewWarmedMachine and MeasureWindows of the one
+// window cfg.MeasureCycles.
 func RunContext(ctx context.Context, cfg Config, mix []workload.AppParams) (Result, error) {
-	m, start, err := warmedMachine(ctx, cfg.withDefaults(), mix)
+	m, err := NewWarmedMachine(ctx, cfg, mix)
 	if err != nil {
 		return Result{}, err
 	}
-	rs, err := m.measure(ctx, mix, m.snap(), 0, start, []uint64{m.Cfg.MeasureCycles})
+	rs, err := m.MeasureWindows(ctx, []uint64{m.Cfg.MeasureCycles})
 	if err != nil {
 		return Result{}, err
 	}
 	return rs[0], nil
 }
 
-// warmedMachine validates cfg, builds its machine (which arms the
-// invariant checker), and runs the warmup — everything RunContext and
-// WarmupMachine share before the measurement window. start is when the
-// warmup began, the origin of the run's wall-clock throughput.
-func warmedMachine(ctx context.Context, cfg Config, mix []workload.AppParams) (m *Machine, start time.Time, err error) {
+// NewWarmedMachine validates cfg, builds its machine (which arms the
+// invariant checker) and runs only its warmup phase, exactly as
+// RunContext would. It returns the machine at its warmup/measure
+// boundary, which is its measurement origin; the run's wall clock runs
+// from the start of the warmup. From there the machine measures on
+// (MeasureWindows), which is the cold run, or captures the boundary
+// (Capture) for runs that restore it. The run's root span stays open
+// until the machine measures or a Restore replaces the run.
+func NewWarmedMachine(ctx context.Context, cfg Config, mix []workload.AppParams) (*Machine, error) {
+	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
-		return nil, start, err
+		return nil, err
 	}
 	if len(mix) != cfg.Cores {
-		return nil, start, fmt.Errorf("sim: mix has %d apps for %d cores", len(mix), cfg.Cores)
+		return nil, fmt.Errorf("sim: mix has %d apps for %d cores", len(mix), cfg.Cores)
 	}
-	m = NewMachine(cfg, mix)
-	start = time.Now()
-	if err = m.warmup(ctx); err == nil {
+	m := NewMachine(cfg, mix)
+	start := time.Now()
+	err := m.warmup(ctx)
+	if err == nil {
 		err = m.guard.err
 	}
 	if err != nil {
-		m.spanRoot.End()
-		return nil, start, err
+		m.endRun()
+		return nil, err
 	}
-	return m, start, nil
+	m.origin = &origin{cycle: m.now, base: m.snap(), wall: start}
+	return m, nil
 }
 
 // warmup runs the functional fast-forward and the timed warmup window in
@@ -380,9 +502,11 @@ func (m *Machine) warmPhase(ctx context.Context, name, stepName, phase string, t
 // ResumeFromCheckpoint continues a checkpoint (ReadCheckpoint for a
 // file, DecodeCheckpoint for bytes) to completion and returns the Result
 // the uninterrupted run would have produced: bit-identical limits,
-// counters and epoch series; only wall-clock throughput differs. It
-// builds a machine from the checkpoint's configuration and mix and
-// resumes the checkpoint on it; Machine.Resume describes the run.
+// counters and epoch series; only wall-clock throughput differs, which
+// runs from the end of the restore. It builds a machine from the
+// checkpoint's configuration and mix, restores ck on it (Restore
+// describes the checks and attach) and measures its window,
+// ck.Cfg.MeasureCycles.
 //
 // It is also the fork primitive behind sweep warmup sharing: capture
 // one checkpoint at the warmup/measure boundary (WarmupCheckpoint) and
@@ -390,296 +514,92 @@ func (m *Machine) warmPhase(ctx context.Context, name, stepName, phase string, t
 // point's MeasureCycles (and, for crash safety, CheckpointPath).
 // ResumeFromCheckpoint never modifies ck.
 func ResumeFromCheckpoint(ctx context.Context, ck *Checkpoint, attach func(c *telemetry.Config) (enable bool)) (Result, error) {
-	windows := ck.window()
-	cfg, warmHash, err := ck.resumeConfig(windows)
+	cfg, err := ck.config()
 	if err != nil {
 		return Result{}, err
 	}
 	m := NewMachine(cfg, ck.Mix)
-	m.buildHash = warmHash
-	return first(m.resume(ctx, ck, cfg, windows, attach))
-}
-
-// Resume continues a checkpoint on this machine, in place of the run it
-// holds, and returns the Result the uninterrupted run would have
-// produced, exactly as ResumeFromCheckpoint on a fresh machine would.
-// The machine must have been built for the checkpoint's warmup: a
-// checkpoint whose warmup hash (which covers the scheme, the core count,
-// the mix and every warmup field) differs from the machine's build is
-// refused, and the error names both hashes. The machine that ran a
-// warmup (WarmupMachine) can so resume each of the windows forked from
-// it in turn, with no machine built per window.
-//
-// Resume runs every check a fresh resume does: the checkpoint is
-// validated, its stamped WarmupHash is re-derived from ck.Cfg and a
-// mismatch rejected (only measurement-window fields may change across a
-// fork), the configuration is validated, Measured may not exceed its
-// MeasureCycles, and each component's Restore vets its state. The
-// checkpoint's StopAfter is cleared, while its CheckpointPath stays live
-// so a resumed run keeps checkpointing.
-//
-// The run is wired afresh (telemetry, spans, the replay verifier, the
-// invariant checker), and hooks an earlier run installed on the
-// machine's components are dropped. A checkpoint carries telemetry
-// parameters (run label, ring capacity, sampling) but not process-local
-// wiring: attach, when non-nil, receives the reconstructed telemetry
-// config before the run is wired and may install hooks, spans or a
-// fresh TraceWriter (without one, no event trace is emitted); it is
-// called even when the run had no telemetry, with a zero-value config
-// whose adoption it signals by returning true. Under ReplayVerify the
-// reconstruction starts from the restored cache, so
-// Result.ReplayEpochsVerified counts the epochs of the resumed part.
-//
-// Resume never modifies ck. After an error the machine holds no
-// consistent run; a later Resume that succeeds restores all of it.
-// Resume is ResumeWindows of the one window ck.Cfg.MeasureCycles.
-func (m *Machine) Resume(ctx context.Context, ck *Checkpoint, attach func(c *telemetry.Config) (enable bool)) (Result, error) {
-	return first(m.ResumeWindows(ctx, ck, ck.window(), attach))
-}
-
-// ResumeWindows continues a checkpoint once through several
-// measurement windows and returns one Result per window, each the
-// Result that Resume of ck with that window as its MeasureCycles would
-// produce (Throughput.Wall aside). ck.Cfg.MeasureCycles is ignored:
-// windows, which may not decrease and may repeat, replace it. A run of
-// W cycles from ck passes through the exact state of every shorter run
-// from it (Machine.Run is exact between calls), so the machine restores
-// ck once, runs to each window in turn and harvests it there: the cost
-// is one restore and the longest window, not one restore and one run
-// per window.
-//
-// Every check Resume runs is run once, against the longest window:
-// the checkpoint is validated, its warmup hash re-derived and held
-// against both its stamp and the machine's build, the configuration of
-// the longest window validated, and each component's Restore vets its
-// state. ck.Measured may exceed no window. Each window ends with the
-// end-of-run invariant sweep (Config.CheckInvariants) before it is
-// harvested, and every Result is a fresh copy that shares no slice or
-// map with the machine or another Result. Throughput.Wall of each
-// window runs from the end of the restore to that window's harvest: the
-// one-window resume's measurement time, plus the harvests of the
-// shorter windows before it.
-//
-// The run is wired once, from ck and attach as Resume describes: one
-// telemetry instance, trace and span tree covers every window, progress
-// reports count towards the longest window, and CheckpointPath
-// checkpoints carry the longest window's MeasureCycles. On an error the
-// Results of the windows harvested before it are returned with it.
-func (m *Machine) ResumeWindows(ctx context.Context, ck *Checkpoint, windows []uint64, attach func(c *telemetry.Config) (enable bool)) ([]Result, error) {
-	cfg, warmHash, err := ck.resumeConfig(windows)
-	if err != nil {
-		return nil, err
+	m.buildHash = ck.WarmupHash
+	if err := m.Restore(ck, attach); err != nil {
+		return Result{}, err
 	}
-	if m.buildHash == "" {
-		if m.buildHash, err = WarmupHash(m.Cfg, m.mix); err != nil {
-			return nil, fmt.Errorf("sim: this machine's build has no warmup hash: %w", err)
-		}
-	}
-	if warmHash != m.buildHash {
-		return nil, fmt.Errorf("sim: checkpoint warmup hash %.12s does not match this machine's build (warmup hash %.12s): a machine resumes only checkpoints of its own scheme, cores, mix and warmup", warmHash, m.buildHash)
-	}
-	return m.resume(ctx, ck, cfg, windows, attach)
-}
-
-// window is the one measurement window of ck's own configuration.
-func (ck *Checkpoint) window() []uint64 {
-	return []uint64{ck.Cfg.MeasureWindow()}
-}
-
-// first is the one-window case of a resume's results.
-func first(rs []Result, err error) (Result, error) {
+	rs, err := m.MeasureWindows(ctx, []uint64{cfg.MeasureCycles})
 	if err != nil {
 		return Result{}, err
 	}
 	return rs[0], nil
 }
 
-// resumeConfig validates ck and windows and returns the configuration
-// its run continues under, measuring the longest window, with its
-// warmup hash re-derived from ck.Cfg and ck.Mix.
-func (ck *Checkpoint) resumeConfig(windows []uint64) (cfg Config, warmHash string, err error) {
-	if err := ck.validate(); err != nil {
-		return Config{}, "", err
-	}
-	if cfg, err = windowsConfig(ck.Cfg.withDefaults(), windows); err != nil {
-		return Config{}, "", err
-	}
-	warmHash, err = WarmupHash(ck.Cfg, ck.Mix)
-	if err != nil {
-		return Config{}, "", err
-	}
-	if ck.WarmupHash != "" && warmHash != ck.WarmupHash {
-		return Config{}, "", fmt.Errorf("sim: checkpoint warmup hash %.12s does not match configuration (%.12s): only measurement-window fields may change across a fork", ck.WarmupHash, warmHash)
-	}
-	if ck.Measured > windows[0] {
-		return Config{}, "", fmt.Errorf("sim: checkpoint holds %d measured cycles, configuration wants only %d", ck.Measured, windows[0])
-	}
-	return cfg, warmHash, nil
-}
-
-// windowsConfig checks a list of measurement windows (at least one,
-// none empty, none shorter than the one before it) and returns cfg
-// measuring the longest of them, with StopAfter cleared, validated.
-func windowsConfig(cfg Config, windows []uint64) (Config, error) {
-	if len(windows) == 0 {
-		return Config{}, errors.New("sim: no measurement window")
-	}
-	for i, w := range windows {
-		if w == 0 {
-			return Config{}, fmt.Errorf("sim: measurement window %d is empty", i)
-		}
-		if i > 0 && w < windows[i-1] {
-			return Config{}, fmt.Errorf("sim: measurement window %d (%d cycles) is shorter than the window before it (%d): windows may not decrease", i, w, windows[i-1])
-		}
-	}
-	cfg.MeasureCycles = windows[len(windows)-1]
-	cfg.StopAfter = 0
-	if err := cfg.Validate(); err != nil {
-		return Config{}, err
-	}
-	return cfg, nil
-}
-
-// resume is the one resume path of fresh and reused machines: it wires
-// the run of cfg (ck's validated configuration, measuring the longest
-// of windows), restores every component from ck and measures the rest
-// of each window in turn.
-func (m *Machine) resume(ctx context.Context, ck *Checkpoint, cfg Config, windows []uint64, attach func(c *telemetry.Config) (enable bool)) ([]Result, error) {
-	tcfg := telemetry.Config{}
-	if ck.HasTelemetry {
-		tcfg = telemetry.Config{
-			Run:           ck.TelemetryRun,
-			EpochCapacity: ck.TelemetryEpochCapacity,
-			SampleEvery:   ck.TelemetrySampleEvery,
-			FullTrace:     ck.TelemetryFullTrace,
-		}
-	}
-	enabled := ck.HasTelemetry
-	if attach != nil && attach(&tcfg) {
-		enabled = true
-	}
-	if enabled {
-		cfg.Telemetry = &tcfg
-	}
-	m.wireRun(cfg)
-	if err := m.restoreCheckpoint(ck); err != nil {
-		return nil, fmt.Errorf("sim: restoring checkpoint: %w", err)
-	}
-	before := snapshot{instr: ck.BeforeInstr, access: ck.BeforeAccess, miss: ck.BeforeMiss}
-	return m.measure(ctx, ck.Mix, before, ck.Measured, time.Now(), windows)
-}
-
 // WarmupCheckpoint runs only the warmup phase of cfg — the functional
 // fast-forward and the timed warmup window, exactly as RunContext would —
 // and captures the machine at the warmup/measure boundary (zero measured
-// cycles, the measurement baseline just snapped). Resuming the returned
-// checkpoint is bit-identical to running the same configuration cold,
-// which the fork-equivalence suite proves; the point is that one warmup
-// can seed arbitrarily many measurement windows (ResumeFromCheckpoint on
-// copies with different MeasureCycles), so a sweep whose points share
-// warmup-relevant configuration pays for warmup exactly once. The scheme
-// must be Checkpointable.
+// cycles, the measurement baseline just snapped): NewWarmedMachine, then
+// Capture. Resuming the returned checkpoint is bit-identical to running
+// the same configuration cold, which the fork-equivalence suite proves;
+// the point is that one warmup can seed arbitrarily many measurement
+// windows (ResumeFromCheckpoint on copies with different MeasureCycles),
+// so a sweep whose points share warmup-relevant configuration pays for
+// warmup exactly once. The scheme must be Checkpointable.
 func WarmupCheckpoint(ctx context.Context, cfg Config, mix []workload.AppParams) (*Checkpoint, error) {
-	m, ck, err := WarmupMachine(ctx, cfg, mix)
-	if err != nil {
-		return nil, err
-	}
-	m.spanRoot.End()
-	return ck, nil
-}
-
-// WarmupMachine is WarmupCheckpoint that also returns the warmed
-// machine, whose state is exactly the checkpoint's: NewWarmedMachine
-// followed by BoundaryCheckpoint. Windows forked from the checkpoint
-// can then run one after another on that machine (Machine.Resume), or
-// all in one resumed run (Machine.ResumeWindows), none of them building
-// a machine of its own.
-func WarmupMachine(ctx context.Context, cfg Config, mix []workload.AppParams) (*Machine, *Checkpoint, error) {
 	m, err := NewWarmedMachine(ctx, cfg, mix)
 	if err != nil {
-		return nil, nil, err
-	}
-	ck, err := m.BoundaryCheckpoint()
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, ck, nil
-}
-
-// NewWarmedMachine validates cfg, builds its machine and runs only its
-// warmup phase, exactly as RunContext would, and returns the machine
-// at the warmup/measure boundary with nothing captured. From there it
-// either measures on (MeasureWindows), which is the cold run, or
-// captures the boundary checkpoint (BoundaryCheckpoint) first, for runs
-// that restore it. The run's root span stays open until the machine
-// measures, or until a Resume replaces the run.
-func NewWarmedMachine(ctx context.Context, cfg Config, mix []workload.AppParams) (*Machine, error) {
-	m, _, err := warmedMachine(ctx, cfg.withDefaults(), mix)
-	if err != nil {
 		return nil, err
 	}
-	m.atBoundary = true
-	return m, nil
+	defer m.endRun()
+	return m.Capture()
 }
 
-// errPastBoundary refuses work that needs a machine still at its
-// warmup/measure boundary.
-var errPastBoundary = errors.New("sim: the machine is not at its warmup/measure boundary: it was not warmed by NewWarmedMachine, or it has run or restored a checkpoint since")
-
-// BoundaryCheckpoint captures the machine at its warmup/measure
-// boundary: zero measured cycles, the measurement baseline just
-// snapped. Resuming it is bit-identical to measuring the machine on.
-// It refuses a machine that is not at that boundary (one that has run a
-// cycle or restored a checkpoint since NewWarmedMachine) and a scheme
-// that is not Checkpointable. Capturing does not move the machine: it
-// may still measure on (MeasureWindows) or resume the checkpoint.
-func (m *Machine) BoundaryCheckpoint() (*Checkpoint, error) {
-	if !m.Cfg.Scheme.Checkpointable() {
-		return nil, fmt.Errorf("sim: warmup checkpointing supports only the adaptive scheme, not %s", m.Cfg.Scheme)
-	}
-	if !m.atBoundary {
-		return nil, errPastBoundary
-	}
-	ck := m.captureCheckpoint(m.snap(), 0, m.mix)
-	m.buildHash = ck.WarmupHash
-	return ck, nil
-}
-
-// MeasureWindows measures a machine at its warmup/measure boundary
-// (NewWarmedMachine) on through each of windows, which may not decrease
-// and may repeat, and returns one Result per window: the Result
-// RunContext of the machine's configuration with that window as its
-// MeasureCycles produces, wall clock aside. It is the cold run,
-// harvested at each window through the measurement loop every run
-// takes, as ResumeWindows harvests a resumed one; nothing is captured
-// or restored. The machine's configuration measures the longest window
-// (progress reports and CheckpointPath checkpoints carry it) and its
-// StopAfter is cleared, as a resume's is. Throughput.Wall of each window
-// runs from the boundary to that window's harvest. A machine that is
-// not at its boundary is refused. On an error the Results of the
-// windows harvested before it are returned with it.
+// MeasureWindows measures the machine on from its origin through each
+// of windows and returns one Result per window: the Result of the run
+// the origin belongs to with that window as its MeasureCycles, wall
+// clock aside. On a warmed machine (NewWarmedMachine) that is the cold
+// run, harvested at each window, with nothing captured or restored; on
+// a restored one (Restore) it is the run the checkpoint continues.
+// Windows may repeat but not decrease, none may be empty, and none may
+// be shorter than the cycles the machine has already measured: a
+// machine that measured to W can measure on to a longer window. The
+// machine's configuration then measures the longest window (progress
+// reports and CheckpointPath checkpoints carry it), and its StopAfter
+// interrupts the run as RunContext's does.
+//
+// Each window ends with the end-of-run invariant sweep
+// (Config.CheckInvariants) before it is harvested, and every Result is a
+// fresh copy that shares no slice or map with the machine or another
+// Result. Throughput.Wall of each window runs from the origin's wall
+// clock (the start of the warmup, or the end of the restore) to that
+// window's harvest. The run's root span ends when MeasureWindows
+// returns. It refuses a machine with no origin. On an error the Results
+// of the windows harvested before it are returned with it.
 func (m *Machine) MeasureWindows(ctx context.Context, windows []uint64) ([]Result, error) {
-	if !m.atBoundary {
-		return nil, errPastBoundary
+	if m.origin == nil {
+		return nil, errNoOrigin
 	}
-	cfg, err := windowsConfig(m.Cfg, windows)
-	if err != nil {
+	if len(windows) == 0 {
+		return nil, errors.New("sim: no measurement window")
+	}
+	measured := m.now - m.origin.cycle
+	for i, w := range windows {
+		switch {
+		case w == 0:
+			return nil, fmt.Errorf("sim: measurement window %d is empty", i)
+		case i > 0 && w < windows[i-1]:
+			return nil, fmt.Errorf("sim: measurement window %d (%d cycles) is shorter than the window before it (%d): windows may not decrease", i, w, windows[i-1])
+		case w < measured:
+			return nil, fmt.Errorf("sim: measurement window %d (%d cycles) is shorter than the %d measured cycles the machine already holds", i, w, measured)
+		}
+	}
+	cfg := m.Cfg
+	cfg.MeasureCycles = windows[len(windows)-1]
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	m.Cfg = cfg
-	return m.measure(ctx, m.mix, m.snap(), 0, time.Now(), windows)
-}
-
-// measure runs the measurement windows under the pprof label
-// phase=measure, then ends the run's root span: it is the single exit
-// path for both fresh and resumed runs.
-func (m *Machine) measure(ctx context.Context, mix []workload.AppParams, before snapshot, measured uint64, start time.Time, windows []uint64) ([]Result, error) {
 	var rs []Result
 	var err error
 	telemetry.WithPhase(ctx, "measure", func(ctx context.Context) {
-		rs, err = m.measureLoop(ctx, mix, before, measured, start, windows)
+		rs, err = m.measureLoop(ctx, measured, windows)
 	})
-	m.spanRoot.End()
+	m.endRun()
 	return rs, err
 }
 
@@ -689,7 +609,7 @@ func (m *Machine) measure(ctx context.Context, mix []workload.AppParams, before 
 // the configured cadence and on interruption, and recording one
 // wall-clock span per chunk and per checkpoint write. On an error it
 // returns the Results harvested so far with it.
-func (m *Machine) measureLoop(ctx context.Context, mix []workload.AppParams, before snapshot, measured uint64, start time.Time, windows []uint64) ([]Result, error) {
+func (m *Machine) measureLoop(ctx context.Context, measured uint64, windows []uint64) ([]Result, error) {
 	cfg, guard := m.Cfg, m.guard
 	phase := m.startSpan("sim.measure")
 	defer phase.End()
@@ -699,7 +619,10 @@ func (m *Machine) measureLoop(ctx context.Context, mix []workload.AppParams, bef
 	}
 	writeCkpt := func() error {
 		sp := m.startSpan("sim.checkpoint_write")
-		err := WriteCheckpoint(cfg.CheckpointPath, m.captureCheckpoint(before, measured, mix))
+		ck, err := m.Capture()
+		if err == nil {
+			err = WriteCheckpoint(cfg.CheckpointPath, ck)
+		}
 		sp.SetDetail(measured)
 		sp.End()
 		return err
@@ -747,7 +670,7 @@ func (m *Machine) measureLoop(ctx context.Context, mix []workload.AppParams, bef
 		if err := guard.final(m); err != nil {
 			return out, err
 		}
-		out = append(out, m.results(mix, before, window, time.Since(start)))
+		out = append(out, m.results(window))
 	}
 	return out, nil
 }

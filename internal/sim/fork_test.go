@@ -130,7 +130,9 @@ func TestWarmupHashGrouping(t *testing.T) {
 
 // TestResumeFromCheckpointRejectsWarmupMismatch pins the fork safety
 // check: a checkpoint cannot be continued under a configuration whose
-// warmup-relevant fields differ from the ones that produced the state.
+// warmup-relevant fields differ from the ones that produced the state,
+// nor without a warmup hash to tell. A checkpoint whose measured cycles
+// exceed its own cycle or its window is refused too.
 func TestResumeFromCheckpointRejectsWarmupMismatch(t *testing.T) {
 	mix := mixOf(t, "ammp", "gzip")
 	ck, err := WarmupCheckpoint(context.Background(), ckConfig(), mix)
@@ -142,24 +144,46 @@ func TestResumeFromCheckpointRejectsWarmupMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedFork, err := DecodeCheckpoint(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedFork.Cfg.Seed++
-	if _, err := ResumeFromCheckpoint(context.Background(), seedFork, nil); err == nil ||
-		!strings.Contains(err.Error(), "warmup hash") {
-		t.Fatalf("seed change accepted across a fork: %v", err)
-	}
-
-	shortFork, err := DecodeCheckpoint(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shortFork.Measured = shortFork.Cfg.MeasureCycles + 1
-	if _, err := ResumeFromCheckpoint(context.Background(), shortFork, nil); err == nil ||
-		!strings.Contains(err.Error(), "measured cycles") {
-		t.Fatalf("over-measured checkpoint accepted: %v", err)
+	for _, tc := range []struct {
+		name string
+		want []string
+		edit func(ck *Checkpoint)
+		// invalid rows fail Checkpoint.validate, so their bytes do not
+		// decode either.
+		invalid bool
+	}{
+		{"seed change", []string{"warmup hash"}, func(ck *Checkpoint) { ck.Cfg.Seed++ }, false},
+		{"blank stamp", []string{"WarmupHash"}, func(ck *Checkpoint) {
+			ck.WarmupHash = ""
+			ck.Cfg.Seed++
+		}, true},
+		{"over-measured", []string{"measured cycles"}, func(ck *Checkpoint) { ck.Measured = ck.Cfg.MeasureCycles + 1 }, true},
+		{"measured past now", []string{"Measured", "Now"}, func(ck *Checkpoint) { ck.Measured = ck.Now + 1 }, true},
+		{"measured past window", []string{"measured cycles"}, func(ck *Checkpoint) {
+			ck.Cfg.MeasureCycles = ck.Now / 2
+			ck.Measured = ck.Now/2 + 1
+		}, false},
+	} {
+		fork, err := DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(fork)
+		_, err = ResumeFromCheckpoint(context.Background(), fork, nil)
+		if tc.invalid {
+			edited, encErr := fork.Encode()
+			if encErr != nil {
+				t.Fatal(encErr)
+			}
+			if _, decErr := DecodeCheckpoint(edited); decErr == nil || err == nil || decErr.Error() != err.Error() {
+				t.Errorf("%s: decoding returned %v, want the resume's error %v", tc.name, decErr, err)
+			}
+		}
+		for _, w := range tc.want {
+			if err == nil || !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: resume returned %v, want an error containing %q", tc.name, err, w)
+			}
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"nucasim/internal/telemetry"
+	"nucasim/internal/workload"
 )
 
 // reuseWindow is one measurement window forked from a shared warmup,
@@ -54,8 +55,41 @@ func (w reuseWindow) fork(warm, mid *Checkpoint) *Checkpoint {
 	return &f
 }
 
+// warmAndCapture warms a machine for cfg and captures it at its
+// warmup/measure boundary.
+func warmAndCapture(t *testing.T, cfg Config, mix []workload.AppParams) (*Machine, *Checkpoint) {
+	t.Helper()
+	m, err := NewWarmedMachine(context.Background(), cfg, mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := m.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, ck
+}
+
+// restoreWindows restores ck on m and measures it through windows.
+func restoreWindows(ctx context.Context, m *Machine, ck *Checkpoint, windows []uint64, attach func(*telemetry.Config) bool) ([]Result, error) {
+	if err := m.Restore(ck, attach); err != nil {
+		return nil, err
+	}
+	return m.MeasureWindows(ctx, windows)
+}
+
+// resumeOn restores ck on m and measures ck's own window, as
+// ResumeFromCheckpoint does on a fresh machine.
+func resumeOn(ctx context.Context, m *Machine, ck *Checkpoint, attach func(*telemetry.Config) bool) (Result, error) {
+	rs, err := restoreWindows(ctx, m, ck, []uint64{ck.Cfg.MeasureWindow()}, attach)
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
+}
+
 // TestResumeReusedMachineMatchesFresh is the reuse oracle: one warmed
-// machine resumes window after window, in shuffled order (so a long
+// machine restores and measures window after window, in shuffled order (so a long
 // window runs before a short one), from the warmup checkpoint and from
 // one taken part way into a window, with telemetry on and off and
 // CheckInvariants and ReplayVerify mixed. Each Result, Throughput
@@ -72,10 +106,7 @@ func (w reuseWindow) fork(warm, mid *Checkpoint) *Checkpoint {
 func TestResumeReusedMachineMatchesFresh(t *testing.T) {
 	ctx := context.Background()
 	mix := mixOf(t, "ammp", "gzip")
-	m, ck, err := WarmupMachine(ctx, ckConfig(), mix)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, ck := warmAndCapture(t, ckConfig(), mix)
 	// A checkpoint midMeasured cycles into a window has the same warmup
 	// hash, so the warmed machine resumes it too.
 	interrupted := ckConfig()
@@ -111,7 +142,7 @@ func TestResumeReusedMachineMatchesFresh(t *testing.T) {
 	}
 
 	for i, w := range windows {
-		got, err := m.Resume(ctx, w.fork(ck, mid), nil)
+		got, err := resumeOn(ctx, m, w.fork(ck, mid), nil)
 		if err != nil {
 			t.Fatalf("window %d %+v: reused machine: %v", i, w, err)
 		}
@@ -149,19 +180,16 @@ func TestResumeReusedMachineMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsOtherBuild: a machine resumes only checkpoints of its
-// own build, whether it ran the warmup or was only built (NewMachine).
-// Another configuration's checkpoint is refused before anything is
-// restored, with both warmup hashes in the error; a checkpoint whose
-// restore fails part way leaves the machine to the next Resume, which
-// restores all of it.
+// TestResumeRejectsOtherBuild: a machine restores only checkpoints of
+// its own build, whether it ran the warmup or was only built
+// (NewMachine). Another configuration's checkpoint is refused before
+// anything is restored, with both warmup hashes in the error; a
+// checkpoint whose restore fails part way leaves the machine to the
+// next Restore, which restores all of it.
 func TestResumeRejectsOtherBuild(t *testing.T) {
 	ctx := context.Background()
 	mix := mixOf(t, "ammp", "gzip")
-	m, ck, err := WarmupMachine(ctx, ckConfig(), mix)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, ck := warmAndCapture(t, ckConfig(), mix)
 	other := ckConfig()
 	other.Seed++
 	for name, c := range map[string]struct {
@@ -176,7 +204,7 @@ func TestResumeRejectsOtherBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		for build, mach := range map[string]*Machine{"warmed": m, "built": NewMachine(ckConfig(), mix)} {
-			_, err = mach.Resume(ctx, foreign, nil)
+			err = mach.Restore(foreign, nil)
 			if err == nil {
 				t.Fatalf("%s machine, other %s: another build's checkpoint was resumed", build, name)
 			}
@@ -190,10 +218,10 @@ func TestResumeRejectsOtherBuild(t *testing.T) {
 
 	corrupt := *ck
 	corrupt.LLC.MaxBlocks = corrupt.LLC.MaxBlocks[:1]
-	if _, err := m.Resume(ctx, &corrupt, nil); err == nil || !strings.Contains(err.Error(), "MaxBlocks") {
-		t.Fatalf("a checkpoint with a short MaxBlocks was resumed: %v", err)
+	if err := m.Restore(&corrupt, nil); err == nil || !strings.Contains(err.Error(), "MaxBlocks") {
+		t.Fatalf("a checkpoint with a short MaxBlocks was restored: %v", err)
 	}
-	got, err := m.Resume(ctx, ck, nil)
+	got, err := resumeOn(ctx, m, ck, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +232,7 @@ func TestResumeRejectsOtherBuild(t *testing.T) {
 	if !reflect.DeepEqual(normalizeResult(got), normalizeResult(want)) {
 		t.Fatal("resume after a failed restore diverged from a fresh machine")
 	}
-	built, err := NewMachine(ckConfig(), mix).Resume(ctx, ck, nil)
+	built, err := resumeOn(ctx, NewMachine(ckConfig(), mix), ck, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,10 +250,7 @@ func TestResumeReusedMachineAttachesTelemetry(t *testing.T) {
 	mix := mixOf(t, "ammp", "gzip")
 	cfg := ckConfig()
 	cfg.Telemetry = nil
-	m, ck, err := WarmupMachine(ctx, cfg, mix)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, ck := warmAndCapture(t, cfg, mix)
 	attach := func(c *telemetry.Config) bool {
 		c.Run = "attached"
 		return true
@@ -233,7 +258,7 @@ func TestResumeReusedMachineAttachesTelemetry(t *testing.T) {
 	for i, mc := range []uint64{60_000, 20_000, 40_000} {
 		fork := *ck
 		fork.Cfg.MeasureCycles = mc
-		got, err := m.Resume(ctx, &fork, attach)
+		got, err := resumeOn(ctx, m, &fork, attach)
 		if err != nil {
 			t.Fatal(err)
 		}

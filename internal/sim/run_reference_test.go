@@ -64,22 +64,24 @@ func TestRunMatchesEveryCycleLoop(t *testing.T) {
 					b := newTracedMachine(cfg, mix, &traceB)
 					a.WarmFunctional(warm)
 					b.WarmFunctional(warm)
-					before := a.snap()
+					for _, m := range []*Machine{a, b} {
+						m.origin = &origin{cycle: m.now, base: m.snap()}
+					}
 					for _, n := range runOracleLengths {
 						a.Run(n)
 						b.runEveryCycle(n)
 						if a.now != b.now {
 							t.Fatalf("clock at %d, want %d", a.now, b.now)
 						}
-						got := captureOutcome(t, a, mix, &traceA)
-						want := captureOutcome(t, b, mix, &traceB)
+						got := captureOutcome(t, a, &traceA)
+						want := captureOutcome(t, b, &traceB)
 						compareOutcomes(t, got, want)
 					}
-					got, err := json.Marshal(a.results(mix, before, a.Cfg.MeasureCycles, 0))
+					got, err := json.Marshal(withoutWall(a.results(a.Cfg.MeasureCycles)))
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := json.Marshal(b.results(mix, before, b.Cfg.MeasureCycles, 0))
+					want, err := json.Marshal(withoutWall(b.results(b.Cfg.MeasureCycles)))
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -14,7 +14,12 @@
 // fast-forwards 0.5-1.5 G instructions) followed by a measurement window
 // (the paper simulates 200 M cycles; the default here is smaller so whole
 // figure sweeps finish in minutes — pass the paper's numbers through
-// Config for full-length runs).
+// Config for full-length runs). A run is four steps on one Machine:
+// NewWarmedMachine builds and warms it, and the warmup/measure boundary
+// becomes its measurement origin; Capture snapshots it with its origin;
+// Restore loads a snapshot in place of the run it holds; MeasureWindows
+// measures on from the origin. RunContext, WarmupCheckpoint and
+// ResumeFromCheckpoint are built from those steps.
 package sim
 
 import (
@@ -329,14 +334,16 @@ type Machine struct {
 	ports []*hierarchy.Port
 
 	// mix is the application mix the machine was built for, and
-	// buildHash its warmup hash (set on first use): Resume accepts only
+	// buildHash its warmup hash (set on first use): Restore accepts only
 	// checkpoints of the same hash.
 	mix       []workload.AppParams
 	buildHash string
 
-	// atBoundary is set while the machine waits at the warmup/measure
-	// boundary NewWarmedMachine left it at; Run and wireRun clear it.
-	atBoundary bool
+	// origin is the run's measurement origin, set by warmup
+	// (NewWarmedMachine) and by a successful Restore. It is nil on a
+	// machine that was only built or whose last Restore failed, which
+	// can neither Capture nor MeasureWindows.
+	origin *origin
 
 	// guard holds the current run's first invariant violation.
 	guard *invariantGuard
@@ -355,6 +362,13 @@ type Machine struct {
 // zero allocation) when spans are disabled.
 func (m *Machine) startSpan(name string) telemetry.Span {
 	return m.Telemetry.StartSpan(name, m.spanRoot.ID())
+}
+
+// endRun ends the run's root span once: it leaves an inert span in its
+// place, so a second call records nothing.
+func (m *Machine) endRun() {
+	m.spanRoot.End()
+	m.spanRoot = telemetry.Span{}
 }
 
 // NewMachine assembles a CMP running the given application mix (one entry
@@ -400,16 +414,13 @@ func NewMachine(cfg Config, mix []workload.AppParams) *Machine {
 // the machine: cfg itself, telemetry with its latency histograms and the
 // "sim.run" span root, the replay verifier, and the invariant checker's
 // repartition hook. It first detaches whatever an earlier run attached,
-// so a machine resumed for another run (Resume) carries none of it over.
-// A warmed run replaced at its boundary ends its root span there.
-// NewMachine and Resume are its only callers.
+// so a machine restored for another run (Restore) carries none of it
+// over, and ends a replaced run's root span if it is still open.
+// NewMachine and Restore are its only callers.
 func (m *Machine) wireRun(cfg Config) {
-	if m.atBoundary {
-		m.spanRoot.End()
-		m.atBoundary = false
-	}
+	m.endRun()
 	m.Cfg = cfg
-	m.Telemetry, m.Verifier, m.spanRoot = nil, nil, telemetry.Span{}
+	m.Telemetry, m.Verifier = nil, nil
 	m.Memory.SetQueueDelayHistogram(nil)
 	m.Hierarchy.SetLoadLatencyHistogram(nil)
 	adaptive := m.Adaptive
@@ -497,7 +508,6 @@ func CyclesSimulated() uint64 { return cyclesSimulated.Load() }
 // observe it, and the result is that of stepping every core on every
 // cycle.
 func (m *Machine) Run(cycles uint64) {
-	m.atBoundary = false
 	end := m.now + cycles
 	t := uint64(math.MaxUint64)
 	for i, c := range m.Cores {
@@ -531,6 +541,15 @@ type snapshot struct {
 	instr  []uint64
 	access []uint64
 	miss   []uint64
+}
+
+// origin is where a run's measurement starts: the cycle and the
+// counters at its warmup/measure boundary, and the wall-clock time its
+// Results' Throughput.Wall runs from. Measured cycles are now − cycle.
+type origin struct {
+	cycle uint64
+	base  snapshot
+	wall  time.Time
 }
 
 func (m *Machine) snap() snapshot {
@@ -680,14 +699,15 @@ func Run(cfg Config, mix []workload.AppParams) Result {
 }
 
 // results assembles the Result of a measurement window of window
-// cycles from its deltas. The Result shares no slice or map with the
-// machine, so a run that goes on after it leaves it unchanged.
-func (m *Machine) results(mix []workload.AppParams, before snapshot, window uint64, wall time.Duration) Result {
-	cfg := m.Cfg
+// cycles from its deltas against the origin. The Result shares no slice
+// or map with the machine, so a run that goes on after it leaves it
+// unchanged.
+func (m *Machine) results(window uint64) Result {
+	cfg, before := m.Cfg, m.origin.base
 	after := m.snap()
 
 	res := Result{Scheme: cfg.Scheme}
-	for _, p := range mix {
+	for _, p := range m.mix {
 		res.Mix = append(res.Mix, p.Name)
 	}
 	kCycles := float64(window) / 1000
@@ -733,7 +753,7 @@ func (m *Machine) results(mix []workload.AppParams, before snapshot, window uint
 		}
 	}
 	res.Throughput = telemetry.Throughput{
-		Wall:      wall,
+		Wall:      time.Since(m.origin.wall),
 		SimCycles: cfg.WarmupCycles + window,
 	}
 	return res

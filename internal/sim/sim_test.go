@@ -20,7 +20,7 @@ func small(scheme Scheme) Config {
 	}
 }
 
-func mixOf(t *testing.T, names ...string) []workload.AppParams {
+func mixOf(t testing.TB, names ...string) []workload.AppParams {
 	t.Helper()
 	var mix []workload.AppParams
 	for _, n := range names {

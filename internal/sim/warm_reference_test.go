@@ -56,7 +56,7 @@ func warmOnce(t *testing.T, cfg Config, n uint64, warm func(*Machine, uint64)) m
 	mix := warmOracleMix(t, cfg.Cores)
 	m := newTracedMachine(cfg, mix, &trace)
 	warm(m, n)
-	return captureOutcome(t, m, mix, &trace)
+	return captureOutcome(t, m, &trace)
 }
 
 // newTracedMachine builds a machine for cfg whose event trace, when
@@ -72,7 +72,7 @@ func newTracedMachine(cfg Config, mix []workload.AppParams, trace *bytes.Buffer)
 
 // captureOutcome captures m's outcome; trace is the buffer its event
 // trace streams to, which the capture drains.
-func captureOutcome(t *testing.T, m *Machine, mix []workload.AppParams, trace *bytes.Buffer) machineOutcome {
+func captureOutcome(t *testing.T, m *Machine, trace *bytes.Buffer) machineOutcome {
 	t.Helper()
 	var o machineOutcome
 	for i, c := range m.Cores {
@@ -86,11 +86,18 @@ func captureOutcome(t *testing.T, m *Machine, mix []workload.AppParams, trace *b
 		o.histograms = m.Telemetry.Registry.Histograms()
 	}
 	if m.Adaptive != nil {
-		ck := m.captureCheckpoint(m.snap(), 0, mix)
+		if m.origin == nil {
+			// A built machine has no origin; capture its state as if
+			// it stood at one.
+			m.origin = &origin{cycle: m.now, base: m.snap()}
+		}
+		ck, err := m.Capture()
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Gob writes maps in iteration order, so the registry is compared
 		// as a value and the rest as bytes.
 		o.telem, ck.Telem = ck.Telem, telemetry.State{}
-		var err error
 		if o.checkpoint, err = ck.Encode(); err != nil {
 			t.Fatal(err)
 		}

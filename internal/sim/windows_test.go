@@ -18,7 +18,7 @@ func withoutWall(r Result) Result {
 	return r
 }
 
-// chainCase is one ResumeWindows call: its checkpoint (the warmup's or
+// chainCase is one Restore + MeasureWindows chain: its checkpoint (the warmup's or
 // the mid-window one), the run knobs every window of the chain shares,
 // and the windows.
 type chainCase struct {
@@ -74,21 +74,19 @@ func scribble(r *Result) {
 	}
 }
 
-// TestResumeWindowsMatchesSeparateResumes is the chain oracle: one
-// warmed machine runs chains of windows (repeated windows included)
-// from the warmup checkpoint and from one taken part way into a window,
-// with telemetry on and off and CheckInvariants and ReplayVerify mixed.
-// Each harvested Result, wall clock aside, must equal both the
-// fresh-machine one-window resume and the cold run of its window. Each
-// earlier Result is overwritten in place before the next is compared,
-// so a later Result that shares a slice or map with it fails.
-func TestResumeWindowsMatchesSeparateResumes(t *testing.T) {
+// TestRestoreMeasureWindowsMatchesSeparateResumes is the chain oracle:
+// one warmed machine restores the warmup checkpoint, or one taken part
+// way into a window, and measures it through a chain of windows
+// (repeated windows included), with telemetry on and off and
+// CheckInvariants and ReplayVerify mixed. Each harvested Result, wall
+// clock aside, must equal both the fresh-machine one-window resume and
+// the cold run of its window. Each earlier Result is overwritten in
+// place before the next is compared, so a later Result that shares a
+// slice or map with it fails.
+func TestRestoreMeasureWindowsMatchesSeparateResumes(t *testing.T) {
 	ctx := context.Background()
 	mix := mixOf(t, "ammp", "gzip")
-	m, ck, err := WarmupMachine(ctx, ckConfig(), mix)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, ck := warmAndCapture(t, ckConfig(), mix)
 	interrupted := ckConfig()
 	interrupted.CheckpointPath = filepath.Join(t.TempDir(), "mid.ckpt")
 	interrupted.StopAfter = midMeasured
@@ -108,9 +106,9 @@ func TestResumeWindowsMatchesSeparateResumes(t *testing.T) {
 		{invariants: true, verify: true, windows: windows},
 		{mid: true, telemetry: true, invariants: true, windows: []uint64{midMeasured, midMeasured, 30_000, 45_000}},
 	} {
-		// The chain's checkpoint carries a window of its own that it
-		// ignores.
-		rs, err := m.ResumeWindows(ctx, c.window(0).fork(ck, mid), c.windows, nil)
+		// The chain's checkpoint carries a window of its own that the
+		// windows replace.
+		rs, err := restoreWindows(ctx, m, c.window(0).fork(ck, mid), c.windows, nil)
 		if err != nil {
 			t.Fatalf("chain %+v: %v", c, err)
 		}
@@ -159,16 +157,13 @@ func TestResumeWindowsMatchesSeparateResumes(t *testing.T) {
 	}
 }
 
-// TestResumeWindowsRefusesBadWindows: windows that decrease, an empty
-// list, an empty window and windows shorter than the checkpoint's
-// measured cycles are refused before anything is restored.
-func TestResumeWindowsRefusesBadWindows(t *testing.T) {
+// TestMeasureWindowsRefusesBadWindows: windows that decrease, an empty
+// list, an empty window and windows shorter than the restored
+// checkpoint's measured cycles are refused before anything is measured.
+func TestMeasureWindowsRefusesBadWindows(t *testing.T) {
 	ctx := context.Background()
 	mix := mixOf(t, "ammp", "gzip")
-	m, ck, err := WarmupMachine(ctx, ckConfig(), mix)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, ck := warmAndCapture(t, ckConfig(), mix)
 	measured := *ck
 	measured.Measured = 2_000
 	for name, c := range map[string]struct {
@@ -181,7 +176,7 @@ func TestResumeWindowsRefusesBadWindows(t *testing.T) {
 		"empty":       {ck, []uint64{0, 1_000}, "window 0 is empty"},
 		"below start": {&measured, []uint64{1_000, 3_000}, "measured cycles"},
 	} {
-		rs, err := m.ResumeWindows(ctx, c.ck, c.windows, nil)
+		rs, err := restoreWindows(ctx, m, c.ck, c.windows, nil)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: windows %v returned %v, want an error containing %q", name, c.windows, err, c.want)
 		}
@@ -191,21 +186,18 @@ func TestResumeWindowsRefusesBadWindows(t *testing.T) {
 	}
 }
 
-// TestResumeWindowsChecksEachWindowEnd: each window ends with the
+// TestMeasureWindowsChecksEachWindowEnd: each window ends with the
 // end-of-run invariant sweep before it is harvested. A fault injected
 // just as the second window's last chunk completes (after the
 // repartition hook's last check) fails the chain at that window's end,
 // with the first window's Result returned and the second's not.
-func TestResumeWindowsChecksEachWindowEnd(t *testing.T) {
+func TestMeasureWindowsChecksEachWindowEnd(t *testing.T) {
 	ctx := context.Background()
 	mix := mixOf(t, "ammp", "gzip")
-	m, ck, err := WarmupMachine(ctx, ckConfig(), mix)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, ck := warmAndCapture(t, ckConfig(), mix)
 	windows := []uint64{1_000, 3_000, 8_000}
 	flipped := false
-	rs, err := m.ResumeWindows(ctx, ck, windows, func(c *telemetry.Config) bool {
+	rs, err := restoreWindows(ctx, m, ck, windows, func(c *telemetry.Config) bool {
 		c.OnProgress = func(p telemetry.Progress) {
 			if p.Phase == "measure" && p.Done == windows[1] {
 				flipped = m.Adaptive.FaultFlipPrivateOwner()
@@ -236,18 +228,22 @@ func TestResumeWindowsChecksEachWindowEnd(t *testing.T) {
 // TestMeasureWindowsMatchesColdRuns is the oracle of a chain that
 // restores nothing: machines warmed by NewWarmedMachine measure on
 // through a chain of windows, with telemetry on and off, CheckInvariants
-// and ReplayVerify mixed, and the boundary checkpoint captured first or
-// not. Each harvested Result, wall clock aside, must equal the cold run
-// of its window (it is that run, so under ReplayVerify the verified
-// epochs match too), and each earlier Result is overwritten in place
-// before the next is compared. A baseline scheme measures on the same
-// way. A machine that has measured, resumed (even unsuccessfully), or
-// was never warmed refuses both to capture and to measure from its
-// boundary.
+// and ReplayVerify mixed, and the boundary captured first or not. Each
+// harvested Result, wall clock aside, must equal the cold run of its
+// window (it is that run, so under ReplayVerify the verified epochs
+// match too), and each earlier Result is overwritten in place before
+// the next is compared. A baseline scheme measures on the same way.
+//
+// The origin stays after measuring: a machine that measured to W
+// refuses a window shorter than W, and measures on to a longer one,
+// and a Capture taken at W resumes to the longer window's cold run. A
+// machine with no origin (only built, or whose Restore failed) refuses
+// both to capture and to measure, until a Restore succeeds.
 func TestMeasureWindowsMatchesColdRuns(t *testing.T) {
 	ctx := context.Background()
 	mix := mixOf(t, "ammp", "gzip")
 	windows := []uint64{1_000, 1_000, 3_000, 8_000, 25_000}
+	const longer = 32_000
 	for _, c := range []struct {
 		chainCase
 		scheme  Scheme
@@ -259,8 +255,9 @@ func TestMeasureWindowsMatchesColdRuns(t *testing.T) {
 		{chainCase: chainCase{invariants: true, verify: true, windows: windows}},
 		{chainCase: chainCase{telemetry: true, windows: []uint64{2_000, 6_000}}, scheme: SchemeShared},
 	} {
-		cold := func(i int) Config {
-			cfg := c.window(i).coldConfig()
+		coldConfig := func(measure uint64) Config {
+			cfg := c.window(0).coldConfig()
+			cfg.MeasureCycles = measure
 			if c.scheme != "" {
 				cfg.Scheme = c.scheme
 			}
@@ -268,12 +265,12 @@ func TestMeasureWindowsMatchesColdRuns(t *testing.T) {
 		}
 		// The machine is built for the shortest window's cold run; the
 		// windows replace its MeasureCycles.
-		m, err := NewWarmedMachine(ctx, cold(0), mix)
+		m, err := NewWarmedMachine(ctx, coldConfig(c.windows[0]), mix)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if c.capture {
-			if _, err := m.BoundaryCheckpoint(); err != nil {
+			if _, err := m.Capture(); err != nil {
 				t.Fatalf("chain %+v: capture: %v", c, err)
 			}
 		}
@@ -288,7 +285,7 @@ func TestMeasureWindowsMatchesColdRuns(t *testing.T) {
 			t.Fatalf("chain %+v: %d Results for %d windows", c, len(rs), len(c.windows))
 		}
 		for i := range rs {
-			want, err := RunContext(ctx, cold(i), mix)
+			want, err := RunContext(ctx, coldConfig(c.windows[i]), mix)
 			if err != nil {
 				t.Fatalf("chain %+v window %d: cold run: %v", c, i, err)
 			}
@@ -301,40 +298,66 @@ func TestMeasureWindowsMatchesColdRuns(t *testing.T) {
 			}
 			scribble(&rs[i])
 		}
-		if c.scheme == "" {
-			if _, err := m.BoundaryCheckpoint(); !errors.Is(err, errPastBoundary) {
-				t.Fatalf("chain %+v: capture after measuring returned %v", c, err)
-			}
+
+		if _, err := m.MeasureWindows(ctx, c.windows[:1]); err == nil || !strings.Contains(err.Error(), "measured cycles") {
+			t.Fatalf("chain %+v: a window shorter than the cycles measured returned %v", c, err)
 		}
-		if _, err := m.MeasureWindows(ctx, c.windows); !errors.Is(err, errPastBoundary) {
-			t.Fatalf("chain %+v: measuring twice returned %v", c, err)
+		if c.scheme != "" || c.verify {
+			continue
+		}
+		ck, err := m.Capture()
+		if err != nil {
+			t.Fatalf("chain %+v: capture after measuring: %v", c, err)
+		}
+		if last := c.windows[len(c.windows)-1]; ck.Measured != last {
+			t.Fatalf("chain %+v: capture after measuring %d cycles holds %d", c, last, ck.Measured)
+		}
+		fork := *ck
+		fork.Cfg.MeasureCycles = longer
+		resumed, err := ResumeFromCheckpoint(ctx, &fork, nil)
+		if err != nil {
+			t.Fatalf("chain %+v: resuming the capture taken after measuring: %v", c, err)
+		}
+		on, err := m.MeasureWindows(ctx, []uint64{longer})
+		if err != nil {
+			t.Fatalf("chain %+v: measuring on: %v", c, err)
+		}
+		want, err := RunContext(ctx, coldConfig(longer), mix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string]Result{"resumed capture": resumed, "measured on": on[0]} {
+			if !reflect.DeepEqual(withoutWall(got), withoutWall(want)) {
+				t.Fatalf("chain %+v: %s to %d cycles diverged from the cold run\ngot  %+v\ncold %+v",
+					c, name, longer, withoutWall(got), withoutWall(want))
+			}
 		}
 	}
 
-	// A restore that fails part way leaves the machine past its
-	// boundary too: its state is no longer the warmup's.
-	failed, ck, err := WarmupMachine(ctx, ckConfig(), mix)
-	if err != nil {
-		t.Fatal(err)
-	}
+	failed, ck := warmAndCapture(t, ckConfig(), mix)
 	corrupt := *ck
 	corrupt.LLC.MaxBlocks = corrupt.LLC.MaxBlocks[:1]
-	if _, err := failed.Resume(ctx, &corrupt, nil); err == nil {
-		t.Fatal("a checkpoint with a short MaxBlocks was resumed")
+	if err := failed.Restore(&corrupt, nil); err == nil {
+		t.Fatal("a checkpoint with a short MaxBlocks was restored")
 	}
-	resumed, ck, err := WarmupMachine(ctx, ckConfig(), mix)
+	for name, m := range map[string]*Machine{"failed restore": failed, "never warmed": NewMachine(ckConfig(), mix)} {
+		if _, err := m.Capture(); !errors.Is(err, errNoOrigin) {
+			t.Errorf("%s machine: capture returned %v", name, err)
+		}
+		if _, err := m.MeasureWindows(ctx, windows); !errors.Is(err, errNoOrigin) {
+			t.Errorf("%s machine: measuring returned %v", name, err)
+		}
+	}
+	w := reuseWindow{measure: 8_000, telemetry: true, invariants: true}
+	got, err := restoreWindows(ctx, failed, ck, []uint64{w.measure}, nil)
+	if err != nil {
+		t.Fatalf("restore after a failed one: %v", err)
+	}
+	want, err := RunContext(ctx, w.coldConfig(), mix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := resumed.Resume(ctx, ck, nil); err != nil {
-		t.Fatal(err)
-	}
-	for name, m := range map[string]*Machine{"failed restore": failed, "resumed": resumed, "never warmed": NewMachine(ckConfig(), mix)} {
-		if _, err := m.BoundaryCheckpoint(); !errors.Is(err, errPastBoundary) {
-			t.Errorf("%s machine: capture returned %v", name, err)
-		}
-		if _, err := m.MeasureWindows(ctx, windows); !errors.Is(err, errPastBoundary) {
-			t.Errorf("%s machine: measuring returned %v", name, err)
-		}
+	if !reflect.DeepEqual(withoutWall(got[0]), withoutWall(want)) {
+		t.Fatal("a restore after a failed one diverged from the cold run")
 	}
 }

@@ -51,25 +51,25 @@ type LocalStats struct {
 
 // RunLocal executes every point in-process, sharing warmup within each
 // fork group: warmup runs once per group (sim.NewWarmedMachine), and
-// every member measures on the machine that ran it. No member builds a
+// every member measures on the machine that ran it, through the steps
+// sim.Machine.Capture, Restore and MeasureWindows. No member builds a
 // machine.
 //
 // The members whose resolved telemetry config carries no process-local
 // wiring (TraceWriter, Spans, OnEpoch and OnProgress all nil, as in the
 // default config) form the group's chain: sorted by MeasureCycles, they
-// run as one measurement harvested at each window on the way to the
-// longest. Every other member resumes its own window from the group's
-// warmup checkpoint (sim.Machine.Resume), so its trace, spans and hooks
-// see that window alone. The checkpoint is captured only when Attach
-// resolves the first such member, while the machine is still at its
-// warmup/measure boundary. When nothing was captured the chain measures
-// the warmed machine straight on (sim.Machine.MeasureWindows): it is
+// run as one MeasureWindows call, harvested at each window on the way
+// to the longest. Every other member restores the group's warmup
+// checkpoint with its own wiring attached and measures its own window,
+// so its trace, spans and hooks see that window alone. The checkpoint
+// is captured only when Attach resolves the first such member, while
+// the machine still stands at its warmup/measure boundary. When nothing
+// was captured the chain measures the warmed machine straight on: it is
 // the cold run, harvested at each window, and restores nothing. After a
-// member has resumed, the chain restores the checkpoint once
-// (sim.Machine.ResumeWindows). Every path returns the Result a cold run
-// of the point would, wall clock aside, and none modifies the
-// checkpoint. Results come back in expansion order. The first error
-// aborts the sweep.
+// member has run, the chain first restores the checkpoint once. Every
+// path returns the Result a cold run of the point would, wall clock
+// aside, and none modifies the checkpoint. Results come back in
+// expansion order. The first error aborts the sweep.
 func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Result, LocalStats, error) {
 	results := make([]sim.Result, len(points))
 	var st LocalStats
@@ -125,14 +125,12 @@ func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Resu
 			}
 			if ck == nil {
 				// No member has run yet: the machine is still at its
-				// boundary.
-				if ck, err = m.BoundaryCheckpoint(); err != nil {
+				// warmup/measure boundary.
+				if ck, err = m.Capture(); err != nil {
 					return nil, st, fmt.Errorf("sweep: warmup group %.12s: %w", g.WarmupHash, err)
 				}
 			}
-			fork := *ck
-			fork.Cfg.MeasureCycles = p.Cfg.MeasureCycles
-			r, err := m.Resume(ctx, &fork, func(c *telemetry.Config) bool {
+			if err := m.Restore(ck, func(c *telemetry.Config) bool {
 				c.Run = want.Run
 				c.TraceWriter = want.TraceWriter
 				c.Spans = want.Spans
@@ -140,13 +138,16 @@ func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Resu
 				c.OnEpoch = want.OnEpoch
 				c.OnProgress = want.OnProgress
 				return true
-			})
-			if err != nil {
+			}); err != nil {
 				return nil, st, fmt.Errorf("sweep: point %q: %w", p.Label, err)
 			}
 			st.Restores++
+			rs, err := m.MeasureWindows(ctx, []uint64{p.Cfg.MeasureWindow()})
+			if err != nil {
+				return nil, st, fmt.Errorf("sweep: point %q: %w", p.Label, err)
+			}
 			st.Forked++
-			done(pi, r)
+			done(pi, rs[0])
 		}
 		if len(chain) == 0 {
 			continue
@@ -160,13 +161,15 @@ func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Resu
 		// The chain keeps the warmup's telemetry config and run label:
 		// without a trace, spans or hooks, nothing outside the run sees
 		// the label, and the Results do not carry it.
-		var rs []sim.Result
-		if ck == nil {
-			rs, err = m.MeasureWindows(ctx, windows)
-		} else {
-			rs, err = m.ResumeWindows(ctx, ck, windows, nil)
+		if ck != nil {
+			// An unchained member has moved the machine on: put the
+			// warmup back under it.
+			if err := m.Restore(ck, nil); err != nil {
+				return nil, st, fmt.Errorf("sweep: point %q: %w", points[chain[0]].Label, err)
+			}
 			st.Restores++
 		}
+		rs, err := m.MeasureWindows(ctx, windows)
 		if err != nil {
 			return nil, st, fmt.Errorf("sweep: point %q: %w", points[chain[len(rs)]].Label, err)
 		}
