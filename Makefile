@@ -202,12 +202,19 @@ crash-smoke: build
 	$(GO) run ./internal/tools/crashsmoke -bin /tmp/nucaserve
 
 # Benchmark the service's submit path on a warmed cache (decode,
-# canonicalize, hash, dedup, respond) into BENCH_serve.json.
+# canonicalize, hash, dedup, respond) and the encoding of a fresh job's
+# result.json (a telemetry-on 4-core adaptive result, about 0.6 MB)
+# into BENCH_serve.json. The result encoder must take at most 0.3x the
+# time and 0.5x the bytes of the plain encoding/json rendering it
+# replaced (BenchmarkEncodeResultReference), or the gate fails.
 bench-serve: build
+	$(GO) test -run '^$$' -bench 'BenchmarkEncodeResult(Reference)?$$' -benchmem \
+		-count=5 ./internal/sim/ | tee /tmp/nucasim-bench-serve.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkServeSubmit$$' -benchmem \
-		-count=5 ./internal/serve/ | tee /tmp/nucasim-bench-serve.txt
+		-count=5 ./internal/serve/ | tee -a /tmp/nucasim-bench-serve.txt
 	$(GO) run ./internal/tools/benchjson -in /tmp/nucasim-bench-serve.txt \
-		-out BENCH_serve.json -require BenchmarkServeSubmit
+		-out BENCH_serve.json -require BenchmarkServeSubmit,BenchmarkEncodeResult,BenchmarkEncodeResultReference \
+		-max-ratio BenchmarkEncodeResult/BenchmarkEncodeResultReference=0.3,BenchmarkEncodeResult/BenchmarkEncodeResultReference:bytes=0.5
 	@echo "bench record written to BENCH_serve.json"
 
 # Benchmark warmup forking against cold per-point runs on the same
@@ -227,8 +234,8 @@ bench-sweep: build
 
 # Short fuzz pass over the external-input parsers (JSONL trace, binary
 # address trace, canonical job spec, checkpoint bytes through Restore),
-# the sweep spec expander, and the flat cache and linked-slot TLB against
-# their reference models. Seed corpora live under */testdata/fuzz/ and in
+# the result encoder against encoding/json, the sweep spec expander, and
+# the flat cache and linked-slot TLB against their reference models. Seed corpora live under */testdata/fuzz/ and in
 # the fuzz targets. A checkpoint seed is about 190 KB and nearly every
 # mutation reaches a new refusal, so FuzzRestoreCheckpoint skips input
 # minimization, which would spend the whole pass on one input.
@@ -238,6 +245,7 @@ fuzz-smoke: build
 	$(GO) test -run=^$$ -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzParseCanonicalSpec -fuzztime=10s ./internal/sim/
 	$(GO) test -run=^$$ -fuzz=FuzzRestoreCheckpoint -fuzztime=10s -fuzzminimizetime=0s ./internal/sim/
+	$(GO) test -run=^$$ -fuzz=FuzzEncodeResult -fuzztime=10s ./internal/sim/
 	$(GO) test -run=^$$ -fuzz=FuzzExpand -fuzztime=10s ./internal/sweep/
 	$(GO) test -run=^$$ -fuzz=FuzzCacheMatchesReference -fuzztime=10s ./internal/cache/
 	$(GO) test -run=^$$ -fuzz=FuzzTLBMatchesReference -fuzztime=10s ./internal/tlb/

@@ -34,7 +34,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -251,9 +250,11 @@ func summarize(r sim.Result, common *cliflags.Flags) {
 	}
 
 	if common.JSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(r); err != nil {
+		out, err := sim.EncodeResult(r)
+		if err == nil {
+			_, err = os.Stdout.Write(out)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

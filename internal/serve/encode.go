@@ -10,22 +10,17 @@ import (
 )
 
 // EncodeResult renders a sim.Result as the normalized JSON stored in
-// (and served from) the content-addressed cache. The simulator is
-// deterministic in the canonical spec, so after zeroing the one
-// nondeterministic field — wall-clock throughput, an observation of the
-// host rather than of the simulated machine — the bytes are a pure
-// function of the spec: a cache hit is byte-for-byte identical to what
-// a fresh run would have produced. The regression suite proves this by diffing a cached
+// (and served from) the content-addressed cache: sim.EncodeResult's
+// indented JSON with wall-clock throughput zeroed. The simulator is
+// deterministic in the canonical spec, so after zeroing that one
+// nondeterministic field — an observation of the host rather than of
+// the simulated machine — the bytes are a pure function of the spec: a
+// cache hit is byte-for-byte identical to what a fresh run would have
+// produced. The regression suite proves this by diffing a cached
 // artifact against a direct sim.Run.
 func EncodeResult(r sim.Result) ([]byte, error) {
 	r.Throughput.Wall = 0
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return sim.EncodeResult(r)
 }
 
 // DecodeResult parses result.json bytes back into a sim.Result — the

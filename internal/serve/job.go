@@ -181,9 +181,9 @@ func (j *Job) onProgress(p telemetry.Progress) {
 
 // wireTelemetry equips c with the job's live observability: its run
 // label, the epoch and progress hooks feeding its stream, and its span
-// recorder nesting simulation phases under parent. Runtime metrics are
-// not sampled per epoch: EncodeResult drops them, and /metrics reads its
-// runtime gauges at scrape time.
+// recorder nesting simulation phases under parent. Go runtime metrics
+// are not part of a run: /metrics reads its runtime gauges at scrape
+// time.
 func (j *Job) wireTelemetry(c *telemetry.Config, parent telemetry.SpanID) {
 	c.Run = j.ID
 	c.OnEpoch = j.onEpoch

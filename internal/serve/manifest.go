@@ -66,22 +66,24 @@ func (e *CorruptError) Error() string {
 // required set must be covered, and every covered artifact's bytes must
 // match the recorded hash. It reads each artifact exactly once and
 // returns the first violation; subject labels the entry in reports.
-func verifyManifestDir(dir, subject string, required []string) *CorruptError {
+// When want names a required artifact, it also returns the bytes of want
+// it hashed, so a caller serves exactly what was verified.
+func verifyManifestDir(dir, subject string, required []string, want string) ([]byte, *CorruptError) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
-		return &CorruptError{Hash: subject, Artifact: manifestFile, Reason: "unreadable: " + err.Error()}
+		return nil, &CorruptError{Hash: subject, Artifact: manifestFile, Reason: "unreadable: " + err.Error()}
 	}
 	var m manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return &CorruptError{Hash: subject, Artifact: manifestFile, Reason: "unparseable: " + err.Error()}
+		return nil, &CorruptError{Hash: subject, Artifact: manifestFile, Reason: "unparseable: " + err.Error()}
 	}
 	if m.Version != manifestVersion {
-		return &CorruptError{Hash: subject, Artifact: manifestFile,
+		return nil, &CorruptError{Hash: subject, Artifact: manifestFile,
 			Reason: fmt.Sprintf("version %d, this build reads %d", m.Version, manifestVersion)}
 	}
 	for _, name := range required {
 		if _, ok := m.Artifacts[name]; !ok {
-			return &CorruptError{Hash: subject, Artifact: name, Reason: "not covered by manifest"}
+			return nil, &CorruptError{Hash: subject, Artifact: name, Reason: "not covered by manifest"}
 		}
 	}
 	// Verify in sorted order so failure reports are deterministic.
@@ -90,15 +92,19 @@ func verifyManifestDir(dir, subject string, required []string) *CorruptError {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var wanted []byte
 	for _, name := range names {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			return &CorruptError{Hash: subject, Artifact: name, Reason: "unreadable: " + err.Error()}
+			return nil, &CorruptError{Hash: subject, Artifact: name, Reason: "unreadable: " + err.Error()}
 		}
 		if got := artifactDigest(data); got != m.Artifacts[name] {
-			return &CorruptError{Hash: subject, Artifact: name,
+			return nil, &CorruptError{Hash: subject, Artifact: name,
 				Reason: fmt.Sprintf("sha256 %s, manifest says %s", got, m.Artifacts[name])}
 		}
+		if name == want {
+			wanted = data
+		}
 	}
-	return nil
+	return wanted, nil
 }

@@ -141,38 +141,41 @@ func (st *Store) commit(k entryKind, id string, data, marker []byte) error {
 	return nil
 }
 
-// verify checks a committed entry against its manifest, read-only.
-func (st *Store) verify(k entryKind, id string) *CorruptError {
-	return verifyManifestDir(st.entryDir(k, id), k.label+" "+id, []string{specFile, k.data, k.marker})
+// verify checks a committed entry against its manifest, read-only, and
+// returns the verified bytes of the artifact want ("" for none).
+func (st *Store) verify(k entryKind, id, want string) ([]byte, *CorruptError) {
+	return verifyManifestDir(st.entryDir(k, id), k.label+" "+id, []string{specFile, k.data, k.marker}, want)
 }
 
-// check verifies an entry for serving. An uncommitted entry (no marker)
-// returns the stat error — a plain cache miss, e.g. the entry is being
+// check verifies an entry for serving, as readVerified does, without
+// returning any artifact.
+func (st *Store) check(k entryKind, id string) error {
+	_, err := st.readVerified(k, id, "")
+	return err
+}
+
+// readVerified verifies an entry for serving and returns the bytes of
+// its artifact name ("" for none) that the verification hashed, so a
+// reader only receives bytes the manifest vouched for. name must be an
+// artifact the manifest covers. An uncommitted entry (no marker) returns
+// the stat error — a plain cache miss, e.g. the entry is being
 // recomputed right now, not an integrity violation. A committed entry
 // that fails verification is quarantined before the *CorruptError
 // returns, so a caller that sees it knows the damaged bytes are already
 // out of serving reach.
-func (st *Store) check(k entryKind, id string) error {
-	if _, err := os.Stat(st.path(k, id, k.marker)); err != nil {
-		return err
-	}
-	if cerr := st.verify(k, id); cerr != nil {
-		st.quarantine(k, id, cerr.Artifact+": "+cerr.Reason)
-		return cerr
-	}
-	return nil
-}
-
-// readVerified checks the entry, then reads the requested artifact. The
-// check hashes the same file this returns, so a reader only receives
-// bytes a manifest vouched for (modulo a write racing between the two
-// reads — and the only writer of committed artifacts is the atomic
-// commit itself).
 func (st *Store) readVerified(k entryKind, id, name string) ([]byte, error) {
-	if err := st.check(k, id); err != nil {
+	if name != "" && name != specFile && name != k.data && name != k.marker {
+		return nil, fmt.Errorf("serve: %s %s: artifact %s is not covered by its manifest", k.label, id, name)
+	}
+	if _, err := os.Stat(st.path(k, id, k.marker)); err != nil {
 		return nil, err
 	}
-	return os.ReadFile(st.path(k, id, name))
+	data, cerr := st.verify(k, id, name)
+	if cerr != nil {
+		st.quarantine(k, id, cerr.Artifact+": "+cerr.Reason)
+		return nil, cerr
+	}
+	return data, nil
 }
 
 // quarantine moves an entry's whole directory into quarantine/ and
@@ -289,7 +292,7 @@ func (st *Store) Fsck() (int, []error) {
 			if _, err := os.Stat(st.path(k, id, k.marker)); err != nil {
 				continue
 			}
-			if cerr := st.verify(k, id); cerr != nil {
+			if _, cerr := st.verify(k, id, ""); cerr != nil {
 				errs = append(errs, cerr)
 			}
 		}

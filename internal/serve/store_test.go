@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -132,6 +134,42 @@ func TestStoreConcurrentQuarantine(t *testing.T) {
 	reason, err := os.ReadFile(filepath.Join(st.QuarantineDir(), entries[0].Name(), "REASON"))
 	if err != nil || len(reason) == 0 {
 		t.Fatalf("quarantined entry lacks a REASON file: %v", err)
+	}
+}
+
+// TestReadVerifiedServesCoveredArtifacts: each artifact the manifest
+// covers reads back as committed, and a name it does not cover (here
+// the job's uncovered spans.json, present on disk) is an error with no
+// bytes that leaves the entry in place.
+func TestReadVerifiedServesCoveredArtifacts(t *testing.T) {
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hash = "c0ffee0000000000000000000000000000000000000000000000000000000000"
+	result, csv := putEntry(t, st, hash)
+	if err := st.putSpans(hash, func(w io.Writer) error { _, err := w.Write([]byte("{}")); return err }); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string][]byte{
+		jobKind.marker: result,
+		jobKind.data:   csv,
+		specFile:       []byte(`{"spec":"` + hash + `"}`),
+	} {
+		got, err := st.readVerified(jobKind, hash, name)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("readVerified(%s) = %q, %v; want %q", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"spans.json", manifestFile, "checkpoint.bin"} {
+		got, err := st.readVerified(jobKind, hash, name)
+		var cerr *CorruptError
+		if err == nil || got != nil || errors.As(err, &cerr) {
+			t.Errorf("readVerified(%s) = %q, %v; want a plain error and no bytes", name, got, err)
+		}
+	}
+	if !st.HasResult(hash) {
+		t.Fatal("asking for an uncovered artifact quarantined the entry")
 	}
 }
 
