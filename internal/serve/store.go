@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -141,10 +142,13 @@ func (st *Store) commit(k entryKind, id string, data, marker []byte) error {
 	return nil
 }
 
+// covered lists the artifacts an entry's manifest must cover.
+func (k entryKind) covered() []string { return []string{specFile, k.data, k.marker} }
+
 // verify checks a committed entry against its manifest, read-only, and
 // returns the verified bytes of the artifact want ("" for none).
 func (st *Store) verify(k entryKind, id, want string) ([]byte, *CorruptError) {
-	return verifyManifestDir(st.entryDir(k, id), k.label+" "+id, []string{specFile, k.data, k.marker}, want)
+	return verifyManifestDir(st.entryDir(k, id), k.label+" "+id, k.covered(), want)
 }
 
 // check verifies an entry for serving, as readVerified does, without
@@ -164,7 +168,7 @@ func (st *Store) check(k entryKind, id string) error {
 // returns, so a caller that sees it knows the damaged bytes are already
 // out of serving reach.
 func (st *Store) readVerified(k entryKind, id, name string) ([]byte, error) {
-	if name != "" && name != specFile && name != k.data && name != k.marker {
+	if name != "" && !slices.Contains(k.covered(), name) {
 		return nil, fmt.Errorf("serve: %s %s: artifact %s is not covered by its manifest", k.label, id, name)
 	}
 	if _, err := os.Stat(st.path(k, id, k.marker)); err != nil {
