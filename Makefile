@@ -134,10 +134,11 @@ span-smoke: build
 	@echo span-smoke ok
 
 # Cross-check trace-reconstructed cache state against the live cache at
-# every repartition epoch of a pinned mixed-app run (see cmd/nucadbg and
-# internal/replay). Catches tracer/replayer/simulator divergence.
+# every repartition epoch of pinned mixed-app runs (see cmd/nucadbg and
+# internal/replay): TestReplaySelfVerify, on ammp/swim/lucas/gzip at
+# seeds 3 and 1. Catches tracer/replayer/simulator divergence.
 replay-verify: build
-	$(GO) run ./internal/tools/artifactcheck -selfverify
+	$(GO) test -count=1 -run '^TestReplaySelfVerify$$' ./internal/sim/
 
 # Regenerate the pinned-seed regression baseline. Run this (and commit
 # the result) only when a behaviour change is intended.
@@ -167,10 +168,12 @@ fault-coverage: build
 		> /tmp/nucasim-invariants.txt
 	@echo "invariant sweep ok (I1-I9 under -check-invariants)"
 
-# Interrupt-and-resume smoke: stop a pinned run mid-measurement via its
-# checkpoint, resume it, and require bit-identical results.
+# Interrupt-and-resume smoke: TestCheckpointResumeBitIdentical cancels
+# pinned 2-core and 4-core runs mid-measurement, resumes each from the
+# checkpoint it wrote, and requires results bit-identical to the
+# uninterrupted run.
 resume-smoke: build
-	$(GO) run ./internal/tools/artifactcheck -resumesmoke
+	$(GO) test -count=1 -run '^TestCheckpointResumeBitIdentical$$' ./internal/sim/
 
 # End-to-end smoke of the HTTP service: build the real nucaserve binary,
 # run a job through it, SIGTERM it, restart it on the same state dir and

@@ -107,6 +107,9 @@ func main() {
 		var r sim.Result
 		ck, err := sim.ReadCheckpoint(*resume)
 		if err == nil {
+			// The resumed run checkpoints to the file it resumed, which
+			// is what finish tells the user to continue from.
+			ck.Cfg.CheckpointPath = *resume
 			r, err = sim.ResumeFromCheckpoint(ctx, ck, func(c *telemetry.Config) bool {
 				if session.Spans == nil {
 					return false

@@ -404,7 +404,10 @@ func isolate(f func()) (panicked *panicInfo) {
 // simulate runs the job's simulation. A job with a checkpoint in the
 // store — a drain or periodic checkpoint from an earlier attempt, or the
 // fork its sweep's warmup task wrote — continues from it instead of
-// running cold; continued reports that it tried.
+// running cold; continued reports that it tried. A checkpoint of
+// another warmup is refused. One that passes holds the job's spec once
+// it takes the job's window, since the warmup hash covers everything
+// else, and it checkpoints where this server says.
 func (s *Server) simulate(ctx context.Context, j *Job, parent telemetry.SpanID) (res sim.Result, continued bool, err error) {
 	telemetry.WithJob(ctx, j.ID, func(ctx context.Context) {
 		if s.testHookRun != nil {
@@ -418,10 +421,20 @@ func (s *Server) simulate(ctx context.Context, j *Job, parent telemetry.SpanID) 
 		if ck, err = sim.ReadCheckpoint(s.store.CheckpointPath(j.ID)); err != nil {
 			return
 		}
-		// A checkpoint at the warmup/measure boundary is a sweep fork: it
-		// carries the point's measurement window, checkpoint path and
-		// cadence, written by the warmup task. Anything later is an
-		// interrupted run's own state.
+		var hash string
+		if hash, err = sim.WarmupHash(j.cfg, j.mix); err != nil {
+			return
+		}
+		if ck.WarmupHash != hash {
+			err = fmt.Errorf("checkpoint warmup hash %.12s is not this job's (%.12s)", ck.WarmupHash, hash)
+			return
+		}
+		ck.Cfg.MeasureCycles = j.cfg.MeasureCycles
+		ck.Cfg.CheckpointPath = s.store.CheckpointPath(j.ID)
+		ck.Cfg.CheckpointEvery = s.opts.CheckpointEvery
+		// A checkpoint at the warmup/measure boundary is a sweep fork,
+		// written by the warmup task. Anything later is an interrupted
+		// run's own state.
 		fork := ck.Measured == 0
 		j.mu.Lock()
 		j.resumed, j.forked = true, fork

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -387,6 +388,66 @@ func TestDrainCheckpointResume(t *testing.T) {
 	}
 	if !bytes.Equal(served, want) {
 		t.Error("resumed result differs from uninterrupted direct run")
+	}
+}
+
+// writeJobCheckpoint stores, as job hash's checkpoint.bin in st, the
+// run of req interrupted measured cycles into its window by a process
+// that checkpointed to path every `every` cycles.
+func writeJobCheckpoint(t *testing.T, st *Store, hash string, req JobRequest, measured uint64, path string, every uint64) {
+	t.Helper()
+	cfg, mix, err := req.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Telemetry = &telemetry.Config{Run: hash}
+	ctx := context.Background()
+	m, err := sim.NewWarmedMachine(ctx, cfg, mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.MeasureWindows(ctx, []uint64{measured}); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := m.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Cfg.MeasureCycles = req.MeasureCycles
+	ck.Cfg.CheckpointPath, ck.Cfg.CheckpointEvery = path, every
+	if err := sim.WriteCheckpoint(st.CheckpointPath(hash), ck); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeFromMovedStateDir: a checkpoint names the state directory
+// of the process that wrote it. A server over a moved state directory
+// must resume it all the same, checkpointing into its own store, and
+// commit the uninterrupted run's result.
+func TestResumeFromMovedStateDir(t *testing.T) {
+	env := newMatrixEnv(t, 121)
+	st := env.store(t, nil)
+	gone := filepath.Join(t.TempDir(), "moved-away", "checkpoint.bin")
+	writeJobCheckpoint(t, st, env.hash, env.req, 40_000, gone, 20_000)
+	s := env.recoverAndVerify(t, Options{CheckpointEvery: 20_000})
+	if got := s.Status(mustJob(t, s, env.hash)); !got.Resumed {
+		t.Errorf("job did not resume its checkpoint: %+v", got)
+	}
+	if got := counter(s, "serve.checkpoints_discarded"); got != 0 {
+		t.Errorf("serve.checkpoints_discarded = %d, want 0", got)
+	}
+}
+
+// TestResumeRefusesOtherSpecsCheckpoint: a checkpoint.bin holding
+// another spec's run is refused and the job runs from scratch, so the
+// result committed under the job's hash is its own.
+func TestResumeRefusesOtherSpecsCheckpoint(t *testing.T) {
+	env := newMatrixEnv(t, 122)
+	st := env.store(t, nil)
+	writeJobCheckpoint(t, st, env.hash, smallJob(123), 40_000, st.CheckpointPath(env.hash), 0)
+	s := env.recoverAndVerify(t, Options{})
+	if got := counter(s, "serve.checkpoints_discarded"); got != 1 {
+		t.Errorf("serve.checkpoints_discarded = %d, want 1", got)
 	}
 }
 

@@ -159,21 +159,22 @@ func (t *warmupTask) execute(s *Server) {
 	s.mu.Unlock()
 }
 
-// writeForks stores the warmup checkpoint as each still-queued member's
-// checkpoint.bin, carrying that member's measurement window, checkpoint
-// path and cadence — everything else is pinned by the warmup hash. Each
-// write holds the member's lock after re-checking its state, so a
-// concurrent cancel either lands first (nothing is written) or removes
-// the entry, checkpoint included, after it. A member whose write fails
-// runs cold.
+// writeForks stores the warmup checkpoint, encoded once, as each
+// still-queued member's checkpoint.bin; simulate gives it the member's
+// window, checkpoint path and cadence. Each write holds the member's
+// lock after re-checking its state, so a concurrent cancel either lands
+// first (nothing is written) or removes the entry, checkpoint included,
+// after it. A member whose write fails runs cold.
 func (s *Server) writeForks(ck *sim.Checkpoint, members []*Job) {
+	data, err := ck.Encode()
+	if err != nil {
+		log.Printf("serve: encoding fork checkpoint: %v (running %d members cold)", err, len(members))
+		return
+	}
 	for _, j := range members {
 		j.mu.Lock()
 		if j.state == StateQueued {
-			ck.Cfg.MeasureCycles = j.cfg.MeasureCycles
-			ck.Cfg.CheckpointPath = s.store.CheckpointPath(j.ID)
-			ck.Cfg.CheckpointEvery = s.opts.CheckpointEvery
-			if err := sim.WriteCheckpoint(ck.Cfg.CheckpointPath, ck); err != nil {
+			if err := writeBytes(s.store.CheckpointPath(j.ID), data); err != nil {
 				log.Printf("serve: job %s: writing fork checkpoint: %v (running cold)", j.ID, err)
 			} else {
 				j.forked = true

@@ -22,11 +22,10 @@ import (
 	"nucasim/internal/workload"
 )
 
-// ErrInterrupted is returned by RunContext when the run stops before the
-// measurement window completes — context cancellation or Config.StopAfter.
-// If Config.CheckpointPath was set, a checkpoint holding the interrupted
-// state has been written and the run can be continued with
-// ReadCheckpoint + ResumeFromCheckpoint.
+// ErrInterrupted is returned by RunContext when its context ends before
+// the measurement window completes. If Config.CheckpointPath was set, a
+// checkpoint holding the interrupted state has been written and the run
+// can be continued with ReadCheckpoint + ResumeFromCheckpoint.
 var ErrInterrupted = errors.New("sim: run interrupted")
 
 const (
@@ -169,8 +168,8 @@ func (m *Machine) Capture() (*Checkpoint, error) {
 // WarmupHash is re-derived from ck.Cfg and ck.Mix and held against both
 // its stamp (only measurement-window fields may change across a fork)
 // and the machine's build, naming both hashes on a mismatch, and the
-// configuration is validated with its StopAfter cleared. Its
-// CheckpointPath stays live, so a restored run keeps checkpointing.
+// configuration is validated. Its CheckpointPath stays live, so a
+// restored run keeps checkpointing.
 // Each component's Restore then vets its own state.
 //
 // The run is wired afresh (telemetry, spans, the replay verifier, the
@@ -233,14 +232,13 @@ func (m *Machine) Restore(ck *Checkpoint, attach func(c *telemetry.Config) (enab
 }
 
 // config checks ck and returns the configuration its run continues
-// under: ck.Cfg with its defaults and StopAfter cleared, validated,
-// with ck's stamped warmup hash re-derived from ck.Cfg and ck.Mix.
+// under: ck.Cfg with its defaults, validated, with ck's stamped warmup
+// hash re-derived from ck.Cfg and ck.Mix.
 func (ck *Checkpoint) config() (Config, error) {
 	if err := ck.validate(); err != nil {
 		return Config{}, err
 	}
 	cfg := ck.Cfg.withDefaults()
-	cfg.StopAfter = 0
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
 	}
@@ -559,7 +557,7 @@ func WarmupCheckpoint(ctx context.Context, cfg Config, mix []workload.AppParams)
 // be shorter than the cycles the machine has already measured: a
 // machine that measured to W can measure on to a longer window. The
 // machine's configuration then measures the longest window (progress
-// reports and CheckpointPath checkpoints carry it), and its StopAfter
+// reports and CheckpointPath checkpoints carry it), and an ended ctx
 // interrupts the run as RunContext's does.
 //
 // Each window ends with the end-of-run invariant sweep
@@ -641,13 +639,7 @@ func (m *Machine) measureLoop(ctx context.Context, measured uint64, windows []ui
 			if ctx.Err() != nil {
 				return interrupt()
 			}
-			if cfg.StopAfter > 0 && measured >= cfg.StopAfter {
-				return interrupt()
-			}
 			chunk := min(measureChunk, window-measured)
-			if cfg.StopAfter > 0 {
-				chunk = min(chunk, cfg.StopAfter-measured)
-			}
 			if nextCkpt > measured {
 				chunk = min(chunk, nextCkpt-measured)
 			}

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"context"
-	"errors"
-	"path/filepath"
 	"testing"
 )
 
@@ -24,17 +22,7 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	interrupted := cfg
-	interrupted.CheckpointPath = filepath.Join(f.TempDir(), "mid.ckpt")
-	interrupted.StopAfter = 2_000
-	if _, err := RunContext(ctx, interrupted, mix); !errors.Is(err, ErrInterrupted) {
-		f.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
-	}
-	mid, err := ReadCheckpoint(interrupted.CheckpointPath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, ck := range []*Checkpoint{warm, mid} {
+	for _, ck := range []*Checkpoint{warm, captureAt(f, cfg, mix, 2_000)} {
 		data, err := ck.Encode()
 		if err != nil {
 			f.Fatal(err)

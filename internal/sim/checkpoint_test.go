@@ -13,6 +13,7 @@ import (
 
 	"nucasim/internal/cache"
 	"nucasim/internal/telemetry"
+	"nucasim/internal/workload"
 )
 
 // ckConfig is a small adaptive run with telemetry and invariant checks,
@@ -32,39 +33,78 @@ func ckConfig() Config {
 }
 
 // TestCheckpointResumeBitIdentical is the crash-safety acceptance test: a
-// run interrupted mid-measurement and resumed from its checkpoint must
-// produce the same partition limits, counters, per-core statistics and
-// byte-identical epoch CSV as the same-seed run that was never
-// interrupted.
+// run whose context ends mid-measurement, resumed from the checkpoint it
+// wrote on the way out, must produce the same partition limits,
+// counters, per-core statistics and byte-identical epoch CSV as the
+// same-seed run that was never interrupted. Each case cancels its
+// context from a progress hook once the measured cycles pass stopPast:
+// a 2-core run with a short checkpoint cadence, and the 4-core
+// ammp/swim/lucas/gzip run at the default cadence.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
-	mix := mixOf(t, "ammp", "gzip")
-
-	ref, err := RunContext(context.Background(), ckConfig(), mix)
-	if err != nil {
-		t.Fatal(err)
+	fourCore := Config{
+		Scheme: SchemeAdaptive, Seed: 1,
+		WarmupInstructions: 300_000, MeasureCycles: 150_000,
+		Telemetry:       &telemetry.Config{Run: "resume-smoke"},
+		CheckInvariants: true,
 	}
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		mix      []workload.AppParams
+		every    uint64
+		stopPast uint64
+	}{
+		{"2-core", ckConfig(), mixOf(t, "ammp", "gzip"), 10_000, 25_000},
+		{"4-core", fourCore, telemetryMix(t), 0, 60_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, err := RunContext(context.Background(), tc.cfg, tc.mix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := resumeInterrupted(t, tc.cfg, tc.mix, tc.every, tc.stopPast)
+			requireSameRun(t, got, ref)
+		})
+	}
+}
 
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	cfg := ckConfig()
-	cfg.CheckpointPath = path
-	cfg.CheckpointEvery = 10_000
-	cfg.StopAfter = 25_000
-	if _, err := RunContext(context.Background(), cfg, mix); !errors.Is(err, ErrInterrupted) {
+// resumeInterrupted runs cfg with a checkpoint file and the given
+// cadence, cancels it once its measured cycles pass stopPast, and
+// resumes the checkpoint it wrote to completion.
+func resumeInterrupted(t *testing.T, cfg Config, mix []workload.AppParams, every, stopPast uint64) Result {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tcfg := *cfg.Telemetry
+	tcfg.OnProgress = func(p telemetry.Progress) {
+		if p.Phase == "measure" && p.Done > stopPast {
+			cancel()
+		}
+	}
+	cfg.Telemetry = &tcfg
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
+	cfg.CheckpointEvery = every
+	if _, err := RunContext(ctx, cfg, mix); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
 	}
-	if _, err := os.Stat(path); err != nil {
+	ck, err := ReadCheckpoint(cfg.CheckpointPath)
+	if err != nil {
 		t.Fatalf("no checkpoint written: %v", err)
 	}
-
-	ck, err := ReadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
+	if ck.Measured <= stopPast || ck.Measured >= cfg.MeasureCycles {
+		t.Fatalf("checkpoint holds %d measured cycles, want past %d and short of %d", ck.Measured, stopPast, cfg.MeasureCycles)
 	}
 	got, err := ResumeFromCheckpoint(context.Background(), ck, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return got
+}
 
+// requireSameRun fails unless the resumed Result got equals the
+// uninterrupted ref in everything but wall-clock throughput.
+func requireSameRun(t *testing.T, got, ref Result) {
+	t.Helper()
 	if !reflect.DeepEqual(got.PartitionLimits, ref.PartitionLimits) {
 		t.Errorf("limits: resumed %v, uninterrupted %v", got.PartitionLimits, ref.PartitionLimits)
 	}
@@ -296,7 +336,6 @@ func TestConfigValidate(t *testing.T) {
 			c.ReplayVerify = true
 		}, "incompatible with ReplayVerify"},
 		{"cadence without path", func(c *Config) { c.CheckpointEvery = 5 }, "without a CheckpointPath"},
-		{"stop beyond window", func(c *Config) { c.MeasureCycles = 10; c.StopAfter = 11 }, "exceeds MeasureCycles"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

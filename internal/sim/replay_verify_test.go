@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"nucasim/internal/replay"
@@ -9,39 +10,44 @@ import (
 )
 
 // TestReplaySelfVerify is the acceptance check for the replay subsystem:
-// on a pinned-seed mixed-app adaptive run, reconstructing per-set LLC
-// state from the full event trace must match the live cache — every
-// private stack, the shared stack's tags and owners, and the limits —
-// at every repartition epoch.
+// on pinned-seed mixed-app adaptive runs (seeds 3 and 1 of
+// ammp/swim/lucas/gzip), reconstructing per-set LLC state from the full
+// event trace must match the live cache — every private stack, the
+// shared stack's tags and owners, and the limits — at every repartition
+// epoch. `make replay-verify` runs it.
 func TestReplaySelfVerify(t *testing.T) {
-	r := Run(Config{
-		Scheme: SchemeAdaptive, Seed: 3,
-		WarmupInstructions: 300_000, MeasureCycles: 150_000,
-		ReplayVerify: true,
-	}, telemetryMix(t))
-	if r.ReplayVerifyError != "" {
-		t.Fatalf("replay diverged from live state: %s", r.ReplayVerifyError)
-	}
-	if r.ReplayEpochsVerified == 0 {
-		t.Fatal("no epochs verified; window too small to repartition")
-	}
-	if r.ReplayEpochsVerified != r.Evaluations {
-		t.Fatalf("verified %d epochs of %d evaluations", r.ReplayEpochsVerified, r.Evaluations)
-	}
-	// Per-set stats rode along and agree with the whole-run aggregates.
-	if len(r.SetStats) == 0 {
-		t.Fatal("adaptive run with telemetry reported no per-set stats")
-	}
-	var demotions, evictions uint64
-	for _, s := range r.SetStats {
-		demotions += s.Demotions
-		evictions += s.Evictions
-	}
-	if demotions != r.LLCTotal.Demotions {
-		t.Fatalf("per-set demotions sum %d, AccessStats says %d", demotions, r.LLCTotal.Demotions)
-	}
-	if evictions != r.LLCTotal.Evictions {
-		t.Fatalf("per-set evictions sum %d, AccessStats says %d", evictions, r.LLCTotal.Evictions)
+	for _, seed := range []uint64{3, 1} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			r := Run(Config{
+				Scheme: SchemeAdaptive, Seed: seed,
+				WarmupInstructions: 300_000, MeasureCycles: 150_000,
+				ReplayVerify: true,
+			}, telemetryMix(t))
+			if r.ReplayVerifyError != "" {
+				t.Fatalf("replay diverged from live state: %s", r.ReplayVerifyError)
+			}
+			if r.ReplayEpochsVerified == 0 {
+				t.Fatal("no epochs verified; window too small to repartition")
+			}
+			if r.ReplayEpochsVerified != r.Evaluations {
+				t.Fatalf("verified %d epochs of %d evaluations", r.ReplayEpochsVerified, r.Evaluations)
+			}
+			// Per-set stats rode along and agree with the whole-run aggregates.
+			if len(r.SetStats) == 0 {
+				t.Fatal("adaptive run with telemetry reported no per-set stats")
+			}
+			var demotions, evictions uint64
+			for _, s := range r.SetStats {
+				demotions += s.Demotions
+				evictions += s.Evictions
+			}
+			if demotions != r.LLCTotal.Demotions {
+				t.Fatalf("per-set demotions sum %d, AccessStats says %d", demotions, r.LLCTotal.Demotions)
+			}
+			if evictions != r.LLCTotal.Evictions {
+				t.Fatalf("per-set evictions sum %d, AccessStats says %d", evictions, r.LLCTotal.Evictions)
+			}
+		})
 	}
 }
 

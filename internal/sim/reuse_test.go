@@ -2,9 +2,7 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"math/rand/v2"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -46,7 +44,6 @@ func (w reuseWindow) fork(warm, mid *Checkpoint) *Checkpoint {
 	f := *warm
 	if w.mid {
 		f = *mid
-		f.Cfg.CheckpointPath, f.Cfg.CheckpointEvery = "", 0
 	}
 	f.Cfg.MeasureCycles = w.measure
 	f.Cfg.CheckInvariants = w.invariants
@@ -68,6 +65,25 @@ func warmAndCapture(t *testing.T, cfg Config, mix []workload.AppParams) (*Machin
 		t.Fatal(err)
 	}
 	return m, ck
+}
+
+// captureAt measures cfg's run to measured cycles and captures it
+// there: the state an interrupt at that point checkpoints.
+func captureAt(tb testing.TB, cfg Config, mix []workload.AppParams, measured uint64) *Checkpoint {
+	tb.Helper()
+	ctx := context.Background()
+	m, err := NewWarmedMachine(ctx, cfg, mix)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := m.MeasureWindows(ctx, []uint64{measured}); err != nil {
+		tb.Fatal(err)
+	}
+	ck, err := m.Capture()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ck
 }
 
 // restoreWindows restores ck on m and measures it through windows.
@@ -109,16 +125,7 @@ func TestResumeReusedMachineMatchesFresh(t *testing.T) {
 	m, ck := warmAndCapture(t, ckConfig(), mix)
 	// A checkpoint midMeasured cycles into a window has the same warmup
 	// hash, so the warmed machine resumes it too.
-	interrupted := ckConfig()
-	interrupted.CheckpointPath = filepath.Join(t.TempDir(), "mid.ckpt")
-	interrupted.StopAfter = midMeasured
-	if _, err := RunContext(ctx, interrupted, mix); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
-	}
-	mid, err := ReadCheckpoint(interrupted.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mid := captureAt(t, ckConfig(), mix, midMeasured)
 	windows := []reuseWindow{
 		{measure: 60_000, telemetry: true, invariants: true},
 		{measure: 8_000},

@@ -216,13 +216,6 @@ type Config struct {
 	// (default 50_000 when CheckpointPath is set).
 	CheckpointEvery uint64
 
-	// StopAfter, when non-zero, deterministically interrupts the
-	// measurement window once this many measured cycles have run, as if
-	// the context had been cancelled: a checkpoint is written (when
-	// CheckpointPath is set) and RunContext returns ErrInterrupted. Test
-	// hook for the resume-equivalence suite; Run panics on it.
-	StopAfter uint64
-
 	CPU cpu.Config
 }
 

@@ -51,7 +51,7 @@ const specVersion = 1
 // CanonicalSpec renders the run-defining portion of (cfg, mix) as
 // deterministic JSON: defaults are applied first, observability and
 // hardening fields (Telemetry, ReplayVerify, CheckInvariants,
-// Checkpoint*, StopAfter) are excluded, and field order is fixed by the
+// Checkpoint*) are excluded, and field order is fixed by the
 // struct. The bytes are stable across processes and machines, which
 // makes them suitable for content-addressing cached results.
 func CanonicalSpec(cfg Config, mix []workload.AppParams) ([]byte, error) {

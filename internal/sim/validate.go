@@ -49,9 +49,6 @@ func (c Config) Validate() error {
 	if c.CheckpointEvery > 0 && c.CheckpointPath == "" {
 		return fmt.Errorf("sim: CheckpointEvery = %d without a CheckpointPath", c.CheckpointEvery)
 	}
-	if c.StopAfter > c.MeasureCycles {
-		return fmt.Errorf("sim: StopAfter = %d exceeds MeasureCycles = %d", c.StopAfter, c.MeasureCycles)
-	}
 	return nil
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -87,16 +86,7 @@ func TestRestoreMeasureWindowsMatchesSeparateResumes(t *testing.T) {
 	ctx := context.Background()
 	mix := mixOf(t, "ammp", "gzip")
 	m, ck := warmAndCapture(t, ckConfig(), mix)
-	interrupted := ckConfig()
-	interrupted.CheckpointPath = filepath.Join(t.TempDir(), "mid.ckpt")
-	interrupted.StopAfter = midMeasured
-	if _, err := RunContext(ctx, interrupted, mix); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
-	}
-	mid, err := ReadCheckpoint(interrupted.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mid := captureAt(t, ckConfig(), mix, midMeasured)
 
 	windows := []uint64{1_000, 1_000, 3_000, 8_000, 25_000}
 	for _, c := range []chainCase{

@@ -5,34 +5,23 @@
 // trace (-spans) must be schema-valid Chrome trace-event JSON — every
 // track's B/E events properly nested with monotonic timestamps, with
 // -spans-require optionally demanding specific span names. With
-// -selfverify it additionally runs a short pinned-seed mixed-app
-// adaptive simulation in replay-verify mode, cross-checking the
-// trace-reconstructed per-set cache state against the live cache at
-// every repartition epoch. With -servestore it fscks a nucaserve state
-// directory, verifying every committed job and sweep entry against its
-// integrity manifest without touching anything. Used by
-// `make smoke` / `make ci`; exits non-zero with a diagnostic on any
-// violation.
+// -servestore it fscks a nucaserve state directory, verifying every
+// committed job and sweep entry against its integrity manifest without
+// touching anything. Used by `make smoke` / `make ci`; exits non-zero
+// with a diagnostic on any violation.
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/csv"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"reflect"
 	"strconv"
 	"strings"
 
 	"nucasim/internal/serve"
-	"nucasim/internal/sim"
 	"nucasim/internal/telemetry"
-	"nucasim/internal/workload"
 )
 
 func main() {
@@ -40,8 +29,6 @@ func main() {
 	trace := flag.String("trace", "", "JSONL event trace to validate")
 	spans := flag.String("spans", "", "Chrome trace-event span JSON (-span-out) to validate")
 	spansRequire := flag.String("spans-require", "", "comma-separated span names that must appear in -spans")
-	selfverify := flag.Bool("selfverify", false, "run a short adaptive simulation and cross-check replayed vs live cache state every epoch")
-	resumesmoke := flag.Bool("resumesmoke", false, "interrupt a pinned adaptive run mid-measurement, resume it from its checkpoint, and require results bit-identical to the uninterrupted run")
 	servestore := flag.String("servestore", "", "nucaserve state directory to fsck: verify every committed job and sweep entry against its manifest (read-only)")
 	flag.Parse()
 
@@ -61,16 +48,6 @@ func main() {
 		}
 	} else if *spansRequire != "" {
 		fatal("-spans-require needs -spans")
-	}
-	if *selfverify {
-		if err := checkSelfVerify(); err != nil {
-			fatal("selfverify: %v", err)
-		}
-	}
-	if *resumesmoke {
-		if err := checkResumeSmoke(); err != nil {
-			fatal("resumesmoke: %v", err)
-		}
 	}
 	if *servestore != "" {
 		if err := checkServeStore(*servestore); err != nil {
@@ -267,109 +244,6 @@ func checkSpans(path, require string) error {
 			strings.Join(missing, ", "), strings.Join(names, ", "))
 	}
 	fmt.Printf("artifactcheck: spans ok — %d spans on %d tracks, all B/E pairs matched\n", spans, len(lastTs))
-	return nil
-}
-
-// checkSelfVerify runs the replay self-verifier end to end: a pinned
-// mixed-app adaptive run with a full trace teed into the replay state
-// machine, compared against the live LLC at every repartition epoch.
-// Any divergence — a missed event, a wrong LRU depth, a stale limit —
-// fails the build before it can corrupt a debugging session.
-func checkSelfVerify() error {
-	var mix []workload.AppParams
-	for _, name := range []string{"ammp", "swim", "lucas", "gzip"} {
-		p, ok := workload.ByName(name)
-		if !ok {
-			return fmt.Errorf("workload %q missing from suite", name)
-		}
-		mix = append(mix, p)
-	}
-	r := sim.Run(sim.Config{
-		Scheme: sim.SchemeAdaptive, Seed: 1,
-		WarmupInstructions: 300_000, MeasureCycles: 150_000,
-		ReplayVerify: true,
-	}, mix)
-	if r.ReplayVerifyError != "" {
-		return fmt.Errorf("replayed cache state diverged from live state: %s", r.ReplayVerifyError)
-	}
-	if r.ReplayEpochsVerified == 0 {
-		return fmt.Errorf("no repartition epochs verified (run too short?)")
-	}
-	fmt.Printf("artifactcheck: selfverify ok — %d epochs cross-checked on %s\n",
-		r.ReplayEpochsVerified, strings.Join(r.Mix, ","))
-	return nil
-}
-
-// checkResumeSmoke is the crash-safety smoke: the same pinned mixed-app
-// adaptive run is executed twice, once straight through and once
-// interrupted mid-measurement (checkpointing on the way out) and
-// resumed from the checkpoint file. Partition limits, controller
-// counters and the rendered epoch CSV must match byte for byte.
-func checkResumeSmoke() error {
-	var mix []workload.AppParams
-	for _, name := range []string{"ammp", "swim", "lucas", "gzip"} {
-		p, ok := workload.ByName(name)
-		if !ok {
-			return fmt.Errorf("workload %q missing from suite", name)
-		}
-		mix = append(mix, p)
-	}
-	base := sim.Config{
-		Scheme: sim.SchemeAdaptive, Seed: 1,
-		WarmupInstructions: 300_000, MeasureCycles: 150_000,
-		Telemetry:       &telemetry.Config{Run: "resume-smoke"},
-		CheckInvariants: true,
-	}
-
-	ref, err := sim.RunContext(context.Background(), base, mix)
-	if err != nil {
-		return fmt.Errorf("uninterrupted run: %w", err)
-	}
-
-	dir, err := os.MkdirTemp("", "nucasim-resumesmoke")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "run.ckpt")
-	cfg := base
-	cfg.CheckpointPath = path
-	cfg.StopAfter = 60_000
-	if _, err := sim.RunContext(context.Background(), cfg, mix); !errors.Is(err, sim.ErrInterrupted) {
-		return fmt.Errorf("interrupted run returned %v, want ErrInterrupted", err)
-	}
-	ck, err := sim.ReadCheckpoint(path)
-	if err != nil {
-		return fmt.Errorf("resume: %w", err)
-	}
-	got, err := sim.ResumeFromCheckpoint(context.Background(), ck, nil)
-	if err != nil {
-		return fmt.Errorf("resume: %w", err)
-	}
-
-	if !reflect.DeepEqual(got.PartitionLimits, ref.PartitionLimits) {
-		return fmt.Errorf("final limits diverged: resumed %v, uninterrupted %v", got.PartitionLimits, ref.PartitionLimits)
-	}
-	if got.Repartitions != ref.Repartitions || got.Evaluations != ref.Evaluations {
-		return fmt.Errorf("controller activity diverged: resumed %d/%d, uninterrupted %d/%d",
-			got.Repartitions, got.Evaluations, ref.Repartitions, ref.Evaluations)
-	}
-	if !reflect.DeepEqual(got.Counters, ref.Counters) {
-		return fmt.Errorf("counters diverged:\nresumed       %v\nuninterrupted %v", got.Counters, ref.Counters)
-	}
-	var refCSV, gotCSV bytes.Buffer
-	if err := telemetry.WriteEpochCSV(&refCSV, ref.Epochs); err != nil {
-		return err
-	}
-	if err := telemetry.WriteEpochCSV(&gotCSV, got.Epochs); err != nil {
-		return err
-	}
-	if !bytes.Equal(refCSV.Bytes(), gotCSV.Bytes()) {
-		return fmt.Errorf("epoch CSV diverged: %d vs %d bytes (%d vs %d epochs)",
-			gotCSV.Len(), refCSV.Len(), len(got.Epochs), len(ref.Epochs))
-	}
-	fmt.Printf("artifactcheck: resumesmoke ok — interrupted at %d of %d cycles, resumed run bit-identical (%d epochs, limits %v)\n",
-		cfg.StopAfter, cfg.MeasureCycles, len(got.Epochs), got.PartitionLimits)
 	return nil
 }
 

@@ -44,8 +44,10 @@ import (
 )
 
 // Benchmark is one aggregated benchmark result: the mean over every
-// parsed run of the same name (count=N produces N lines per benchmark).
+// parsed run of the same package and name (count=N produces N lines per
+// benchmark). Pkg is the package of the `pkg:` header above its lines.
 type Benchmark struct {
+	Pkg         string             `json:"pkg,omitempty"`
 	Name        string             `json:"name"`
 	Runs        int                `json:"runs"`
 	Iterations  uint64             `json:"iterations"` // summed over runs
@@ -59,7 +61,6 @@ type Benchmark struct {
 type Record struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 	// Ratios records every -max-ratio measurement, keyed
@@ -67,9 +68,10 @@ type Record struct {
 	Ratios map[string]float64 `json:"ratios,omitempty"`
 }
 
-// accum collects the per-run samples of one benchmark name at one
-// GOMAXPROCS value.
+// accum collects the per-run samples of one benchmark of one package
+// at one GOMAXPROCS value.
 type accum struct {
+	pkg     string
 	name    string
 	procs   int
 	runs    int
@@ -161,11 +163,13 @@ func main() {
 //	BenchmarkAdaptiveAccess-4   92633254   11.48 ns/op   0 B/op   0 allocs/op
 //
 // with (value, unit) pairs after the iteration count; ReportMetric adds
-// more pairs with custom units. Header lines (goos/goarch/pkg/cpu) fill
-// the record envelope; everything else is ignored.
+// more pairs with custom units. Header lines (goos/goarch/cpu) fill
+// the record envelope, and each `pkg:` header names the package of the
+// benchmark lines below it; everything else is ignored.
 func parse(r io.Reader) (Record, error) {
 	rec := Record{}
 	accums := map[string]*accum{}
+	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -178,7 +182,7 @@ func parse(r io.Reader) (Record, error) {
 			rec.Goarch = strings.TrimPrefix(line, "goarch: ")
 			continue
 		case strings.HasPrefix(line, "pkg: "):
-			rec.Pkg = strings.TrimPrefix(line, "pkg: ")
+			pkg = strings.TrimPrefix(line, "pkg: ")
 			continue
 		case strings.HasPrefix(line, "cpu: "):
 			rec.CPU = strings.TrimPrefix(line, "cpu: ")
@@ -196,10 +200,10 @@ func parse(r io.Reader) (Record, error) {
 		if err != nil {
 			continue // e.g. "BenchmarkX    --- FAIL"
 		}
-		key := fmt.Sprintf("%s\x00%d", name, procs)
+		key := fmt.Sprintf("%s\x00%s\x00%d", pkg, name, procs)
 		a := accums[key]
 		if a == nil {
-			a = &accum{name: name, procs: procs, sums: map[string]float64{}, ordinal: len(accums)}
+			a = &accum{pkg: pkg, name: name, procs: procs, sums: map[string]float64{}, ordinal: len(accums)}
 			accums[key] = a
 		}
 		a.runs++
@@ -221,18 +225,18 @@ func parse(r io.Reader) (Record, error) {
 	}
 
 	ordered := make([]*accum, 0, len(accums))
-	procsOf := map[string]int{} // name → number of GOMAXPROCS values seen
+	procsOf := map[[2]string]int{} // (pkg, name) → number of GOMAXPROCS values seen
 	for _, a := range accums {
 		ordered = append(ordered, a)
-		procsOf[a.name]++
+		procsOf[[2]string{a.pkg, a.name}]++
 	}
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ordinal < ordered[j].ordinal })
 	for _, a := range ordered {
 		name := a.name
-		if procsOf[name] > 1 {
+		if procsOf[[2]string{a.pkg, a.name}] > 1 {
 			name = fmt.Sprintf("%s/cpu=%d", name, a.procs)
 		}
-		b := Benchmark{Name: name, Runs: a.runs, Iterations: a.iters}
+		b := Benchmark{Pkg: a.pkg, Name: name, Runs: a.runs, Iterations: a.iters}
 		for unit, sum := range a.sums {
 			mean := sum / float64(a.runs)
 			switch unit {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -46,5 +47,43 @@ func TestCheckRatio(t *testing.T) {
 		if err != nil || key != tc.key || ratio-tc.ratio > 1e-9 || tc.ratio-ratio > 1e-9 {
 			t.Errorf("%s = %q, %g, %v; want %q, %g", tc.spec, key, ratio, err, tc.key, tc.ratio)
 		}
+	}
+}
+
+// TestParseNamesEachPackage pins that every benchmark carries the
+// package of the `pkg:` block it was printed in, and that same-named
+// benchmarks of two packages stay two records.
+func TestParseNamesEachPackage(t *testing.T) {
+	const in = `goos: linux
+pkg: nucasim/internal/sim
+BenchmarkEncodeResult-2   	     100	   1000000 ns/op
+BenchmarkShared-2         	      10	       100 ns/op
+BenchmarkShared-2         	      10	       300 ns/op
+PASS
+pkg: nucasim/internal/serve
+BenchmarkServeSubmit-2    	    1000	     50000 ns/op
+BenchmarkShared-2         	      10	       900 ns/op
+`
+	rec, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		pkg, name string
+		runs      int
+		ns        float64
+	}
+	want := []row{
+		{"nucasim/internal/sim", "BenchmarkEncodeResult", 1, 1000000},
+		{"nucasim/internal/sim", "BenchmarkShared", 2, 200},
+		{"nucasim/internal/serve", "BenchmarkServeSubmit", 1, 50000},
+		{"nucasim/internal/serve", "BenchmarkShared", 1, 900},
+	}
+	var got []row
+	for _, b := range rec.Benchmarks {
+		got = append(got, row{b.Pkg, b.Name, b.Runs, b.NsPerOp})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("parsed\n%v\nwant\n%v", got, want)
 	}
 }

@@ -77,16 +77,20 @@ func main() {
 	// Round 1: start the victim, submit, wait for a checkpoint to land,
 	// then SIGKILL it mid-run.
 	base := smoke.Start(*bin, state, filepath.Join(work, "addr1"), "-checkpoint-every", "20000")
-	id := submitJob(base)
+	spec, err := json.Marshal(jobReq)
+	if err != nil {
+		smoke.Fatal(err)
+	}
+	id, _ := smoke.Submit(base, spec)
 	if id != hash {
 		smoke.Fatal(fmt.Errorf("server content address %s != locally computed %s", id, hash))
 	}
 	ckpt := filepath.Join(state, "jobs", hash, "checkpoint.bin")
-	waitUntil("a checkpoint exists", 60*time.Second, func() bool {
+	smoke.WaitUntil("a checkpoint exists", 60*time.Second, func() bool {
 		_, err := os.Stat(ckpt)
 		return err == nil
 	})
-	if st := getStatus(base, id); st.State != "running" {
+	if st := smoke.JobStatus(base, id); st.State != serve.StateRunning {
 		smoke.Fatal(fmt.Errorf("job is %q at kill time, want running (job too short to crash mid-run?)", st.State))
 	}
 	smoke.Kill() // SIGKILL: no drain, no checkpoint-on-exit
@@ -95,15 +99,8 @@ func main() {
 	// Round 2: restart over the same state. Recovery must re-queue the
 	// job from its on-disk spec and resume from the checkpoint.
 	base = smoke.Start(*bin, state, filepath.Join(work, "addr2"), "-checkpoint-every", "20000")
-	waitUntil("job done after restart", 120*time.Second, func() bool {
-		st := getStatus(base, id)
-		switch st.State {
-		case "failed", "canceled":
-			smoke.Fatal(fmt.Errorf("job ended %q (%s) after restart, want done", st.State, st.Error))
-		}
-		return st.State == "done"
-	})
-	if st := getStatus(base, id); !st.Resumed {
+	smoke.AwaitDone(base, id, 120*time.Second)
+	if st := smoke.JobStatus(base, id); !st.Resumed {
 		smoke.Fatal(fmt.Errorf("job finished without resuming from its checkpoint (progress was thrown away)"))
 	}
 	got := smoke.Get(base+"/v1/jobs/"+id+"/result", http.StatusOK)
@@ -131,51 +128,4 @@ func main() {
 	}
 
 	fmt.Println("crashsmoke ok: SIGKILL mid-job, restart resumed from checkpoint, result byte-identical, store verifies")
-}
-
-func submitJob(base string) string {
-	body, err := json.Marshal(jobReq)
-	if err != nil {
-		smoke.Fatal(err)
-	}
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		smoke.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		smoke.Fatal(err)
-	}
-	if st.ID == "" {
-		smoke.Fatal(fmt.Errorf("submit returned no job id (HTTP %d)", resp.StatusCode))
-	}
-	return st.ID
-}
-
-type status struct {
-	State   string `json:"state"`
-	Error   string `json:"error"`
-	Resumed bool   `json:"resumed"`
-}
-
-func getStatus(base, id string) status {
-	var st status
-	if err := json.Unmarshal(smoke.Get(base+"/v1/jobs/"+id, http.StatusOK), &st); err != nil {
-		smoke.Fatal(err)
-	}
-	return st
-}
-
-func waitUntil(what string, limit time.Duration, cond func() bool) {
-	deadline := time.Now().Add(limit)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	smoke.Fatal(fmt.Errorf("timed out waiting for %s", what))
 }

@@ -28,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"nucasim/internal/serve"
 	"nucasim/internal/telemetry"
 	"nucasim/internal/tools/smoke"
 )
@@ -54,11 +55,11 @@ func main() {
 
 	// Round 1: cold cache. The job must actually run.
 	base := smoke.Start(*bin, state, filepath.Join(work, "addr1"))
-	id, status := submitJob(base)
+	id, status := smoke.Submit(base, []byte(jobSpec))
 	if status != http.StatusAccepted {
 		smoke.Fatal(fmt.Errorf("cold submit: HTTP %d, want 202", status))
 	}
-	awaitState(base, id, "done")
+	smoke.AwaitDone(base, id, 60*time.Second)
 	first := smoke.Get(base+"/v1/jobs/"+id+"/result", http.StatusOK)
 	if !json.Valid(first) {
 		smoke.Fatal(fmt.Errorf("result is not valid JSON"))
@@ -75,21 +76,14 @@ func main() {
 	// Round 2: warm cache, fresh process. The same submission must be
 	// answered from disk, byte-identical, and marked cached.
 	base = smoke.Start(*bin, state, filepath.Join(work, "addr2"))
-	id2, status := submitJob(base)
+	id2, status := smoke.Submit(base, []byte(jobSpec))
 	if status != http.StatusOK {
 		smoke.Fatal(fmt.Errorf("warm submit: HTTP %d, want 200 (cache hit)", status))
 	}
 	if id2 != id {
 		smoke.Fatal(fmt.Errorf("content address changed across restarts: %s vs %s", id, id2))
 	}
-	var st struct {
-		State  string `json:"state"`
-		Cached bool   `json:"cached"`
-	}
-	if err := json.Unmarshal(smoke.Get(base+"/v1/jobs/"+id+"", http.StatusOK), &st); err != nil {
-		smoke.Fatal(err)
-	}
-	if st.State != "done" || !st.Cached {
+	if st := smoke.JobStatus(base, id); st.State != serve.StateDone || !st.Cached {
 		smoke.Fatal(fmt.Errorf("warm status = %+v, want done+cached", st))
 	}
 	second := smoke.Get(base+"/v1/jobs/"+id+"/result", http.StatusOK)
@@ -102,46 +96,6 @@ func main() {
 	smoke.Stop()
 
 	fmt.Println("servesmoke ok: lifecycle, restart cache hit byte-identical, clean SIGTERM drains")
-}
-
-func submitJob(base string) (id string, code int) {
-	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(jobSpec))
-	if err != nil {
-		smoke.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		smoke.Fatal(err)
-	}
-	if st.ID == "" {
-		smoke.Fatal(fmt.Errorf("submit returned no job id (HTTP %d)", resp.StatusCode))
-	}
-	return st.ID, resp.StatusCode
-}
-
-func awaitState(base, id, want string) {
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		var st struct {
-			State string `json:"state"`
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(smoke.Get(base+"/v1/jobs/"+id, http.StatusOK), &st); err != nil {
-			smoke.Fatal(err)
-		}
-		if st.State == want {
-			return
-		}
-		switch st.State {
-		case "failed", "canceled":
-			smoke.Fatal(fmt.Errorf("job ended %q (%s), want %q", st.State, st.Error, want))
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	smoke.Fatal(fmt.Errorf("job never reached state %q", want))
 }
 
 // checkMetrics scrapes /metrics after a completed job and asserts the

@@ -1,11 +1,13 @@
 // Package smoke is the shared harness of the nucaserve smoke commands
 // (servesmoke, sweepsmoke, crashsmoke): it runs one real server binary
-// as a child process and gives the command a fail-fast HTTP client.
-// Every failure goes through Fatal, which kills the child first, so a
-// failed smoke never leaves a server running.
+// as a child process and gives the command a fail-fast HTTP and job
+// client. Every failure goes through Fatal, which kills the child first,
+// so a failed smoke never leaves a server running.
 package smoke
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,6 +17,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"nucasim/internal/serve"
 )
 
 var server *exec.Cmd
@@ -82,6 +86,60 @@ func Get(url string, wantCode int) []byte {
 		Fatal(fmt.Errorf("GET %s: HTTP %d, want %d\n%s", url, resp.StatusCode, wantCode, body))
 	}
 	return body
+}
+
+// Submit POSTs a job spec to the server at base and returns the job id
+// and the HTTP status. A reply without a job id is fatal.
+func Submit(base string, spec []byte) (id string, code int) {
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(spec))
+	if err != nil {
+		Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		ID string `json:"id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		Fatal(err)
+	}
+	if st.ID == "" {
+		Fatal(fmt.Errorf("submit returned no job id (HTTP %d)", resp.StatusCode))
+	}
+	return st.ID, resp.StatusCode
+}
+
+// JobStatus reads job id's status from the server at base.
+func JobStatus(base, id string) serve.Status {
+	var st serve.Status
+	if err := json.Unmarshal(Get(base+"/v1/jobs/"+id, http.StatusOK), &st); err != nil {
+		Fatal(err)
+	}
+	return st
+}
+
+// WaitUntil polls cond until it holds; past limit it is fatal.
+func WaitUntil(what string, limit time.Duration, cond func() bool) {
+	deadline := time.Now().Add(limit)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+	Fatal(fmt.Errorf("timed out waiting for %s", what))
+}
+
+// AwaitDone polls job id until it is done. A job that fails or is
+// canceled, or is not done within limit, is fatal.
+func AwaitDone(base, id string, limit time.Duration) {
+	WaitUntil("job "+id+" done", limit, func() bool {
+		st := JobStatus(base, id)
+		switch st.State {
+		case serve.StateFailed, serve.StateCanceled:
+			Fatal(fmt.Errorf("job ended %q (%s), want done", st.State, st.Error))
+		}
+		return st.State == serve.StateDone
+	})
 }
 
 // Fatal kills the server, if one is running, reports err under the
