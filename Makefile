@@ -11,8 +11,9 @@ all: build
 
 # BenchmarkGeneratorNext's sub-benchmarks: the apps of the benchmark's
 # warmup (ammp, art, mcf, swim) and table1 (gzip, mcf, ammp, wupwise)
-# mixes.
-GENERATOR_BENCHES = BenchmarkGeneratorNext/ammp,BenchmarkGeneratorNext/art,BenchmarkGeneratorNext/mcf,BenchmarkGeneratorNext/swim,BenchmarkGeneratorNext/gzip,BenchmarkGeneratorNext/wupwise
+# mixes, through Next and, under untimed/, through functional warmup's
+# NextUntimed.
+GENERATOR_BENCHES = BenchmarkGeneratorNext/ammp,BenchmarkGeneratorNext/art,BenchmarkGeneratorNext/mcf,BenchmarkGeneratorNext/swim,BenchmarkGeneratorNext/gzip,BenchmarkGeneratorNext/wupwise,BenchmarkGeneratorNext/untimed/ammp,BenchmarkGeneratorNext/untimed/art,BenchmarkGeneratorNext/untimed/mcf,BenchmarkGeneratorNext/untimed/swim,BenchmarkGeneratorNext/untimed/gzip,BenchmarkGeneratorNext/untimed/wupwise
 
 build:
 	$(GO) build ./...
@@ -34,8 +35,9 @@ race:
 # without telemetry, the end-to-end Table 1 run, the wall-clock span
 # hot path enabled/disabled, functional warmup at one and two CPUs, the
 # timed loop over three mixes, a data load through a deferring port
-# (the L1/L2/TLB path of functional warmup), and the workload generator
-# over the apps of the benchmark's warmup and table1 mixes). The text
+# (the L1/L2/TLB path of functional warmup), and the workload generator,
+# timed and untimed, over the apps of the benchmark's warmup and table1
+# mixes). The text
 # output is benchstat-compatible; benchjson folds the same stream into
 # the machine-readable BENCH_core.json benchmark record, asserting the
 # access, span, port and generator paths stay allocation-free and the
@@ -64,8 +66,9 @@ bench: build
 # settle. The two hottest per-cycle layers, a core step and a
 # dependency-distance draw, must stay allocation-free too, and so must
 # the timed loop over each mix, a data access through a deferring port
-# (functional warmup's per-core path) and one generated instruction of
-# each app in the benchmark's warmup and table1 mixes. A forked sweep
+# (functional warmup's per-core path) and one generated instruction,
+# timed and untimed, of each app in the benchmark's warmup and table1
+# mixes. A forked sweep
 # must allocate at most 0.27x the bytes of the same points run cold:
 # B/op does not depend on host speed, so two iterations suffice, and the
 # gate fails if forks go back to building a machine each, or if a group

@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"os/signal"
 	"strings"
@@ -194,9 +195,10 @@ func main() {
 	summarize(r, common)
 }
 
-// finish publishes a completed run's artifacts — or, for a failed or
-// interrupted run, discards them and exits (3 when ckPath holds a
-// checkpoint to continue from, 1 otherwise).
+// finish publishes a completed run's artifacts and removes its
+// checkpoint ckPath, which only an unfinished run needs — or, for a
+// failed or interrupted run, discards the artifacts and exits (3 when
+// ckPath holds a checkpoint to continue from, 1 otherwise).
 func finish(r sim.Result, err error, ckPath string, common *cliflags.Flags, session *cliflags.Session) {
 	if err != nil {
 		// The trace is incomplete; never publish it under the real name.
@@ -224,6 +226,11 @@ func finish(r sim.Result, err error, ckPath string, common *cliflags.Flags, sess
 	if err := session.Close(true); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+	if ckPath != "" {
+		if err := os.Remove(ckPath); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			fmt.Fprintln(os.Stderr, "nucasim: warning: completed run's checkpoint not removed:", err)
+		}
 	}
 }
 

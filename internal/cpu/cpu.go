@@ -224,13 +224,18 @@ func (c *Core) Stats() Stats { return c.stats }
 // interleave cores in small chunks (shared structures see interleaved
 // streams) and reset the memory channel afterwards.
 //
+// Without timing nothing reads an instruction's dependencies, so it
+// takes the stream through the generator's NextUntimed: the same
+// instructions and generator state as Next, without the producer
+// distances.
+//
 // It touches only this core's own state (generator, predictor) and its
 // port, so cores may warm concurrently when their ports keep the shared
 // last level out of the way (hierarchy.Port.Defer).
 func (c *Core) WarmFunctional(n uint64) {
 	var ins workload.Instr
 	for i := uint64(0); i < n; i++ {
-		c.gen.Next(&ins)
+		c.gen.NextUntimed(&ins)
 		if blk := ins.PC.Block(); blk != c.lastFetchBlock {
 			c.lastFetchBlock = blk
 			c.port.FetchInstr(ins.PC, 0)

@@ -173,6 +173,14 @@ func (g *GeometricSource) Next() int {
 	return g.sample(g.r.Uint64() >> (64 - geoDrawBits))
 }
 
+// Skip consumes the draw Next would, without computing its sample: the
+// stream stays where a Next would have left it.
+func (g *GeometricSource) Skip() {
+	if !g.unit {
+		g.r.Uint64()
+	}
+}
+
 // sample maps the 53-bit draw k to its geometric sample.
 func (g *GeometricSource) sample(k uint64) int {
 	n := int(g.start[k>>geoBucketLow])

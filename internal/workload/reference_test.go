@@ -103,7 +103,7 @@ func TestPickProducerMatchesReferenceOnSparseRings(t *testing.T) {
 		got.count++
 		want.count++
 		chase := i%2 == 0
-		if a, b := got.pickProducer(chase), want.referencePickProducer(chase); a != b {
+		if a, b := got.pickProducer(chase, true), want.referencePickProducer(chase); a != b {
 			t.Fatalf("trial %d (count %d, chase %v, ring %v): got %d, reference %d", i, got.count, chase, s.ClassRing, a, b)
 		}
 		if got.r.State() != want.r.State() {

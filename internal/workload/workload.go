@@ -274,7 +274,17 @@ func (g *Generator) Space() int { return g.space }
 func (g *Generator) Count() uint64 { return g.count }
 
 // Next fills ins with the next dynamic instruction.
-func (g *Generator) Next(ins *Instr) {
+func (g *Generator) Next(ins *Instr) { g.next(ins, true) }
+
+// NextUntimed fills ins with the next dynamic instruction as Next would,
+// except that Dep1 and Dep2 stay 0: it consumes the same random draws
+// but computes no producer distances. It serves functional warmup, which
+// has no timing to read them for; the generator's state afterwards,
+// and every later instruction, is what Next would have left.
+func (g *Generator) NextUntimed(ins *Instr) { g.next(ins, false) }
+
+// next is Next, or NextUntimed when timed is false.
+func (g *Generator) next(ins *Instr, timed bool) {
 	g.count++
 	pc := memaddr.Addr(g.pcIndex * 4).WithSpace(g.space)
 	ins.PC = pc
@@ -340,7 +350,7 @@ func (g *Generator) Next(ins *Instr) {
 				g.pcIndex = g.windowStart + window - 1
 			}
 		}
-		ins.Dep1 = g.pickProducer(false)
+		ins.Dep1 = g.pickProducer(false, timed)
 		g.record(g.count, Branch)
 		return
 	}
@@ -354,12 +364,12 @@ func (g *Generator) Next(ins *Instr) {
 		ins.Addr = g.dataAddr()
 		// The address operand: index arithmetic, or — with probability
 		// PointerChase — the value of the most recent load.
-		ins.Dep1 = g.pickProducer(g.r.Bool(g.P.PointerChase))
+		ins.Dep1 = g.pickProducer(g.r.Bool(g.P.PointerChase), timed)
 	case u < g.P.LoadFrac+g.P.StoreFrac:
 		ins.Class = Store
 		ins.Addr = g.dataAddr()
-		ins.Dep1 = g.pickProducer(false) // address operand
-		ins.Dep2 = g.pickProducer(false) // value operand
+		ins.Dep1 = g.pickProducer(false, timed) // address operand
+		ins.Dep2 = g.pickProducer(false, timed) // value operand
 	default:
 		fp := g.r.Bool(g.P.FPFrac)
 		mul := g.r.Bool(g.P.MulFrac)
@@ -373,7 +383,7 @@ func (g *Generator) Next(ins *Instr) {
 		default:
 			ins.Class = IntALU
 		}
-		ins.Dep1 = g.pickProducer(false)
+		ins.Dep1 = g.pickProducer(false, timed)
 	}
 	g.record(g.count, ins.Class)
 }
@@ -410,12 +420,21 @@ func (g *Generator) windowSize() uint64 {
 // branches do not accidentally serialize behind unrelated memory traffic.
 // A producer must lie inside the dependency window and be a generated
 // instruction (k < count); failing that, the chase falls back to the
-// geometric draw and the draw stands as drawn.
-func (g *Generator) pickProducer(chase bool) int32 {
+// geometric draw and the draw stands as drawn. Untimed, it consumes the
+// same draws (none when the chase hits, one geometric draw else) and
+// returns 0 without looking up a producer.
+func (g *Generator) pickProducer(chase, timed bool) int32 {
 	if chase {
 		if k := g.count - g.lastLoad; k < depWindow && k < g.count {
+			if !timed {
+				return 0
+			}
 			return int32(k)
 		}
+	}
+	if !timed {
+		g.depDist.Skip()
+		return 0
 	}
 	d := uint64(g.depDist.Next())
 	if d >= depWindow || d >= g.count {

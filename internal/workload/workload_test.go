@@ -391,18 +391,34 @@ func TestGeneratorPanicsOnBadParams(t *testing.T) {
 
 // BenchmarkGeneratorNext times one Next over the apps of the benchmark's
 // warmup mix (ammp, art, mcf, swim) and table1 mix (gzip, mcf, ammp,
-// wupwise).
+// wupwise), and under untimed/ one NextUntimed, functional warmup's
+// call, over the same apps.
 func BenchmarkGeneratorNext(b *testing.B) {
-	for _, name := range []string{"ammp", "art", "mcf", "swim", "gzip", "wupwise"} {
-		b.Run(name, func(b *testing.B) {
+	apps := []string{"ammp", "art", "mcf", "swim", "gzip", "wupwise"}
+	bench := func(name string, untimed bool) func(*testing.B) {
+		return func(b *testing.B) {
 			p, _ := ByName(name)
 			g := NewGenerator(p, 0, rng.New(1))
 			var ins Instr
 			b.ReportAllocs()
 			b.ResetTimer()
+			if untimed {
+				for i := 0; i < b.N; i++ {
+					g.NextUntimed(&ins)
+				}
+				return
+			}
 			for i := 0; i < b.N; i++ {
 				g.Next(&ins)
 			}
-		})
+		}
 	}
+	for _, name := range apps {
+		b.Run(name, bench(name, false))
+	}
+	b.Run("untimed", func(b *testing.B) {
+		for _, name := range apps {
+			b.Run(name, bench(name, true))
+		}
+	})
 }
