@@ -75,7 +75,7 @@ func main() {
 	replayVerify := flag.Bool("replay-verify", false, "adaptive only: cross-check trace-reconstructed cache state against the live cache at every repartition epoch")
 	epochCap := flag.Int("epoch-cap", telemetry.DefaultEpochCapacity, "bound on retained epoch samples (oldest dropped)")
 	checkInv := flag.Bool("check-invariants", false, "adaptive only: verify structural invariants at every repartition epoch and at the end of the run")
-	checkpoint := flag.String("checkpoint", "", "adaptive only: write a crash-safe state checkpoint to this file periodically and on interruption (SIGINT/SIGTERM)")
+	checkpoint := flag.String("checkpoint", "", "write a crash-safe state checkpoint to this file periodically and on interruption (SIGINT/SIGTERM)")
 	checkpointEvery := flag.Uint64("checkpoint-every", 0, "checkpoint cadence in measured cycles (default 50000 when -checkpoint is set)")
 	resume := flag.String("resume", "", "continue an interrupted run from this checkpoint file (other run-shape flags are ignored)")
 	flag.Parse()

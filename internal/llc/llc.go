@@ -7,8 +7,10 @@
 //     the paper calls "random replacement" (Section 4.7).
 //
 // All three embed one base that holds the arrays, the memory channel and
-// the statistics, and runs the miss/fill and writeback paths; each type
-// adds only its hit path (and, for Cooperative, its spill rules). The
+// the statistics, runs the miss/fill and writeback paths, and snapshots
+// and restores the arrays and statistics (State); each type adds only
+// its hit path (and, for Cooperative, its spill rules and neighbour
+// stream). The
 // constructors take explicit geometry: the Table 1 sizes of every scheme,
 // the "4 x size private" bound among them, live in internal/sim's scheme
 // table. The paper's own adaptive organization lives in internal/core and

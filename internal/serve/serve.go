@@ -40,7 +40,7 @@ type Options struct {
 	// interrupting them into checkpoints (default 30 s).
 	DrainTimeout time.Duration
 	// CheckpointEvery is the periodic crash-safety cadence, in measured
-	// cycles, for running adaptive jobs (default sim's 50 000).
+	// cycles, for running jobs (default sim's 50 000).
 	CheckpointEvery uint64
 	// JobTimeout bounds one job's wall-clock run time (queue wait
 	// excluded). Zero means no deadline. A job that exceeds it fails
@@ -606,8 +606,8 @@ func (s *Server) runJob(j *Job) {
 }
 
 // jobConfig equips the job's semantic config with the server's live
-// observability (wireTelemetry) and, for schemes that support it,
-// crash-safe checkpointing into the store. None of these additions
+// observability (wireTelemetry) and crash-safe checkpointing into the
+// store. None of these additions
 // changes what the run computes, so the artifacts stay byte-identical
 // to a direct sim.Run of the bare spec with default telemetry
 // (EncodeResult strips the wall-clock-derived fields).
@@ -615,10 +615,8 @@ func (s *Server) jobConfig(j *Job, parent telemetry.SpanID) sim.Config {
 	cfg := j.cfg
 	cfg.Telemetry = &telemetry.Config{}
 	j.wireTelemetry(cfg.Telemetry, parent)
-	if cfg.Scheme.Checkpointable() {
-		cfg.CheckpointPath = s.store.CheckpointPath(j.ID)
-		cfg.CheckpointEvery = s.opts.CheckpointEvery
-	}
+	cfg.CheckpointPath = s.store.CheckpointPath(j.ID)
+	cfg.CheckpointEvery = s.opts.CheckpointEvery
 	return cfg
 }
 
@@ -631,9 +629,9 @@ func (s *Server) Draining() bool {
 
 // Shutdown drains the server: intake stops immediately (submissions get
 // 503, workers pick up no new jobs), running jobs get until the drain
-// deadline to finish, and whatever is still running then is interrupted
-// — adaptive jobs write a checkpoint and land in StateCheckpointed, so
-// the next process resumes them without recomputing finished work.
+// deadline to finish, and whatever is still running then is interrupted:
+// it writes a checkpoint and lands in StateCheckpointed, so the next
+// process resumes it without recomputing finished work.
 // Queued jobs keep their persisted specs and are re-queued on restart.
 // Blocks until every worker has exited.
 func (s *Server) Shutdown(ctx context.Context) error {

@@ -305,15 +305,25 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestDrainCheckpointResume is the restart guarantee: SIGTERM-style
-// shutdown mid-measurement checkpoints the running job, and a new
-// server over the same state directory resumes it — simulating only the
-// cycles the first process had not finished, then producing artifacts
-// byte-identical to an uninterrupted direct run.
+// TestDrainCheckpointResume is the restart guarantee, for an adaptive
+// and a private job: SIGTERM-style shutdown mid-measurement checkpoints
+// the running job, and a new server over the same state directory
+// resumes it — simulating only the cycles the first process had not
+// finished, then producing artifacts byte-identical to an uninterrupted
+// direct run.
 func TestDrainCheckpointResume(t *testing.T) {
+	for _, scheme := range []string{"adaptive", "private"} {
+		t.Run(scheme, func(t *testing.T) {
+			req := smallJob(21)
+			req.Scheme = scheme
+			req.MeasureCycles = 800_000
+			testDrainCheckpointResume(t, req)
+		})
+	}
+}
+
+func testDrainCheckpointResume(t *testing.T, req JobRequest) {
 	dir := t.TempDir()
-	req := smallJob(21)
-	req.MeasureCycles = 800_000
 
 	s1, err := New(Options{
 		StateDir:        dir,
@@ -365,6 +375,9 @@ func TestDrainCheckpointResume(t *testing.T) {
 	waitFor(t, "resumed job done", func() bool { return s2.Status(j2).State == StateDone })
 	if got := s2.Status(j2); !got.Resumed {
 		t.Errorf("finished job not marked resumed: %+v", got)
+	}
+	if got := counter(s2, "serve.jobs_resumed"); got != 1 {
+		t.Errorf("serve.jobs_resumed = %d, want 1", got)
 	}
 	resumeDelta := sim.CyclesSimulated() - cyclesBefore
 	if want := req.MeasureCycles - ck.Measured; resumeDelta != want {

@@ -171,9 +171,10 @@ func TestSweepForkIdentity(t *testing.T) {
 	}
 }
 
-// TestSweepMixedSchemes pins the split schedule: baseline-scheme points
-// run cold (no snapshot support) while the adaptive points share one
-// warmup, and the table still aggregates everything in expansion order.
+// TestSweepMixedSchemes pins the schedule of a grid over two schemes:
+// each scheme's points form one warmup group, every point forks its
+// group's warmup, baseline and adaptive alike, and commits the result
+// of a cold run.
 func TestSweepMixedSchemes(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 2})
 	spec := smallSweep(13)
@@ -184,19 +185,19 @@ func TestSweepMixedSchemes(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", resp.StatusCode)
 	}
-	if st.Points != 4 || st.WarmupGroups != 1 || st.ForkedPoints != 2 {
-		t.Fatalf("schedule = %+v, want 4 points, 1 group, 2 forked", st)
+	if st.Points != 4 || st.WarmupGroups != 2 || st.ForkedPoints != 4 {
+		t.Fatalf("schedule = %+v, want 4 points, 2 groups, 4 forked", st)
 	}
 	waitFor(t, "sweep done", func() bool { return getSweep(t, ts, st.ID).State == SweepDone })
-	if got := counter(s, "serve.sweep_warmups_run"); got != 1 {
-		t.Errorf("serve.sweep_warmups_run = %d, want 1", got)
+	if got := counter(s, "serve.sweep_warmups_run"); got != 2 {
+		t.Errorf("serve.sweep_warmups_run = %d, want 2", got)
 	}
 	for _, ps := range getSweep(t, ts, st.ID).PointJobs {
-		wantFork := strings.HasPrefix(ps.Label, "adaptive")
-		if ps.Forked != wantFork {
-			t.Errorf("point %q: forked=%v, want %v", ps.Label, ps.Forked, wantFork)
+		if !ps.Forked {
+			t.Errorf("point %q did not fork its group's warmup", ps.Label)
 		}
 	}
+	requirePointsMatchCold(t, s, spec)
 }
 
 // TestSweepRejectsMalformedSpecs: satellite guarantee that bad sweep

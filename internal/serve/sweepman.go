@@ -197,8 +197,8 @@ func (s *Server) maxSweepPoints() int {
 // created it. Malformed specs — empty axes, duplicate points, grids
 // over the cap — are RequestErrors (HTTP 400). Points whose results are
 // already cached complete instantly; points equal to jobs already in
-// flight adopt them; the rest are scheduled, with adaptive points that
-// share warmup-relevant configuration fanned out from one shared warmup
+// flight adopt them; the rest are scheduled, with points that share
+// warmup-relevant configuration fanned out from one shared warmup
 // checkpoint instead of each re-running warmup.
 func (s *Server) SubmitSweep(spec sweep.Spec) (*Sweep, bool, error) {
 	points, err := sweep.Expand(spec, s.maxSweepPoints())
@@ -295,7 +295,7 @@ func (s *Server) attachSweepLocked(id string, spec sweep.Spec, points []sweep.Po
 	// Schedule the points this sweep created. Fork groups with at least
 	// two live members share one warmup task; their member jobs stay out
 	// of the FIFO until the task has written their fork checkpoints.
-	// Everything else — baseline schemes, singleton groups — enqueues cold.
+	// Every other point enqueues cold.
 	for _, g := range sweep.Plan(points) {
 		var members []*Job
 		for _, pi := range g.Points {
@@ -306,7 +306,7 @@ func (s *Server) attachSweepLocked(id string, spec sweep.Spec, points []sweep.Po
 		if len(members) == 0 {
 			continue
 		}
-		if g.Fork && len(members) >= 2 {
+		if len(members) >= 2 {
 			ctx, cancel := context.WithCancel(context.Background())
 			t := &warmupTask{sw: sw, hash: g.WarmupHash, members: members, ctx: ctx, cancel: cancel}
 			sw.tasks = append(sw.tasks, t)

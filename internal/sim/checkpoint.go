@@ -18,6 +18,7 @@ import (
 	"nucasim/internal/dram"
 	"nucasim/internal/hierarchy"
 	"nucasim/internal/invariant"
+	"nucasim/internal/llc"
 	"nucasim/internal/telemetry"
 	"nucasim/internal/workload"
 )
@@ -50,9 +51,10 @@ const _ uint = -(warmSegment % warmChunk)
 
 // Checkpoint is the complete serialized state of an interrupted run:
 // configuration, workload mix, every core (including its instruction
-// generator and branch predictor), the upper cache hierarchy, the
-// adaptive LLC with its shadow tags and partition limits, the memory
-// channel, and the telemetry epoch ring. Gob-encoded; written atomically.
+// generator and branch predictor), the upper cache hierarchy, the L3
+// organization (the adaptive LLC with its shadow tags and partition
+// limits in LLC, any other scheme in Baseline), the memory channel, and
+// the telemetry epoch ring. Gob-encoded; written atomically.
 //
 // Config.Telemetry holds an io.Writer and cannot be serialized, so its
 // parameters travel in the Telemetry* fields and the pointer is stripped.
@@ -88,8 +90,19 @@ type Checkpoint struct {
 	Cores []cpu.State
 	Hier  hierarchy.State
 	Mem   dram.State
-	LLC   core.State
-	Telem telemetry.State
+	// LLC holds the adaptive scheme's state and Baseline every other
+	// scheme's; the other one stays zero. The adaptive field keeps its
+	// name so that checkpoints written before Baseline existed decode.
+	LLC      core.State
+	Baseline llc.State
+	Telem    telemetry.State
+}
+
+// baselineOrg is the snapshot side of every organization but the
+// adaptive one (llc.State).
+type baselineOrg interface {
+	Snapshot() llc.State
+	Restore(llc.State) error
 }
 
 // checkpointsCaptured counts checkpoint captures across the process:
@@ -111,11 +124,8 @@ var errNoOrigin = errors.New("sim: the machine has no measurement origin: it was
 // boundary it is the warmup checkpoint, with zero measured cycles;
 // after a run has measured W cycles it continues that run past W.
 // Capturing does not move the machine. It refuses a machine with no
-// origin and a scheme that is not Checkpointable.
+// origin.
 func (m *Machine) Capture() (*Checkpoint, error) {
-	if !m.Cfg.Scheme.Checkpointable() {
-		return nil, fmt.Errorf("sim: checkpointing supports only the adaptive scheme, not %s", m.Cfg.Scheme)
-	}
 	if m.origin == nil {
 		return nil, errNoOrigin
 	}
@@ -123,9 +133,16 @@ func (m *Machine) Capture() (*Checkpoint, error) {
 	cfg := m.Cfg
 	tcfg := cfg.Telemetry
 	cfg.Telemetry = nil
-	// Publish the epoch-deferred counter deltas so the registry state
-	// below carries current values (Restore re-baselines the flush).
-	m.Adaptive.FlushTelemetry()
+	var adaptive core.State
+	var baseline llc.State
+	if m.Adaptive != nil {
+		// Publish the epoch-deferred counter deltas so the registry state
+		// below carries current values (Restore re-baselines the flush).
+		m.Adaptive.FlushTelemetry()
+		adaptive = m.Adaptive.Snapshot()
+	} else {
+		baseline = m.Org.(baselineOrg).Snapshot()
+	}
 	// The hash cannot fail here: the machine was built from this very
 	// (cfg, mix), so CanonicalSpec already validated it.
 	m.buildHash, _ = WarmupHash(cfg, m.mix)
@@ -142,7 +159,8 @@ func (m *Machine) Capture() (*Checkpoint, error) {
 		BeforeMiss:   slices.Clone(base.miss),
 		Hier:         m.Hierarchy.Snapshot(),
 		Mem:          m.Memory.Snapshot(),
-		LLC:          m.Adaptive.Snapshot(),
+		LLC:          adaptive,
+		Baseline:     baseline,
 		Telem:        m.Telemetry.Snapshot(),
 	}
 	if tcfg != nil {
@@ -242,9 +260,6 @@ func (ck *Checkpoint) config() (Config, error) {
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
 	}
-	if !cfg.Scheme.Checkpointable() {
-		return Config{}, fmt.Errorf("sim: checkpointing supports only the adaptive scheme, not %s", cfg.Scheme)
-	}
 	warmHash, err := WarmupHash(ck.Cfg, ck.Mix)
 	if err != nil {
 		return Config{}, err
@@ -268,7 +283,13 @@ func (m *Machine) restoreState(ck *Checkpoint) error {
 		return err
 	}
 	m.Memory.Restore(ck.Mem)
-	if err := m.Adaptive.Restore(ck.LLC); err != nil {
+	var err error
+	if m.Adaptive != nil {
+		err = m.Adaptive.Restore(ck.LLC)
+	} else {
+		err = m.Org.(baselineOrg).Restore(ck.Baseline)
+	}
+	if err != nil {
 		return err
 	}
 	if err := m.Telemetry.Restore(ck.Telem); err != nil {
@@ -537,7 +558,7 @@ func ResumeFromCheckpoint(ctx context.Context, ck *Checkpoint, attach func(c *te
 // the point is that one warmup can seed arbitrarily many measurement
 // windows (ResumeFromCheckpoint on copies with different MeasureCycles),
 // so a sweep whose points share warmup-relevant configuration pays for
-// warmup exactly once. The scheme must be Checkpointable.
+// warmup exactly once.
 func WarmupCheckpoint(ctx context.Context, cfg Config, mix []workload.AppParams) (*Checkpoint, error) {
 	m, err := NewWarmedMachine(ctx, cfg, mix)
 	if err != nil {

@@ -32,14 +32,33 @@ func ckConfig() Config {
 	}
 }
 
+// schemeShape is ckConfig's run under scheme s, with its mix. Coop runs
+// at 4 cores (art/mcf/ammp/swim) with 16 KB of L3 per core: at 2 cores
+// its neighbour choice Intn(1) always picks the other core, and with
+// ample L3 little spills, so a neighbour stream that a restore lost
+// would not show.
+func schemeShape(tb testing.TB, s Scheme) (Config, []workload.AppParams) {
+	tb.Helper()
+	cfg := ckConfig()
+	cfg.Scheme = s
+	if s == SchemeCoop {
+		cfg.Cores = 4
+		cfg.L3BytesPerCore = 16 << 10
+		return cfg, mixOf(tb, "art", "mcf", "ammp", "swim")
+	}
+	return cfg, mixOf(tb, "ammp", "gzip")
+}
+
 // TestCheckpointResumeBitIdentical is the crash-safety acceptance test: a
 // run whose context ends mid-measurement, resumed from the checkpoint it
 // wrote on the way out, must produce the same partition limits,
 // counters, per-core statistics and byte-identical epoch CSV as the
-// same-seed run that was never interrupted. Each case cancels its
-// context from a progress hook once the measured cycles pass stopPast:
-// a 2-core run with a short checkpoint cadence, and the 4-core
-// ammp/swim/lucas/gzip run at the default cadence.
+// same-seed run that was never interrupted — in fact the same Result,
+// wall clock aside. Each case cancels its context from a progress hook
+// once the measured cycles pass stopPast: an adaptive 2-core run with a
+// short checkpoint cadence, the adaptive 4-core ammp/swim/lucas/gzip run
+// at the default cadence, and every other scheme in its schemeShape at
+// the short cadence.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	fourCore := Config{
 		Scheme: SchemeAdaptive, Seed: 1,
@@ -47,16 +66,24 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		Telemetry:       &telemetry.Config{Run: "resume-smoke"},
 		CheckInvariants: true,
 	}
-	for _, tc := range []struct {
+	type resumeCase struct {
 		name     string
 		cfg      Config
 		mix      []workload.AppParams
 		every    uint64
 		stopPast uint64
-	}{
+	}
+	cases := []resumeCase{
 		{"2-core", ckConfig(), mixOf(t, "ammp", "gzip"), 10_000, 25_000},
 		{"4-core", fourCore, telemetryMix(t), 0, 60_000},
-	} {
+	}
+	for _, s := range Schemes() {
+		if s != SchemeAdaptive {
+			cfg, mix := schemeShape(t, s)
+			cases = append(cases, resumeCase{string(s), cfg, mix, 10_000, 25_000})
+		}
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ref, err := RunContext(context.Background(), tc.cfg, tc.mix)
 			if err != nil {
@@ -138,6 +165,10 @@ func requireSameRun(t *testing.T, got, ref Result) {
 	if !bytes.Equal(refCSV.Bytes(), gotCSV.Bytes()) {
 		t.Errorf("epoch CSV diverged (%d vs %d bytes, %d vs %d epochs)",
 			gotCSV.Len(), refCSV.Len(), len(got.Epochs), len(ref.Epochs))
+	}
+	if !reflect.DeepEqual(normalizeResult(got), normalizeResult(ref)) {
+		t.Errorf("resumed Result differs from the uninterrupted one\nresumed       %+v\nuninterrupted %+v",
+			normalizeResult(got), normalizeResult(ref))
 	}
 }
 
@@ -329,9 +360,13 @@ func TestConfigValidate(t *testing.T) {
 		{"bad cache size", func(c *Config) { c.L3BytesPerCore = 100_000 }, "not divisible"},
 		{"non-pow2 sets", func(c *Config) { c.L3BytesPerCore = 3 * 256 * 1024 }, "power of two"},
 		{"negative period", func(c *Config) { c.RepartitionPeriod = -1 }, "RepartitionPeriod"},
-		{"checkpoint non-adaptive", func(c *Config) { c.Scheme = SchemePrivate; c.CheckpointPath = "x" }, "only the adaptive scheme"},
 		{"checkpoint with replay-verify", func(c *Config) {
 			c.Scheme = SchemeAdaptive
+			c.CheckpointPath = "x"
+			c.ReplayVerify = true
+		}, "incompatible with ReplayVerify"},
+		{"baseline checkpoint with replay-verify", func(c *Config) {
+			c.Scheme = SchemePrivate
 			c.CheckpointPath = "x"
 			c.ReplayVerify = true
 		}, "incompatible with ReplayVerify"},
@@ -350,6 +385,13 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("default config rejected: %v", err)
 	}
+	t.Run("checkpoint every scheme", func(t *testing.T) {
+		for _, s := range Schemes() {
+			if err := (Config{Scheme: s, CheckpointPath: "x"}).Validate(); err != nil {
+				t.Errorf("%s with a CheckpointPath rejected: %v", s, err)
+			}
+		}
+	})
 	if err := ckConfig().Validate(); err != nil {
 		t.Fatalf("checkpoint test config rejected: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nucasim/internal/telemetry"
+	"nucasim/internal/workload"
 )
 
 // normalizeResult strips the only field that legitimately differs
@@ -20,13 +21,22 @@ func normalizeResult(r Result) Result {
 // TestWarmupForkBitIdentical is the fork-equivalence acceptance test:
 // one warmup checkpoint, encoded once and decoded into a private copy
 // per point, must seed measurement windows whose results are identical
-// to cold end-to-end runs of the same configurations. This is the
-// invariant that lets a sweep run warmup once per warmup-hash group.
+// to cold end-to-end runs of the same configurations, under every
+// scheme (each in its schemeShape). This is the invariant that lets a
+// sweep run warmup once per warmup-hash group.
 func TestWarmupForkBitIdentical(t *testing.T) {
-	mix := mixOf(t, "ammp", "gzip")
+	for _, s := range Schemes() {
+		t.Run(string(s), func(t *testing.T) {
+			cfg, mix := schemeShape(t, s)
+			testWarmupFork(t, cfg, mix)
+		})
+	}
+}
+
+func testWarmupFork(t *testing.T, cfg Config, mix []workload.AppParams) {
 	windows := []uint64{20_000, 40_000, 60_000}
 
-	ck, err := WarmupCheckpoint(context.Background(), ckConfig(), mix)
+	ck, err := WarmupCheckpoint(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +53,7 @@ func TestWarmupForkBitIdentical(t *testing.T) {
 	}
 
 	for _, mc := range windows {
-		cold := ckConfig()
+		cold := cfg
 		cold.MeasureCycles = mc
 		ref, err := RunContext(context.Background(), cold, mix)
 		if err != nil {
@@ -187,19 +197,13 @@ func TestResumeFromCheckpointRejectsWarmupMismatch(t *testing.T) {
 	}
 }
 
-// TestWarmupCheckpointRejectsNonAdaptive pins the scheme restriction:
-// the baseline organizations have no snapshot support, so warmup
-// forking is adaptive-only and says so.
-func TestWarmupCheckpointRejectsNonAdaptive(t *testing.T) {
-	cfg := ckConfig()
-	cfg.Scheme = SchemeShared
+// TestWarmupCheckpointRejectsShortMix pins that a mix with fewer apps
+// than cores is refused up front, not built into a machine.
+func TestWarmupCheckpointRejectsShortMix(t *testing.T) {
 	mix := mixOf(t, "ammp", "gzip")
-	if _, err := WarmupCheckpoint(context.Background(), cfg, mix); err == nil ||
-		!strings.Contains(err.Error(), "adaptive") {
-		t.Fatalf("non-adaptive warmup checkpoint accepted: %v", err)
-	}
-	if _, err := WarmupCheckpoint(context.Background(), ckConfig(), mix[:1]); err == nil {
-		t.Fatal("short mix accepted")
+	if _, err := WarmupCheckpoint(context.Background(), ckConfig(), mix[:1]); err == nil ||
+		!strings.Contains(err.Error(), "1 apps for 2 cores") {
+		t.Fatalf("short mix: %v, want a refusal naming 1 app for 2 cores", err)
 	}
 }
 

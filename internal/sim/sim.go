@@ -62,13 +62,12 @@ const (
 // scheme's cache arrays share one geometry: wide arrays hold the whole
 // chip's capacity (Cores × L3BytesPerCore), the others one core's.
 type schemeDef struct {
-	name         Scheme
-	wide         bool
-	ways         int
-	minCores     int
-	sharedMem    bool // on the shared cache's memory channel (dram.SharedConfig)
-	checkpointed bool // the machine can be snapshotted and resumed
-	build        func(cfg Config, bytes, ways int, mem *dram.Memory, lat llc.Latencies) llc.Organization
+	name      Scheme
+	wide      bool
+	ways      int
+	minCores  int
+	sharedMem bool // on the shared cache's memory channel (dram.SharedConfig)
+	build     func(cfg Config, bytes, ways int, mem *dram.Memory, lat llc.Latencies) llc.Organization
 }
 
 // schemeTable is the one place the Table 1 L3 organizations are defined,
@@ -98,7 +97,7 @@ var schemeTable = [...]schemeDef{
 		build: func(cfg Config, bytes, ways int, mem *dram.Memory, lat llc.Latencies) llc.Organization {
 			return llc.NewCooperativeSized(cfg.Cores, mem, bytes, ways, lat, rng.New(cfg.Seed).Fork(0xC0))
 		}},
-	{name: SchemeAdaptive, ways: 4, minCores: 2, checkpointed: true,
+	{name: SchemeAdaptive, ways: 4, minCores: 2,
 		build: func(cfg Config, bytes, ways int, mem *dram.Memory, lat llc.Latencies) llc.Organization {
 			return core.NewAdaptive(core.Config{
 				Cores:             cfg.Cores,
@@ -129,15 +128,6 @@ func (d schemeDef) arrayBytes(cfg Config) int {
 		return cfg.Cores * cfg.L3BytesPerCore
 	}
 	return cfg.L3BytesPerCore
-}
-
-// Checkpointable reports whether a run of s can be checkpointed and
-// resumed: CheckpointPath, WarmupCheckpoint and forked sweep warmups
-// need it. Only the adaptive scheme can; the baselines have no snapshot
-// support.
-func (s Scheme) Checkpointable() bool {
-	d, ok := s.def()
-	return ok && d.checkpointed
 }
 
 // Schemes lists every organization, in the order tables present them.
@@ -208,9 +198,9 @@ type Config struct {
 	// snapshot of the whole machine (atomically, temp-file+rename) to this
 	// path every CheckpointEvery measured cycles and when the run is
 	// interrupted, so the run can be continued with ReadCheckpoint +
-	// ResumeFromCheckpoint.
-	// Adaptive scheme only; incompatible with ReplayVerify (the verifier's
-	// trace-fed state machine cannot be checkpointed).
+	// ResumeFromCheckpoint. Every scheme can be checkpointed; the path is
+	// incompatible with ReplayVerify (the verifier's trace-fed state
+	// machine cannot be checkpointed).
 	CheckpointPath string
 
 	// CheckpointEvery is the checkpoint cadence in measured cycles

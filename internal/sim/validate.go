@@ -38,13 +38,8 @@ func (c Config) Validate() error {
 	if c.ShadowSampleShift > 20 {
 		return fmt.Errorf("sim: ShadowSampleShift = %d leaves no monitored sets", c.ShadowSampleShift)
 	}
-	if c.CheckpointPath != "" {
-		if !c.Scheme.Checkpointable() {
-			return fmt.Errorf("sim: checkpointing supports only the adaptive scheme, not %s", c.Scheme)
-		}
-		if c.ReplayVerify {
-			return fmt.Errorf("sim: CheckpointPath is incompatible with ReplayVerify (the verifier's trace-fed state cannot be checkpointed)")
-		}
+	if c.CheckpointPath != "" && c.ReplayVerify {
+		return fmt.Errorf("sim: CheckpointPath is incompatible with ReplayVerify (the verifier's trace-fed state cannot be checkpointed)")
 	}
 	if c.CheckpointEvery > 0 && c.CheckpointPath == "" {
 		return fmt.Errorf("sim: CheckpointEvery = %d without a CheckpointPath", c.CheckpointEvery)

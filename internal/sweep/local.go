@@ -80,7 +80,7 @@ func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Resu
 		}
 	}
 	for _, g := range Plan(points) {
-		if !g.Fork {
+		if len(g.Points) < 2 {
 			for _, pi := range g.Points {
 				p := points[pi]
 				cfg := p.Cfg

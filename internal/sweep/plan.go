@@ -1,20 +1,17 @@
 package sweep
 
-// Group is a set of points sharing one WarmupHash. When Fork is set the
-// group's warmup runs once and every member's measurement window forks
-// from it: RunLocal measures the warmed machine on, and the server
-// resumes the group's warmup checkpoint (sim.WarmupCheckpoint) — the
-// fork-equivalence tests in internal/sim prove each forked result is
-// bit-identical to a cold run.
+// Group is a set of points sharing one WarmupHash. A group of two or
+// more members runs its warmup once and forks every member's
+// measurement window from it: RunLocal measures the warmed machine on,
+// and the server resumes the group's warmup checkpoint
+// (sim.WarmupCheckpoint) — the fork-equivalence tests in internal/sim
+// prove each forked result is bit-identical to a cold run, for every
+// scheme. A group of one runs cold.
 type Group struct {
 	WarmupHash string
 	// Points indexes the members in the expanded point slice, in
 	// expansion order.
 	Points []int
-	// Fork marks groups that actually share warmup: two or more members
-	// on the adaptive scheme (the only organization with snapshot
-	// support). Everything else runs cold.
-	Fork bool
 }
 
 // Plan partitions points into warmup groups, preserving expansion
@@ -31,11 +28,6 @@ func Plan(points []Point) []Group {
 			groups = append(groups, Group{WarmupHash: p.WarmupHash})
 		}
 		groups[gi].Points = append(groups[gi].Points, i)
-	}
-	for i := range groups {
-		g := &groups[i]
-		g.Fork = len(g.Points) > 1 &&
-			points[g.Points[0]].Cfg.Scheme.Checkpointable()
 	}
 	return groups
 }

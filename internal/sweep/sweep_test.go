@@ -214,10 +214,6 @@ func TestPlanGroups(t *testing.T) {
 		if len(g.Points) != 3 {
 			t.Errorf("group %.12s has %d members, want 3", g.WarmupHash, len(g.Points))
 		}
-		scheme := points[g.Points[0]].Cfg.Scheme
-		if wantFork := scheme == sim.SchemeAdaptive; g.Fork != wantFork {
-			t.Errorf("group %.12s (scheme %s): Fork = %v, want %v", g.WarmupHash, scheme, g.Fork, wantFork)
-		}
 		for _, pi := range g.Points {
 			if points[pi].WarmupHash != g.WarmupHash {
 				t.Errorf("point %d in group %.12s has hash %.12s", pi, g.WarmupHash, points[pi].WarmupHash)
@@ -239,28 +235,34 @@ func TestPlanGroups(t *testing.T) {
 	}
 }
 
+// forkCase is one RunLocalForkEquivalence grid: its windows in axis
+// order, whether the invariant checker is armed, which points Attach
+// gives a TraceWriter, and the restores and warmup-checkpoint captures
+// the group must take.
+type forkCase struct {
+	name       string
+	windows    []uint64
+	invariants bool
+	traced     func(label string) bool
+	restores   int
+	captures   uint64
+}
+
 // TestRunLocalForkEquivalence is the sweep-level fork-equivalence test:
-// a grid whose adaptive points share one warmup group must produce
-// results identical to running every point cold, with warmup executed
-// exactly once per group, whatever order the MeasureCycles axis lists
-// its windows in and with the invariant checker armed. Points with no
-// process-local wiring run as one chain; a point that Attach gives its
-// own TraceWriter resumes on its own as soon as Attach resolves it, and
-// its trace is the one a one-window resume of its fork writes. A group
-// captures its warmup checkpoint only for such a point, even when
-// chained points were resolved before it, so a pure chain captures and
-// restores nothing, and a chain after a traced point restores once.
+// a grid whose points share one warmup group must produce results
+// identical to running every point cold, with warmup executed exactly
+// once per group, under every scheme, whatever order the MeasureCycles
+// axis lists its windows in and with the invariant checker armed.
+// Points with no process-local wiring run as one chain; a point that
+// Attach gives its own TraceWriter resumes on its own as soon as Attach
+// resolves it, and its trace is the one a one-window resume of its fork
+// writes. A group captures its warmup checkpoint only for such a point,
+// even when chained points were resolved before it, so a pure chain
+// captures and restores nothing, and a chain after a traced point
+// restores once.
 func TestRunLocalForkEquivalence(t *testing.T) {
-	ctx := context.Background()
 	all := func(string) bool { return true }
-	for _, c := range []struct {
-		name       string
-		windows    []uint64
-		invariants bool
-		traced     func(label string) bool // points given a TraceWriter
-		restores   int
-		captures   uint64 // warmup checkpoints captured
-	}{
+	for _, c := range []forkCase{
 		{name: "ascending", windows: []uint64{20_000, 40_000, 60_000}},
 		{name: "descending", windows: []uint64{60_000, 40_000, 20_000}, invariants: true},
 		{name: "traced", windows: []uint64{60_000, 20_000, 40_000}, traced: all, restores: 3, captures: 1},
@@ -270,113 +272,137 @@ func TestRunLocalForkEquivalence(t *testing.T) {
 			traced: func(l string) bool { return l == "mc60000" }, restores: 2, captures: 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			points, err := Expand(Spec{Base: smallBase(), Axes: Axes{MeasureCycles: c.windows}}, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			traces := make(map[string]*bytes.Buffer)
-			var order, chain, alone []string
-			for _, p := range points {
-				if c.traced != nil && c.traced(p.Label) {
-					alone = append(alone, p.Label)
-				} else {
-					chain = append(chain, p.Label)
-				}
-			}
-			window := func(label string) uint64 {
-				w, _ := strconv.ParseUint(strings.TrimPrefix(label, "mc"), 10, 64)
-				return w
-			}
-			slices.SortFunc(chain, func(a, b string) int { return cmp.Compare(window(a), window(b)) })
-			// A traced point runs right after Attach resolves it, before
-			// any other point is resolved.
-			pending := ""
-			captured := sim.CheckpointsCaptured()
-			got, st, err := RunLocal(ctx, points, LocalOptions{
-				CheckInvariants: c.invariants,
-				Attach: func(p Point) *telemetry.Config {
-					if pending != "" {
-						t.Errorf("point %q resolved before %q ran", p.Label, pending)
-					}
-					if c.traced == nil || !c.traced(p.Label) {
-						return nil
-					}
-					pending = p.Label
-					traces[p.Label] = new(bytes.Buffer)
-					return &telemetry.Config{Run: p.Label, TraceWriter: traces[p.Label]}
-				},
-				OnPoint: func(p Point, _ sim.Result) {
-					if p.Label == pending {
-						pending = ""
-					}
-					order = append(order, p.Label)
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := LocalStats{WarmupsRun: 1, Forked: 3, Restores: c.restores}
-			if st != want {
-				t.Errorf("stats = %+v, want %+v", st, want)
-			}
-			if n := sim.CheckpointsCaptured() - captured; n != c.captures {
-				t.Errorf("captured %d checkpoints, want %d", n, c.captures)
-			}
-			if want := append(alone, chain...); !slices.Equal(order, want) {
-				t.Errorf("OnPoint order %v, want the unchained points in expansion order, then the chain in window order: %v", order, want)
-			}
-			norm := func(r sim.Result) sim.Result {
-				r.Throughput = telemetry.Throughput{}
-				return r
-			}
-			for i, p := range points {
-				cfg := p.Cfg
-				cfg.CheckInvariants = c.invariants
-				cfg.Telemetry = &telemetry.Config{Run: p.Label}
-				ref, err := sim.RunContext(ctx, cfg, p.Mix)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(norm(got[i]), norm(ref)) {
-					t.Errorf("point %q: forked result diverged from cold run", p.Label)
-				}
-			}
-			if len(alone) == 0 {
-				return
-			}
-			// A traced point's trace is the one its own resume of the
-			// group's warmup checkpoint writes.
-			warmCfg := points[0].Cfg
-			warmCfg.CheckInvariants = c.invariants
-			warmCfg.Telemetry = &telemetry.Config{Run: "warmup-" + points[0].WarmupHash[:12]}
-			ck, err := sim.WarmupCheckpoint(ctx, warmCfg, points[0].Mix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range points {
-				if traces[p.Label] == nil {
-					continue
-				}
-				fork := *ck
-				fork.Cfg.MeasureCycles = p.Cfg.MeasureCycles
-				var ref bytes.Buffer
-				if _, err := sim.ResumeFromCheckpoint(ctx, &fork, func(tc *telemetry.Config) bool {
-					tc.Run, tc.TraceWriter = p.Label, &ref
-					return true
-				}); err != nil {
-					t.Fatal(err)
-				}
-				if ref.Len() == 0 || !bytes.Equal(traces[p.Label].Bytes(), ref.Bytes()) {
-					t.Errorf("point %q: its trace (%d bytes) is not its own resume's (%d bytes)",
-						p.Label, traces[p.Label].Len(), ref.Len())
-				}
+			for _, s := range sim.Schemes() {
+				t.Run(string(s), func(t *testing.T) { testRunLocalFork(t, schemeBase(s), c) })
 			}
 		})
 	}
 }
 
-// TestRunLocalColdSchemes pins that non-adaptive points run cold (no
-// snapshot support) and still produce results in expansion order.
+// schemeBase is smallBase under scheme s. Coop runs at 4 cores
+// (art/mcf/ammp/swim) with 16 KB of L3 per core, where its neighbour
+// choice matters and it spills often.
+func schemeBase(s sim.Scheme) Base {
+	b := smallBase()
+	b.Scheme = string(s)
+	if s == sim.SchemeCoop {
+		b.Apps = []string{"art", "mcf", "ammp", "swim"}
+		b.L3BytesPerCore = 16 << 10
+	}
+	return b
+}
+
+// testRunLocalFork runs c's grid over base and checks it against cold
+// runs and one-window resumes.
+func testRunLocalFork(t *testing.T, base Base, c forkCase) {
+	ctx := context.Background()
+	points, err := Expand(Spec{Base: base, Axes: Axes{MeasureCycles: c.windows}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := make(map[string]*bytes.Buffer)
+	var order, chain, alone []string
+	for _, p := range points {
+		if c.traced != nil && c.traced(p.Label) {
+			alone = append(alone, p.Label)
+		} else {
+			chain = append(chain, p.Label)
+		}
+	}
+	window := func(label string) uint64 {
+		w, _ := strconv.ParseUint(strings.TrimPrefix(label, "mc"), 10, 64)
+		return w
+	}
+	slices.SortFunc(chain, func(a, b string) int { return cmp.Compare(window(a), window(b)) })
+	// A traced point runs right after Attach resolves it, before
+	// any other point is resolved.
+	pending := ""
+	captured := sim.CheckpointsCaptured()
+	got, st, err := RunLocal(ctx, points, LocalOptions{
+		CheckInvariants: c.invariants,
+		Attach: func(p Point) *telemetry.Config {
+			if pending != "" {
+				t.Errorf("point %q resolved before %q ran", p.Label, pending)
+			}
+			if c.traced == nil || !c.traced(p.Label) {
+				return nil
+			}
+			pending = p.Label
+			traces[p.Label] = new(bytes.Buffer)
+			return &telemetry.Config{Run: p.Label, TraceWriter: traces[p.Label]}
+		},
+		OnPoint: func(p Point, _ sim.Result) {
+			if p.Label == pending {
+				pending = ""
+			}
+			order = append(order, p.Label)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := LocalStats{WarmupsRun: 1, Forked: 3, Restores: c.restores}
+	if st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
+	}
+	if n := sim.CheckpointsCaptured() - captured; n != c.captures {
+		t.Errorf("captured %d checkpoints, want %d", n, c.captures)
+	}
+	if want := append(alone, chain...); !slices.Equal(order, want) {
+		t.Errorf("OnPoint order %v, want the unchained points in expansion order, then the chain in window order: %v", order, want)
+	}
+	norm := func(r sim.Result) sim.Result {
+		r.Throughput = telemetry.Throughput{}
+		return r
+	}
+	for i, p := range points {
+		cfg := p.Cfg
+		cfg.CheckInvariants = c.invariants
+		cfg.Telemetry = &telemetry.Config{Run: p.Label}
+		ref, err := sim.RunContext(ctx, cfg, p.Mix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(norm(got[i]), norm(ref)) {
+			t.Errorf("point %q: forked result diverged from cold run", p.Label)
+		}
+	}
+	if len(alone) == 0 {
+		return
+	}
+	// A traced point's trace is the one its own resume of the
+	// group's warmup checkpoint writes.
+	warmCfg := points[0].Cfg
+	warmCfg.CheckInvariants = c.invariants
+	warmCfg.Telemetry = &telemetry.Config{Run: "warmup-" + points[0].WarmupHash[:12]}
+	ck, err := sim.WarmupCheckpoint(ctx, warmCfg, points[0].Mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range points {
+		if traces[p.Label] == nil {
+			continue
+		}
+		fork := *ck
+		fork.Cfg.MeasureCycles = p.Cfg.MeasureCycles
+		var ref bytes.Buffer
+		if _, err := sim.ResumeFromCheckpoint(ctx, &fork, func(tc *telemetry.Config) bool {
+			tc.Run, tc.TraceWriter = p.Label, &ref
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// Only the adaptive scheme emits sharing-engine events.
+		empty := ref.Len() == 0 && base.Scheme == string(sim.SchemeAdaptive)
+		if empty || !bytes.Equal(traces[p.Label].Bytes(), ref.Bytes()) {
+			t.Errorf("point %q: its trace (%d bytes) is not its own resume's (%d bytes)",
+				p.Label, traces[p.Label].Len(), ref.Len())
+		}
+	}
+}
+
+// TestRunLocalColdSchemes pins that the points of groups of one run
+// cold and still produce results in expansion order.
 func TestRunLocalColdSchemes(t *testing.T) {
 	spec := Spec{
 		Base: smallBase(),
