@@ -8,10 +8,11 @@
 //	sweep -spec study.json -server http://127.0.0.1:8080
 //
 // Grid sweeps (everything except -kind ways) go through the shared
-// sweep engine: the spec expands to canonical points, points sharing a
-// warmup hash run warmup once and fork the checkpoint, and results
-// aggregate into one table of harmonic-mean IPC and supporting metrics
-// per point. With -server the same spec is POSTed to nucaserve, which
+// sweep engine: the spec expands to canonical points, the points sharing
+// a warmup hash run as one run that warms once and harvests each point's
+// window on the way to the longest, and results aggregate into one
+// table of harmonic-mean IPC and supporting metrics per point. With
+// -server the same spec is POSTed to nucaserve, which
 // dedupes points against its result cache; the CLI polls the sweep to
 // completion and renders the downloaded table identically. The ways
 // sweep stays a client-side analytic study over the shadow-tag
@@ -19,11 +20,12 @@
 // arena, so it is not a server axis).
 //
 // Observability flags mirror cmd/experiments: -json (table as JSON),
-// -metrics-out (table as CSV), -trace-out (JSONL sharing-engine events,
-// labelled per sweep point), -span-out (Perfetto-loadable wall-clock
-// spans, one "sweep.point <label>" span per locally simulated
-// measurement window), -cpuprofile/-memprofile (pprof), and a
-// wall-clock / simulated-cycles-per-second footer on stderr.
+// -metrics-out (table as CSV), -trace-out (JSONL sharing-engine events
+// of each locally simulated group run, warmup included, labelled with
+// its longest point), -span-out (Perfetto-loadable wall-clock spans, one
+// "sweep.group <label>" span per group run, named the same way),
+// -cpuprofile/-memprofile (pprof), and a wall-clock /
+// simulated-cycles-per-second footer on stderr.
 package main
 
 import (
@@ -204,22 +206,24 @@ func runLocal(spec sweep.Spec, maxPoints int, session *cliflags.Session) (*stats
 		trace = session.Trace
 	}
 	parent := session.StartSpan("sweep.local")
-	spans := make(map[string]telemetry.Span, len(points))
+	// A group run ends with its longest point, the one Attach names.
+	var group telemetry.Span
+	var longest string
 	results, st, err := sweep.RunLocal(context.Background(), points, sweep.LocalOptions{
 		CheckInvariants: checkInvariants,
 		Attach: func(p sweep.Point) *telemetry.Config {
-			sp := session.Spans.StartSpan("sweep.point "+p.Label, parent.ID())
-			spans[p.Label] = sp
+			group = session.Spans.StartSpan("sweep.group "+p.Label, parent.ID())
+			longest = p.Label
 			return &telemetry.Config{
 				Run:         p.Label,
 				TraceWriter: trace,
 				Spans:       session.Spans,
-				SpanParent:  sp.ID(),
+				SpanParent:  group.ID(),
 			}
 		},
 		OnPoint: func(p sweep.Point, _ sim.Result) {
-			if sp, ok := spans[p.Label]; ok {
-				sp.End()
+			if p.Label == longest {
+				group.End()
 			}
 		},
 	})
@@ -227,8 +231,8 @@ func runLocal(spec sweep.Spec, maxPoints int, session *cliflags.Session) (*stats
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "# sweep: %d points, %d warmups run (%d forked, %d cold, %d restores)\n",
-		len(points), st.WarmupsRun, st.Forked, st.Cold, st.Restores)
+	fmt.Fprintf(os.Stderr, "# sweep: %d points, %d warmups run (%d forked, %d cold)\n",
+		len(points), st.WarmupsRun, st.Forked, st.Cold)
 	return sweep.Aggregate(spec.Name, points, results), nil
 }
 

@@ -40,8 +40,9 @@ type Options struct {
 	Cores int
 
 	// Run is how each figure's points execute: invariant checking and
-	// per-point telemetry (cmd/experiments -check-invariants,
-	// -trace-out, -span-out).
+	// the telemetry of each run, one per fork group, which Attach wires
+	// from the group's longest point (cmd/experiments
+	// -check-invariants, -trace-out, -span-out).
 	Run sweep.LocalOptions
 }
 

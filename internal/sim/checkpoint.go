@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"nucasim/internal/atomicio"
@@ -105,15 +104,6 @@ type baselineOrg interface {
 	Restore(llc.State) error
 }
 
-// checkpointsCaptured counts checkpoint captures across the process:
-// warmup boundaries, periodic and interrupt checkpoints alike.
-var checkpointsCaptured atomic.Uint64
-
-// CheckpointsCaptured returns the process-wide count of checkpoints
-// captured so far, so a caller can tell whether a run snapshotted a
-// machine (a fork group whose members all chain captures none).
-func CheckpointsCaptured() uint64 { return checkpointsCaptured.Load() }
-
 // errNoOrigin refuses work that needs a measurement origin.
 var errNoOrigin = errors.New("sim: the machine has no measurement origin: it was neither warmed (NewWarmedMachine) nor restored (Restore), or its last Restore failed")
 
@@ -129,7 +119,6 @@ func (m *Machine) Capture() (*Checkpoint, error) {
 	if m.origin == nil {
 		return nil, errNoOrigin
 	}
-	checkpointsCaptured.Add(1)
 	cfg := m.Cfg
 	tcfg := cfg.Telemetry
 	cfg.Telemetry = nil

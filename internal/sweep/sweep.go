@@ -4,11 +4,10 @@
 // the cartesian product into canonical job specs — validated, deduped,
 // capped — and Plan groups the points that share warmup-relevant
 // configuration so warmup runs once per group and every member's
-// measurement window forks from it. Locally that happens on the warmed
-// machine itself, in the steps of a sim.Machine run: NewWarmedMachine,
-// then MeasureWindows, with a Capture of the boundary and a Restore of
-// it only for members with their own trace, spans or hooks. On the
-// server it happens from one checkpoint (sim.WarmupCheckpoint /
+// measurement window forks from it. Locally a group is one run, the
+// cold run of its longest point: sim.NewWarmedMachine, then one
+// MeasureWindows call that harvests every member's window on the way.
+// On the server it happens from one checkpoint (sim.WarmupCheckpoint /
 // sim.ResumeFromCheckpoint). Aggregate folds
 // the per-point results into one stats.Table, the downloadable artifact
 // of a whole Fig. 7-style study. The package is the shared engine of cmd/sweep (local

@@ -6,7 +6,6 @@ import (
 	"context"
 	"reflect"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -236,40 +235,32 @@ func TestPlanGroups(t *testing.T) {
 }
 
 // forkCase is one RunLocalForkEquivalence grid: its windows in axis
-// order, whether the invariant checker is armed, which points Attach
-// gives a TraceWriter, and the restores and warmup-checkpoint captures
-// the group must take.
+// order, whether the invariant checker is armed, and whether Attach
+// gives the group a TraceWriter, with or without FullTrace.
 type forkCase struct {
 	name       string
 	windows    []uint64
 	invariants bool
-	traced     func(label string) bool
-	restores   int
-	captures   uint64
+	traced     bool
+	fullTrace  bool
 }
 
 // TestRunLocalForkEquivalence is the sweep-level fork-equivalence test:
-// a grid whose points share one warmup group must produce results
-// identical to running every point cold, with warmup executed exactly
-// once per group, under every scheme, whatever order the MeasureCycles
-// axis lists its windows in and with the invariant checker armed.
-// Points with no process-local wiring run as one chain; a point that
-// Attach gives its own TraceWriter resumes on its own as soon as Attach
-// resolves it, and its trace is the one a one-window resume of its fork
-// writes. A group captures its warmup checkpoint only for such a point,
-// even when chained points were resolved before it, so a pure chain
-// captures and restores nothing, and a chain after a traced point
-// restores once.
+// a grid whose points share one warmup group runs as one run, the cold
+// run of its longest point, under every scheme, whatever order the
+// MeasureCycles axis lists its windows in and with the invariant checker
+// armed. Every Result must equal its point's cold run. A traced group
+// ("traced"; "one traced" under the invariant checker; "last traced"
+// with FullTrace) must write the cold traced run's trace of its longest
+// point, byte for byte, and every member's cold trace under the same
+// label must be a byte prefix of it.
 func TestRunLocalForkEquivalence(t *testing.T) {
-	all := func(string) bool { return true }
 	for _, c := range []forkCase{
 		{name: "ascending", windows: []uint64{20_000, 40_000, 60_000}},
 		{name: "descending", windows: []uint64{60_000, 40_000, 20_000}, invariants: true},
-		{name: "traced", windows: []uint64{60_000, 20_000, 40_000}, traced: all, restores: 3, captures: 1},
-		{name: "one traced", windows: []uint64{60_000, 20_000, 40_000}, invariants: true,
-			traced: func(l string) bool { return l == "mc40000" }, restores: 2, captures: 1},
-		{name: "last traced", windows: []uint64{20_000, 40_000, 60_000},
-			traced: func(l string) bool { return l == "mc60000" }, restores: 2, captures: 1},
+		{name: "traced", windows: []uint64{60_000, 20_000, 40_000}, traced: true},
+		{name: "one traced", windows: []uint64{60_000, 20_000, 40_000}, invariants: true, traced: true},
+		{name: "last traced", windows: []uint64{20_000, 40_000, 60_000}, traced: true, fullTrace: true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for _, s := range sim.Schemes() {
@@ -292,137 +283,169 @@ func schemeBase(s sim.Scheme) Base {
 	return b
 }
 
-// testRunLocalFork runs c's grid over base and checks it against cold
-// runs and one-window resumes.
+// testRunLocalFork runs c's grid over base as one group and checks it
+// against the cold run of every point.
 func testRunLocalFork(t *testing.T, base Base, c forkCase) {
 	ctx := context.Background()
 	points, err := Expand(Spec{Base: base, Axes: Axes{MeasureCycles: c.windows}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces := make(map[string]*bytes.Buffer)
-	var order, chain, alone []string
-	for _, p := range points {
-		if c.traced != nil && c.traced(p.Label) {
-			alone = append(alone, p.Label)
-		} else {
-			chain = append(chain, p.Label)
+	byWindow := slices.Clone(points)
+	slices.SortFunc(byWindow, func(a, b Point) int { return cmp.Compare(a.Cfg.MeasureCycles, b.Cfg.MeasureCycles) })
+	longest := byWindow[len(byWindow)-1]
+	// tel is the telemetry of the group run and of every cold run: the
+	// longest point's label, and w as the trace writer of a traced case.
+	tel := func(w *bytes.Buffer) *telemetry.Config {
+		tc := &telemetry.Config{Run: longest.Label, FullTrace: c.fullTrace}
+		if c.traced {
+			tc.TraceWriter = w
 		}
+		return tc
 	}
-	window := func(label string) uint64 {
-		w, _ := strconv.ParseUint(strings.TrimPrefix(label, "mc"), 10, 64)
-		return w
-	}
-	slices.SortFunc(chain, func(a, b string) int { return cmp.Compare(window(a), window(b)) })
-	// A traced point runs right after Attach resolves it, before
-	// any other point is resolved.
-	pending := ""
-	captured := sim.CheckpointsCaptured()
+	var trace bytes.Buffer
+	var attached, order []string
 	got, st, err := RunLocal(ctx, points, LocalOptions{
 		CheckInvariants: c.invariants,
 		Attach: func(p Point) *telemetry.Config {
-			if pending != "" {
-				t.Errorf("point %q resolved before %q ran", p.Label, pending)
-			}
-			if c.traced == nil || !c.traced(p.Label) {
-				return nil
-			}
-			pending = p.Label
-			traces[p.Label] = new(bytes.Buffer)
-			return &telemetry.Config{Run: p.Label, TraceWriter: traces[p.Label]}
+			attached = append(attached, p.Label)
+			return tel(&trace)
 		},
-		OnPoint: func(p Point, _ sim.Result) {
-			if p.Label == pending {
-				pending = ""
-			}
-			order = append(order, p.Label)
-		},
+		OnPoint: func(p Point, _ sim.Result) { order = append(order, p.Label) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := LocalStats{WarmupsRun: 1, Forked: 3, Restores: c.restores}
-	if st != want {
+	if want := (LocalStats{WarmupsRun: 1, Forked: 3}); st != want {
 		t.Errorf("stats = %+v, want %+v", st, want)
 	}
-	if n := sim.CheckpointsCaptured() - captured; n != c.captures {
-		t.Errorf("captured %d checkpoints, want %d", n, c.captures)
+	if !slices.Equal(attached, []string{longest.Label}) {
+		t.Errorf("Attach called with %v, want the longest point alone: %s", attached, longest.Label)
 	}
-	if want := append(alone, chain...); !slices.Equal(order, want) {
-		t.Errorf("OnPoint order %v, want the unchained points in expansion order, then the chain in window order: %v", order, want)
+	var want []string
+	for _, p := range byWindow {
+		want = append(want, p.Label)
+	}
+	if !slices.Equal(order, want) {
+		t.Errorf("OnPoint order %v, want window order %v", order, want)
 	}
 	norm := func(r sim.Result) sim.Result {
 		r.Throughput = telemetry.Throughput{}
 		return r
 	}
-	for i, p := range points {
+	for _, p := range byWindow {
 		cfg := p.Cfg
 		cfg.CheckInvariants = c.invariants
-		cfg.Telemetry = &telemetry.Config{Run: p.Label}
-		ref, err := sim.RunContext(ctx, cfg, p.Mix)
+		var ref bytes.Buffer
+		cfg.Telemetry = tel(&ref)
+		r, err := sim.RunContext(ctx, cfg, p.Mix)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(norm(got[i]), norm(ref)) {
+		if !reflect.DeepEqual(norm(got[p.Index]), norm(r)) {
 			t.Errorf("point %q: forked result diverged from cold run", p.Label)
 		}
-	}
-	if len(alone) == 0 {
-		return
-	}
-	// A traced point's trace is the one its own resume of the
-	// group's warmup checkpoint writes.
-	warmCfg := points[0].Cfg
-	warmCfg.CheckInvariants = c.invariants
-	warmCfg.Telemetry = &telemetry.Config{Run: "warmup-" + points[0].WarmupHash[:12]}
-	ck, err := sim.WarmupCheckpoint(ctx, warmCfg, points[0].Mix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range points {
-		if traces[p.Label] == nil {
+		if !c.traced {
 			continue
 		}
-		fork := *ck
-		fork.Cfg.MeasureCycles = p.Cfg.MeasureCycles
-		var ref bytes.Buffer
-		if _, err := sim.ResumeFromCheckpoint(ctx, &fork, func(tc *telemetry.Config) bool {
-			tc.Run, tc.TraceWriter = p.Label, &ref
-			return true
-		}); err != nil {
-			t.Fatal(err)
+		if p.Label != longest.Label {
+			if !bytes.HasPrefix(trace.Bytes(), ref.Bytes()) {
+				t.Errorf("point %q: its cold trace (%d bytes) is not a prefix of the group's (%d bytes)",
+					p.Label, ref.Len(), trace.Len())
+			}
+			continue
 		}
 		// Only the adaptive scheme emits sharing-engine events.
 		empty := ref.Len() == 0 && base.Scheme == string(sim.SchemeAdaptive)
-		if empty || !bytes.Equal(traces[p.Label].Bytes(), ref.Bytes()) {
-			t.Errorf("point %q: its trace (%d bytes) is not its own resume's (%d bytes)",
-				p.Label, traces[p.Label].Len(), ref.Len())
+		if empty || !bytes.Equal(trace.Bytes(), ref.Bytes()) {
+			t.Errorf("group trace (%d bytes) is not the cold trace of %q (%d bytes)",
+				trace.Len(), p.Label, ref.Len())
 		}
 	}
 }
 
-// TestRunLocalColdSchemes pins that the points of groups of one run
-// cold and still produce results in expansion order.
+// TestRunLocalColdSchemes pins RunLocal's schedule on two plans: two
+// groups of one, which run cold, and a scheme × MeasureCycles grid with
+// a one-point group between its groups. Attach is called once per
+// group, with its longest point, in plan order; OnPoint fires groups in
+// plan order and each group's points in window order; and every Result
+// equals its point's cold run, in expansion order.
 func TestRunLocalColdSchemes(t *testing.T) {
-	spec := Spec{
-		Base: smallBase(),
-		Axes: Axes{Scheme: []string{"private", "shared"}},
-	}
-	points, err := Expand(spec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, st, err := RunLocal(context.Background(), points, LocalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Forked != 0 || st.Cold != 2 || st.WarmupsRun != 2 {
-		t.Errorf("stats = %+v, want 0 forked, 2 cold, 2 warmups", st)
-	}
-	for i, p := range points {
-		if string(res[i].Scheme) != p.Label {
-			t.Errorf("row %d: result scheme %s under label %q", i, res[i].Scheme, p.Label)
+	expand := func(spec Spec) []Point {
+		points, err := Expand(spec, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return points
+	}
+	schemes := func(s ...string) Spec {
+		return Spec{Base: smallBase(), Axes: Axes{Scheme: s}}
+	}
+	grid := schemes("private", "adaptive")
+	grid.Axes.MeasureCycles = []uint64{40_000, 20_000}
+	mixed := expand(grid)
+	solo := smallBase()
+	solo.Scheme = "shared"
+	mixed = slices.Insert(mixed, 2, expand(Spec{Base: solo})...)
+	for i := range mixed {
+		mixed[i].Index = i
+	}
+	for _, c := range []struct {
+		name            string
+		points          []Point
+		attached, order []string
+		stats           LocalStats
+	}{
+		{
+			name:     "groups of one",
+			points:   expand(schemes("private", "shared")),
+			attached: []string{"private", "shared"},
+			order:    []string{"private", "shared"},
+			stats:    LocalStats{WarmupsRun: 2, Cold: 2},
+		},
+		{
+			name:     "mixed",
+			points:   mixed,
+			attached: []string{"private mc40000", "base", "adaptive mc40000"},
+			order:    []string{"private mc20000", "private mc40000", "base", "adaptive mc20000", "adaptive mc40000"},
+			stats:    LocalStats{WarmupsRun: 3, Forked: 4, Cold: 1},
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			var attached, order []string
+			res, st, err := RunLocal(ctx, c.points, LocalOptions{
+				Attach: func(p Point) *telemetry.Config {
+					attached = append(attached, p.Label)
+					return nil
+				},
+				OnPoint: func(p Point, _ sim.Result) { order = append(order, p.Label) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st != c.stats {
+				t.Errorf("stats = %+v, want %+v", st, c.stats)
+			}
+			if !slices.Equal(attached, c.attached) {
+				t.Errorf("Attach called with %v, want %v", attached, c.attached)
+			}
+			if !slices.Equal(order, c.order) {
+				t.Errorf("OnPoint order %v, want %v", order, c.order)
+			}
+			for i, p := range c.points {
+				cfg := p.Cfg
+				cfg.Telemetry = &telemetry.Config{Run: p.Label}
+				ref, err := sim.RunContext(ctx, cfg, p.Mix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res[i].Throughput, ref.Throughput = telemetry.Throughput{}, telemetry.Throughput{}
+				if !reflect.DeepEqual(res[i], ref) {
+					t.Errorf("point %q: result diverged from its cold run", p.Label)
+				}
+			}
+		})
 	}
 }
 
