@@ -68,7 +68,10 @@ bench: build
 # the timed loop over each mix, a data access through a deferring port
 # (functional warmup's per-core path) and one generated instruction,
 # timed and untimed, of each app in the benchmark's warmup and table1
-# mixes. A forked sweep
+# mixes. The timed loop runs 20 ops per count: the Go runtime sometimes
+# starts an OS thread inside the timed window (5 small allocations), and
+# over 20 ops that rounds to 0 allocs/op, while an allocation made on
+# every op still reads at least 1. A forked sweep
 # must allocate at most 0.27x the bytes of the same points run cold:
 # B/op does not depend on host speed, so two iterations suffice, and the
 # gate fails if forks go back to building a machine each, or if a group
@@ -85,7 +88,7 @@ bench-smoke: build
 	$(GO) test -run '^$$' -bench 'BenchmarkCoreStep$$' -benchmem \
 		-benchtime=200000x -count=3 ./internal/cpu/ | tee /tmp/nucasim-bench-smoke-layers.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkTimedCycles$$' -benchmem \
-		-benchtime=3x -count=3 ./internal/sim/ | tee -a /tmp/nucasim-bench-smoke-layers.txt
+		-benchtime=20x -count=3 ./internal/sim/ | tee -a /tmp/nucasim-bench-smoke-layers.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkGeometricSource$$' -benchmem \
 		-benchtime=2000000x -count=3 ./internal/rng/ | tee -a /tmp/nucasim-bench-smoke-layers.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkPortDeferred$$' -benchmem \

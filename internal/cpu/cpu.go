@@ -24,6 +24,7 @@ package cpu
 
 import (
 	"math"
+	"math/bits"
 
 	"nucasim/internal/bpred"
 	"nucasim/internal/memaddr"
@@ -127,14 +128,30 @@ const readyRing = 4096
 
 // ruuEntry is one in-flight instruction.
 type ruuEntry struct {
-	cls     workload.Class
 	seq     uint64
 	depA    uint64 // producer sequence numbers (0 = none)
 	depB    uint64
 	addr    memaddr.Addr
 	readyAt uint64 // completion cycle; notIssued until issued
-	issued  bool
+	// parked and nextParked thread the parked entries through the RUU
+	// slots, each as slot+1 so that 0 ends a list: parked names the
+	// first entry parked on this one, nextParked the entry after this
+	// one on its producer's list. Derived state, not in State.
+	parked, nextParked uint32
+	cls                workload.Class
+	issued             bool
 }
+
+// timedEntry is a sleeping entry whose producers have issued: it wakes
+// at cycle at, when the last of them completes.
+type timedEntry struct {
+	at   uint64
+	slot uint64
+}
+
+// shortWait is the longest wait, in cycles, for which a stuck entry
+// stays active: issue visits it again rather than filing it asleep.
+const shortWait = 2
 
 // Core is one simulated out-of-order processor.
 type Core struct {
@@ -145,10 +162,16 @@ type Core struct {
 	bp   *bpred.Predictor
 
 	// RUU ring buffer. head/tail are absolute instruction positions
-	// (index = pos % RUUSize). scanAbs is where a scan of the RUU for
-	// unissued entries would start: every entry before it is issued.
-	// Issue walks the waiting list instead, but keeps scanAbs exact,
-	// since it is part of State.
+	// (index = pos % RUUSize). The scan frontier, in State, is where a
+	// scan of the RUU for unissued entries would start: every entry
+	// before it is issued. A scan stops at the first entry it leaves
+	// unissued, or after the Width-th issue, so the frontier is the
+	// oldest unissued entry or, after a pass cut off by the width, the
+	// position after its last issue if that is older. Issue keeps just
+	// that position in scanAbs after a cut pass, notIssued after any
+	// other cycle, and Snapshot reports min(scanAbs, oldest unissued).
+	// That also holds for a scanAbs Restore took from a state, or one a
+	// full scan keeps, since no unissued entry precedes either.
 	ruu     []ruuEntry
 	head    uint64
 	tail    uint64
@@ -159,10 +182,24 @@ type Core struct {
 	// Derived state, set by Restore.
 	headSlot, tailSlot uint64
 
-	// waiting holds the positions of the unissued RUU entries in age
-	// order, so issue visits only those. Dispatch appends, issue
-	// compacts, Restore rebuilds it; it is derived state, not State.
-	waiting []uint64
+	// Every unissued entry is active or asleep, and issue visits only
+	// the active ones, oldest first (DESIGN.md §5). Dispatch makes an
+	// entry active. A visit that finds it stuck files it by its
+	// producers: parked on the list of one that has not issued
+	// (ruuEntry.parked) until that producer issues, or, when they
+	// complete more than shortWait cycles later, asleep in timed until
+	// then. A memory op set aside while the MSHR file is full sleeps in
+	// mshrWait until a miss completes. active, mshrWait and memSlots (the
+	// slots holding a load or store) are bitmaps over the RUU slots. All
+	// of it is derived state, sized by RUUSize in New and rebuilt by
+	// Restore.
+	active, mshrWait, memSlots []uint64
+	mshrWaiting                bool         // mshrWait has a bit set
+	timed                      []timedEntry // by wake cycle, latest first
+	// sleepAt is the earliest cycle at which a sleeping entry may wake:
+	// exact after wake drains the due ones, lowered as entries fall
+	// asleep, and early (never late) once a miss retires.
+	sleepAt uint64
 
 	fetchQ         []workload.Instr
 	fetchReady     uint64 // cycle at which the I-side can deliver again
@@ -181,12 +218,17 @@ type Core struct {
 	readyBySeq *[readyRing]uint64
 
 	// mshr holds the completion times of in-flight long-latency loads;
-	// its length is the MSHR occupancy.
-	mshr []uint64
+	// its length is the MSHR occupancy. mshrFirst is the earliest of
+	// them, or notIssued when there are none: derived state, so the file
+	// is filtered only when a miss completes.
+	mshr      []uint64
+	mshrFirst uint64
 
-	// wakeAt is the earliest cycle the issue scan can find work: 0 forces
-	// a scan. Dispatch and Restore clear it; it is derived state and not
-	// part of State.
+	// wakeAt is the earliest cycle at which an issue pass could issue
+	// anything: the next cycle after a pass that was cut by the width or
+	// denied an entry a unit, the completion cycle of an active entry on
+	// a short wait, or sleepAt. 0 forces a pass. Dispatch lowers it and
+	// Restore clears it; it is derived state and not part of State.
 	wakeAt uint64
 
 	nextSeq uint64
@@ -197,6 +239,7 @@ type Core struct {
 // branch predictor (each core owns its own predictor).
 func New(id int, cfg Config, gen *workload.Generator, port Port, bp *bpred.Predictor) *Core {
 	cfg = cfg.withDefaults()
+	words := (cfg.RUUSize + 63) / 64
 	return &Core{
 		ID:         id,
 		cfg:        cfg,
@@ -204,10 +247,15 @@ func New(id int, cfg Config, gen *workload.Generator, port Port, bp *bpred.Predi
 		port:       port,
 		bp:         bp,
 		ruu:        make([]ruuEntry, cfg.RUUSize),
-		waiting:    make([]uint64, 0, cfg.RUUSize),
+		active:     make([]uint64, words),
+		mshrWait:   make([]uint64, words),
+		memSlots:   make([]uint64, words),
+		timed:      make([]timedEntry, 0, cfg.RUUSize),
 		readyBySeq: new([readyRing]uint64),
 		fetchQ:     make([]workload.Instr, 0, cfg.FetchQueue),
 		mshr:       make([]uint64, 0, cfg.MSHRs),
+		mshrFirst:  notIssued,
+		sleepAt:    notIssued,
 		nextSeq:    1, // seq 0 means "no producer"
 	}
 }
@@ -310,6 +358,8 @@ func (c *Core) SkipTo(from, to uint64) {
 		c.stats.DispatchStalls += min(c.dispatchHold, to) - from
 	}
 	c.retireMSHRs(to - 1)
+	// Nothing issues in the window, so no pass in it is cut.
+	c.scanAbs = notIssued
 }
 
 func (c *Core) commit(now uint64) {
@@ -339,155 +389,334 @@ func (c *Core) producerReady(dep uint64) uint64 {
 	return c.readyBySeq[dep%uint64(len(c.readyBySeq))]
 }
 
-// retireMSHRs drops the misses that complete by cycle now.
+// retireMSHRs drops the misses that complete by cycle now. It filters
+// the file only once now reaches its earliest completion.
 func (c *Core) retireMSHRs(now uint64) {
-	keep := c.mshr[:0]
+	if now < c.mshrFirst {
+		return
+	}
+	keep, first := c.mshr[:0], uint64(notIssued)
 	for _, t := range c.mshr {
 		if t > now {
 			keep = append(keep, t)
+			first = min(first, t)
 		}
 	}
-	c.mshr = keep
+	c.mshr, c.mshrFirst = keep, first
 }
 
-// issue runs the issue stage over the waiting list: the unissued entries
-// oldest first, which is the order a scan of the RUU from scanAbs would
-// meet them in. A pass that issues nothing also records in wakeAt the
+// issue runs the issue stage over the active entries, oldest first,
+// which is the order a scan of the RUU from the scan frontier meets the
+// unissued entries in, with the same resource accounting. Once the
+// memory ports or the MSHR file run out, the younger memory ops are
+// denied this pass unvisited. A pass also records in wakeAt the
 // earliest cycle at which any entry could issue; until then, and unless
-// dispatch adds an entry, every pass would issue nothing and leave
-// scanAbs where it is, so the pass is skipped (DESIGN.md §5).
+// dispatch adds an entry, every pass would issue nothing, so the pass is
+// skipped (DESIGN.md §5).
 func (c *Core) issue(now uint64) {
 	// Retire completed MSHR entries. This runs every cycle, skipped pass
 	// or not, so the MSHR slice always matches a full pass.
 	c.retireMSHRs(now)
+	c.scanAbs = notIssued
 	if now < c.wakeAt {
 		return
+	}
+	if now >= c.sleepAt {
+		c.wakeSleepers(now)
+	}
+	// memOut is set once memory ops can no longer issue this pass,
+	// portsOut if for want of a port.
+	memOut, portsOut := false, false
+	if len(c.mshr) >= c.cfg.MSHRs {
+		c.blockMem()
+		memOut = true
 	}
 
 	intALU, fpALU := c.cfg.IntALUs, c.cfg.FPALUs
 	intMul, fpMul := c.cfg.IntMuls, c.cfg.FPMuls
 	memPorts := c.cfg.MemPorts
-	issued := 0
-	// wake is the earliest cycle a stuck entry could issue. An entry
-	// whose producer has not issued contributes nothing: its producer is
-	// an older unissued entry of this same pass and bounds it.
+	width, issued := c.cfg.Width, 0
+	// wake is the earliest cycle an active stuck entry could issue.
 	wake := uint64(notIssued)
 
-	// newScan becomes the scan frontier after this pass: the first stuck
-	// position, else the one after the Width-th issue, else tail.
-	newScan := c.tail
-	// Every waiting position lies in [head, head+size), so its slot is
-	// an offset from the head's slot, wrapped once.
+	// The active entries lie in the slots [headSlot, size) and then, the
+	// younger ones, in [0, headSlot). The pass walks the first range and
+	// then the second a bitmap word w at a time; word holds the active
+	// slots of w not yet visited, less the memory ops once they are out.
 	size := uint64(c.cfg.RUUSize)
-	w := c.waiting
-	kept := 0
-	i := 0
-	for ; i < len(w) && issued < c.cfg.Width; i++ {
-		pos := w[i]
-		slot := c.headSlot + (pos - c.head)
-		if slot >= size {
-			slot -= size
-		}
-		e := &c.ruu[slot]
-		// at is the cycle from which a stuck entry could issue; 0 means
-		// it issues now.
-		at := max(c.producerReady(e.depA), c.producerReady(e.depB))
-		if at <= now {
-			at = 0
-			switch e.cls {
-			case workload.IntALU, workload.Branch:
-				if intALU == 0 {
-					at = now + 1
+	end := size
+	w := c.headSlot >> 6
+	word := c.active[w] &^ (1<<(c.headSlot&63) - 1)
+	if memOut {
+		word &^= c.memSlots[w]
+	}
+	var last uint64 // the slot of the latest issue
+	for issued < width {
+		if word == 0 {
+			if w++; w<<6 >= end {
+				if end != size || c.headSlot == 0 {
 					break
 				}
-				intALU--
-				e.readyAt = now + uint64(c.cfg.IntALULat)
-			case workload.IntMul:
-				if intMul == 0 {
-					at = now + 1
-					break
-				}
-				intMul--
-				e.readyAt = now + uint64(c.cfg.IntMulLat)
-			case workload.FPALU:
-				if fpALU == 0 {
-					at = now + 1
-					break
-				}
-				fpALU--
-				e.readyAt = now + uint64(c.cfg.FPALULat)
-			case workload.FPMul:
-				if fpMul == 0 {
-					at = now + 1
-					break
-				}
-				fpMul--
-				e.readyAt = now + uint64(c.cfg.FPMulLat)
-			case workload.Load, workload.Store:
-				if memPorts == 0 {
-					at = now + 1
-					break
-				}
-				if len(c.mshr) >= c.cfg.MSHRs {
-					at = c.firstMSHRDone()
-					break
-				}
-				memPorts--
-				if e.cls == workload.Load {
-					e.readyAt = c.port.ReadData(e.addr, now)
-					if e.readyAt > now+missThreshold {
-						c.mshr = append(c.mshr, e.readyAt)
-					}
-				} else {
-					// Write-buffer approximation: traffic charged
-					// now, completion at L1 write latency.
-					c.port.WriteData(e.addr, now)
-					e.readyAt = now + 3
-				}
+				w, end = 0, c.headSlot
 			}
-		}
-		if at != 0 {
-			if kept == 0 {
-				newScan = pos
+			word = c.active[w]
+			if memOut {
+				word &^= c.memSlots[w]
 			}
-			w[kept] = pos
-			kept++
-			wake = min(wake, at)
 			continue
 		}
+		slot := w<<6 | uint64(bits.TrailingZeros64(word))
+		if slot >= end {
+			break
+		}
+		word &= word - 1
+		e := &c.ruu[slot]
+		a, b := c.producerReady(e.depA), c.producerReady(e.depB)
+		if at := max(a, b); at > now {
+			switch {
+			case at == notIssued:
+				// A restored state may name a pending producer outside
+				// the window: the entry stays active, and every pass
+				// reads that producer again.
+				c.parkOnUnissued(slot, e, a, b)
+			case at > now+shortWait:
+				c.sleep(slot, at)
+			default:
+				wake = min(wake, at)
+			}
+			continue
+		}
+		// A denied entry stays active: it could issue next cycle.
+		switch e.cls {
+		case workload.IntALU, workload.Branch:
+			if intALU == 0 {
+				wake = now + 1
+				continue
+			}
+			intALU--
+			e.readyAt = now + uint64(c.cfg.IntALULat)
+		case workload.IntMul:
+			if intMul == 0 {
+				wake = now + 1
+				continue
+			}
+			intMul--
+			e.readyAt = now + uint64(c.cfg.IntMulLat)
+		case workload.FPALU:
+			if fpALU == 0 {
+				wake = now + 1
+				continue
+			}
+			fpALU--
+			e.readyAt = now + uint64(c.cfg.FPALULat)
+		case workload.FPMul:
+			if fpMul == 0 {
+				wake = now + 1
+				continue
+			}
+			fpMul--
+			e.readyAt = now + uint64(c.cfg.FPMulLat)
+		case workload.Load, workload.Store:
+			memPorts--
+			if e.cls == workload.Load {
+				e.readyAt = c.port.ReadData(e.addr, now)
+				if e.readyAt > now+missThreshold {
+					c.mshr = append(c.mshr, e.readyAt)
+					c.mshrFirst = min(c.mshrFirst, e.readyAt)
+				}
+			} else {
+				// Write-buffer approximation: traffic charged
+				// now, completion at L1 write latency.
+				c.port.WriteData(e.addr, now)
+				e.readyAt = now + 3
+			}
+		}
+		c.active[w] &^= 1 << (slot & 63)
 		e.issued = true
 		c.readyBySeq[e.seq%uint64(len(c.readyBySeq))] = e.readyAt
 		issued++
-		if issued == c.cfg.Width && kept == 0 && pos+1 < c.tail {
-			newScan = pos + 1
-		}
+		last = slot
 		// A resolving mispredicted branch releases dispatch after the
 		// refill penalty.
 		if c.pendingHoldSet && e.seq == c.pendingHoldSeq {
 			c.dispatchHold = e.readyAt + uint64(c.cfg.MispredictPenalty)
 			c.pendingHoldSet = false
 		}
+		if d := e.parked; d != 0 {
+			e.parked = 0
+			at, issuable := c.unpark(d, e.seq, now)
+			wake = min(wake, at)
+			if issuable {
+				// An entry that woke issuable is younger: visit it
+				// this pass.
+				word = c.active[w] &^ (2<<(slot&63) - 1)
+				if memOut {
+					word &^= c.memSlots[w]
+				}
+			}
+		}
+		if !memOut && (memPorts == 0 || len(c.mshr) >= c.cfg.MSHRs) {
+			// Every younger memory op is denied this pass.
+			memOut = true
+			word &^= c.memSlots[w]
+			if len(c.mshr) >= c.cfg.MSHRs {
+				c.blockMem()
+			} else {
+				portsOut = true
+			}
+		}
 	}
-	if kept < i {
-		c.waiting = w[:kept+copy(w[kept:], w[i:])]
-	}
-	c.scanAbs = newScan
-	if issued > 0 {
-		// Issuing changes producer times and resources, and a width-
-		// limited pass left entries unvisited: look again next cycle.
+	if issued == width {
+		// The pass left entries unvisited: look again next cycle.
+		c.scanAbs = c.posOf(last) + 1
+		wake = now + 1
+	} else if portsOut && c.activeMem() {
+		// So did it memory ops, for want of a port.
 		wake = now + 1
 	}
-	c.wakeAt = wake
+	c.wakeAt = min(wake, c.sleepAt)
 }
 
-// firstMSHRDone returns the earliest completion among in-flight misses:
-// the cycle a full MSHR file frees a slot.
-func (c *Core) firstMSHRDone() uint64 {
-	first := uint64(notIssued)
-	for _, t := range c.mshr {
-		first = min(first, t)
+// wakeSleepers activates the sleeping entries due by cycle now: the
+// timed ones whose producers complete by now, and the MSHR-blocked ones
+// once the file has room. It sets sleepAt to the earliest wake left.
+func (c *Core) wakeSleepers(now uint64) {
+	n := len(c.timed)
+	for ; n > 0 && c.timed[n-1].at <= now; n-- {
+		c.activate(c.timed[n-1].slot)
 	}
-	return first
+	c.timed = c.timed[:n]
+	if c.mshrWaiting && len(c.mshr) < c.cfg.MSHRs {
+		for i, x := range c.mshrWait {
+			c.active[i] |= x
+			c.mshrWait[i] = 0
+		}
+		c.mshrWaiting = false
+	}
+	c.sleepAt = notIssued
+	if n > 0 {
+		c.sleepAt = c.timed[n-1].at
+	}
+	if c.mshrWaiting {
+		c.sleepAt = min(c.sleepAt, c.mshrFirst)
+	}
+}
+
+// blockMem sets every active memory op aside in mshrWait: the MSHR file
+// is full, and no slot frees before its first miss completes.
+func (c *Core) blockMem() {
+	for i, m := range c.memSlots {
+		if x := c.active[i] & m; x != 0 {
+			c.active[i] &^= x
+			c.mshrWait[i] |= x
+			c.mshrWaiting = true
+		}
+	}
+	if c.mshrWaiting {
+		c.sleepAt = min(c.sleepAt, c.mshrFirst)
+	}
+}
+
+// activeMem reports whether any active entry is a memory op.
+func (c *Core) activeMem() bool {
+	for i, a := range c.active {
+		if a&c.memSlots[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// sleep files the entry in slot asleep in timed until cycle at.
+func (c *Core) sleep(slot, at uint64) {
+	c.active[slot>>6] &^= 1 << (slot & 63)
+	c.sleepAt = min(c.sleepAt, at)
+	// Insert in order; most entries wake soonest and go at the end.
+	i := len(c.timed)
+	c.timed = append(c.timed, timedEntry{})
+	for ; i > 0 && c.timed[i-1].at < at; i-- {
+		c.timed[i] = c.timed[i-1]
+	}
+	c.timed[i] = timedEntry{at: at, slot: slot}
+}
+
+// parkOnUnissued parks the entry e in slot on one of its producers that
+// has not issued (a or b is notIssued), and reports whether it could:
+// only an unissued entry in the window parks its dependents. Any other
+// producer (named by a restored state outside the window) counts by its
+// readyBySeq slot alone, as producerReady reads it.
+func (c *Core) parkOnUnissued(slot uint64, e *ruuEntry, a, b uint64) bool {
+	return (a == notIssued && c.park(slot, e.depA)) || (b == notIssued && c.park(slot, e.depB))
+}
+
+// park puts the entry in slot on the list of its producer dep if dep
+// names an unissued entry in the window, and reports whether it did.
+func (c *Core) park(slot, dep uint64) bool {
+	// dep-1 is the producer's position; dep 0 wraps out of the window.
+	if dep-1-c.head >= c.tail-c.head {
+		return false
+	}
+	p := &c.ruu[c.slotOf(dep-1)]
+	if p.issued {
+		return false
+	}
+	c.active[slot>>6] &^= 1 << (slot & 63)
+	c.ruu[slot].nextParked = p.parked
+	p.parked = uint32(slot) + 1
+	return true
+}
+
+// unpark files the entries of the parked list starting at slot d-1,
+// whose producer seq issued at cycle now: parked again on another
+// unissued producer, active if their producers complete within
+// shortWait cycles, else asleep until they do. It returns the earliest
+// cycle an entry it made active could issue, and whether one can issue
+// now. Such an entry is younger than the producer, so this pass can
+// still visit it, except in a restored state that names a younger
+// producer: the pass has gone by that one, so it counts from now+1.
+func (c *Core) unpark(d uint32, seq, now uint64) (wake uint64, issuable bool) {
+	wake = notIssued
+	for d != 0 {
+		slot := uint64(d - 1)
+		e := &c.ruu[slot]
+		d = e.nextParked
+		a, b := c.producerReady(e.depA), c.producerReady(e.depB)
+		switch at := max(a, b); {
+		case at == notIssued:
+			if !c.parkOnUnissued(slot, e, a, b) {
+				c.activate(slot) // a pending producer outside the window
+			}
+		case at > now+shortWait:
+			c.sleep(slot, at)
+		default:
+			c.activate(slot)
+			if e.seq < seq {
+				at = max(at, now+1)
+			}
+			wake = min(wake, at)
+			issuable = issuable || at <= now
+		}
+	}
+	return wake, issuable
+}
+
+func (c *Core) activate(slot uint64) { c.active[slot>>6] |= 1 << (slot & 63) }
+
+// slotOf returns the RUU slot of position pos in [head, head+RUUSize).
+func (c *Core) slotOf(pos uint64) uint64 {
+	slot := c.headSlot + (pos - c.head)
+	if size := uint64(c.cfg.RUUSize); slot >= size {
+		slot -= size
+	}
+	return slot
+}
+
+// posOf returns the position of the entry in slot.
+func (c *Core) posOf(slot uint64) uint64 {
+	if slot >= c.headSlot {
+		return c.head + (slot - c.headSlot)
+	}
+	return c.head + uint64(c.cfg.RUUSize) - c.headSlot + slot
 }
 
 // missThreshold is the latency above which a load counts as an L2-or-worse
@@ -547,11 +776,18 @@ func (c *Core) dispatch(now uint64) {
 		// Mark the slot in readyBySeq as pending so dependents never
 		// see a stale completion from a previous lap of the ring.
 		c.readyBySeq[seq%uint64(len(c.readyBySeq))] = notIssued
+		// The entry is active, and the pass that visits it files it
+		// if it is stuck.
+		w, bit := c.tailSlot>>6, uint64(1)<<(c.tailSlot&63)
 		c.ruu[c.tailSlot] = e
-		c.waiting = append(c.waiting, c.tail)
+		c.active[w] |= bit
+		if isMem {
+			c.memSlots[w] |= bit
+		} else {
+			c.memSlots[w] &^= bit
+		}
 		c.tail++
 		c.tailSlot = c.nextSlot(c.tailSlot)
-		c.wakeAt = 0
 		if isMem {
 			c.lsqLen++
 			if ins.Class == workload.Load {
@@ -574,6 +810,8 @@ func (c *Core) dispatch(now uint64) {
 	}
 	if n > 0 {
 		c.fetchQ = c.fetchQ[:copy(c.fetchQ, c.fetchQ[n:])]
+		// The next pass, at now+1, visits the new entries.
+		c.wakeAt = min(c.wakeAt, now+1)
 	}
 }
 

@@ -275,8 +275,19 @@ func TestIssueMatchesFullScanRandomConfigs(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		n = 8
 	}
-	for i := 0; i < n; i++ {
+	// After the random shapes, the narrowest ones: a single issue slot,
+	// a single MSHR, and both, so that every pass is cut by the width or
+	// finds the MSHR file full.
+	narrow := []func(*Config){
+		func(c *Config) { c.Width = 1 },
+		func(c *Config) { c.MSHRs = 1 },
+		func(c *Config) { c.Width, c.MSHRs = 1, 1 },
+	}
+	for i := 0; i < n+2*len(narrow); i++ {
 		cfg := randomConfig(r)
+		if i >= n {
+			narrow[(i-n)%len(narrow)](&cfg)
+		}
 		app := suite[r.Intn(len(suite))]
 		seed := r.Uint64()
 		c, cp := newOracleCore(cfg, app, seed)
@@ -285,44 +296,181 @@ func TestIssueMatchesFullScanRandomConfigs(t *testing.T) {
 	}
 }
 
-// TestIssueWakeAfterRestore restores a mid-run snapshot into a fresh core
-// and into a reused one whose wake cycle lies far beyond the snapshot's
-// cycle, and requires both to continue like the reference.
+// TestIssueWakeAfterRestore restores snapshots into a fresh core and
+// into a reused one whose wakeup state (a pending skip, sleeping and
+// parked entries) lies far beyond the snapshot's cycle, and requires
+// both to continue like the reference. One snapshot is taken mid-run,
+// the other mid-stall: with the MSHR file full and entries parked on an
+// unissued producer.
 func TestIssueWakeAfterRestore(t *testing.T) {
 	app, _ := workload.ByName("mcf")
-	cfg := Config{MSHRs: 2}
-	const seed = 7
-	mid, end := oracleCycles()/2, oracleCycles()
-	c, cp := newOracleCore(cfg, app, seed)
-	ref, rp := newOracleCore(cfg, app, seed)
-	lockstep(t, "before snapshot", c, cp, ref, rp, 0, mid)
-	snap, portAtMid := c.Snapshot(), cp.clone()
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		ready func(c *Core, now uint64) bool
+	}{
+		{"mid-run", Config{MSHRs: 2}, func(c *Core, now uint64) bool { return now >= oracleCycles()/2 }},
+		{"mid-stall", Config{MSHRs: 2}, func(c *Core, now uint64) bool { return now >= 100 && c.stalledWithParked() }},
+		{"mid-stall narrow", Config{MSHRs: 1, Width: 1}, func(c *Core, now uint64) bool { return now >= 100 && c.stalledWithParked() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const seed = 7
+			end := oracleCycles()
+			c, cp := newOracleCore(tc.cfg, app, seed)
+			ref, rp := newOracleCore(tc.cfg, app, seed)
+			mid := uint64(0)
+			for ; mid < end && !tc.ready(c, mid); mid++ {
+				lockstep(t, "before snapshot", c, cp, ref, rp, mid, mid+1)
+			}
+			if mid == end {
+				t.Fatalf("no snapshot cycle before %d", end)
+			}
+			snap, portAtMid := c.Snapshot(), cp.clone()
 
-	resumed := func(core *Core) (*Core, *recordingPort) {
-		if err := core.Restore(snap); err != nil {
-			t.Fatal(err)
+			resumed := func(core *Core) (*Core, *recordingPort) {
+				if err := core.Restore(snap); err != nil {
+					t.Fatal(err)
+				}
+				p := portAtMid.clone()
+				core.port = p
+				return core, p
+			}
+
+			fresh, _ := newOracleCore(tc.cfg, app, seed+1)
+			fresh, fp := resumed(fresh)
+			lockstep(t, "fresh core after restore", fresh, fp, ref, rp, mid, end)
+
+			// Run c well past the snapshot, until a scan skip is pending
+			// and entries sleep, then rewind it.
+			now := mid
+			for ; (now < mid+200 || c.wakeAt <= now+1 || !c.sleeping()) && now < end+2000; now++ {
+				c.Step(now)
+			}
+			if c.wakeAt <= now+1 || !c.sleeping() {
+				t.Fatalf("no skip pending with entries asleep by cycle %d; the reuse case is not exercised", now)
+			}
+			c, cp = resumed(c)
+			refB, _ := newOracleCore(tc.cfg, app, seed)
+			refB, rbp := resumed(refB)
+			lockstep(t, "reused core after restore", c, cp, refB, rbp, mid, end)
+		})
+	}
+}
+
+// stalledWithParked reports whether the MSHR file is full and some
+// unissued entry has entries parked on it.
+func (c *Core) stalledWithParked() bool {
+	if len(c.mshr) < c.cfg.MSHRs {
+		return false
+	}
+	for pos := c.head; pos < c.tail; pos++ {
+		if e := &c.ruu[c.slotOf(pos)]; !e.issued && e.parked != 0 {
+			return true
 		}
-		p := portAtMid.clone()
-		core.port = p
-		return core, p
 	}
+	return false
+}
 
-	fresh, _ := newOracleCore(cfg, app, seed+1)
-	fresh, fp := resumed(fresh)
-	lockstep(t, "fresh core after restore", fresh, fp, ref, rp, mid, end)
+// sleeping reports whether any entry is parked, timed or MSHR-blocked.
+func (c *Core) sleeping() bool {
+	if len(c.timed) > 0 || c.mshrWaiting {
+		return true
+	}
+	for pos := c.head; pos < c.tail; pos++ {
+		if c.ruu[c.slotOf(pos)].parked != 0 {
+			return true
+		}
+	}
+	return false
+}
 
-	// Run c well past mid, until a scan skip is pending, then rewind it.
-	now := mid
-	for ; (now < mid+200 || c.wakeAt <= now+1) && now < end; now++ {
-		c.Step(now)
+// TestRestoreNamesAnyProducer restores states whose unissued entries name
+// producers a core never records: themselves, a younger entry, a
+// committed one whose readyBySeq slot is pending or complete, one past
+// the tail, and sequence numbers far outside the window. Restore accepts
+// them all, and the rebuilt wakeup state must run without a panic, by
+// Step and by events. Where the producer is in the window or its
+// readyBySeq slot is left alone, the core must also match the reference,
+// which reads each producer through producerReady.
+func TestRestoreNamesAnyProducer(t *testing.T) {
+	app, _ := workload.ByName("mcf")
+	cfg := Config{MSHRs: 2}
+	base, _ := newOracleCore(cfg, app, 5)
+	now := uint64(0)
+	for ; now < 400 || !base.stalledWithParked(); now++ {
+		base.Step(now)
 	}
-	if c.wakeAt <= now+1 {
-		t.Fatalf("no scan skip pending after cycle %d; the reuse case is not exercised", now)
+	snap := base.Snapshot()
+	size := uint64(len(snap.RUU))
+	var unissued []uint64 // positions
+	for pos := snap.Head; pos < snap.Tail; pos++ {
+		if !snap.RUU[pos%size].Issued {
+			unissued = append(unissued, pos)
+		}
 	}
-	c, cp = resumed(c)
-	refB, _ := newOracleCore(cfg, app, seed)
-	refB, rbp := resumed(refB)
-	lockstep(t, "reused core after restore", c, cp, refB, rbp, mid, end)
+	if len(unissued) < 2 || snap.Head == 0 {
+		t.Fatalf("snapshot at cycle %d has %d unissued entries; the test needs two", now, len(unissued))
+	}
+	for _, tc := range []struct {
+		name  string
+		dep   func(pos uint64) uint64 // the producer seq for the entry at pos
+		slot  uint64                  // a readyBySeq value for that producer, or 0 to leave it
+		exact bool
+	}{
+		{"itself", func(pos uint64) uint64 { return pos + 1 }, 0, true},
+		{"younger entry", func(pos uint64) uint64 { return snap.Tail }, 0, true},
+		{"committed, complete", func(pos uint64) uint64 { return snap.Head }, 0, true},
+		{"committed, pending", func(pos uint64) uint64 { return snap.Head }, notIssued, true},
+		{"past the tail", func(pos uint64) uint64 { return snap.Tail + 3 }, 0, false},
+		{"far past the tail", func(pos uint64) uint64 { return 1 << 62 }, 0, false},
+		{"far past, pending", func(pos uint64) uint64 { return 1<<62 + 1 }, notIssued, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := base.Snapshot()
+			for i, pos := range unissued {
+				e := &s.RUU[pos%size]
+				if i%2 == 0 {
+					e.DepA = tc.dep(pos)
+				} else {
+					e.DepB = tc.dep(pos)
+				}
+				if tc.slot != 0 {
+					s.ReadyBySeq[tc.dep(pos)%readyRing] = tc.slot
+				}
+			}
+			for _, reuse := range []bool{false, true} {
+				c, _ := newOracleCore(cfg, app, 9)
+				if reuse {
+					for n := uint64(0); n < now+300; n++ {
+						c.Step(n)
+					}
+				}
+				if err := c.Restore(s); err != nil {
+					t.Fatal(err)
+				}
+				port := newRecordingPort(11)
+				cp := port.clone()
+				c.port = cp
+				if !tc.exact {
+					r := rng.New(3)
+					for at := now; at < now+oracleCycles(); {
+						next := min(c.NextEvent(at), at+1+r.Uint64n(50))
+						c.SkipTo(at, next)
+						c.Step(next)
+						at = next + 1
+					}
+					continue
+				}
+				ref, _ := newOracleCore(cfg, app, 9)
+				if err := ref.Restore(s); err != nil {
+					t.Fatal(err)
+				}
+				rp := port.clone()
+				ref.port = rp
+				lockstep(t, fmt.Sprintf("reuse=%v", reuse), c, cp, ref, rp, now, now+oracleCycles())
+			}
+		})
+	}
 }
 
 // BenchmarkCoreStep steps one Table 1 core through an mcf-like,

@@ -53,7 +53,7 @@ func (c *Core) Snapshot() State {
 		RUU:            make([]RUUEntryState, len(c.ruu)),
 		Head:           c.head,
 		Tail:           c.tail,
-		ScanAbs:        c.scanAbs,
+		ScanAbs:        c.scanFrontier(),
 		LSQLen:         c.lsqLen,
 		FetchQ:         append([]workload.Instr(nil), c.fetchQ...),
 		FetchReady:     c.fetchReady,
@@ -144,14 +144,38 @@ func (c *Core) Restore(s State) error {
 	c.pendingHoldSet = s.PendingHoldSet
 	copy(c.readyBySeq[:], s.ReadyBySeq)
 	c.mshr = append(c.mshr[:0], s.MSHR...)
+	c.mshrFirst = notIssued
+	for _, t := range c.mshr {
+		c.mshrFirst = min(c.mshrFirst, t)
+	}
 	c.nextSeq = s.NextSeq
 	c.stats = s.Stats
-	c.wakeAt = 0
-	c.waiting = c.waiting[:0]
-	for pos := max(s.ScanAbs, s.Head); pos < s.Tail; pos++ {
-		if !c.ruu[pos%uint64(len(c.ruu))].issued {
-			c.waiting = append(c.waiting, pos)
+	// Every unissued entry starts active; the first pass, which nothing
+	// skips, sends the stuck ones back to sleep.
+	clear(c.active)
+	clear(c.mshrWait)
+	clear(c.memSlots)
+	c.mshrWaiting, c.sleepAt = false, notIssued
+	c.timed = c.timed[:0]
+	for pos, slot := c.head, c.headSlot; pos < c.tail; pos, slot = pos+1, c.nextSlot(slot) {
+		e := &c.ruu[slot]
+		if e.cls == workload.Load || e.cls == workload.Store {
+			c.memSlots[slot>>6] |= 1 << (slot & 63)
+		}
+		if !e.issued {
+			c.activate(slot)
 		}
 	}
+	c.wakeAt = 0
 	return nil
+}
+
+// scanFrontier returns the scan frontier: the oldest unissued entry (tail
+// when every entry has issued), or scanAbs if that is older.
+func (c *Core) scanFrontier() uint64 {
+	pos, slot := c.head, c.headSlot
+	for pos < c.tail && pos < c.scanAbs && c.ruu[slot].issued {
+		pos, slot = pos+1, c.nextSlot(slot)
+	}
+	return min(pos, c.scanAbs)
 }

@@ -79,7 +79,10 @@ func (r *Rand) Intn(n int) int {
 }
 
 // Uint64n returns a uniformly distributed uint64 in [0, n). It panics if
-// n == 0. Uses Lemire's multiply-shift rejection method.
+// n == 0. A power of two masks one draw. Any other n takes a draw modulo
+// n, after redrawing while the draw lies at or above the largest multiple
+// of n that fits in a uint64: the remainders of those would favour the
+// small values.
 func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n called with n == 0")
@@ -88,7 +91,7 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	// Rejection sampling on the top bits to avoid modulo bias.
+	// max is that multiple: q*n, where math.MaxUint64 = q*n + r.
 	max := math.MaxUint64 - math.MaxUint64%n
 	for {
 		v := r.Uint64()
