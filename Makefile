@@ -121,9 +121,9 @@ smoke: build
 # -span-out must emit a schema-valid Perfetto-loadable trace containing
 # every expected phase span, and the spans-disabled hot path (what every
 # untraced run pays at each phase boundary) must stay allocation-free.
-# A traced three-window study (testdata/sweeps/windows.json) must run as
-# one warmup and one run, as an untraced one does, and write a valid
-# non-empty trace and span file.
+# A traced three-window study (testdata/sweeps/windows.json, run by
+# cmd/experiments) must run as one warmup and one run, as an untraced
+# one does, and write a valid non-empty trace and span file.
 span-smoke: build
 	$(GO) run ./cmd/nucasim -scheme adaptive -cycles 100000 \
 		-metrics-out /tmp/nucasim-span-smoke.csv -trace-out /tmp/nucasim-span-smoke.jsonl \
@@ -134,13 +134,14 @@ span-smoke: build
 		-span-out /tmp/nucasim-experiments-spans.json fig6 > /tmp/nucasim-experiments-span-smoke.txt
 	$(GO) run ./internal/tools/artifactcheck -spans /tmp/nucasim-experiments-spans.json \
 		-spans-require experiments,experiment.fig6,sim.run
-	$(GO) run ./cmd/sweep -spec testdata/sweeps/windows.json \
+	$(GO) run ./cmd/experiments \
 		-trace-out /tmp/nucasim-sweep-trace.jsonl -span-out /tmp/nucasim-sweep-spans.json \
+		testdata/sweeps/windows.json \
 		> /tmp/nucasim-sweep-span-smoke.txt 2> /tmp/nucasim-sweep-span-smoke.err
 	grep -F '1 warmups run (3 forked, 0 cold)' /tmp/nucasim-sweep-span-smoke.err \
 		|| { cat /tmp/nucasim-sweep-span-smoke.err; false; }
 	$(GO) run ./internal/tools/artifactcheck -trace /tmp/nucasim-sweep-trace.jsonl \
-		-spans /tmp/nucasim-sweep-spans.json -spans-require sweep,sweep.local,sim.run,sim.measure
+		-spans /tmp/nucasim-sweep-spans.json -spans-require experiments,sweep.local,sim.run,sim.measure
 	$(GO) test -run '^$$' -bench 'BenchmarkSpanStartEnd' -benchmem \
 		-benchtime=200000x -count=3 . | tee /tmp/nucasim-span-bench.txt
 	$(GO) run ./internal/tools/benchjson -in /tmp/nucasim-span-bench.txt \

@@ -1,40 +1,56 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation. Each subcommand prints the corresponding table together
-// with the paper's reference numbers so the shapes can be compared at a
-// glance. Use -mixes / -cycles / -warmup-instrs to scale runs up toward
-// the paper's 200 M-cycle windows.
+// evaluation, and runs sweep studies from spec files. Each figure
+// subcommand prints the corresponding table together with the paper's
+// reference numbers so the shapes can be compared at a glance. Use
+// -mixes / -cycles / -warmup-instrs to scale figure runs up toward the
+// paper's 200 M-cycle windows.
+//
+// An argument ending in .json is a sweep spec (the schema of POST
+// /v1/sweeps; committed studies live in testdata/sweeps). It runs
+// in-process through the sweep engine, warming each group of points
+// that share a warmup once, and prints one aggregated table; with
+// -server it is submitted to a running nucaserve instead, which answers
+// already-computed points from its result cache. A spec carries its own
+// scale, so the figure scale flags do not apply to it.
 //
 // Observability:
 //
 //	-json              emit each table as one JSON object per line instead of text
 //	-metrics-out f.csv append every table as CSV (titles on "# " comment lines)
-//	-trace-out f.jsonl stream all adaptive runs' sharing-engine events (JSONL)
-//	-span-out f.json   write a Perfetto-loadable trace of wall-clock spans,
-//	                   one "experiment.<name>" span per subcommand with the
-//	                   adaptive runs' simulation phases nested beneath
+//	-trace-out f.jsonl stream sharing-engine events (JSONL) of every adaptive
+//	                   figure run and of every locally run spec group
+//	-span-out f.json   write a Perfetto-loadable trace of wall-clock spans:
+//	                   one "experiment.<name>" span per figure and one
+//	                   "sweep.local" span per spec, with a "sweep.group
+//	                   <label>" span per group run, simulation phases nested
 //	-cpuprofile f      write a pprof CPU profile of the whole invocation
 //	-memprofile f      write a pprof heap profile at exit
 //
-// Every experiment reports wall-clock and simulated-cycles-per-second
+// Every argument reports wall-clock and simulated-cycles-per-second
 // throughput on stderr.
 //
 // Usage:
 //
 //	experiments [flags] fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 \
 //	                    sampling anecdote cost table1 scaling parallel all
+//	experiments [flags] [-server URL] study.json ...
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"nucasim/internal/core"
 	"nucasim/internal/experiment"
+	"nucasim/internal/serve"
 	"nucasim/internal/sim"
 	"nucasim/internal/stats"
 	"nucasim/internal/sweep"
@@ -85,6 +101,7 @@ func main() {
 	flag.Uint64Var(&opt.WarmupCycles, "warmup-cycles", 0, "timed warmup cycles (default 1e5)")
 	flag.Uint64Var(&opt.MeasureCycles, "cycles", 0, "measured cycles (default 6e5; paper: 2e8)")
 	flag.BoolVar(&opt.Run.CheckInvariants, "check-invariants", false, "verify adaptive-scheme structural invariants at every repartition epoch (aborts on violation)")
+	server := flag.String("server", "", "submit sweep spec files to a running nucaserve at this base URL instead of simulating in-process")
 	common := cliflags.Register(flag.CommandLine, cliflags.Spec{
 		Command:      "experiments",
 		JSONUsage:    "emit tables as JSON Lines instead of text",
@@ -96,8 +113,14 @@ func main() {
 	flag.Parse()
 	which := flag.Args()
 	if len(which) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: experiments [flags] fig3|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|sampling|anecdote|cost|table1|scaling|parallel|all")
+		fmt.Fprintln(os.Stderr, "usage: experiments [flags] fig3|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|sampling|anecdote|cost|table1|scaling|parallel|all|<spec>.json")
 		os.Exit(2)
+	}
+	for _, w := range which {
+		if *server != "" && !isSpec(w) {
+			fmt.Fprintf(os.Stderr, "experiments: -server runs sweep spec files only, not %s\n", w)
+			os.Exit(2)
+		}
 	}
 
 	session, err := common.Open(true)
@@ -114,11 +137,11 @@ func main() {
 	for _, w := range which {
 		if w == "all" {
 			for _, x := range []string{"table1", "cost", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "sampling", "anecdote", "scaling", "parallel"} {
-				timed(x, opt, out, session)
+				timed(x, opt, *server, out, session)
 			}
 			continue
 		}
-		timed(w, opt, out, session)
+		timed(w, opt, *server, out, session)
 	}
 
 	if err := session.Close(true); err != nil {
@@ -126,20 +149,35 @@ func main() {
 	}
 }
 
-// timed runs one experiment under an "experiment.<name>" span (the
-// adaptive runs' simulation phases nest beneath it) and a pprof phase
-// label, and reports its wall-clock and simulated throughput on stderr.
-func timed(which string, opt experiment.Options, out *output, session *cliflags.Session) {
+// isSpec reports whether an argument names a sweep spec file rather
+// than a figure.
+func isSpec(arg string) bool { return strings.HasSuffix(arg, ".json") }
+
+// timed runs one argument under a pprof phase label and reports its
+// wall-clock and simulated throughput on stderr. A figure runs under an
+// "experiment.<name>" span, with the adaptive runs' simulation phases
+// nested beneath it; a spec file runs as a study (runSpec).
+func timed(which string, opt experiment.Options, server string, out *output, session *cliflags.Session) {
 	start := time.Now()
 	cyclesBefore := sim.CyclesSimulated()
-	sp := session.StartSpan("experiment." + which)
-	if session.Trace != nil || session.Spans != nil {
-		opt.Run.Attach = adaptiveTelemetry(session, sp.ID())
-	}
 	telemetry.WithPhase(context.Background(), which, func(context.Context) {
+		if isSpec(which) {
+			t, err := runSpec(which, server, opt.Run.CheckInvariants, session)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				session.Close(false)
+				os.Exit(1)
+			}
+			out.table(t)
+			return
+		}
+		sp := session.StartSpan("experiment." + which)
+		if session.Trace != nil || session.Spans != nil {
+			opt.Run.Attach = adaptiveTelemetry(session, sp.ID())
+		}
 		run(which, opt, out)
+		sp.End()
 	})
-	sp.End()
 	tp := telemetry.Throughput{
 		Wall:      time.Since(start),
 		SimCycles: sim.CyclesSimulated() - cyclesBefore,
@@ -150,7 +188,8 @@ func timed(which string, opt experiment.Options, out *output, session *cliflags.
 // adaptiveTelemetry gives each adaptive point the session's trace
 // writer and span recorder, labelled "adaptive-seed<N>" so decisions
 // from different mixes stay distinguishable, with its simulation phases
-// nested under parent. The baselines keep the sweep engine's default.
+// nested under parent. The baselines run with no telemetry, as every
+// figure point does when nothing is traced.
 func adaptiveTelemetry(session *cliflags.Session, parent telemetry.SpanID) func(sweep.Point) *telemetry.Config {
 	var trace io.Writer
 	if session.Trace != nil {
@@ -167,6 +206,129 @@ func adaptiveTelemetry(session *cliflags.Session, parent telemetry.SpanID) func(
 			SpanParent:  parent,
 		}
 	}
+}
+
+// runSpec reads the sweep spec at path and runs it, in-process or on
+// the nucaserve at server, returning the aggregated table.
+func runSpec(path, server string, checkInvariants bool, session *cliflags.Session) (*stats.Table, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := sweep.ParseSpec(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if server != "" {
+		return runRemote(server, spec)
+	}
+	return runLocal(spec, checkInvariants, session)
+}
+
+// runLocal expands the spec and runs it in-process through the sweep
+// engine, one run per warmup group, under a "sweep.local" span with a
+// "sweep.group <label>" span per group run. Each group's trace events
+// and simulation spans carry the label of its longest point.
+func runLocal(spec sweep.Spec, checkInvariants bool, session *cliflags.Session) (*stats.Table, error) {
+	points, err := sweep.Expand(spec, 0)
+	if err != nil {
+		return nil, err
+	}
+	var trace io.Writer
+	if session.Trace != nil {
+		trace = session.Trace
+	}
+	parent := session.StartSpan("sweep.local")
+	// A group run ends with its longest point, the one Attach names.
+	var group telemetry.Span
+	var longest string
+	results, st, err := sweep.RunLocal(context.Background(), points, sweep.LocalOptions{
+		CheckInvariants: checkInvariants,
+		Attach: func(p sweep.Point) *telemetry.Config {
+			group = session.Spans.StartSpan("sweep.group "+p.Label, parent.ID())
+			longest = p.Label
+			return &telemetry.Config{
+				Run:         p.Label,
+				TraceWriter: trace,
+				Spans:       session.Spans,
+				SpanParent:  group.ID(),
+			}
+		},
+		OnPoint: func(p sweep.Point, _ sim.Result) {
+			if p.Label == longest {
+				group.End()
+			}
+		},
+	})
+	parent.End()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "# sweep: %d points, %d warmups run (%d forked, %d cold)\n",
+		len(points), st.WarmupsRun, st.Forked, st.Cold)
+	return sweep.Aggregate(spec.Name, points, results), nil
+}
+
+// runRemote submits the spec to a nucaserve instance, polls the sweep
+// until it settles, and downloads the aggregated table. Points the
+// server has already computed (for earlier jobs or sweeps) are answered
+// from its result cache without re-simulating.
+func runRemote(base string, spec sweep.Spec) (*stats.Table, error) {
+	base = strings.TrimRight(base, "/")
+	body, err := json.Marshal(spec)
+	if err != nil {
+		return nil, err
+	}
+	var st serve.SweepStatus
+	resp, err := http.Post(base+"/v1/sweeps", "application/json", bytes.NewReader(body))
+	if err := readJSON(resp, err, &st); err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "# sweep %.12s: %d points (%d cached, %d warmup groups, %d forked)\n",
+		st.ID, st.Points, st.CachedPoints, st.WarmupGroups, st.ForkedPoints)
+
+	lastResolved := -1
+	for st.State == serve.SweepPending {
+		time.Sleep(250 * time.Millisecond)
+		resp, err := http.Get(base + "/v1/sweeps/" + st.ID)
+		if err := readJSON(resp, err, &st); err != nil {
+			return nil, err
+		}
+		if st.Resolved != lastResolved {
+			lastResolved = st.Resolved
+			fmt.Fprintf(os.Stderr, "# sweep %.12s: %d/%d points resolved\n", st.ID, st.Resolved, st.Points)
+		}
+	}
+	if st.State != serve.SweepDone {
+		return nil, fmt.Errorf("sweep %.12s %s: %s", st.ID, st.State, st.Error)
+	}
+	var t stats.Table
+	resp, err = http.Get(base + "/v1/sweeps/" + st.ID + "/result")
+	if err := readJSON(resp, err, &t); err != nil {
+		return nil, err
+	}
+	return &t, nil
+}
+
+// readJSON decodes the JSON body of a 2xx response into v. It takes the
+// request's error too, so a call site reads as one step.
+func readJSON(resp *http.Response, err error, v any) error {
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	req := resp.Request
+	if resp.StatusCode/100 != 2 {
+		return fmt.Errorf("%s %s: HTTP %d: %s", req.Method, req.URL, resp.StatusCode, strings.TrimSpace(string(data)))
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("%s %s: %w", req.Method, req.URL, err)
+	}
+	return nil
 }
 
 func run(which string, opt experiment.Options, out *output) {

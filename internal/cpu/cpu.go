@@ -23,6 +23,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -90,6 +91,31 @@ func (c Config) withDefaults() Config {
 	def(&c.FPMulLat, 4)
 	def(&c.L1ILat, 2)
 	return c
+}
+
+// Validate reports a configuration New cannot build: a negative field
+// (zero selects the default), or an RUU larger than the readyBySeq ring
+// that names each in-flight instruction by its sequence number.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"RUUSize", c.RUUSize}, {"LSQSize", c.LSQSize}, {"FetchQueue", c.FetchQueue},
+		{"Width", c.Width}, {"IntALUs", c.IntALUs}, {"FPALUs", c.FPALUs},
+		{"IntMuls", c.IntMuls}, {"FPMuls", c.FPMuls}, {"MemPorts", c.MemPorts},
+		{"MSHRs", c.MSHRs}, {"MispredictPenalty", c.MispredictPenalty},
+		{"IntALULat", c.IntALULat}, {"IntMulLat", c.IntMulLat},
+		{"FPALULat", c.FPALULat}, {"FPMulLat", c.FPMulLat}, {"L1ILat", c.L1ILat},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("cpu: %s = %d, must be non-negative", f.name, f.v)
+		}
+	}
+	if c.RUUSize > readyRing {
+		return fmt.Errorf("cpu: RUUSize = %d exceeds the %d-entry ready ring", c.RUUSize, readyRing)
+	}
+	return nil
 }
 
 // Stats reports the core's progress and event counts.

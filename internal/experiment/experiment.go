@@ -22,6 +22,7 @@ import (
 	"nucasim/internal/sim"
 	"nucasim/internal/stats"
 	"nucasim/internal/sweep"
+	"nucasim/internal/telemetry"
 	"nucasim/internal/workload"
 )
 
@@ -42,7 +43,8 @@ type Options struct {
 	// Run is how each figure's points execute: invariant checking and
 	// the telemetry of each run, one per fork group, which Attach wires
 	// from the group's longest point (cmd/experiments
-	// -check-invariants, -trace-out, -span-out).
+	// -check-invariants, -trace-out, -span-out). A figure reads no
+	// telemetry, so without an Attach its points run with none.
 	Run sweep.LocalOptions
 }
 
@@ -110,6 +112,9 @@ func (o Options) specs(fixed sweep.Base, mixes [][]workload.AppParams, schemes .
 // sweep.RunLocal call. results[i][j] is spec i's j-th point (its j-th
 // scheme). Figures have no error path, so a failed point panics.
 func (o Options) run(specs []sweep.Spec) [][]sim.Result {
+	if o.Run.Attach == nil {
+		o.Run.Attach = func(sweep.Point) *telemetry.Config { return nil }
+	}
 	var points []sweep.Point
 	counts := make([]int, len(specs))
 	for i, s := range specs {
@@ -152,17 +157,17 @@ func Fig3(opt Options) *stats.Table {
 		}
 		row := make([]float64, len(ways))
 		for i, w := range ways {
-			row[i] = MissRatioAtWays(p, w, opt.Seed) * 1000
+			row[i] = missRatioAtWays(p, w, opt.Seed) * 1000
 		}
 		t.AddRow(name, row...)
 	}
 	return t
 }
 
-// MissRatioAtWays replays one app's data stream through Table 1 L1D/L2D
+// missRatioAtWays replays one app's data stream through Table 1 L1D/L2D
 // filters into an isolated 4096-set probe cache at the given
-// associativity — the Figure 3 measurement. Exposed for cmd/sweep.
-func MissRatioAtWays(p workload.AppParams, ways int, seed uint64) float64 {
+// associativity — the Figure 3 measurement.
+func missRatioAtWays(p workload.AppParams, ways int, seed uint64) float64 {
 	g := workload.NewGenerator(p, 0, rng.New(seed+0xF16))
 	l1 := cache.New("l1", memaddr.NewGeometry(64<<10, 2))
 	l2 := cache.New("l2", memaddr.NewGeometry(256<<10, 4))

@@ -34,8 +34,10 @@ const (
 	// crash-safe checkpoint was written; a restarted server resumes it
 	// from where it stopped instead of recomputing.
 	StateCheckpointed JobState = "checkpointed"
-	// StateInterrupted: the drain interrupted a scheme that cannot
-	// checkpoint; a restarted server reruns it from scratch.
+	// StateInterrupted: the drain interrupted a job that left no
+	// checkpoint: one still in warmup, which writes none, or one whose
+	// interrupt checkpoint failed to write before any periodic one
+	// existed. A restarted server reruns it from scratch.
 	StateInterrupted JobState = "interrupted"
 )
 

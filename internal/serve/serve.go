@@ -631,7 +631,8 @@ func (s *Server) Draining() bool {
 // 503, workers pick up no new jobs), running jobs get until the drain
 // deadline to finish, and whatever is still running then is interrupted:
 // it writes a checkpoint and lands in StateCheckpointed, so the next
-// process resumes it without recomputing finished work.
+// process resumes it without recomputing finished work (a job still in
+// warmup writes none and lands in StateInterrupted).
 // Queued jobs keep their persisted specs and are re-queued on restart.
 // Blocks until every worker has exited.
 func (s *Server) Shutdown(ctx context.Context) error {

@@ -404,6 +404,66 @@ func testDrainCheckpointResume(t *testing.T, req JobRequest) {
 	}
 }
 
+// TestDrainInterruptsWarmup: a drain that interrupts a job in warmup
+// leaves no checkpoint, so the job lands in StateInterrupted, and a
+// new server over the same state directory reruns it from scratch to
+// the result of an uninterrupted direct run.
+func TestDrainInterruptsWarmup(t *testing.T) {
+	dir := t.TempDir()
+	req := smallJob(31)
+	req.WarmupInstructions = 4_000_000
+	req.MeasureCycles = 20_000
+
+	s1, err := New(Options{StateDir: dir, Workers: 1, DrainTimeout: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	defer ts1.Close()
+	st, resp := submit(t, ts1, req)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	waitFor(t, "functional warmup underway", func() bool {
+		got := getStatus(t, ts1, st.ID)
+		return got.State == StateRunning && got.Progress.Phase == "warmup-functional" && got.Progress.Done > 0
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := s1.Status(mustJob(t, s1, st.ID)); got.State != StateInterrupted {
+		t.Fatalf("after drain: state %q, want interrupted", got.State)
+	}
+	if got := counter(s1, "serve.jobs_interrupted"); got != 1 {
+		t.Errorf("serve.jobs_interrupted = %d, want 1", got)
+	}
+	if _, err := os.Stat(s1.Store().CheckpointPath(st.ID)); !os.IsNotExist(err) {
+		t.Errorf("interrupted warmup left a checkpoint.bin (stat: %v)", err)
+	}
+
+	s2, ts2 := newTestServer(t, Options{StateDir: dir, Workers: 1})
+	j2 := mustJob(t, s2, st.ID)
+	waitFor(t, "rerun job done", func() bool { return s2.Status(j2).State == StateDone })
+	if got := s2.Status(j2); got.Resumed {
+		t.Errorf("rerun job marked resumed: %+v", got)
+	}
+	served := fetch(t, ts2.URL+"/v1/jobs/"+st.ID+"/result", http.StatusOK)
+	cfg, mix, err := req.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Telemetry = &telemetry.Config{Run: st.ID}
+	want, err := EncodeResult(sim.Run(cfg, mix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, want) {
+		t.Error("rerun result differs from an uninterrupted direct run")
+	}
+}
+
 // writeJobCheckpoint stores, as job hash's checkpoint.bin in st, the
 // run of req interrupted measured cycles into its window by a process
 // that checkpointed to path every `every` cycles.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"nucasim/internal/cache"
+	"nucasim/internal/cpu"
 	"nucasim/internal/telemetry"
 	"nucasim/internal/workload"
 )
@@ -371,6 +373,10 @@ func TestConfigValidate(t *testing.T) {
 			c.ReplayVerify = true
 		}, "incompatible with ReplayVerify"},
 		{"cadence without path", func(c *Config) { c.CheckpointEvery = 5 }, "without a CheckpointPath"},
+		{"negative RUU", func(c *Config) { c.CPU.RUUSize = -1 }, "RUUSize = -1"},
+		{"negative MSHRs", func(c *Config) { c.CPU.MSHRs = -1 }, "MSHRs = -1"},
+		{"negative width", func(c *Config) { c.CPU.Width = -2 }, "Width = -2"},
+		{"RUU past the ready ring", func(c *Config) { c.CPU.RUUSize = 4097 }, "exceeds the 4096-entry ready ring"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -394,5 +400,31 @@ func TestConfigValidate(t *testing.T) {
 	})
 	if err := ckConfig().Validate(); err != nil {
 		t.Fatalf("checkpoint test config rejected: %v", err)
+	}
+	if err := (Config{CPU: cpu.Config{RUUSize: 4096}}).Validate(); err != nil {
+		t.Fatalf("RUU as large as the ready ring rejected: %v", err)
+	}
+}
+
+// TestParseCanonicalSpecRejectsBadCPU: a persisted spec whose core
+// config New cannot build is refused at parse time, so a restarted
+// server drops it instead of panicking in the worker.
+func TestParseCanonicalSpecRejectsBadCPU(t *testing.T) {
+	ammp, _ := workload.ByName("ammp")
+	spec, err := CanonicalSpec(Config{Cores: 2, MeasureCycles: 1000}, []workload.AppParams{ammp, ammp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(spec, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["cpu"] = map[string]any{"RUUSize": -1}
+	bad, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ParseCanonicalSpec(bad); err == nil || !strings.Contains(err.Error(), "RUUSize = -1") {
+		t.Fatalf("ParseCanonicalSpec(%s) = %v, want an RUUSize error", bad, err)
 	}
 }

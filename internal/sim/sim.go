@@ -475,7 +475,7 @@ func memCfg(cfg Config, shared bool) dram.Config {
 func (m *Machine) Now() uint64 { return m.now }
 
 // cyclesSimulated counts timed cycles across every Machine in the
-// process, so batch drivers (cmd/experiments, cmd/sweep) can report
+// process, so batch drivers (cmd/experiments) can report
 // simulated-cycles-per-second throughput without threading state through
 // every experiment.
 var cyclesSimulated atomic.Uint64

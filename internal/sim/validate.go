@@ -41,6 +41,9 @@ func (c Config) Validate() error {
 	if c.CheckpointPath != "" && c.ReplayVerify {
 		return fmt.Errorf("sim: CheckpointPath is incompatible with ReplayVerify (the verifier's trace-fed state cannot be checkpointed)")
 	}
+	if err := c.CPU.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
 	if c.CheckpointEvery > 0 && c.CheckpointPath == "" {
 		return fmt.Errorf("sim: CheckpointEvery = %d without a CheckpointPath", c.CheckpointEvery)
 	}

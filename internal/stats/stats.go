@@ -190,7 +190,7 @@ func (t *Table) ColumnMean(col int) float64 {
 // WriteCSV renders the table as CSV: a comment line with the title
 // (prefixed "# "), a header row ("label" + column names), then one row
 // per data row. The machine-readable artifact behind cmd/experiments
-// and cmd/sweep -metrics-out.
+// -metrics-out.
 func (t *Table) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# %s\n", t.Title); err != nil {
 		return err
@@ -237,7 +237,7 @@ func (t *Table) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON parses the MarshalJSON schema back into a table, so
-// clients (cmd/sweep -server) can re-render a downloaded table.json
+// clients (cmd/experiments -server) can re-render a downloaded table.json
 // with the same text/CSV formatters as a locally built one.
 func (t *Table) UnmarshalJSON(data []byte) error {
 	var in tableJSON

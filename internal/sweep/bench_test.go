@@ -39,7 +39,7 @@ func BenchmarkSweepForked(b *testing.B) {
 }
 
 // BenchmarkSweepCold runs the same study with every point end to end —
-// what cmd/sweep did before warmup forking, and the baseline the
+// what the sweep CLI did before warmup forking, and the baseline the
 // BENCH_sweep.json ratio gate holds the forked path against.
 func BenchmarkSweepCold(b *testing.B) {
 	points := benchPoints(b)

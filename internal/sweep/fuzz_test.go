@@ -3,6 +3,9 @@ package sweep
 import (
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"nucasim/internal/sim"
@@ -35,6 +38,45 @@ func TestCanonicalREADMESpec(t *testing.T) {
 	const want = `{"name":"window study","base":{"scheme":"adaptive","apps":["ammp","swim"],"seed":1,"warmup_instructions":1000000,"warmup_cycles":100000},"axes":{"measure_cycles":[500000,1000000,2000000,4000000]}}`
 	if string(got) != want {
 		t.Errorf("Canonical = %s\nwant        %s", got, want)
+	}
+}
+
+// TestCommittedSpecsExpand keeps the studies committed under
+// testdata/sweeps runnable: each parses strictly and expands to its
+// pinned number of points, and every file has a pin.
+func TestCommittedSpecsExpand(t *testing.T) {
+	want := map[string]int{"capacity": 12, "period": 6, "windows": 3}
+	files, err := filepath.Glob("../../testdata/sweeps/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, f := range files {
+		name := strings.TrimSuffix(filepath.Base(f), ".json")
+		n, ok := want[name]
+		if !ok {
+			t.Errorf("%s: no pinned point count", f)
+			continue
+		}
+		seen++
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := ParseSpec(data)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		points, err := Expand(spec, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if len(points) != n {
+			t.Errorf("%s expands to %d points, want %d", f, len(points), n)
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("found %d of the %d pinned specs in testdata/sweeps", seen, len(want))
 	}
 }
 

@@ -19,7 +19,11 @@ type LocalOptions struct {
 	// writer, span recorder, hooks). It is called once per group, just
 	// before the group runs, with the group's longest point, and its
 	// wiring observes that run, warmup included, as it would a cold run
-	// of that point. A nil return keeps the default config.
+	// of that point. A nil return runs the group with no telemetry: its
+	// Results carry no epochs, counters, histograms or set stats. With
+	// no Attach every group gets a bare config labelled with its longest
+	// point, so epochs and counters land in the Result (matching what
+	// nucaserve's job runner records).
 	Attach func(p Point) *telemetry.Config
 	// OnPoint observes each completed point: groups in plan order, the
 	// members of a group in window order.
@@ -57,7 +61,11 @@ func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Resu
 		longest := points[members[len(members)-1]]
 		cfg := longest.Cfg
 		cfg.CheckInvariants = opt.CheckInvariants
-		cfg.Telemetry = opt.telemetryFor(longest)
+		if opt.Attach != nil {
+			cfg.Telemetry = opt.Attach(longest)
+		} else {
+			cfg.Telemetry = &telemetry.Config{Run: longest.Label}
+		}
 		m, err := sim.NewWarmedMachine(ctx, cfg, longest.Mix)
 		if err != nil {
 			return nil, st, fmt.Errorf("sweep: point %q: %w", longest.Label, err)
@@ -80,16 +88,4 @@ func RunLocal(ctx context.Context, points []Point, opt LocalOptions) ([]sim.Resu
 		}
 	}
 	return results, st, nil
-}
-
-// telemetryFor resolves a group run's observability config, defaulting
-// to a bare config labelled with point p, so epochs and counters always
-// land in the Result (matching what nucaserve's job runner records).
-func (opt LocalOptions) telemetryFor(p Point) *telemetry.Config {
-	if opt.Attach != nil {
-		if c := opt.Attach(p); c != nil {
-			return c
-		}
-	}
-	return &telemetry.Config{Run: p.Label}
 }

@@ -10,9 +10,9 @@
 // On the server it happens from one checkpoint (sim.WarmupCheckpoint /
 // sim.ResumeFromCheckpoint). Aggregate folds
 // the per-point results into one stats.Table, the downloadable artifact
-// of a whole Fig. 7-style study. The package is the shared engine of cmd/sweep (local
-// execution) and nucaserve's POST /v1/sweeps (scheduled on the serve
-// worker pool).
+// of a whole Fig. 7-style study. The package is the shared engine of
+// cmd/experiments (local execution of figures and spec files) and
+// nucaserve's POST /v1/sweeps (scheduled on the serve worker pool).
 package sweep
 
 import (
@@ -96,8 +96,8 @@ func (b Base) Build() (sim.Config, []workload.AppParams, error) {
 // a present-but-empty axis is a spec error (an empty grid is always a
 // mistake, never a no-op). The L3 ways axis of the paper's Figure 3 is
 // deliberately absent: set associativity is a geometry constant of the
-// flat-arena engine, so ways studies stay client-side analytic sweeps
-// over the shadow-tag miss-ratio curves (cmd/sweep -kind ways).
+// flat-arena engine, so ways studies stay the client-side analytic probe
+// of Figure 3 (cmd/experiments fig3).
 type Axes struct {
 	Mix               [][]string `json:"mix,omitempty"`
 	Scheme            []string   `json:"scheme,omitempty"`
@@ -107,7 +107,8 @@ type Axes struct {
 	MeasureCycles     []uint64   `json:"measure_cycles,omitempty"`
 }
 
-// Spec is the wire shape of POST /v1/sweeps and cmd/sweep -spec.
+// Spec is the wire shape of POST /v1/sweeps and of the spec files
+// cmd/experiments runs (testdata/sweeps).
 type Spec struct {
 	// Name titles the aggregated table artifact (optional).
 	Name string `json:"name,omitempty"`

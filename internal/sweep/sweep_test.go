@@ -417,7 +417,7 @@ func TestRunLocalColdSchemes(t *testing.T) {
 			res, st, err := RunLocal(ctx, c.points, LocalOptions{
 				Attach: func(p Point) *telemetry.Config {
 					attached = append(attached, p.Label)
-					return nil
+					return &telemetry.Config{Run: p.Label}
 				},
 				OnPoint: func(p Point, _ sim.Result) { order = append(order, p.Label) },
 			})
@@ -446,6 +446,45 @@ func TestRunLocalColdSchemes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunLocalAttachNilRunsBare: a group whose Attach returns nil runs
+// with no telemetry. Its Results carry no epochs, counters, histograms
+// or set stats, and everything else equals the default run's.
+func TestRunLocalAttachNilRunsBare(t *testing.T) {
+	points, err := Expand(Spec{Base: smallBase(), Axes: Axes{
+		Scheme:        []string{"private", "adaptive"},
+		MeasureCycles: []uint64{20_000, 40_000},
+	}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	def, _, err := RunLocal(ctx, points, LocalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, _, err := RunLocal(ctx, points, LocalOptions{
+		Attach: func(Point) *telemetry.Config { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range points {
+		b, d := bare[i], def[i]
+		if b.Epochs != nil || b.Counters != nil || b.Histograms != nil || b.SetStats != nil {
+			t.Errorf("point %q: bare run recorded telemetry", p.Label)
+		}
+		if p.Cfg.Scheme == sim.SchemeAdaptive && (d.Epochs == nil || d.SetStats == nil) {
+			t.Errorf("point %q: default run recorded no epochs or set stats", p.Label)
+		}
+		d.Epochs, d.Counters, d.Histograms, d.SetStats = nil, nil, nil, nil
+		b.Throughput, d.Throughput = telemetry.Throughput{}, telemetry.Throughput{}
+		if !reflect.DeepEqual(b, d) {
+			t.Errorf("point %q: bare run diverged from the default run (IPC %v vs %v)",
+				p.Label, b.PerCoreIPC, d.PerCoreIPC)
+		}
 	}
 }
 

@@ -27,11 +27,11 @@ import (
 
 // Spec selects which shared flags a command registers and the
 // command-specific halves of their usage strings (the artifacts mean
-// different things to nucasim, experiments and sweep).
+// different things to nucasim, nucaserve and experiments).
 type Spec struct {
 	// Command names the invocation's root span and the process row of
-	// the exported trace ("nucasim", "experiments", "sweep"). Defaults
-	// to "cli".
+	// the exported trace ("nucasim", "nucaserve", "experiments").
+	// Defaults to "cli".
 	Command      string
 	JSONUsage    string // "" omits -json
 	MetricsUsage string // "" omits -metrics-out
